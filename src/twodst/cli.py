@@ -213,7 +213,7 @@ def cmd_lp_export(args) -> int:
     text = export_lp(model)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"LP written to {args.out} ({model.num_vars} variables, {len(model.rows)} rows)")
+        print(f"LP written to {args.out} ({model.num_vars} variables, {model.num_rows} rows)")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ExactTimeoutError, SizeLimitError
 from .graph import DirectedMultigraph, DstInstance, max_flow_unit
-from .rounding import reverse_delete
+from .verify import reverse_delete
 
 DEFAULT_MAX_EDGES = 22
 COST_EPS = 1e-12

@@ -15,6 +15,13 @@ terminal set S:
 Constraint families are tagged gst (tree flow), cong (graph flow with
 congestion cap beta * x_e), and div (per-terminal copies capped by x_e).
 All variables live in [0,1].
+
+The model is stored as one CSR matrix (`indptr`, `indices`, `data`) with
+per-row `sense`, `rhs` and family-code arrays, assembled with numpy one
+family block at a time. The flow-conservation rows of every tree edge are
+built once over graph-edge ids and then offset into the f columns (cong)
+and into each terminal's ft columns (div). `LpModel.rows` rebuilds Python
+row tuples from the arrays for export and inspection.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ModelInconsistencyError, SizeLimitError
 from .graph import DstInstance
@@ -34,6 +42,8 @@ from .shallow_tree import ShallowTree
 DEFAULT_MAX_NONZEROS = 2_000_000
 
 LE, EQ, GE = "<=", "=", ">="
+_SENSE_DTYPE = "<U2"
+FAMILIES = ("gst", "cong", "div")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -130,8 +140,7 @@ class FlatVarIndex:
         return list(self._names)
 
 
-@dataclass(frozen=True)
-class LpRow:
+class LpRow(NamedTuple):
     cols: tuple[int, ...]
     coefs: tuple[float, ...]
     sense: str
@@ -139,22 +148,92 @@ class LpRow:
     family: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpModel:
+    """Constraint rows as one CSR matrix plus per-row sense, rhs and family.
+
+    Row r has the terms `indices[indptr[r]:indptr[r+1]]` with coefficients
+    `data[...]`, in the order the builder emitted them (not sorted), so the
+    text export is stable. `sense` holds LE/EQ/GE strings and `family`
+    indexes into `families`.
+    """
+
     var_index: object
     objective: np.ndarray
-    rows: tuple[LpRow, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    family: np.ndarray
+    families: tuple[str, ...]
     beta: Optional[float]
+
+    @classmethod
+    def from_rows(cls, var_index, objective, rows: Iterable[LpRow], beta=None) -> "LpModel":
+        rows = list(rows)
+        families = tuple(dict.fromkeys(r.family for r in rows))
+        code = {f: k for k, f in enumerate(families)}
+        lengths = [len(r.cols) for r in rows]
+        return cls(
+            var_index,
+            np.asarray(objective, dtype=float),
+            np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+            np.array([j for r in rows for j in r.cols], dtype=np.int64),
+            np.array([c for r in rows for c in r.coefs], dtype=float),
+            np.array([r.sense for r in rows], dtype=_SENSE_DTYPE),
+            np.array([r.rhs for r in rows], dtype=float),
+            np.array([code[r.family] for r in rows], dtype=np.int32),
+            families,
+            beta,
+        )
 
     @property
     def num_vars(self) -> int:
         return self.var_index.total
 
+    @property
+    def num_rows(self) -> int:
+        return len(self.rhs)
+
     def nonzeros(self) -> int:
-        return sum(len(r.cols) for r in self.rows)
+        return int(self.indptr[-1])
+
+    def matrix(self) -> csr_matrix:
+        return csr_matrix(
+            (self.data, self.indices, self.indptr), shape=(self.num_rows, self.num_vars)
+        )
+
+    @property
+    def rows(self) -> "RowView":
+        return RowView(self)
 
     def family_rows(self, family: str) -> list[LpRow]:
         return [r for r in self.rows if r.family == family]
+
+
+class RowView:
+    """Read-only view of a model's rows as `LpRow`s of Python ints and floats.
+
+    `len` reads the arrays; iteration builds one row at a time.
+    """
+
+    def __init__(self, model: LpModel):
+        self._model = model
+
+    def __len__(self) -> int:
+        return self._model.num_rows
+
+    def __iter__(self):
+        m = self._model
+        cols, coefs = tuple(m.indices.tolist()), tuple(m.data.tolist())
+        ptr = m.indptr.tolist()
+        return (
+            LpRow(cols[a:b], coefs[a:b], sense, rhs, m.families[f])
+            for a, b, sense, rhs, f in zip(
+                ptr, ptr[1:], m.sense.tolist(), m.rhs.tolist(), m.family.tolist()
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -214,6 +293,82 @@ def projected_nonzeros(instance: DstInstance, tree: ShallowTree) -> int:
     return count
 
 
+class _RowBlocks:
+    """Rows collected block by block: per-row term counts, flat terms, and
+    one sense, rhs and family per block. Rows with no terms are dropped."""
+
+    def __init__(self):
+        keys = ("lengths", "indices", "data", "sense", "rhs", "family")
+        self.parts: dict[str, list] = {k: [] for k in keys}
+
+    def add(self, lengths, cols, coefs, sense: str, rhs: float, family: int) -> None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        lengths = lengths[lengths > 0]
+        self.parts["lengths"].append(lengths)
+        self.parts["indices"].append(np.asarray(cols, dtype=np.int64))
+        self.parts["data"].append(np.asarray(coefs, dtype=float))
+        self.parts["sense"].append(np.full(len(lengths), sense, dtype=_SENSE_DTYPE))
+        self.parts["rhs"].append(np.full(len(lengths), rhs, dtype=float))
+        self.parts["family"].append(np.full(len(lengths), family, dtype=np.int32))
+
+    def add_pairs(self, first, second, coefs, family: int) -> None:
+        """One `first[i] * coefs[0] + second[i] * coefs[1] <= 0` row per i."""
+        cols = np.stack([first, second], axis=1).ravel()
+        self.add(np.full(len(first), 2), cols, np.tile(coefs, len(first)), LE, 0.0, family)
+
+    def arrays(self):
+        out = {k: np.concatenate(v) for k, v in self.parts.items()}
+        out["indptr"] = np.concatenate(([0], np.cumsum(out.pop("lengths"))))
+        return out
+
+
+def _tree_conservation(tree: ShallowTree):
+    """Per non-root node: in-edge minus child edges, over tree edge ids."""
+    lengths, cols, coefs = [], [], []
+    for node in range(1, tree.num_nodes):
+        kids = [c - 1 for c in tree.children[node]]
+        lengths.append(1 + len(kids))
+        cols += [node - 1] + kids
+        coefs += [1.0] + [-1.0] * len(kids)
+    return np.array(lengths, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(coefs)
+
+
+def _graph_conservation(g, tree: ShallowTree):
+    """Rows realizing each tree edge (u, v) as a unit u -> v graph flow.
+
+    Per tree edge in order: out(u) minus the tree edge's own value, in(u),
+    then in(w) minus out(w) for every other w except v, by str(w). Columns
+    are local: `ehat * m + e` for graph edge e, `te * m + ehat` for the
+    tree edge's value. Tree edges with the same endpoint labels share one
+    template over graph edge ids, where column m stands for the value.
+    """
+    m, te = g.num_edges, tree.num_edges
+    order = sorted(g.vertices, key=str)
+    templates: dict = {}
+    lengths, cols, coefs = [], [], []
+    for ehat in range(te):
+        ends = tree.edge_endpoints_labels(ehat)
+        if ends not in templates:
+            u, v = ends
+            rows = [(list(g.out_edges(u)) + [m], [1.0] * len(g.out_edges(u)) + [-1.0]),
+                    (list(g.in_edges(u)), [1.0] * len(g.in_edges(u)))]
+            for w in order:
+                if w != u and w != v:
+                    ins, outs = g.in_edges(w), g.out_edges(w)
+                    rows.append((list(ins) + list(outs), [1.0] * len(ins) + [-1.0] * len(outs)))
+            rows = [r for r in rows if r[0]]
+            templates[ends] = (
+                [len(c) for c, _ in rows],
+                np.array([j for c, _ in rows for j in c], dtype=np.int64),
+                [a for _, c in rows for a in c],
+            )
+        t_lengths, t_cols, t_coefs = templates[ends]
+        lengths += t_lengths
+        cols.append(np.where(t_cols == m, te * m + ehat, ehat * m + t_cols))
+        coefs += t_coefs
+    return np.array(lengths, dtype=np.int64), np.concatenate(cols), np.array(coefs)
+
+
 def build_lp(
     instance: DstInstance,
     tree: ShallowTree,
@@ -229,83 +384,50 @@ def build_lp(
     if projected > max_nonzeros:
         raise SizeLimitError("model would be too large", projected, max_nonzeros)
 
-    rows: list[LpRow] = []
-
-    def emit(cols, coefs, sense, rhs, family):
-        if not cols:
-            return
-        rows.append(LpRow(tuple(cols), tuple(coefs), sense, float(rhs), family))
+    gst, cong, div = range(len(FAMILIES))
+    blocks = _RowBlocks()
+    edges = np.arange(m)
+    tree_edges = np.arange(te)
+    pairs = np.arange(te * m)  # (tree edge, graph edge) pairs, tree-edge major
+    xhat = idx.xhat(0) + tree_edges
 
     # tree flow per terminal
+    node_lengths, node_cols, node_coefs = _tree_conservation(tree)
     for t in idx.terminals:
-        group = tree.groups[t]
-        for ehat in range(te):
-            emit([idx.fhat(t, ehat), idx.xhat(ehat)], [1.0, -1.0], LE, 0.0, "gst")
-        for node in range(1, tree.num_nodes):
-            if node in group:
-                continue
-            cols = [idx.fhat(t, node - 1)]
-            coefs = [1.0]
-            for child in tree.children[node]:
-                cols.append(idx.fhat(t, child - 1))
-                coefs.append(-1.0)
-            emit(cols, coefs, EQ, 0.0, "gst")
-        in_edges = tree.group_in_edges(t)
-        emit([idx.fhat(t, ehat) for ehat in in_edges], [1.0] * len(in_edges), GE, 2.0, "gst")
+        fhat = idx.fhat(t, 0) + tree_edges
+        blocks.add_pairs(fhat, xhat, [1.0, -1.0], gst)
+        keep = np.ones(te, dtype=bool)  # group nodes have no conservation row
+        keep[[node - 1 for node in tree.groups[t]]] = False
+        entries = np.repeat(keep, node_lengths)
+        blocks.add(node_lengths[keep], fhat[node_cols[entries]], node_coefs[entries], EQ, 0.0, gst)
+        group = fhat[tree.group_in_edges(t)]
+        blocks.add([len(group)], group, np.ones(len(group)), GE, 2.0, gst)
 
-    # graph flow realizing each tree edge
-    for ehat in range(te):
-        for e in range(m):
-            emit([idx.f(ehat, e), idx.x(e)], [1.0, -1.0], LE, 0.0, "cong")
-    for ehat in range(te):
-        u, v = tree.edge_endpoints_labels(ehat)
-        cols = [idx.f(ehat, e) for e in g.out_edges(u)] + [idx.xhat(ehat)]
-        coefs = [1.0] * (len(cols) - 1) + [-1.0]
-        emit(cols, coefs, EQ, 0.0, "cong")
-        cols = [idx.f(ehat, e) for e in g.in_edges(u)]
-        emit(cols, [1.0] * len(cols), EQ, 0.0, "cong")
-        for w in sorted(g.vertices, key=str):
-            if w == u or w == v:
-                continue
-            cols = [idx.f(ehat, e) for e in g.in_edges(w)]
-            coefs = [1.0] * len(cols)
-            cols += [idx.f(ehat, e) for e in g.out_edges(w)]
-            coefs += [-1.0] * (len(cols) - len(coefs))
-            emit(cols, coefs, EQ, 0.0, "cong")
-    for e in range(m):
-        cols = [idx.f(ehat, e) for ehat in range(te)] + [idx.x(e)]
-        coefs = [1.0] * te + [-float(beta)]
-        emit(cols, coefs, LE, 0.0, "cong")
+    # graph flow realizing each tree edge, then the per-terminal copies;
+    # a cap row per graph edge holds that edge's flow over all tree edges
+    flow_lengths, flow_local, flow_coefs = _graph_conservation(g, tree)
+    own_value = flow_local >= te * m
 
-    # per-terminal disjointness
+    def realize(flow0, bound_by, value0, cap_coef, family):
+        flow = flow0 + pairs
+        blocks.add_pairs(flow, bound_by, [1.0, -1.0], family)
+        cols = np.where(own_value, value0 + flow_local - te * m, flow0 + flow_local)
+        blocks.add(flow_lengths, cols, flow_coefs, EQ, 0.0, family)
+        cap = np.empty((m, te + 1), dtype=np.int64)
+        cap[:, :te] = flow.reshape(te, m).T
+        cap[:, te] = edges
+        coefs = np.tile([1.0] * te + [cap_coef], m)
+        blocks.add(np.full(m, te + 1), cap.ravel(), coefs, LE, 0.0, family)
+
+    realize(idx.f(0, 0), pairs % m, idx.xhat(0), -float(beta), cong)
     for t in idx.terminals:
-        for ehat in range(te):
-            for e in range(m):
-                emit([idx.ft(t, ehat, e), idx.f(ehat, e)], [1.0, -1.0], LE, 0.0, "div")
-        for ehat in range(te):
-            u, v = tree.edge_endpoints_labels(ehat)
-            cols = [idx.ft(t, ehat, e) for e in g.out_edges(u)] + [idx.fhat(t, ehat)]
-            coefs = [1.0] * (len(cols) - 1) + [-1.0]
-            emit(cols, coefs, EQ, 0.0, "div")
-            cols = [idx.ft(t, ehat, e) for e in g.in_edges(u)]
-            emit(cols, [1.0] * len(cols), EQ, 0.0, "div")
-            for w in sorted(g.vertices, key=str):
-                if w == u or w == v:
-                    continue
-                cols = [idx.ft(t, ehat, e) for e in g.in_edges(w)]
-                coefs = [1.0] * len(cols)
-                cols += [idx.ft(t, ehat, e) for e in g.out_edges(w)]
-                coefs += [-1.0] * (len(cols) - len(coefs))
-                emit(cols, coefs, EQ, 0.0, "div")
-        for e in range(m):
-            cols = [idx.ft(t, ehat, e) for ehat in range(te)] + [idx.x(e)]
-            coefs = [1.0] * te + [-1.0]
-            emit(cols, coefs, LE, 0.0, "div")
+        realize(idx.ft(t, 0, 0), idx.f(0, 0) + pairs, idx.fhat(t, 0), -1.0, div)
 
+    arrays = blocks.arrays()
     objective = np.zeros(idx.total)
     objective[:m] = g.costs
-
-    model = LpModel(idx, objective, tuple(rows), float(beta))
+    model = LpModel(var_index=idx, objective=objective, families=FAMILIES,
+                    beta=float(beta), **arrays)
     built = model.nonzeros()
     if built != projected:
         raise ModelInconsistencyError(
@@ -314,16 +436,10 @@ def build_lp(
     return model
 
 
-def drop_family(model: LpModel, family: str) -> LpModel:
-    """Same model without one constraint family (diagnostics only)."""
-    kept = tuple(r for r in model.rows if r.family != family)
-    return LpModel(model.var_index, model.objective, kept, model.beta)
-
-
 def replay_constraints(model: LpModel, values: np.ndarray) -> float:
     """Max violation of any row or bound at the given point.
 
-    Independent of the solver: walks the stored rows directly.
+    Independent of the solver: multiplies the stored matrix by the point.
     """
     if len(values) != model.num_vars:
         raise ValueError(
@@ -333,17 +449,11 @@ def replay_constraints(model: LpModel, values: np.ndarray) -> float:
         float(np.max(-values, initial=0.0)),
         float(np.max(values - 1.0, initial=0.0)),
     )
-    for row in model.rows:
-        lhs = float(sum(c * values[j] for j, c in zip(row.cols, row.coefs)))
-        if row.sense == LE:
-            v = lhs - row.rhs
-        elif row.sense == GE:
-            v = row.rhs - lhs
-        else:
-            v = abs(lhs - row.rhs)
-        if v > worst:
-            worst = v
-    return worst
+    residual = model.matrix() @ values - model.rhs
+    violation = np.where(
+        model.sense == LE, residual, np.where(model.sense == GE, -residual, np.abs(residual))
+    )
+    return max(worst, float(np.max(violation, initial=0.0)))
 
 
 def _format_terms(cols, coefs, name_of) -> str:
@@ -361,7 +471,7 @@ def export_lp(model: LpModel) -> str:
     counters: dict[str, int] = {}
     lines = [
         f"\\ variables: {model.num_vars}",
-        f"\\ rows: {len(model.rows)}",
+        f"\\ rows: {model.num_rows}",
         "Minimize",
         " obj: " + (_format_terms(*_objective_terms(model), name_of) or "0"),
         "Subject To",
@@ -456,7 +566,7 @@ def parse_lp(text: str) -> LpModel:
     objective = np.zeros(index.total)
     for n, c in objective_terms.items():
         objective[pos[n]] = c
-    rows = tuple(
+    rows = (
         LpRow(
             tuple(pos[n] for n in terms),
             tuple(terms[n] for n in terms),
@@ -466,7 +576,7 @@ def parse_lp(text: str) -> LpModel:
         )
         for family, terms, sense, rhs in raw_rows
     )
-    return LpModel(index, objective, rows, None)
+    return LpModel.from_rows(index, objective, rows)
 
 
 def solution_to_json(solution: LpSolution) -> str:

@@ -16,14 +16,13 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, hstack
 
 from .errors import SolverError
 from .lp_model import (
     EQ,
     GE,
     INFEASIBLE,
-    LE,
     LIMIT,
     OPTIMAL,
     LpModel,
@@ -38,7 +37,6 @@ class SolverConfig:
     feas_tol: float = 1e-9
     opt_tol: float = 1e-9
     max_iterations: Optional[int] = None
-    pivot_rule: Optional[str] = None  # backend tie-break strategy id
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.opt_tol <= 0:
@@ -61,40 +59,21 @@ class InfeasibilityCertificate:
         return out
 
 
+def _signed_rows(model: LpModel, rows: np.ndarray, sign: np.ndarray):
+    """The given rows of the model (repeats allowed), each times its sign."""
+    lengths = np.diff(model.indptr)
+    sub = model.matrix()[rows]
+    sub.data *= np.repeat(sign, lengths[rows])
+    return sub, sign * model.rhs[rows]
+
+
 def _split_rows(model: LpModel):
     """Rows as sparse inequality/equality blocks (GE rows negated)."""
-    ub_data, ub_rows, ub_cols, b_ub, ub_pos = [], [], [], [], []
-    eq_data, eq_rows, eq_cols, b_eq, eq_pos = [], [], [], [], []
-    for pos, row in enumerate(model.rows):
-        if row.sense == EQ:
-            r = len(b_eq)
-            for j, c in zip(row.cols, row.coefs):
-                eq_rows.append(r)
-                eq_cols.append(j)
-                eq_data.append(c)
-            b_eq.append(row.rhs)
-            eq_pos.append(pos)
-        else:
-            sign = 1.0 if row.sense == LE else -1.0
-            r = len(b_ub)
-            for j, c in zip(row.cols, row.coefs):
-                ub_rows.append(r)
-                ub_cols.append(j)
-                ub_data.append(sign * c)
-            b_ub.append(sign * row.rhs)
-            ub_pos.append(pos)
-    n = model.num_vars
-    a_ub = (
-        csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), n))
-        if b_ub
-        else None
-    )
-    a_eq = (
-        csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n))
-        if b_eq
-        else None
-    )
-    return a_ub, np.array(b_ub), ub_pos, a_eq, np.array(b_eq), eq_pos
+    eq = model.sense == EQ
+    ub = np.flatnonzero(~eq)
+    a_ub, b_ub = _signed_rows(model, ub, np.where(model.sense[ub] == GE, -1.0, 1.0))
+    a_eq, b_eq = _signed_rows(model, np.flatnonzero(eq), np.ones(int(eq.sum())))
+    return (a_ub if len(ub) else None), b_ub, (a_eq if len(b_eq) else None), b_eq
 
 
 def _options(config: SolverConfig) -> dict:
@@ -109,7 +88,7 @@ def _options(config: SolverConfig) -> dict:
 
 
 def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
-    a_ub, b_ub, _, a_eq, b_eq, _ = _split_rows(model)
+    a_ub, b_ub, a_eq, b_eq = _split_rows(model)
     result = linprog(
         model.objective,
         A_ub=a_ub,
@@ -164,43 +143,24 @@ def _infeasibility_certificate(
     the model feasible.
     """
     n = model.num_vars
-    k = len(model.rows)
-    data, rws, cls = [], [], []
-    rhs_ub, rhs_eq = [], []
-    ub_meta, eq_rows = [], []
-    for pos, row in enumerate(model.rows):
-        if row.sense == EQ:
-            # two elastic inequalities sharing one slack: |lhs - rhs| <= s
-            for sign in (1.0, -1.0):
-                r = len(rhs_ub)
-                for j, c in zip(row.cols, row.coefs):
-                    rws.append(r)
-                    cls.append(j)
-                    data.append(sign * c)
-                rws.append(r)
-                cls.append(n + pos)
-                data.append(-1.0)
-                rhs_ub.append(sign * row.rhs)
-                ub_meta.append(pos)
-        else:
-            sign = 1.0 if row.sense == LE else -1.0
-            r = len(rhs_ub)
-            for j, c in zip(row.cols, row.coefs):
-                rws.append(r)
-                cls.append(j)
-                data.append(sign * c)
-            rws.append(r)
-            cls.append(n + pos)
-            data.append(-1.0)
-            rhs_ub.append(sign * row.rhs)
-            ub_meta.append(pos)
-    a_ub = csr_matrix((data, (rws, cls)), shape=(len(rhs_ub), n + k))
+    k = model.num_rows
+    # equalities become two inequalities (sign +1, then -1) sharing one slack
+    eq = model.sense == EQ
+    rows = np.repeat(np.arange(k), np.where(eq, 2, 1))
+    second = np.zeros(len(rows), dtype=bool)
+    second[1:] = rows[1:] == rows[:-1]
+    sign = np.where(second | (model.sense[rows] == GE), -1.0, 1.0)
+    signed, rhs_ub = _signed_rows(model, rows, sign)
+    slack = csr_matrix(
+        (-np.ones(len(rows)), (np.arange(len(rows)), rows)), shape=(len(rows), k)
+    )
+    a_ub = hstack([signed, slack], format="csr")
     cost = np.concatenate([np.zeros(n), np.ones(k)])
     bounds = [(0.0, 1.0)] * n + [(0.0, None)] * k
     result = linprog(
         cost,
         A_ub=a_ub,
-        b_ub=np.array(rhs_ub),
+        b_ub=rhs_ub,
         bounds=bounds,
         method="highs",
         options=_options(config),
@@ -210,9 +170,8 @@ def _infeasibility_certificate(
     slacks = np.asarray(result.x[n:])
     tol = max(10.0 * config.feas_tol, 1e-8)
     offenders = tuple(
-        (pos, model.rows[pos].family, float(slacks[pos]))
-        for pos in range(k)
-        if slacks[pos] > tol
+        (pos, model.families[model.family[pos]], float(slacks[pos]))
+        for pos in np.flatnonzero(slacks > tol).tolist()
     )
     return InfeasibilityCertificate(offenders, float(np.sum(slacks)))
 

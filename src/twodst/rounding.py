@@ -263,7 +263,7 @@ def round_solution(
     config: RoundingConfig,
 ) -> SolutionSubgraph:
     """Union of J independent rounding iterations, verified and annotated."""
-    from .verify import feasibility_report
+    from .verify import feasibility_report, reverse_delete
 
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
@@ -299,22 +299,3 @@ def round_solution(
         "pruned": pruned,
     }
     return SolutionSubgraph.from_edges(instance.graph, edges, provenance, meta)
-
-
-def reverse_delete(instance: DstInstance, edges) -> frozenset:
-    """Drop the costliest edges whose removal keeps every terminal
-    2-connected from the root; one descending pass is enough because an
-    edge that is needed never becomes droppable as the graph shrinks."""
-    from .graph import max_flow_unit
-
-    g = instance.graph
-    kept = set(edges)
-    order = sorted(kept, key=lambda e: (-g.costs[e], -e))
-    for e in order:
-        trial = kept - {e}
-        if all(
-            max_flow_unit(g, instance.root, t, restrict_to=trial)[0] >= 2
-            for t in instance.terminals
-        ):
-            kept = trial
-    return frozenset(kept)

@@ -80,6 +80,23 @@ def verify_2dst(instance: DstInstance, solution: SolutionSubgraph) -> Feasibilit
     return feasibility_report(instance, solution.edges)
 
 
+def reverse_delete(instance: DstInstance, edges) -> frozenset:
+    """Drop the costliest edges whose removal keeps every terminal
+    2-connected from the root; one descending pass is enough because an
+    edge that is needed never becomes droppable as the graph shrinks."""
+    g = instance.graph
+    kept = set(edges)
+    order = sorted(kept, key=lambda e: (-g.costs[e], -e))
+    for e in order:
+        trial = kept - {e}
+        if all(
+            max_flow_unit(g, instance.root, t, restrict_to=trial)[0] >= 2
+            for t in instance.terminals
+        ):
+            kept = trial
+    return frozenset(kept)
+
+
 def scan_failures(instance: DstInstance, solution: SolutionSubgraph) -> list[tuple]:
     """All (edge, terminal) pairs whose removal disconnects the terminal.
 

@@ -1,14 +1,19 @@
 """Slow, independent reference implementations used to check the fast code.
 
-Everything here is exhaustive enumeration. Keep instances tiny (m <= 12 or
-so) when calling these from tests.
+The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
+or so) when calling them from tests. `reference_rows` builds the relaxation
+one row at a time, as a reference for the vectorised `build_lp`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
+
 from twodst.graph import DirectedMultigraph
+from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 
 
 def enumerate_simple_paths(graph: DirectedMultigraph, source, target) -> list[tuple[int, ...]]:
@@ -169,3 +174,82 @@ def enumerate_label_sequences(vertices, root, depth) -> list[tuple]:
 
     extend([root])
     return out
+
+
+def reference_rows(instance, tree, beta) -> list[LpRow]:
+    """The relaxation's rows, emitted one at a time in model order.
+
+    Reference for the vectorised `build_lp`: same families, same row
+    order, same term order within each row; rows with no terms are skipped.
+    """
+    g = instance.graph
+    m = g.num_edges
+    te = tree.num_edges
+    idx = VarIndex(m, te, instance.terminals)
+    rows: list[LpRow] = []
+
+    def emit(cols, coefs, sense, rhs, family):
+        if cols:
+            rows.append(LpRow(tuple(cols), tuple(coefs), sense, float(rhs), family))
+
+    def conservation(var, head_col, family):
+        for ehat in range(te):
+            u, v = tree.edge_endpoints_labels(ehat)
+            cols = [var(ehat, e) for e in g.out_edges(u)] + [head_col(ehat)]
+            emit(cols, [1.0] * (len(cols) - 1) + [-1.0], EQ, 0.0, family)
+            cols = [var(ehat, e) for e in g.in_edges(u)]
+            emit(cols, [1.0] * len(cols), EQ, 0.0, family)
+            for w in sorted(g.vertices, key=str):
+                if w == u or w == v:
+                    continue
+                cols = [var(ehat, e) for e in g.in_edges(w)]
+                coefs = [1.0] * len(cols)
+                cols += [var(ehat, e) for e in g.out_edges(w)]
+                coefs += [-1.0] * (len(cols) - len(coefs))
+                emit(cols, coefs, EQ, 0.0, family)
+
+    for t in idx.terminals:
+        group = tree.groups[t]
+        for ehat in range(te):
+            emit([idx.fhat(t, ehat), idx.xhat(ehat)], [1.0, -1.0], LE, 0.0, "gst")
+        for node in range(1, tree.num_nodes):
+            if node in group:
+                continue
+            cols = [idx.fhat(t, node - 1)] + [idx.fhat(t, c - 1) for c in tree.children[node]]
+            emit(cols, [1.0] + [-1.0] * (len(cols) - 1), EQ, 0.0, "gst")
+        in_edges = tree.group_in_edges(t)
+        emit([idx.fhat(t, ehat) for ehat in in_edges], [1.0] * len(in_edges), GE, 2.0, "gst")
+
+    for ehat in range(te):
+        for e in range(m):
+            emit([idx.f(ehat, e), idx.x(e)], [1.0, -1.0], LE, 0.0, "cong")
+    conservation(idx.f, idx.xhat, "cong")
+    for e in range(m):
+        cols = [idx.f(ehat, e) for ehat in range(te)] + [idx.x(e)]
+        emit(cols, [1.0] * te + [-float(beta)], LE, 0.0, "cong")
+
+    for t in idx.terminals:
+        for ehat in range(te):
+            for e in range(m):
+                emit([idx.ft(t, ehat, e), idx.f(ehat, e)], [1.0, -1.0], LE, 0.0, "div")
+        conservation(lambda ehat, e: idx.ft(t, ehat, e), lambda ehat: idx.fhat(t, ehat), "div")
+        for e in range(m):
+            cols = [idx.ft(t, ehat, e) for ehat in range(te)] + [idx.x(e)]
+            emit(cols, [1.0] * te + [-1.0], LE, 0.0, "div")
+    return rows
+
+
+def drop_family(model: LpModel, family: str) -> LpModel:
+    """Same model without one constraint family, by a row mask."""
+    keep = model.family != model.families.index(family)
+    lengths = np.diff(model.indptr)[keep]
+    entries = np.repeat(keep, np.diff(model.indptr))
+    return replace(
+        model,
+        indptr=np.concatenate(([0], np.cumsum(lengths))),
+        indices=model.indices[entries],
+        data=model.data[entries],
+        sense=model.sense[keep],
+        rhs=model.rhs[keep],
+        family=model.family[keep],
+    )

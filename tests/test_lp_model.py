@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
+from oracles import drop_family, reference_rows
 from twodst.errors import SizeLimitError
-from twodst.graph import DirectedMultigraph, DstInstance
+from twodst.exact import random_instance
 from twodst.lp_model import (
+    EQ,
     GE,
+    LE,
     VarIndex,
     build_lp,
     congestion_parameter,
-    drop_family,
     export_lp,
     parse_lp,
     projected_nonzeros,
@@ -16,8 +23,10 @@ from twodst.lp_model import (
     solution_to_json,
     solution_values_from_json,
 )
-from twodst.lp_solver import solve
+from twodst.lp_solver import _split_rows, solve
 from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCongestionParameter:
@@ -148,7 +157,7 @@ class TestExport:
     def test_header_counts(self, model):
         lines = export_lp(model).splitlines()
         assert lines[0] == f"\\ variables: {model.num_vars}"
-        assert lines[1] == f"\\ rows: {len(model.rows)}"
+        assert lines[1] == f"\\ rows: {len(model.rows)}" == f"\\ rows: {model.num_rows}"
 
     def test_round_trip_objective(self, model):
         reimported = parse_lp(export_lp(model))
@@ -161,6 +170,22 @@ class TestExport:
     def test_round_trip_preserves_families(self, model):
         reimported = parse_lp(export_lp(model))
         assert {r.family for r in reimported.rows} == {r.family for r in model.rows}
+
+    def test_parse_keeps_many_row_families(self):
+        rows = "\n".join(f" row{i}: 1.0 x_0 <= 1.0" for i in range(300))
+        text = f"Minimize\n obj: 1.0 x_0\nSubject To\n{rows}\nBounds\n 0 <= x_0 <= 1\nEnd\n"
+        model = parse_lp(text)
+        assert [r.family for r in model.rows] == [f"row{i}" for i in range(300)]
+
+    @pytest.mark.parametrize(
+        "fixture, depth, beta, golden",
+        [("parallel_pair", 1, 2, "parallel_pair_d1_beta2.lp"), ("diamond", 2, 4, "diamond_d2_beta4.lp")],
+    )
+    def test_matches_golden_text(self, request, fixture, depth, beta, golden):
+        inst = request.getfixturevalue(fixture)
+        tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+        text = export_lp(build_lp(inst, tree, beta=beta))
+        assert text == (DATA / golden).read_text()
 
     def test_bounds_cover_all_variables(self, model):
         text = export_lp(model)
@@ -190,3 +215,76 @@ class TestSolutionDump:
         doc["values"]["bogus_var"] = 1.0
         with pytest.raises(ValueError, match="unknown"):
             solution_values_from_json(model, json.dumps(doc))
+
+
+def _reference_blocks(rows, num_vars):
+    """Inequality and equality blocks from a row walk (GE rows negated)."""
+    blocks = {}
+    for eq in (False, True):
+        picked = [r for r in rows if (r.sense == EQ) == eq]
+        sign = [1.0 if eq or r.sense == LE else -1.0 for r in picked]
+        data = [s * c for r, s in zip(picked, sign) for c in r.coefs]
+        rws = [k for k, r in enumerate(picked) for _ in r.cols]
+        cols = [j for r in picked for j in r.cols]
+        a = csr_matrix((data, (rws, cols)), shape=(len(picked), num_vars))
+        blocks[eq] = (a, np.array([s * r.rhs for r, s in zip(picked, sign)]))
+    return blocks
+
+
+def _replay_by_rows(rows, values):
+    worst = max(float(np.max(-values, initial=0.0)), float(np.max(values - 1.0, initial=0.0)))
+    for r in rows:
+        lhs = float(sum(c * values[j] for j, c in zip(r.cols, r.coefs)))
+        v = lhs - r.rhs if r.sense == LE else r.rhs - lhs if r.sense == GE else abs(lhs - r.rhs)
+        worst = max(worst, v)
+    return worst
+
+
+def _check_against_reference(inst, depth, beta, seed):
+    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+    model = build_lp(inst, tree, beta)
+    ref = reference_rows(inst, tree, beta)
+
+    def canonical(row):
+        pairs = sorted(zip(row.cols, row.coefs))
+        return [j for j, _ in pairs], [c for _, c in pairs], row.sense, row.rhs, row.family
+
+    assert [canonical(r) for r in model.rows] == [canonical(r) for r in ref]
+    for r in model.rows:
+        assert all(type(j) is int for j in r.cols) and all(type(c) is float for c in r.coefs)
+        assert type(r.rhs) is float
+
+    a_ub, b_ub, a_eq, b_eq = _split_rows(model)
+    blocks = _reference_blocks(ref, model.num_vars)
+    for got, b_got, (want, b_want) in ((a_ub, b_ub, blocks[False]), (a_eq, b_eq, blocks[True])):
+        got, want = got.tocsc(), want.tocsc()
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert np.array_equal(b_got, b_want)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        point = rng.random(model.num_vars)
+        assert replay_constraints(model, point) == pytest.approx(
+            _replay_by_rows(ref, point), abs=1e-12
+        )
+
+
+class TestAgainstReferenceBuilder:
+    @pytest.mark.parametrize("fixture, depth, beta", [("parallel_pair", 1, 2), ("diamond", 2, 4)])
+    def test_fixtures(self, request, fixture, depth, beta):
+        _check_against_reference(request.getfixturevalue(fixture), depth, beta, seed=0)
+
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(min_value=3, max_value=6),
+        extra=st.integers(min_value=0, max_value=6),
+        h=st.integers(min_value=1, max_value=2),
+        depth=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_random_instances(self, n, extra, h, depth, seed):
+        inst = random_instance(n, 2 * h + extra, h, seed=seed)
+        beta = congestion_parameter(depth, h)
+        _check_against_reference(inst, depth, beta, seed)

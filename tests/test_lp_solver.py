@@ -22,11 +22,8 @@ def tiny_model(rows):
     names = sorted({i for r in rows for i in r[0]})
     index = FlatVarIndex([f"v_{i}" for i in names])
     objective = np.ones(index.total)
-    return LpModel(
-        index,
-        objective,
-        tuple(LpRow(tuple(c), tuple(co), s, r, "test") for c, co, s, r in rows),
-        None,
+    return LpModel.from_rows(
+        index, objective, [LpRow(tuple(c), tuple(co), s, r, "test") for c, co, s, r in rows]
     )
 
 
@@ -126,10 +123,10 @@ class TestInfeasibility:
             else:
                 repaired.append(LpRow(row.cols, row.coefs, LE, row.rhs + give, row.family))
                 repaired.append(LpRow(row.cols, row.coefs, GE, row.rhs - give, row.family))
-        relaxed = LpModel(
+        relaxed = LpModel.from_rows(
             infeasible_model.var_index,
             infeasible_model.objective,
-            tuple(repaired),
+            repaired,
             infeasible_model.beta,
         )
         assert solve(relaxed).status == "optimal"

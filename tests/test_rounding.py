@@ -20,11 +20,11 @@ from twodst.rounding import (
     default_samples,
     gkr_round,
     monotone_clamp,
-    reverse_delete,
     round_solution,
     sample_path,
 )
 from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.verify import reverse_delete
 
 
 def _instance(vertices, edges, root, terminals):
