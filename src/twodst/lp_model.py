@@ -22,6 +22,26 @@ family block at a time. The flow-conservation rows of every tree edge are
 built once over graph-edge ids and then offset into the f columns (cong)
 and into each terminal's ft columns (div). `LpModel.rows` rebuilds Python
 row tuples from the arrays for export and inspection.
+
+`LpModel.live` marks the columns the solver hands to HiGHS; the others
+are fixed to 0, which loses no optimum. A column is dead by one of three
+rules (write "below ê" for the subtree under ê's child node, and (u, v)
+for ê's endpoint labels):
+
+(a) fh_(t,ê) and ft_(t,ê,·) when no node labelled t lies below ê. Every
+    node below ê then has a gst conservation row, so fh_(t,ê) = 0 in every
+    feasible point, ft_(t,ê,·) is a circulation, and zeroing it keeps
+    every row satisfied.
+(b) xh_ê and f_(ê,·) when no terminal-labelled node lies below ê. By (a)
+    no fh or ft column of ê stays, so zeroing them keeps every row
+    satisfied and leaves x unchanged.
+(c) f_(ê,e) and ft_(·,ê,e) for e = (a, b) when a is not reachable from u,
+    v is not reachable from b, or b = u. Cutting the conservation rows
+    around the vertices u cannot reach (or that cannot reach v) shows the
+    edges crossing the cut carry 0 in every feasible point and the rest
+    carry a circulation on dead edges only; edges into u carry 0 by the
+    in(u) row. Zeroing them keeps every row satisfied. Edges leaving v stay
+    live: v has no conservation row, so cycles through v may carry ft flow.
 """
 
 from __future__ import annotations
@@ -36,7 +56,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ModelInconsistencyError, SizeLimitError
-from .graph import DstInstance
+from .graph import DstInstance, reachable_set
 from .shallow_tree import ShallowTree
 
 DEFAULT_MAX_NONZEROS = 2_000_000
@@ -155,7 +175,8 @@ class LpModel:
     Row r has the terms `indices[indptr[r]:indptr[r+1]]` with coefficients
     `data[...]`, in the order the builder emitted them (not sorted), so the
     text export is stable. `sense` holds LE/EQ/GE strings and `family`
-    indexes into `families`.
+    indexes into `families`. `live` is the boolean column mask of the
+    columns that may be nonzero (see the module docstring).
     """
 
     var_index: object
@@ -168,6 +189,7 @@ class LpModel:
     family: np.ndarray
     families: tuple[str, ...]
     beta: Optional[float]
+    live: np.ndarray
 
     @classmethod
     def from_rows(cls, var_index, objective, rows: Iterable[LpRow], beta=None) -> "LpModel":
@@ -186,6 +208,7 @@ class LpModel:
             np.array([code[r.family] for r in rows], dtype=np.int32),
             families,
             beta,
+            np.ones(var_index.total, dtype=bool),
         )
 
     @property
@@ -244,6 +267,8 @@ class LpSolution:
     status: str
     max_violation: float = 0.0
     certificate: Optional[object] = None
+    iterations: Optional[int] = None  # HiGHS iterations (nit)
+    solved_shape: Optional[tuple[int, int, int]] = None  # rows, columns, nonzeros given to HiGHS
 
     # structured accessors; only valid when the model carries a VarIndex
     def x(self, e: int) -> float:
@@ -369,6 +394,46 @@ def _graph_conservation(g, tree: ShallowTree):
     return np.array(lengths, dtype=np.int64), np.concatenate(cols), np.array(coefs)
 
 
+def live_columns(instance: DstInstance, tree: ShallowTree, idx: VarIndex) -> np.ndarray:
+    """Mask of the columns rules (a)-(c) of the module docstring keep."""
+    g = instance.graph
+    te = tree.num_edges
+    # below[node, k]: a node labelled terminal k lies in the node's subtree
+    below = np.zeros((tree.num_nodes, len(idx.terminals)), dtype=bool)
+    for k, t in enumerate(idx.terminals):
+        below[list(tree.groups[t]), k] = True
+    parents, depths = np.asarray(tree.parents), np.asarray(tree.depths)
+    for depth in range(tree.depth, 0, -1):
+        nodes = np.flatnonzero(depths == depth)
+        np.logical_or.at(below, parents[nodes], below[nodes])
+    fhat = below[1:].T  # (terminal, tree edge); tree edge ê ends at node ê + 1
+    xhat = fhat.any(axis=0)
+
+    # (c): one graph-edge mask per pair of endpoint labels
+    masks: dict = {}
+    per_edge = []
+    for ehat in range(te):
+        ends = tree.edge_endpoints_labels(ehat)
+        if ends not in masks:
+            u, v = ends
+            from_u = reachable_set(g, u, "forward")
+            to_v = reachable_set(g, v, "backward")
+            masks[ends] = np.array(
+                [a in from_u and b in to_v and b != u for a, b in zip(g.tails, g.heads)],
+                dtype=bool,
+            )
+        per_edge.append(masks[ends])
+    useful = np.array(per_edge, dtype=bool).reshape(te, g.num_edges)
+
+    return np.concatenate([
+        np.ones(g.num_edges, dtype=bool),
+        xhat,
+        fhat.ravel(),
+        (xhat[:, None] & useful).ravel(),
+        (fhat[:, :, None] & useful[None]).ravel(),
+    ])
+
+
 def build_lp(
     instance: DstInstance,
     tree: ShallowTree,
@@ -427,7 +492,7 @@ def build_lp(
     objective = np.zeros(idx.total)
     objective[:m] = g.costs
     model = LpModel(var_index=idx, objective=objective, families=FAMILIES,
-                    beta=float(beta), **arrays)
+                    beta=float(beta), live=live_columns(instance, tree, idx), **arrays)
     built = model.nonzeros()
     if built != projected:
         raise ModelInconsistencyError(

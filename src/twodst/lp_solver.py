@@ -1,11 +1,14 @@
 """Linear program solving behind a thin stable interface.
 
 The heavy lifting is delegated to scipy's HiGHS backend, which is
-deterministic for a fixed model and configuration. Every optimal result
-is re-checked against the model's own rows before being returned, so a
-wrong answer from the backend cannot slip through silently. Infeasible
-models get a certificate: the smallest total relaxation (elastic slacks)
-that would make the rows consistent, reported per offending row.
+deterministic for a fixed model and configuration. HiGHS sees only the
+model's live columns (`LpModel.live`) and the rows that keep a term; the
+dead columns come back as exact zeros, and every optimal result is
+re-checked against all rows of the full model before being returned, so
+a wrong answer from the backend or a wrong column mask cannot slip
+through silently. Infeasible models get a certificate: the smallest
+total relaxation (elastic slacks) that would make the rows consistent,
+reported per offending row.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, hstack
 
-from .errors import SolverError
+from .errors import ModelInconsistencyError, SolverError
 from .lp_model import (
     EQ,
     GE,
@@ -76,6 +79,25 @@ def _split_rows(model: LpModel):
     return (a_ub if len(ub) else None), b_ub, (a_eq if len(b_eq) else None), b_eq
 
 
+def _live_block(block, rhs: np.ndarray, cols: np.ndarray, equality: bool):
+    """The block's live columns, without the rows left with no term.
+
+    Such a row reads 0 against its right-hand side, which must hold.
+    """
+    if block is None:
+        return None, rhs
+    block = block[:, cols]
+    kept = np.diff(block.indptr) > 0
+    dropped = rhs[~kept]
+    broken = dropped != 0.0 if equality else dropped < 0.0
+    if broken.any():
+        raise ModelInconsistencyError(
+            f"{int(broken.sum())} row(s) with only dead columns are not satisfied by 0"
+        )
+    block = block[kept]
+    return (block if block.shape[0] else None), rhs[kept]
+
+
 def _options(config: SolverConfig) -> dict:
     options = {
         "presolve": True,
@@ -88,9 +110,14 @@ def _options(config: SolverConfig) -> dict:
 
 
 def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
+    cols = np.flatnonzero(model.live)
     a_ub, b_ub, a_eq, b_eq = _split_rows(model)
+    a_ub, b_ub = _live_block(a_ub, b_ub, cols, equality=False)
+    a_eq, b_eq = _live_block(a_eq, b_eq, cols, equality=True)
+    blocks = [a for a in (a_ub, a_eq) if a is not None]
+    shape = (sum(a.shape[0] for a in blocks), len(cols), sum(a.nnz for a in blocks))
     result = linprog(
-        model.objective,
+        model.objective[cols],
         A_ub=a_ub,
         b_ub=b_ub if a_ub is not None else None,
         A_eq=a_eq,
@@ -99,35 +126,37 @@ def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
         method="highs",
         options=_options(config),
     )
+    run = {"model": model, "iterations": int(result.nit), "solved_shape": shape}
     if result.status == 0:
-        values = np.asarray(result.x, dtype=float)
+        values = np.zeros(model.num_vars)
+        values[cols] = result.x
         violation = replay_constraints(model, values)
         if violation > max(10.0 * config.feas_tol, 1e-8):
             raise SolverError(
                 f"backend reported optimal but replay finds violation {violation:.3e}"
             )
         return LpSolution(
-            model=model,
             values=values,
             objective=float(result.fun),
             status=OPTIMAL,
             max_violation=violation,
+            **run,
         )
     if result.status == 1:
         return LpSolution(
-            model=model,
             values=np.zeros(model.num_vars),
             objective=float("nan"),
             status=LIMIT,
+            **run,
         )
     if result.status == 2:
         certificate = _infeasibility_certificate(model, config)
         return LpSolution(
-            model=model,
             values=np.zeros(model.num_vars),
             objective=float("nan"),
             status=INFEASIBLE,
             certificate=certificate,
+            **run,
         )
     raise SolverError(f"backend failure: {result.message}")
 

@@ -129,7 +129,11 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
             detail = f"; irreducible rows in families {sorted(lp.certificate.families())}"
         raise SolverError(f"LP finished with status {lp.status!r}{detail}")
     timings["lp"] = clock() - t0
-    log.info("LP solved: objective %.6f, congestion parameter %d", lp.objective, beta)
+    log.info(
+        "LP solved: objective %.6f, congestion parameter %d, %s HiGHS iterations, "
+        "solved shape (rows, columns, nonzeros) %s",
+        lp.objective, beta, lp.iterations, lp.solved_shape,
+    )
 
     t0 = clock()
     iterations = config.iterations or default_iterations(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InfeasibleInstanceError, SizeLimitError
+from .errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitError
 from .graph import DstInstance, reachable_set
 
 DEFAULT_MAX_NODES = 200_000
@@ -180,7 +180,10 @@ def build_shallow_tree(instance: DstInstance, config: ShallowTreeConfig) -> Shal
     for node, label in enumerate(labels):
         if label in groups:
             groups[label].add(node)
-    assert len(labels) == projected
+    if len(labels) != projected:
+        raise ModelInconsistencyError(
+            f"tree has {len(labels)} nodes but the closed form projects {projected}"
+        )
 
     return ShallowTree(config.depth, labels, depths, parents, copies, children, groups)
 

@@ -27,6 +27,13 @@ def diamond():
 
 
 @pytest.fixture
+def chain():
+    """r -> a -> t: only one path, so two disjoint ones are impossible."""
+    g = DirectedMultigraph(["r", "a", "t"], [("r", "a", 1.0), ("a", "t", 1.0)])
+    return DstInstance(g, "r", frozenset(["t"]))
+
+
+@pytest.fixture
 def parallel_pair():
     """Two parallel r -> t edges of cost 1 each."""
     g = DirectedMultigraph(["r", "t"], [("r", "t", 1.0), ("r", "t", 1.0)])

@@ -2,7 +2,9 @@
 
 The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
 or so) when calling them from tests. `reference_rows` builds the relaxation
-one row at a time, as a reference for the vectorised `build_lp`.
+one row at a time, as a reference for the vectorised `build_lp`, and
+`reference_live` marks its live columns one at a time, as a reference for
+`LpModel.live`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from twodst.graph import DirectedMultigraph
+from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 
 
@@ -253,3 +255,51 @@ def drop_family(model: LpModel, family: str) -> LpModel:
         rhs=model.rhs[keep],
         family=model.family[keep],
     )
+
+
+def labels_below(tree, node) -> set:
+    """Labels of the node and of every node in its subtree."""
+    out = {tree.labels[node]}
+    for child in tree.children[node]:
+        out |= labels_below(tree, child)
+    return out
+
+
+def useless_pairs(instance, tree) -> set[tuple[int, int]]:
+    """(tree edge, graph edge) pairs whose flow columns rule (c) drops: for
+    tree edge labels (u, v) and e = (a, b), a is not reachable from u, v is
+    not reachable from b, or b = u."""
+    g = instance.graph
+    out = set()
+    for ehat in range(tree.num_edges):
+        u, v = tree.edge_endpoints_labels(ehat)
+        from_u = reachable_set(g, u, "forward")
+        to_v = reachable_set(g, v, "backward")
+        for e in range(g.num_edges):
+            a, b = g.tails[e], g.heads[e]
+            if a not in from_u or b not in to_v or b == u:
+                out.add((ehat, e))
+    return out
+
+
+def reference_live(instance, tree) -> np.ndarray:
+    """The live-column mask, one column at a time, by rules (a)-(c)."""
+    g = instance.graph
+    idx = VarIndex(g.num_edges, tree.num_edges, instance.terminals)
+    useless = useless_pairs(instance, tree)
+    live = np.zeros(idx.total, dtype=bool)
+    for e in range(g.num_edges):
+        live[idx.x(e)] = True
+    for ehat in range(tree.num_edges):
+        below = labels_below(tree, tree.edge_child(ehat))
+        useful = [e for e in range(g.num_edges) if (ehat, e) not in useless]
+        if below & instance.terminals:
+            live[idx.xhat(ehat)] = True
+            for e in useful:
+                live[idx.f(ehat, e)] = True
+        for t in idx.terminals:
+            if t in below:
+                live[idx.fhat(t, ehat)] = True
+                for e in useful:
+                    live[idx.ft(t, ehat, e)] = True
+    return live

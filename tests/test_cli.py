@@ -286,7 +286,8 @@ def test_bench_exact_cap_skips_column(tmp_path, capsys):
     code = main(["bench", str(suite), "--exact-cap", "3", "--out", str(out)])
     assert code == EXIT_OK
     capsys.readouterr()
-    rows = list(csv.DictReader(open(out, newline="")))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["exact_opt"] == ""
     assert rows[0]["ratio_vs_opt"] == ""
     assert rows[0]["feasible"] == "yes"

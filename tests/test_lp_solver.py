@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from twodst.errors import SolverError
-from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.lp_model import (
     EQ,
     GE,
@@ -25,12 +24,6 @@ def tiny_model(rows):
     return LpModel.from_rows(
         index, objective, [LpRow(tuple(c), tuple(co), s, r, "test") for c, co, s, r in rows]
     )
-
-
-def chain_instance():
-    """r -> a -> t: only one path, so two disjoint ones are impossible."""
-    g = DirectedMultigraph(["r", "a", "t"], [("r", "a", 1.0), ("a", "t", 1.0)])
-    return DstInstance(g, "r", frozenset(["t"]))
 
 
 class TestBasics:
@@ -88,10 +81,9 @@ class TestOnRealModels:
 
 class TestInfeasibility:
     @pytest.fixture
-    def infeasible_model(self):
-        inst = chain_instance()
-        tree = build_shallow_tree(inst, ShallowTreeConfig(depth=2))
-        return build_lp(inst, tree, beta=100.0)
+    def infeasible_model(self, chain):
+        tree = build_shallow_tree(chain, ShallowTreeConfig(depth=2))
+        return build_lp(chain, tree, beta=100.0)
 
     def test_status_and_certificate(self, infeasible_model):
         sol = solve(infeasible_model)

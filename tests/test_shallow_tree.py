@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twodst.errors import InfeasibleInstanceError, SizeLimitError
+import twodst.shallow_tree as shallow_tree
+from twodst.errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitError
 from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.shallow_tree import (
     ShallowTreeConfig,
@@ -169,6 +170,11 @@ class TestLimitsAndDump:
             build_shallow_tree(diamond, ShallowTreeConfig(depth=2, max_nodes=18))
         assert err.value.projected == 19
         assert err.value.cap == 18
+
+    def test_node_count_disagreeing_with_projection_raises(self, diamond, monkeypatch):
+        monkeypatch.setattr(shallow_tree, "projected_node_count", lambda n, depth: 20)
+        with pytest.raises(ModelInconsistencyError, match="19 nodes .* projects 20"):
+            build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
