@@ -8,12 +8,24 @@ feasible with high probability.
 
 Marking uses monotonically clamped tree values so parent ratios stay in
 [0,1]; decompositions and diagnostics use the raw LP values.
+
+Random stream: iteration j of a run with seed s draws from
+`default_rng((s, j))`, first `tree.num_edges` uniforms for marking (one
+per tree edge, in id order), then L uniforms per marked tree edge, in
+ascending tree-edge order. A path is the first one whose running weight
+sum exceeds its uniform, or the last path. Each iteration is drawn as one
+batch (`IterationSampler.draw`): one threshold compare and one AND per
+tree level for marking, and one lookup in a table of cumulative weights
+for all L paths of every marked edge. The batch consumes the same
+uniforms as one draw at a time, so a seed fixes the solution byte for
+byte.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,6 +35,8 @@ from .graph import DstInstance, EdgePath
 from .lp_model import OPTIMAL, LpSolution
 from .shallow_tree import ShallowTree
 from .solution import SolutionSubgraph
+
+log = logging.getLogger(__name__)
 
 SUPPORT_TOL = 1e-9
 STRIP_TOL = 1e-12
@@ -60,11 +74,33 @@ def monotone_clamp(tree: ShallowTree, xhat) -> np.ndarray:
     so the clamp never cuts into the flow the analysis needs.
     """
     out = np.array(xhat, dtype=float)
-    for ehat in range(len(out)):
-        parent = tree.parent_edge(ehat)
-        if parent is not None and out[parent] < out[ehat]:
-            out[ehat] = out[parent]
+    parents = tree.edge_parents
+    for lo, hi in tree.edge_levels[1:]:
+        out[lo:hi] = np.minimum(out[lo:hi], out[parents[lo:hi]])
     return out
+
+
+def _marking_thresholds(tree: ShallowTree, xhat) -> np.ndarray:
+    """Probability that each tree edge is marked once its parent edge is:
+    a root edge's own value, else its value over its parent's capped at 1,
+    and 0 under a parent of value <= 0."""
+    thr = np.array(xhat, dtype=float)
+    roots = tree.edge_levels[0][1]
+    child = thr[roots:]
+    parent = thr[tree.edge_parents[roots:]]
+    ratio = np.divide(child, parent, out=np.zeros_like(child), where=parent > 0.0)
+    thr[roots:] = np.minimum(1.0, ratio)
+    return thr
+
+
+def _mark(tree: ShallowTree, thresholds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Marked tree-edge ids, ascending: an edge is marked when its draw falls
+    below its threshold and its parent edge is marked, level by level."""
+    marked = draws < thresholds
+    parents = tree.edge_parents
+    for lo, hi in tree.edge_levels[1:]:
+        marked[lo:hi] &= marked[parents[lo:hi]]
+    return np.flatnonzero(marked)
 
 
 def gkr_round(tree: ShallowTree, xhat, rng) -> frozenset:
@@ -72,18 +108,7 @@ def gkr_round(tree: ShallowTree, xhat, rng) -> frozenset:
     deeper edges survive with probability xhat / parent's xhat given the
     parent was marked. Returns the marked tree-edge ids."""
     draws = rng.random(tree.num_edges)
-    marked = np.zeros(tree.num_edges, dtype=bool)
-    for ehat in range(tree.num_edges):
-        parent = tree.parent_edge(ehat)
-        if parent is None:
-            threshold = xhat[ehat]
-        elif marked[parent]:
-            threshold = 0.0 if xhat[parent] <= 0.0 else min(1.0, xhat[ehat] / xhat[parent])
-        else:
-            continue
-        if draws[ehat] < threshold:
-            marked[ehat] = True
-    return frozenset(int(i) for i in np.nonzero(marked)[0])
+    return frozenset(_mark(tree, _marking_thresholds(tree, xhat), draws).tolist())
 
 
 @dataclass(frozen=True)
@@ -94,6 +119,8 @@ class PathDistribution:
     paths: tuple[EdgePath, ...]
     weights: tuple[float, ...]
     discarded: float  # circulation mass left behind, in flow units
+    # running sums of the weights, added in order (np.cumsum is sequential)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.paths:
@@ -107,6 +134,7 @@ class PathDistribution:
         for p in self.paths:
             if p.source != src or p.target != dst:
                 raise ValueError("support paths must share endpoints")
+        object.__setattr__(self, "cdf", np.cumsum(self.weights))
 
     @property
     def is_cycle_free(self) -> bool:
@@ -198,22 +226,36 @@ def _shortest_support_path(graph, residual, source, target):
     return tuple(path)
 
 
+def _pick(cdf: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Per row of `draws`, the index of the first cumulative weight above
+    each draw, or the row's last path when the draw lies above them all.
+
+    cdf: (rows, width), each row padded with +inf past its `counts` paths;
+    draws: (rows, k). Cumulative weights never decrease, so the index is
+    the number of weights at or below the draw.
+    """
+    above = (draws[:, :, None] >= cdf[:, None, :]).sum(axis=2)
+    return np.minimum(above, counts[:, None] - 1)
+
+
 def sample_path(dist: PathDistribution, rng) -> EdgePath:
-    draw = rng.random()
-    acc = 0.0
-    for path, w in zip(dist.paths, dist.weights):
-        acc += w
-        if draw < acc:
-            return path
-    return dist.paths[-1]
+    """One path, drawn with probability its weight (one uniform)."""
+    draw = np.array([[rng.random()]])
+    return dist.paths[int(_pick(dist.cdf[None, :], np.array([len(dist.paths)]), draw)[0, 0])]
 
 
 class IterationSampler:
-    """Shared machinery for one rounding iteration.
+    """Shared machinery for rounding iterations.
 
-    Holds the clamped marking values and a lazy cache of per-tree-edge
-    path distributions, so repeated iterations (rounding, Monte Carlo
-    probes) don't re-decompose flows.
+    Holds the marking thresholds of the clamped tree values and a lazy
+    cache of per-tree-edge path distributions, so repeated iterations
+    (rounding, Monte Carlo probes) don't re-decompose flows. The paths of
+    every decomposed edge get global ids (`paths`), and their cumulative
+    weights one row each of a padded table, so one iteration's draws are a
+    single lookup.
+
+    Random stream of one iteration: `tree.num_edges` uniforms for marking,
+    then `samples` uniforms per marked tree edge, in ascending edge order.
     """
 
     def __init__(self, instance: DstInstance, tree: ShallowTree, lp: LpSolution, config: RoundingConfig):
@@ -224,6 +266,7 @@ class IterationSampler:
         self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
         self.clamped = monotone_clamp(tree, self.raw_xhat)
         self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
+        self._thresholds = _marking_thresholds(tree, self.clamped)
         beta = lp.model.beta
         if config.samples is not None:
             self.samples = config.samples
@@ -232,28 +275,61 @@ class IterationSampler:
         else:
             raise ValueError("samples not set and the model carries no beta")
         self._distributions: dict[int, PathDistribution] = {}
+        self.paths: list[EdgePath] = []  # global path id -> path
+        self._row = np.full(tree.num_edges, -1)  # table row of each decomposed edge
+        self._cdf = np.empty((0, 0))  # one padded row per decomposed edge
+        self._counts = np.empty(0, dtype=int)  # paths per row
+        self._starts = np.empty(0, dtype=int)  # global id of each row's first path
 
     def distribution(self, ehat: int) -> PathDistribution:
         if ehat not in self._distributions:
             flow = [self.lp.f(ehat, e) for e in range(self.instance.graph.num_edges)]
-            self._distributions[ehat] = decompose_flow(
-                self.instance.graph, self.tree, ehat, flow, self.raw_xhat[ehat]
-            )
+            dist = decompose_flow(self.instance.graph, self.tree, ehat, flow, self.raw_xhat[ehat])
+            self._row[ehat] = len(self._distributions)
+            self._distributions[ehat] = dist
+            self.paths.extend(dist.paths)
         return self._distributions[ehat]
 
+    def _extend_table(self) -> None:
+        """Append the table rows of distributions decomposed since the last call."""
+        old = len(self._cdf)
+        if old == len(self._distributions):
+            return
+        new = list(self._distributions.values())[old:]
+        width = max([self._cdf.shape[1]] + [len(d.paths) for d in new])
+        cdf = np.full((old + len(new), width), np.inf)
+        cdf[:old, : self._cdf.shape[1]] = self._cdf
+        for row, dist in enumerate(new, old):
+            cdf[row, : len(dist.paths)] = dist.cdf
+        self._cdf = cdf
+        self._counts = np.concatenate((self._counts, [len(d.paths) for d in new]))
+        self._starts = np.cumsum(self._counts) - self._counts
+
+    def draw(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """One iteration: the marked tree edges, ascending, and the global
+        ids of the paths drawn for them, `samples` per edge in draw order."""
+        marked = _mark(self.tree, self._thresholds, rng.random(self.tree.num_edges))
+        for ehat in marked[self._row[marked] < 0].tolist():
+            self.distribution(ehat)
+        self._extend_table()
+        rows = self._row[marked]
+        draws = rng.random(len(marked) * self.samples).reshape(len(marked), self.samples)
+        picks = _pick(self._cdf[rows], self._counts[rows], draws)
+        return marked, (self._starts[rows][:, None] + picks).ravel()
+
     def sample_draws(self, rng) -> list[tuple[int, int, EdgePath]]:
-        """One iteration: mark, then sample L paths per marked tree edge.
-        Returns (tree edge, sample index, path) triples in draw order."""
-        marked = gkr_round(self.tree, self.clamped, rng)
-        draws = []
-        for ehat in sorted(marked):
-            dist = self.distribution(ehat)
-            for ell in range(1, self.samples + 1):
-                draws.append((ehat, ell, sample_path(dist, rng)))
-        return draws
+        """One iteration as (tree edge, sample index, path) triples in draw order."""
+        marked, path_ids = self.draw(rng)
+        ehats = marked.tolist()
+        return [
+            (ehats[i // self.samples], i % self.samples + 1, self.paths[p])
+            for i, p in enumerate(path_ids.tolist())
+        ]
 
     def sample_edges(self, rng) -> frozenset:
-        return frozenset(e for _, _, p in self.sample_draws(rng) for e in p.edges)
+        """Graph edges realised by one iteration."""
+        _, path_ids = self.draw(rng)
+        return frozenset(e for p in np.unique(path_ids).tolist() for e in self.paths[p].edges)
 
 
 def round_solution(
@@ -262,7 +338,13 @@ def round_solution(
     lp: LpSolution,
     config: RoundingConfig,
 ) -> SolutionSubgraph:
-    """Union of J independent rounding iterations, verified and annotated."""
+    """Union of J independent rounding iterations, verified and annotated.
+
+    An edge's provenance is the (iteration, tree edge, sample index) of the
+    first draw whose path contains it. Within an iteration only the first
+    draw of each path not seen before can add edges, so the union walks
+    those in draw order.
+    """
     from .verify import feasibility_report, reverse_delete
 
     if lp.status != OPTIMAL:
@@ -274,13 +356,29 @@ def round_solution(
 
     edges: set[int] = set()
     provenance: dict[int, tuple] = {}
+    seen: set[int] = set()
+    drawn = 0
+    last_new = 0
+    samples = sampler.samples
     for j in range(1, iterations + 1):
-        rng = np.random.default_rng((config.seed, j))
-        for ehat, ell, path in sampler.sample_draws(rng):
-            for e in path.edges:
+        marked, path_ids = sampler.draw(np.random.default_rng((config.seed, j)))
+        drawn += len(path_ids)
+        ids, first = np.unique(path_ids, return_index=True)
+        order = np.argsort(first)
+        for p, i in zip(ids[order].tolist(), first[order].tolist()):
+            if p in seen:
+                continue
+            seen.add(p)
+            for e in sampler.paths[p].edges:
                 if e not in edges:
                     edges.add(e)
-                    provenance[e] = (j, ehat, ell)
+                    provenance[e] = (j, int(marked[i // samples]), i % samples + 1)
+                    last_new = j
+    log.info(
+        "rounding: %d iterations, %d paths drawn, %d distinct paths realised, "
+        "last new edge in iteration %d",
+        iterations, drawn, len(seen), last_new,
+    )
 
     pruned = False
     if config.prune_result:

@@ -11,6 +11,8 @@ Node ids are breadth-first: the root is 0, children are generated in
 ascending label order with the first copy before the second. Every
 non-root node's single incoming tree edge gets id (node id - 1), so tree
 edge ids are topologically sorted and the edge-to-child map is trivial.
+The edges of each depth form one contiguous id range (`edge_levels`),
+which lets top-down passes run one numpy step per level.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitError
 from .graph import DstInstance, reachable_set
@@ -41,7 +45,10 @@ class ShallowTreeConfig:
 class ShallowTree:
     """Immutable tree; see module docstring for the id conventions."""
 
-    __slots__ = ("depth", "labels", "depths", "parents", "copies", "children", "groups")
+    __slots__ = (
+        "depth", "labels", "depths", "parents", "copies", "children", "groups",
+        "edge_parents", "edge_levels",
+    )
 
     def __init__(self, depth, labels, depths, parents, copies, children, groups):
         self.depth = depth
@@ -51,6 +58,11 @@ class ShallowTree:
         self.copies = tuple(copies)
         self.children = tuple(tuple(c) for c in children)
         self.groups = {t: frozenset(g) for t, g in groups.items()}
+        # parent tree edge of every tree edge, -1 at the root
+        self.edge_parents = np.asarray(self.parents[1:], dtype=np.intp) - 1
+        # (first, end) tree-edge ids of each edge depth 1..D
+        starts = np.searchsorted(self.depths[1:], np.arange(1, depth + 2)).tolist()
+        self.edge_levels = tuple(zip(starts[:-1], starts[1:]))
 
     @property
     def num_nodes(self) -> int:

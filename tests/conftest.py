@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -38,6 +40,24 @@ def parallel_pair():
     """Two parallel r -> t edges of cost 1 each."""
     g = DirectedMultigraph(["r", "t"], [("r", "t", 1.0), ("r", "t", 1.0)])
     return DstInstance(g, "r", frozenset(["t"]))
+
+
+@pytest.fixture
+def multicover():
+    """Set 2-multicover over F_2^3: the root buys one unit-cost set per
+    nonzero a, the set {p != 0 : a.p = 1}, and each set reaches its four
+    point terminals for free. The LP is 3.5 (every set at 1/2), OPT is 4,
+    so rounding works on a fractional point."""
+    points = [p for p in itertools.product((0, 1), repeat=3) if any(p)]
+    sets = [f"s{i}" for i in range(len(points))]
+    terms = [f"p{j}" for j in range(len(points))]
+    edges = []
+    for i, a in enumerate(points):
+        edges.append(("r", sets[i], 1.0))
+        for j, p in enumerate(points):
+            if sum(x * y for x, y in zip(a, p)) % 2 == 1:
+                edges.append((sets[i], terms[j], 0.0))
+    return DstInstance(DirectedMultigraph(["r"] + sets + terms, edges), "r", frozenset(terms))
 
 
 def _child_labeled(tree, node, label):

@@ -4,7 +4,9 @@ The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
 or so) when calling them from tests. `reference_rows` builds the relaxation
 one row at a time, as a reference for the vectorised `build_lp`, and
 `reference_live` marks its live columns one at a time, as a reference for
-`LpModel.live`.
+`LpModel.live`. `reference_round` is the rounding loop one draw at a
+time, as a reference for the batched `round_solution`: same random
+stream, so the two must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 
 from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
+from twodst.rounding import SUPPORT_TOL, decompose_flow, default_iterations, default_samples
+from twodst.solution import SolutionSubgraph
+from twodst.verify import feasibility_report, reverse_delete
 
 
 def enumerate_simple_paths(graph: DirectedMultigraph, source, target) -> list[tuple[int, ...]]:
@@ -303,3 +308,102 @@ def reference_live(instance, tree) -> np.ndarray:
                 for e in useful:
                     live[idx.ft(t, ehat, e)] = True
     return live
+
+
+def reference_clamp(tree, xhat) -> np.ndarray:
+    """Cap each tree-edge value by its clamped parent's, one edge at a time."""
+    out = np.array(xhat, dtype=float)
+    for ehat in range(len(out)):
+        parent = tree.parent_edge(ehat)
+        if parent is not None and out[parent] < out[ehat]:
+            out[ehat] = out[parent]
+    return out
+
+
+def reference_gkr_round(tree, xhat, rng) -> frozenset:
+    """GKR marking one tree edge at a time, top down."""
+    draws = rng.random(tree.num_edges)
+    marked = np.zeros(tree.num_edges, dtype=bool)
+    for ehat in range(tree.num_edges):
+        parent = tree.parent_edge(ehat)
+        if parent is None:
+            threshold = xhat[ehat]
+        elif marked[parent]:
+            threshold = 0.0 if xhat[parent] <= 0.0 else min(1.0, xhat[ehat] / xhat[parent])
+        else:
+            continue
+        if draws[ehat] < threshold:
+            marked[ehat] = True
+    return frozenset(int(i) for i in np.nonzero(marked)[0])
+
+
+def reference_sample_path(dist, rng):
+    """One path by a running sum of the weights; the last path if the draw
+    lies above the final sum."""
+    draw = rng.random()
+    acc = 0.0
+    for path, w in zip(dist.paths, dist.weights):
+        acc += w
+        if draw < acc:
+            return path
+    return dist.paths[-1]
+
+
+class ReferenceSampler:
+    """One rounding iteration, one scalar draw per sampled path."""
+
+    def __init__(self, instance, tree, lp, config):
+        self.instance = instance
+        self.tree = tree
+        self.lp = lp
+        self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
+        self.clamped = reference_clamp(tree, self.raw_xhat)
+        self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
+        self.samples = config.samples or default_samples(lp.model.beta, tree.depth)
+        self._distributions = {}
+
+    def distribution(self, ehat):
+        if ehat not in self._distributions:
+            flow = [self.lp.f(ehat, e) for e in range(self.instance.graph.num_edges)]
+            self._distributions[ehat] = decompose_flow(
+                self.instance.graph, self.tree, ehat, flow, self.raw_xhat[ehat]
+            )
+        return self._distributions[ehat]
+
+    def sample_draws(self, rng) -> list:
+        """(tree edge, sample index, path) triples in draw order."""
+        draws = []
+        for ehat in sorted(reference_gkr_round(self.tree, self.clamped, rng)):
+            dist = self.distribution(ehat)
+            for ell in range(1, self.samples + 1):
+                draws.append((ehat, ell, reference_sample_path(dist, rng)))
+        return draws
+
+
+def reference_round(instance, tree, lp, config) -> SolutionSubgraph:
+    """The rounding loop in draw order: each edge's provenance is the first
+    draw whose path contains it."""
+    sampler = ReferenceSampler(instance, tree, lp, config)
+    iterations = config.iterations or default_iterations(tree.depth, instance.graph.num_vertices)
+    edges: set = set()
+    provenance: dict = {}
+    for j in range(1, iterations + 1):
+        rng = np.random.default_rng((config.seed, j))
+        for ehat, ell, path in sampler.sample_draws(rng):
+            for e in path.edges:
+                if e not in edges:
+                    edges.add(e)
+                    provenance[e] = (j, ehat, ell)
+    if config.prune_result:
+        edges = set(reverse_delete(instance, edges))
+        provenance = {e: p for e, p in provenance.items() if e in edges}
+    meta = {
+        "seed": config.seed,
+        "iterations": iterations,
+        "samples": sampler.samples,
+        "beta": lp.model.beta,
+        "lp_objective": lp.objective,
+        "feasible": feasibility_report(instance, edges).feasible,
+        "pruned": config.prune_result,
+    }
+    return SolutionSubgraph.from_edges(instance.graph, edges, provenance, meta)

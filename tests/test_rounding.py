@@ -1,16 +1,31 @@
 """Marking statistics, flow decomposition, and the full rounding loop."""
 
+import logging
 import math
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import oracles
+from oracles import (
+    ReferenceSampler,
+    reference_clamp,
+    reference_gkr_round,
+    reference_round,
+    reference_sample_path,
+)
 
+import twodst.rounding as rounding
 from twodst.errors import ModelInconsistencyError
+from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance, EdgePath, max_flow_unit
-from twodst.lp_model import LpSolution, build_lp, congestion_parameter
+from twodst.lp_model import OPTIMAL, LpSolution, build_lp, congestion_parameter
 from twodst.lp_solver import solve
+from twodst.pipeline import PipelineConfig, run_pipeline
 from twodst.rounding import (
     IterationSampler,
     PathDistribution,
@@ -25,6 +40,8 @@ from twodst.rounding import (
 )
 from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
 from twodst.verify import reverse_delete
+
+DATA = Path(__file__).parent / "data"
 
 
 def _instance(vertices, edges, root, terminals):
@@ -372,3 +389,211 @@ def test_reverse_delete_drops_redundant_edge():
     assert kept == frozenset({0, 1, 2, 3})
     flow, _ = max_flow_unit(inst.graph, "r", "t", restrict_to=kept)
     assert flow >= 2
+
+
+# ------------------------------------------- batched draws vs the reference
+
+def _solved(instance, depth):
+    tree = build_shallow_tree(instance, ShallowTreeConfig(depth=depth))
+    lp = solve(build_lp(instance, tree, congestion_parameter(depth, instance.num_terminals)))
+    return tree, lp
+
+
+class FixedDraws:
+    """Stands in for a Generator: hands out preset uniform arrays in order."""
+
+    def __init__(self, *batches):
+        self.batches = list(batches)
+
+    def random(self, size=None):
+        values = self.batches.pop(0)
+        return float(values) if size is None else np.full(size, values)
+
+
+@pytest.fixture(scope="module")
+def depth3_tree():
+    """Depth-3 tree over r, a, b, t: 30 tree edges on three levels."""
+    inst = _instance(
+        ["r", "a", "b", "t"],
+        [("r", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("r", "t", 1.0)],
+        "r",
+        ["t"],
+    )
+    return build_shallow_tree(inst, ShallowTreeConfig(depth=3))
+
+
+@pytest.mark.parametrize("name, seed", [("diamond", 11), ("multicover", 1)])
+def test_pipeline_matches_golden(request, name, seed):
+    # the goldens were written by the one-draw-at-a-time rounding loop
+    inst = request.getfixturevalue(name)
+    result = run_pipeline(inst, PipelineConfig(depth=2, seed=seed))
+    golden = (DATA / f"{name}_seed{seed}.solution.json").read_text()
+    assert result.solution.to_json(inst.graph) == golden
+
+
+@pytest.mark.parametrize(
+    "name, depth, config",
+    [
+        ("diamond", 2, RoundingConfig(seed=11)),
+        ("diamond", 2, RoundingConfig(seed=3, iterations=4, samples=2, prune_result=True)),
+        ("parallel_pair", 1, RoundingConfig(seed=5)),
+        ("multicover", 2, RoundingConfig(seed=1)),
+        ("multicover", 2, RoundingConfig(seed=8, iterations=6, samples=3, prune_result=True)),
+    ],
+)
+def test_round_matches_reference(request, name, depth, config):
+    inst = request.getfixturevalue(name)
+    tree, lp = _solved(inst, depth)
+    got = round_solution(inst, tree, lp, config).to_json(inst.graph)
+    assert got == reference_round(inst, tree, lp, config).to_json(inst.graph)
+
+
+def _multicover_paths(g, ehat):
+    """The four root -> set -> point paths into point p(ehat mod 7)."""
+    into = [e for e in range(g.num_edges) if g.heads[e] == f"p{ehat % 7}"]
+    return [(next(iter(g.in_edges(g.tails[e]))), e) for e in into]
+
+
+def _crossing_paths(g, ehat):
+    """All four r -> t paths of the crossing fixture; they share edges."""
+    return [(0, 1), (2, 3, 1), (2, 4), (5,)]
+
+
+@pytest.fixture
+def crossing():
+    g = DirectedMultigraph(
+        ["r", "a", "b", "t"],
+        [("r", "a", 1.0), ("a", "t", 1.0), ("r", "b", 1.0), ("b", "a", 1.0),
+         ("b", "t", 1.0), ("r", "t", 1.0)],
+    )
+    return DstInstance(g, "r", frozenset(["t"]))
+
+
+@pytest.mark.parametrize(
+    "name, candidates", [("multicover", _multicover_paths), ("crossing", _crossing_paths)]
+)
+def test_round_matches_reference_on_overlapping_paths(request, monkeypatch, name, candidates):
+    # decompositions replaced by 1-4 paths that share edges within and
+    # across tree edges: the union's draw order then decides provenance,
+    # and on multicover later table rows are narrower than earlier ones
+    inst = request.getfixturevalue(name)
+    g = inst.graph
+    tree, lp = _solved(inst, 2)
+
+    def fake(graph, tree, ehat, flow, value):
+        paths = candidates(g, ehat)
+        paths = (paths[ehat % 4 :] + paths[: ehat % 4])[: 1 + ehat % 4]
+        weights = np.arange(1.0, len(paths) + 1)
+        return PathDistribution(
+            ehat, tuple(EdgePath(g, p) for p in paths), tuple(weights / weights.sum()), 0.0
+        )
+
+    monkeypatch.setattr(rounding, "decompose_flow", fake)
+    monkeypatch.setattr(oracles, "decompose_flow", fake)
+    for config in (RoundingConfig(seed=2, iterations=40), RoundingConfig(seed=9, iterations=5)):
+        got = round_solution(inst, tree, lp, config).to_json(g)
+        assert got == reference_round(inst, tree, lp, config).to_json(g)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(min_value=4, max_value=7),
+    extra=st.integers(min_value=0, max_value=6),
+    h=st.integers(min_value=1, max_value=2),
+    depth=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=10**6),
+    iterations=st.integers(min_value=1, max_value=6),
+)
+def test_round_matches_reference_on_random_instances(n, extra, h, depth, seed, iterations):
+    inst = random_instance(n, 2 * h + extra, h, seed=seed)
+    tree, lp = _solved(inst, depth)
+    assume(lp.status == OPTIMAL)
+    config = RoundingConfig(seed=seed, iterations=iterations)
+    got = round_solution(inst, tree, lp, config).to_json(inst.graph)
+    assert got == reference_round(inst, tree, lp, config).to_json(inst.graph)
+
+
+@given(
+    values=st.lists(
+        # normal floats: a subnormal parent overflows the ratio in both versions
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0, allow_subnormal=False)),
+        min_size=30,
+        max_size=30,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gkr_round_matches_reference(depth3_tree, values, seed):
+    # unclamped input: zero parents, children above their parents, values > 1
+    xhat = np.array(values)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        assert gkr_round(depth3_tree, xhat, a) == reference_gkr_round(depth3_tree, xhat, b)
+    assert np.array_equal(monotone_clamp(depth3_tree, xhat), reference_clamp(depth3_tree, xhat))
+
+
+@pytest.mark.parametrize("name, depth", [("diamond", 2), ("multicover", 2)])
+def test_sample_draws_match_reference(request, name, depth):
+    inst = request.getfixturevalue(name)
+    tree, lp = _solved(inst, depth)
+    config = RoundingConfig(seed=4)
+    sampler = IterationSampler(inst, tree, lp, config)
+    reference = ReferenceSampler(inst, tree, lp, config)
+    for j in range(1, 9):
+        got = sampler.sample_draws(np.random.default_rng((4, j)))
+        want = reference.sample_draws(np.random.default_rng((4, j)))
+        assert [(e, ell, p.edges) for e, ell, p in got] == [
+            (e, ell, p.edges) for e, ell, p in want
+        ]
+
+
+def test_draw_above_short_weight_sum_takes_last_path(parallel_pair, monkeypatch):
+    # weights sum to 1 - 5e-10, inside the validation tolerance; a draw
+    # above the final cumulative weight falls through to the last path
+    g = parallel_pair.graph
+    short = PathDistribution(0, (EdgePath(g, (0,)), EdgePath(g, (1,))), (0.5, 0.5 - 5e-10), 0.0)
+    high = 1.0 - 1e-10
+    assert high > short.cdf[-1]
+    assert sample_path(short, FixedDraws(high)).edges == (1,)
+    assert reference_sample_path(short, FixedDraws(high)).edges == (1,)
+
+    tree, lp = _solved(parallel_pair, 1)
+    monkeypatch.setattr(
+        rounding, "decompose_flow", lambda graph, tree, ehat, flow, value: short
+    )
+    sampler = IterationSampler(parallel_pair, tree, lp, RoundingConfig(seed=1, samples=3))
+    draws = sampler.sample_draws(FixedDraws(0.0, high))  # mark every edge, then draw high
+    assert len(draws) == 3 * tree.num_edges
+    assert all(p.edges == (1,) for _, _, p in draws)
+
+
+def test_decomposition_is_lazy_and_once_per_edge(solved_diamond, monkeypatch):
+    inst, tree, lp = solved_diamond
+    calls = Counter()
+    real = rounding.decompose_flow
+
+    def counting(graph, tree, ehat, flow, value):
+        calls[ehat] += 1
+        return real(graph, tree, ehat, flow, value)
+
+    monkeypatch.setattr(rounding, "decompose_flow", counting)
+    sampler = IterationSampler(inst, tree, lp, RoundingConfig(seed=6))
+    assert not calls
+    marked = set()
+    for j in range(1, 21):
+        marked |= {ehat for ehat, _, _ in sampler.sample_draws(np.random.default_rng((6, j)))}
+    assert marked
+    assert calls == Counter({ehat: 1 for ehat in marked})
+
+
+def test_round_logs_summary(solved_diamond, caplog):
+    inst, tree, lp = solved_diamond
+    config = RoundingConfig(seed=7, iterations=12)
+    with caplog.at_level(logging.INFO, logger="twodst.rounding"):
+        sol = round_solution(inst, tree, lp, config)
+    (record,) = [r for r in caplog.records if r.name == "twodst.rounding"]
+    numbers = [int(x) for x in re.findall(r"\d+", record.getMessage())]
+    sampler = IterationSampler(inst, tree, lp, config)
+    draws = [sampler.sample_draws(np.random.default_rng((7, j))) for j in range(1, 13)]
+    distinct = {(ehat, p.edges) for batch in draws for ehat, _, p in batch}
+    last_new = max(j for j, _, _ in sol.provenance.values())
+    assert numbers == [12, sum(map(len, draws)), len(distinct), last_new]
