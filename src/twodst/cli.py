@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None, help="merged solution path (side files derive from it)")
     s.set_defaults(func=cmd_reduce)
 
-    s = sub.add_parser("lp-export", help="write the relaxation in LP text format")
+    s = sub.add_parser("lp-export", help="write the live relaxation in LP text format")
     s.add_argument("instance")
     _add_pipeline_flags(s)
     s.add_argument("--out", default=None)

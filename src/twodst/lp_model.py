@@ -16,17 +16,31 @@ Constraint families are tagged gst (tree flow), cong (graph flow with
 congestion cap beta * x_e), and div (per-terminal copies capped by x_e).
 All variables live in [0,1].
 
-The model is stored as one CSR matrix (`indptr`, `indices`, `data`) with
-per-row `sense`, `rhs` and family-code arrays, assembled with numpy one
-family block at a time. The flow-conservation rows of every tree edge are
-built once over graph-edge ids and then offset into the f columns (cong)
-and into each terminal's ft columns (div). `LpModel.rows` rebuilds Python
-row tuples from the arrays for export and inspection.
+`build_lp` builds only the live part of the relaxation. It computes the
+live-column mask first (rules (a)-(c) below), then emits only live terms:
+the model holds the full relaxation's rows restricted to the live columns,
+in the same row order and term order, and the rows left with no term are
+not built. Each of those has rhs 0 with sense <= or =, so 0 satisfies it;
+the builder checks this rather than assuming it. The flow-conservation rows
+of a tree edge (u, v) are built over the graph edges rule (c) keeps for
+(u, v), only for tree edges whose xh (cong) or fh (div) column is live, and
+offset into the f columns (cong) and each terminal's ft columns (div).
+`VarIndex` still numbers every column of the full relaxation, so solution
+vectors, rounding and the JSON dump see the full variable set.
 
-`LpModel.live` marks the columns the solver hands to HiGHS; the others
-are fixed to 0, which loses no optimum. A column is dead by one of three
-rules (write "below ê" for the subtree under ê's child node, and (u, v)
-for ê's endpoint labels):
+The model is stored as one CSR matrix (`indptr`, `indices`, `data`) with
+per-row `sense`, `rhs` and family-code arrays. `LpModel.rows` rebuilds
+Python row tuples from the arrays for export and inspection. Two counts
+check its size: `projected_nonzeros` counts the full relaxation from degree
+sums and caps `max_nonzeros` before anything is allocated, and
+`live_nonzeros` counts the live model from the column mask and the degree
+sums, separately from the builder; the built count must equal it exactly.
+
+`LpModel.live` marks the live columns. A dead column sits in no row and is
+fixed to 0, which loses no optimum: at a point whose dead columns are 0,
+each row of the full relaxation is a row of the live model or a row that
+0 satisfies. A column is dead by one of three rules (write "below ê" for
+the subtree under ê's child node, and (u, v) for ê's endpoint labels):
 
 (a) fh_(t,ê) and ft_(t,ê,·) when no node labelled t lies below ê. Every
     node below ê then has a gst conservation row, so fh_(t,ê) = 0 in every
@@ -49,6 +63,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -176,7 +191,8 @@ class LpModel:
     `data[...]`, in the order the builder emitted them (not sorted), so the
     text export is stable. `sense` holds LE/EQ/GE strings and `family`
     indexes into `families`. `live` is the boolean column mask of the
-    columns that may be nonzero (see the module docstring).
+    columns that may be nonzero (see the module docstring); in a model from
+    `build_lp` no row holds a dead column.
     """
 
     var_index: object
@@ -288,28 +304,24 @@ class LpSolution:
 
 
 def projected_nonzeros(instance: DstInstance, tree: ShallowTree) -> int:
-    """Exact nonzero count of the model, from degree sums alone."""
+    """Exact nonzero count of the full model, from degree sums alone."""
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
     h = instance.num_terminals
-    deg = {v: len(g.in_edges(v)) + len(g.out_edges(v)) for v in g.vertices}
-    total_deg = 2 * m
+    node_row = [1 + len(kids) for kids in tree.children]  # a node's conservation row
 
     count = 2 * h * te  # fh <= xh
-    for t in tree.groups:
-        group = tree.groups[t]
-        for node in range(1, tree.num_nodes):
-            if node not in group:
-                count += 1 + len(tree.children[node])  # conservation row
+    for group in tree.groups.values():
+        count += sum(node_row[1:]) - sum(node_row[node] for node in group)
         count += len(group)  # the >= 2 row
     count += 2 * te * m  # f <= x
-    per_edge = 0
-    for ehat in range(te):
-        u, v = tree.edge_endpoints_labels(ehat)
-        per_edge += len(g.out_edges(u)) + 1  # source out = xh
-        per_edge += len(g.in_edges(u))  # source in = 0 (skipped if empty)
-        per_edge += total_deg - deg[u] - deg[v]  # conservation elsewhere
+    # per tree edge (u, v): every graph edge sits in its tail's and its
+    # head's row, out(u) also holds the value, and v has no row
+    heads = Counter(tree.labels[1:])
+    per_edge = te * (1 + 2 * m) - sum(
+        k * (len(g.in_edges(v)) + len(g.out_edges(v))) for v, k in heads.items()
+    )
     count += per_edge
     count += m * (te + 1)  # congestion cap
     count += 2 * h * te * m  # ft <= f
@@ -318,23 +330,59 @@ def projected_nonzeros(instance: DstInstance, tree: ShallowTree) -> int:
     return count
 
 
-class _RowBlocks:
-    """Rows collected block by block: per-row term counts, flat terms, and
-    one sense, rhs and family per block. Rows with no terms are dropped."""
+def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: np.ndarray) -> int:
+    """Exact nonzero count of the live model, from the column mask and the
+    degree sums, independent of how `build_lp` emits the rows.
 
-    def __init__(self):
-        keys = ("lengths", "indices", "data", "sense", "rhs", "family")
-        self.parts: dict[str, list] = {k: [] for k in keys}
+    A live flow column sits in the conservation rows of its edge's tail and
+    head, except at v, which has no row; the tree edge's value closes the
+    out(u) row. Every f <= x and cap row keeps its x column.
+    """
+    g = instance.graph
+    m, te, h = g.num_edges, tree.num_edges, instance.num_terminals
+    terminals = sorted(instance.terminals)
+    _, xhat, fhat, flow, ft = np.split(live, np.cumsum([m, te, h * te, te * m]))
+    fhat, flow, ft = fhat.reshape(h, te), flow.reshape(te, m), ft.reshape(h, te, m)
+    nxh, nfh, nf, nft = (int(np.count_nonzero(a)) for a in (xhat, fhat, flow, ft))
+
+    count = h * nxh + nfh  # fh <= xh
+    parent_node = np.asarray(tree.parents[1:])
+    for k, t in enumerate(terminals):
+        has_row = np.ones(tree.num_nodes, dtype=np.int64)  # node conservation rows
+        has_row[0] = 0
+        has_row[list(tree.groups[t])] = 0
+        # fh_(t, ê) sits in the rows of ê's child node and of its parent node
+        count += (fhat[k] * (has_row[1:] + has_row[parent_node])).sum()
+        count += fhat[k, tree.group_in_edges(t)].sum()  # the >= 2 row
+
+    ends = _ends(g, tree)
+    at_v = (ends.tails == ends.v[:, None]).astype(np.int64) + (ends.heads == ends.v[:, None])
+    weight = 2 - at_v  # (tree edge, graph edge)
+    count += te * m + nf + nxh + weight[flow].sum() + m + nf  # cong
+    count += h * nf + nft + nfh + (ft.sum(axis=0) * weight).sum() + h * m + nft  # div
+    return int(count)
+
+
+class _RowBlocks:
+    """Rows collected block by block, each block with one sense, rhs and
+    family, then cut down to the live columns.
+
+    Dead terms are left out, and so are the rows left with no term. A row
+    that loses every term to the mask must be one that 0 satisfies; rows
+    given with no term at all are dropped, as in the full model."""
+
+    def __init__(self, live: np.ndarray):
+        self.live = live
+        self.lengths: list = []
+        self.cols: list = []
+        self.coefs: list = []
+        self.blocks: list = []  # (sense, rhs, family) of each block
 
     def add(self, lengths, cols, coefs, sense: str, rhs: float, family: int) -> None:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        lengths = lengths[lengths > 0]
-        self.parts["lengths"].append(lengths)
-        self.parts["indices"].append(np.asarray(cols, dtype=np.int64))
-        self.parts["data"].append(np.asarray(coefs, dtype=float))
-        self.parts["sense"].append(np.full(len(lengths), sense, dtype=_SENSE_DTYPE))
-        self.parts["rhs"].append(np.full(len(lengths), rhs, dtype=float))
-        self.parts["family"].append(np.full(len(lengths), family, dtype=np.int32))
+        self.lengths.append(np.asarray(lengths, dtype=np.int64))
+        self.cols.append(np.asarray(cols, dtype=np.int64))
+        self.coefs.append(np.asarray(coefs, dtype=float))
+        self.blocks.append((sense, rhs, family))
 
     def add_pairs(self, first, second, coefs, family: int) -> None:
         """One `first[i] * coefs[0] + second[i] * coefs[1] <= 0` row per i."""
@@ -342,62 +390,97 @@ class _RowBlocks:
         self.add(np.full(len(first), 2), cols, np.tile(coefs, len(first)), LE, 0.0, family)
 
     def arrays(self):
-        out = {k: np.concatenate(v) for k, v in self.parts.items()}
-        out["indptr"] = np.concatenate(([0], np.cumsum(out.pop("lengths"))))
-        return out
+        lengths, cols = np.concatenate(self.lengths), np.concatenate(self.cols)
+        counts = [len(block) for block in self.lengths]
+        senses, rhss, families = zip(*self.blocks)
+        sense = np.repeat(np.array(senses, dtype=_SENSE_DTYPE), counts)
+        rhs = np.repeat(np.array(rhss, dtype=float), counts)
+        family = np.repeat(np.array(families, dtype=np.int32), counts)
+        keep = self.live[cols]
+        row_end = np.cumsum(lengths)
+        kept = np.diff(np.concatenate(([0], np.cumsum(keep)))[row_end], prepend=0)
+        emptied = np.flatnonzero((kept == 0) & (lengths > 0))
+        s, r = sense[emptied], rhs[emptied]
+        broken = emptied[np.where(s == LE, r < 0.0, np.where(s == GE, r > 0.0, r != 0.0))]
+        if len(broken):
+            raise ModelInconsistencyError(
+                f"{len(broken)} row(s) that 0 violates have only dead columns, e.g. a "
+                f"{FAMILIES[family[broken[0]]]} row {sense[broken[0]]} {rhs[broken[0]]}"
+            )
+        rows = kept > 0
+        return {
+            "indptr": np.concatenate(([0], np.cumsum(kept[rows]))),
+            "indices": cols[keep],
+            "data": np.concatenate(self.coefs)[keep],
+            "sense": sense[rows],
+            "rhs": rhs[rows],
+            "family": family[rows],
+        }
 
 
 def _tree_conservation(tree: ShallowTree):
-    """Per non-root node: in-edge minus child edges, over tree edge ids."""
-    lengths, cols, coefs = [], [], []
-    for node in range(1, tree.num_nodes):
-        kids = [c - 1 for c in tree.children[node]]
-        lengths.append(1 + len(kids))
-        cols += [node - 1] + kids
-        coefs += [1.0] + [-1.0] * len(kids)
-    return np.array(lengths, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(coefs)
+    """Per non-root node: in-edge minus child edges, over tree edge ids;
+    child edges in id order, as `tree.children` lists them."""
+    edges = np.arange(tree.num_edges)
+    parents = np.asarray(tree.parents[1:], dtype=np.int64)  # of each edge's child node
+    inner = parents > 0  # the root node has no row
+    row = np.concatenate([edges + 1, parents[inner]])
+    cols = np.concatenate([edges, edges[inner]])
+    coefs = np.concatenate([np.ones(len(edges)), -np.ones(int(inner.sum()))])
+    order = np.lexsort((cols, coefs < 0, row))
+    return np.bincount(row, minlength=tree.num_nodes)[1:], cols[order], coefs[order]
 
 
-def _graph_conservation(g, tree: ShallowTree):
-    """Rows realizing each tree edge (u, v) as a unit u -> v graph flow.
+class _Ends(NamedTuple):
+    """Positions, among the vertices sorted by str, of every graph edge's
+    tail and head and of every tree edge's endpoint labels (u, v)."""
 
-    Per tree edge in order: out(u) minus the tree edge's own value, in(u),
-    then in(w) minus out(w) for every other w except v, by str(w). Columns
-    are local: `ehat * m + e` for graph edge e, `te * m + ehat` for the
-    tree edge's value. Tree edges with the same endpoint labels share one
-    template over graph edge ids, where column m stands for the value.
-    """
-    m, te = g.num_edges, tree.num_edges
+    order: list
+    tails: np.ndarray
+    heads: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def _ends(g, tree: ShallowTree) -> _Ends:
     order = sorted(g.vertices, key=str)
-    templates: dict = {}
-    lengths, cols, coefs = [], [], []
-    for ehat in range(te):
-        ends = tree.edge_endpoints_labels(ehat)
-        if ends not in templates:
-            u, v = ends
-            rows = [(list(g.out_edges(u)) + [m], [1.0] * len(g.out_edges(u)) + [-1.0]),
-                    (list(g.in_edges(u)), [1.0] * len(g.in_edges(u)))]
-            for w in order:
-                if w != u and w != v:
-                    ins, outs = g.in_edges(w), g.out_edges(w)
-                    rows.append((list(ins) + list(outs), [1.0] * len(ins) + [-1.0] * len(outs)))
-            rows = [r for r in rows if r[0]]
-            templates[ends] = (
-                [len(c) for c, _ in rows],
-                np.array([j for c, _ in rows for j in c], dtype=np.int64),
-                [a for _, c in rows for a in c],
-            )
-        t_lengths, t_cols, t_coefs = templates[ends]
-        lengths += t_lengths
-        cols.append(np.where(t_cols == m, te * m + ehat, ehat * m + t_cols))
-        coefs += t_coefs
-    return np.array(lengths, dtype=np.int64), np.concatenate(cols), np.array(coefs)
+    pos = {w: k for k, w in enumerate(order)}
+    labels = np.array([pos[w] for w in tree.labels], dtype=np.int64)
+    return _Ends(
+        order,
+        np.array([pos[a] for a in g.tails], dtype=np.int64),
+        np.array([pos[b] for b in g.heads], dtype=np.int64),
+        labels[np.asarray(tree.parents[1:], dtype=np.int64)],
+        labels[1:],
+    )
 
 
-def live_columns(instance: DstInstance, tree: ShallowTree, idx: VarIndex) -> np.ndarray:
-    """Mask of the columns rules (a)-(c) of the module docstring keep."""
+class LiveColumns(NamedTuple):
+    """The live columns by rules (a)-(c) of the module docstring, per block."""
+
+    fhat: np.ndarray  # (terminal, tree edge)
+    xhat: np.ndarray  # (tree edge,)
+    useful: np.ndarray  # (tree edge, graph edge): rule (c) keeps the pair
+
+    @property
+    def flow(self) -> np.ndarray:
+        """Live f columns, (tree edge, graph edge)."""
+        return self.xhat[:, None] & self.useful
+
+    def mask(self) -> np.ndarray:
+        """The mask over all columns, in `VarIndex` order."""
+        return np.concatenate([
+            np.ones(self.useful.shape[1], dtype=bool),
+            self.xhat,
+            self.fhat.ravel(),
+            self.flow.ravel(),
+            (self.fhat[:, :, None] & self.useful[None]).ravel(),
+        ])
+
+
+def live_columns(instance: DstInstance, tree: ShallowTree, idx: VarIndex) -> LiveColumns:
+    """The columns rules (a)-(c) of the module docstring keep."""
     g = instance.graph
-    te = tree.num_edges
     # below[node, k]: a node labelled terminal k lies in the node's subtree
     below = np.zeros((tree.num_nodes, len(idx.terminals)), dtype=bool)
     for k, t in enumerate(idx.terminals):
@@ -409,29 +492,64 @@ def live_columns(instance: DstInstance, tree: ShallowTree, idx: VarIndex) -> np.
     fhat = below[1:].T  # (terminal, tree edge); tree edge ê ends at node ê + 1
     xhat = fhat.any(axis=0)
 
-    # (c): one graph-edge mask per pair of endpoint labels
-    masks: dict = {}
-    per_edge = []
-    for ehat in range(te):
-        ends = tree.edge_endpoints_labels(ehat)
-        if ends not in masks:
-            u, v = ends
-            from_u = reachable_set(g, u, "forward")
-            to_v = reachable_set(g, v, "backward")
-            masks[ends] = np.array(
-                [a in from_u and b in to_v and b != u for a, b in zip(g.tails, g.heads)],
-                dtype=bool,
-            )
-        per_edge.append(masks[ends])
-    useful = np.array(per_edge, dtype=bool).reshape(te, g.num_edges)
+    # (c): reach[i, j] when vertex j is reachable from vertex i, one forward
+    # search per vertex; column j holds the vertices that reach j
+    ends = _ends(g, tree)
+    pos = {w: k for k, w in enumerate(ends.order)}
+    reach = np.zeros((len(pos), len(pos)), dtype=bool)
+    for k, w in enumerate(ends.order):
+        reach[k, [pos[x] for x in reachable_set(g, w, "forward")]] = True
+    u, v = ends.u[:, None], ends.v[:, None]
+    useful = reach[u, ends.tails] & reach[ends.heads, v] & (ends.heads != u)
+    return LiveColumns(fhat, xhat, useful)
 
-    return np.concatenate([
-        np.ones(g.num_edges, dtype=bool),
-        xhat,
-        fhat.ravel(),
-        (xhat[:, None] & useful).ravel(),
-        (fhat[:, :, None] & useful[None]).ravel(),
-    ])
+
+class _FlowRows(NamedTuple):
+    lengths: np.ndarray
+    cols: np.ndarray  # local: ehat * m + e, or te * m + ehat for the value
+    coefs: np.ndarray
+    row_edge: np.ndarray  # the tree edge of each row
+
+
+def _graph_conservation(g, tree: ShallowTree, useful: np.ndarray, carried: np.ndarray) -> _FlowRows:
+    """Rows realizing each tree edge in `carried` as a unit u -> v graph flow
+    over its useful graph edges.
+
+    Per tree edge in order: out(u) minus the tree edge's own value, in(u),
+    then in(w) minus out(w) for every other w except v, by str(w), each over
+    the useful edges in edge-list order; rows left with no term are not
+    built. Columns are local: `ehat * m + e` for graph edge e, `te * m +
+    ehat` for the tree edge's value.
+    """
+    te, m = useful.shape
+    ends = _ends(g, tree)
+    # one slot per (vertex, incident edge): in(w), then out(w), w in order
+    edge = np.array([e for w in ends.order for e in g.in_edges(w) + g.out_edges(w)],
+                    dtype=np.int64)
+    vertex = np.repeat(np.arange(len(ends.order)),
+                       [len(g.in_edges(w)) + len(g.out_edges(w)) for w in ends.order])
+    out = ends.tails[edge] == vertex
+    k = len(carried)
+    u, v = ends.u[carried, None], ends.v[carried, None]
+    at_u = vertex == u
+    # per tree edge, one row per rank: out(u), in(u), then 2 + w's position;
+    # the value is one more slot, last in the out(u) row
+    take = np.hstack([useful[carried][:, edge] & (vertex != v), np.ones((k, 1), dtype=bool)])
+    rank = np.hstack([np.where(at_u, np.where(out, 0, 1), vertex + 2), np.zeros((k, 1), dtype=int)])
+    coefs = np.hstack([np.where(out & ~at_u, -1.0, 1.0), np.full((k, 1), -1.0)])
+    cols = np.hstack([carried[:, None] * m + edge, te * m + carried[:, None]])
+    slots = take.shape[1]
+    order = np.argsort(rank * slots + np.arange(slots), axis=1)
+    take, rank, coefs, cols = (np.take_along_axis(a, order, axis=1)
+                               for a in (take, rank, coefs, cols))
+    row = (np.arange(k)[:, None] * (len(ends.order) + 2) + rank)[take]
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    return _FlowRows(
+        np.diff(np.append(starts, len(row))),
+        cols[take],
+        coefs[take],
+        carried[row[starts] // (len(ends.order) + 2)],
+    )
 
 
 def build_lp(
@@ -449,11 +567,11 @@ def build_lp(
     if projected > max_nonzeros:
         raise SizeLimitError("model would be too large", projected, max_nonzeros)
 
+    live = live_columns(instance, tree, idx)
+    mask = live.mask()
     gst, cong, div = range(len(FAMILIES))
-    blocks = _RowBlocks()
-    edges = np.arange(m)
+    blocks = _RowBlocks(mask)
     tree_edges = np.arange(te)
-    pairs = np.arange(te * m)  # (tree edge, graph edge) pairs, tree-edge major
     xhat = idx.xhat(0) + tree_edges
 
     # tree flow per terminal
@@ -468,35 +586,48 @@ def build_lp(
         group = fhat[tree.group_in_edges(t)]
         blocks.add([len(group)], group, np.ones(len(group)), GE, 2.0, gst)
 
-    # graph flow realizing each tree edge, then the per-terminal copies;
-    # a cap row per graph edge holds that edge's flow over all tree edges
-    flow_lengths, flow_local, flow_coefs = _graph_conservation(g, tree)
-    own_value = flow_local >= te * m
+    # graph flow realizing each tree edge, then the per-terminal copies; a
+    # cap row per graph edge holds that edge's flow over all tree edges.
+    # The f <= x rows keep their x column for every (tree edge, graph edge)
+    # pair; past them only live pairs are visited, as every other row of a
+    # dead pair holds dead columns only.
+    flow = live.flow
+    pairs = np.flatnonzero(flow)  # tree-edge major
+    by_edge = np.flatnonzero(flow.T)  # the same pairs, graph-edge major
+    cap_lengths = flow.sum(axis=0) + 1
+    is_x = np.zeros(len(pairs) + m, dtype=bool)
+    is_x[np.cumsum(cap_lengths) - 1] = True  # x_e closes edge e's cap row
+    cap = np.empty(len(is_x), dtype=np.int64)
+    cap[~is_x] = (by_edge % te) * m + by_edge // te
+    cap[is_x] = np.arange(m)
+    conservation = _graph_conservation(g, tree, live.useful, np.flatnonzero(live.xhat))
+    own_value = conservation.cols >= te * m
 
-    def realize(flow0, bound_by, value0, cap_coef, family):
-        flow = flow0 + pairs
-        blocks.add_pairs(flow, bound_by, [1.0, -1.0], family)
-        cols = np.where(own_value, value0 + flow_local - te * m, flow0 + flow_local)
-        blocks.add(flow_lengths, cols, flow_coefs, EQ, 0.0, family)
-        cap = np.empty((m, te + 1), dtype=np.int64)
-        cap[:, :te] = flow.reshape(te, m).T
-        cap[:, te] = edges
-        coefs = np.tile([1.0] * te + [cap_coef], m)
-        blocks.add(np.full(m, te + 1), cap.ravel(), coefs, LE, 0.0, family)
+    def realize(flow0, pair_rows, bound_by, value0, cap_coef, family, carried):
+        blocks.add_pairs(flow0 + pair_rows, bound_by, [1.0, -1.0], family)
+        rows = carried[conservation.row_edge]
+        entries = np.repeat(rows, conservation.lengths)
+        cols = np.where(own_value, value0 + conservation.cols - te * m, flow0 + conservation.cols)
+        blocks.add(conservation.lengths[rows], cols[entries], conservation.coefs[entries],
+                   EQ, 0.0, family)
+        blocks.add(cap_lengths, np.where(is_x, cap, flow0 + cap), np.where(is_x, cap_coef, 1.0),
+                   LE, 0.0, family)
 
-    realize(idx.f(0, 0), pairs % m, idx.xhat(0), -float(beta), cong)
-    for t in idx.terminals:
-        realize(idx.ft(t, 0, 0), idx.f(0, 0) + pairs, idx.fhat(t, 0), -1.0, div)
+    every = np.arange(te * m)
+    realize(idx.f(0, 0), every, every % m, idx.xhat(0), -float(beta), cong, live.xhat)
+    for k, t in enumerate(idx.terminals):
+        realize(idx.ft(t, 0, 0), pairs, idx.f(0, 0) + pairs, idx.fhat(t, 0), -1.0, div,
+                live.fhat[k])
 
     arrays = blocks.arrays()
     objective = np.zeros(idx.total)
     objective[:m] = g.costs
     model = LpModel(var_index=idx, objective=objective, families=FAMILIES,
-                    beta=float(beta), live=live_columns(instance, tree, idx), **arrays)
-    built = model.nonzeros()
-    if built != projected:
+                    beta=float(beta), live=mask, **arrays)
+    built, expected = model.nonzeros(), live_nonzeros(instance, tree, mask)
+    if built != expected:
         raise ModelInconsistencyError(
-            f"nonzero projection {projected} disagrees with built count {built}"
+            f"live nonzero count {expected} disagrees with built count {built}"
         )
     return model
 

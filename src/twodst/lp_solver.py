@@ -1,14 +1,19 @@
 """Linear program solving behind a thin stable interface.
 
 The heavy lifting is delegated to scipy's HiGHS backend, which is
-deterministic for a fixed model and configuration. HiGHS sees only the
-model's live columns (`LpModel.live`) and the rows that keep a term; the
-dead columns come back as exact zeros, and every optimal result is
-re-checked against all rows of the full model before being returned, so
-a wrong answer from the backend or a wrong column mask cannot slip
-through silently. Infeasible models get a certificate: the smallest
-total relaxation (elastic slacks) that would make the rows consistent,
-reported per offending row.
+deterministic for a fixed model and configuration. The model holds only
+the live part of the relaxation (see `lp_model`): a dead column
+(`LpModel.live` false) sits in no row. HiGHS sees only the live columns,
+and the dead ones come back as exact zeros. Every optimal result is
+replayed against every row of the model before being returned; at a point
+whose dead columns are 0 this is the replay against the full relaxation,
+whose other rows 0 satisfies. So a wrong answer from the backend cannot
+slip through silently. A wrong column mask would instead give a feasible,
+suboptimal point, which no replay sees; the tests catch it by comparing the
+model with a full reference model, and the benchmark by checking that the
+LP value stays at most OPT. Infeasible models get a certificate: the
+smallest total relaxation (elastic slacks) that would make the rows
+consistent, reported per offending row.
 """
 
 from __future__ import annotations
@@ -208,8 +213,13 @@ def _infeasibility_certificate(
 def solution_from_file(
     model: LpModel, path, config: SolverConfig = SolverConfig()
 ) -> LpSolution:
-    """Adopt an externally produced solution dump instead of solving."""
+    """Adopt an externally produced solution dump instead of solving.
+
+    Dead columns are set to 0 first: they cost nothing and sit in no row, so
+    a dump could otherwise pass any value on them on to rounding.
+    """
     values = solution_values_from_json(model, Path(path).read_text())
+    values[~model.live] = 0.0
     violation = replay_constraints(model, values)
     if violation > max(10.0 * config.feas_tol, 1e-6):
         raise SolverError(

@@ -83,13 +83,15 @@ def monotone_clamp(tree: ShallowTree, xhat) -> np.ndarray:
 def _marking_thresholds(tree: ShallowTree, xhat) -> np.ndarray:
     """Probability that each tree edge is marked once its parent edge is:
     a root edge's own value, else its value over its parent's capped at 1,
-    and 0 under a parent of value <= 0."""
+    and 0 under a parent of value <= 0. The cap is applied before dividing,
+    so a tiny (subnormal) parent cannot overflow the ratio."""
     thr = np.array(xhat, dtype=float)
     roots = tree.edge_levels[0][1]
     child = thr[roots:]
     parent = thr[tree.edge_parents[roots:]]
-    ratio = np.divide(child, parent, out=np.zeros_like(child), where=parent > 0.0)
-    thr[roots:] = np.minimum(1.0, ratio)
+    ratio = np.where(parent > 0.0, 1.0, 0.0)
+    np.divide(child, parent, out=ratio, where=(parent > 0.0) & (child < parent))
+    thr[roots:] = ratio
     return thr
 
 

@@ -97,20 +97,6 @@ def reverse_delete(instance: DstInstance, edges) -> frozenset:
     return frozenset(kept)
 
 
-def scan_failures(instance: DstInstance, solution: SolutionSubgraph) -> list[tuple]:
-    """All (edge, terminal) pairs whose removal disconnects the terminal.
-
-    Forensics helper: quadratic, but exact and exhaustive.
-    """
-    g = instance.graph
-    out = []
-    for t in sorted(instance.terminals):
-        for e in sorted(solution.edges):
-            if not has_path(g, instance.root, t, restrict_to=solution.edges, forbidden=e):
-                out.append((e, t))
-    return out
-
-
 def _group_flow_dp(tree: ShallowTree, capacities, group: frozenset) -> float:
     """Max root-to-group flow in the tree under per-edge capacities.
 

@@ -1,11 +1,12 @@
 """Slow, independent reference implementations used to check the fast code.
 
 The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
-or so) when calling them from tests. `reference_rows` builds the relaxation
-one row at a time, as a reference for the vectorised `build_lp`, and
-`reference_live` marks its live columns one at a time, as a reference for
-`LpModel.live`. `reference_round` is the rounding loop one draw at a
-time, as a reference for the batched `round_solution`: same random
+or so) when calling them from tests. `reference_rows` builds the full
+relaxation one row at a time; `reference_live` marks its live columns one
+at a time, as a reference for `LpModel.live`; and `reference_live_rows`
+cuts the rows down to those columns, as a reference for the live model
+that `build_lp` emits. `reference_round` is the rounding loop one draw at
+a time, as a reference for the batched `round_solution`: same random
 stream, so the two must agree byte for byte.
 """
 
@@ -16,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from twodst.graph import DirectedMultigraph, reachable_set
+from twodst.graph import DirectedMultigraph, has_path, reachable_set
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 from twodst.rounding import SUPPORT_TOL, decompose_flow, default_iterations, default_samples
 from twodst.solution import SolutionSubgraph
@@ -246,6 +247,63 @@ def reference_rows(instance, tree, beta) -> list[LpRow]:
     return rows
 
 
+def reference_live_rows(instance, tree, beta) -> list[LpRow]:
+    """`reference_rows` without the dead terms, and without the rows left
+    with no term; those must be rows that 0 satisfies."""
+    live = reference_live(instance, tree)
+    rows = []
+    for row in reference_rows(instance, tree, beta):
+        kept = [(j, c) for j, c in zip(row.cols, row.coefs) if live[j]]
+        if kept:
+            cols, coefs = zip(*kept)
+            rows.append(LpRow(cols, coefs, row.sense, row.rhs, row.family))
+        else:
+            assert row.rhs == 0.0 and row.sense in (LE, EQ), row
+    return rows
+
+
+def live_lp_text(text: str, dead: set) -> str:
+    """An `export_lp` text without the terms of the dead variables: rows
+    left with no term are dropped, the row labels of each family renumbered
+    and the row count in the header updated. Objective and bounds stay."""
+    lines = text.splitlines()
+    head = lines.index("Subject To") + 1
+    end = lines.index("Bounds")
+    rows, counters = [], {}
+    for line in lines[head:end]:
+        label, _, rest = line.partition(": ")
+        family = label.strip().rsplit("_", 1)[0]
+        tokens = rest.split(" ")
+        lhs, relation = tokens[:-2], tokens[-2:]
+        if lhs[0] not in ("+", "-"):
+            lhs = ["+"] + lhs
+        terms = [lhs[i:i + 3] for i in range(0, len(lhs), 3)]
+        kept = [t for t in terms if t[2] not in dead]
+        if not kept:
+            continue
+        if kept[0][0] == "+":
+            kept[0] = kept[0][1:]
+        k = counters.get(family, 0)
+        counters[family] = k + 1
+        rows.append(f" {family}_{k}: " + " ".join(" ".join(t) for t in kept + [relation]))
+    header = [f"\\ rows: {len(rows)}" if l.startswith("\\ rows:") else l for l in lines[:head]]
+    return "\n".join(header + rows + lines[end:]) + "\n"
+
+
+def scan_failures(instance, solution) -> list[tuple]:
+    """All (edge, terminal) pairs whose removal disconnects the terminal.
+
+    Forensics helper: quadratic, but exact and exhaustive.
+    """
+    g = instance.graph
+    out = []
+    for t in sorted(instance.terminals):
+        for e in sorted(solution.edges):
+            if not has_path(g, instance.root, t, restrict_to=solution.edges, forbidden=e):
+                out.append((e, t))
+    return out
+
+
 def drop_family(model: LpModel, family: str) -> LpModel:
     """Same model without one constraint family, by a row mask."""
     keep = model.family != model.families.index(family)
@@ -329,7 +387,12 @@ def reference_gkr_round(tree, xhat, rng) -> frozenset:
         if parent is None:
             threshold = xhat[ehat]
         elif marked[parent]:
-            threshold = 0.0 if xhat[parent] <= 0.0 else min(1.0, xhat[ehat] / xhat[parent])
+            if xhat[parent] <= 0.0:
+                threshold = 0.0
+            elif xhat[ehat] >= xhat[parent]:
+                threshold = 1.0
+            else:
+                threshold = xhat[ehat] / xhat[parent]
         else:
             continue
         if draws[ehat] < threshold:

@@ -6,17 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from oracles import drop_family, reference_rows
-from twodst.errors import SizeLimitError
+from oracles import drop_family, live_lp_text, reference_live, reference_live_rows, reference_rows
+from twodst import lp_model
+from twodst.errors import ModelInconsistencyError, SizeLimitError
 from twodst.exact import random_instance
 from twodst.lp_model import (
     EQ,
     GE,
     LE,
+    LpModel,
     VarIndex,
     build_lp,
     congestion_parameter,
     export_lp,
+    live_nonzeros,
     parse_lp,
     projected_nonzeros,
     replay_constraints,
@@ -101,10 +104,33 @@ class TestBuildLp:
         model = build_lp(diamond, tree, beta=4)
         assert {r.family for r in model.rows} == {"gst", "cong", "div"}
 
-    def test_projection_matches_built_size(self, diamond):
+    def test_projection_matches_built_size(self, parallel_pair, diamond, multicover):
+        for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
+            tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+            model = build_lp(inst, tree, beta=4)
+            assert model.nonzeros() == live_nonzeros(inst, tree, model.live)
+            full = LpModel.from_rows(model.var_index, model.objective, reference_rows(inst, tree, 4))
+            assert full.nonzeros() == projected_nonzeros(inst, tree)
+            assert model.nonzeros() <= projected_nonzeros(inst, tree)
+
+    def test_row_that_zero_breaks_keeps_a_live_column(self, diamond, monkeypatch):
         tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
-        model = build_lp(diamond, tree, beta=4)
-        assert model.nonzeros() == projected_nonzeros(diamond, tree)
+        real = lp_model.live_columns
+
+        def no_fhat(*args):
+            live = real(*args)
+            return live._replace(fhat=np.zeros_like(live.fhat))
+
+        # the >= 2 group row would lose every term
+        monkeypatch.setattr(lp_model, "live_columns", no_fhat)
+        with pytest.raises(ModelInconsistencyError, match="only dead columns"):
+            build_lp(diamond, tree, beta=4)
+
+    def test_live_count_disagreeing_with_built_size_raises(self, diamond, monkeypatch):
+        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        monkeypatch.setattr(lp_model, "live_nonzeros", lambda *args: 0)
+        with pytest.raises(ModelInconsistencyError, match="live nonzero count"):
+            build_lp(diamond, tree, beta=4)
 
     def test_objective_is_edge_costs(self, diamond):
         tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
@@ -182,10 +208,31 @@ class TestExport:
         [("parallel_pair", 1, 2, "parallel_pair_d1_beta2.lp"), ("diamond", 2, 4, "diamond_d2_beta4.lp")],
     )
     def test_matches_golden_text(self, request, fixture, depth, beta, golden):
+        # the goldens hold the full model; the export is its live part
         inst = request.getfixturevalue(fixture)
         tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
-        text = export_lp(build_lp(inst, tree, beta=beta))
-        assert text == (DATA / golden).read_text()
+        model = build_lp(inst, tree, beta=beta)
+        dead = {model.var_index.name(j) for j in np.flatnonzero(~reference_live(inst, tree))}
+        expected = (DATA / golden).read_text()
+        if dead:
+            expected = live_lp_text(expected, dead)
+        assert export_lp(model) == expected
+
+    def test_parallel_pair_has_no_dead_columns(self, model):
+        assert model.live.all()
+
+    def test_live_text_filter(self):
+        text = (
+            "\\ variables: 3\n\\ rows: 4\nMinimize\n obj: 1.0 a\nSubject To\n"
+            " gst_0: 1.0 a - 1.0 b <= 0.0\n gst_1: 1.0 b - 1.0 c = 0.0\n"
+            " gst_2: 1.0 b = 0.0\n cong_0: 1.0 c + 2.0 a >= 2.0\n"
+            "Bounds\n 0 <= a <= 1\n 0 <= b <= 1\n 0 <= c <= 1\nEnd\n"
+        )
+        assert live_lp_text(text, {"b"}) == (
+            "\\ variables: 3\n\\ rows: 3\nMinimize\n obj: 1.0 a\nSubject To\n"
+            " gst_0: 1.0 a <= 0.0\n gst_1: - 1.0 c = 0.0\n cong_0: 1.0 c + 2.0 a >= 2.0\n"
+            "Bounds\n 0 <= a <= 1\n 0 <= b <= 1\n 0 <= c <= 1\nEnd\n"
+        )
 
     def test_bounds_cover_all_variables(self, model):
         text = export_lp(model)
@@ -243,13 +290,12 @@ def _replay_by_rows(rows, values):
 def _check_against_reference(inst, depth, beta, seed):
     tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
     model = build_lp(inst, tree, beta)
-    ref = reference_rows(inst, tree, beta)
+    full = reference_rows(inst, tree, beta)
+    ref = reference_live_rows(inst, tree, beta)
 
-    def canonical(row):
-        pairs = sorted(zip(row.cols, row.coefs))
-        return [j for j, _ in pairs], [c for _, c in pairs], row.sense, row.rhs, row.family
-
-    assert [canonical(r) for r in model.rows] == [canonical(r) for r in ref]
+    assert sum(len(r.cols) for r in full) == projected_nonzeros(inst, tree)
+    # same rows, same order, same terms in the same order
+    assert list(model.rows) == ref
     for r in model.rows:
         assert all(type(j) is int for j in r.cols) and all(type(c) is float for c in r.coefs)
         assert type(r.rhs) is float
@@ -268,6 +314,11 @@ def _check_against_reference(inst, depth, beta, seed):
         point = rng.random(model.num_vars)
         assert replay_constraints(model, point) == pytest.approx(
             _replay_by_rows(ref, point), abs=1e-12
+        )
+        # where the dead columns are 0, the live rows replay the full model
+        point[~model.live] = 0.0
+        assert replay_constraints(model, point) == pytest.approx(
+            _replay_by_rows(full, point), abs=1e-12
         )
 
 

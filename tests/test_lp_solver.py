@@ -151,3 +151,24 @@ class TestEscapeHatch:
         path.write_text(json.dumps(doc))
         with pytest.raises(SolverError):
             solution_from_file(model, path)
+
+    def test_zeroes_dead_columns(self, diamond_embedding, tmp_path):
+        import json
+
+        _, _, model, _ = diamond_embedding
+        sol = solve(model)
+        dead = [model.var_index.name(j) for j in np.flatnonzero(~model.live)]
+        assert dead
+        doc = json.loads(solution_to_json(sol))
+        for name in dead:
+            doc["values"][name] = 0.75
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(doc))
+        adopted = solution_from_file(model, path)
+        assert np.array_equal(adopted.values, sol.values)
+        assert adopted.objective == sol.objective
+
+        doc["values"]["x_0"] = 0.0  # and a live row broken as well
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SolverError):
+            solution_from_file(model, path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import is_feasible_subset
+from oracles import is_feasible_subset, scan_failures
 from twodst.graph import DirectedMultigraph, DstInstance, has_path
 from twodst.lp_model import LpSolution, build_lp, congestion_parameter
 from twodst.lp_solver import solve
@@ -21,7 +21,6 @@ from twodst.verify import (
     flow_slack_violation,
     group_flow_via_maxflow,
     residual_group_flow,
-    scan_failures,
     survival_estimate,
     verify_2dst,
 )
