@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import InfeasibleInstanceError, SizeLimitError, TwoDstError
@@ -55,48 +56,41 @@ BENCH_COLUMNS = [
     "error",
 ]
 
-_DEFAULTS = {
-    "depth": 2,
-    "seed": 0,
-    "beta_mult": 1.0,
-    "iters": None,
-    "samples": None,
-    "iter_mult": 2.0,
-    "prune": False,
-    "lp_solution": None,
+# the CLI solves at depth 2 unless told otherwise; every other default is
+# the PipelineConfig one
+CLI_DEPTH = 2
+
+# flag / config-file key -> (PipelineConfig field, conversion)
+_KEYS = {
+    "depth": ("depth", int),
+    "seed": ("seed", int),
+    "beta_mult": ("beta_multiplier", float),
+    "iters": ("iterations", int),
+    "samples": ("samples", int),
+    "iter_mult": ("iteration_multiplier", float),
+    "prune": ("prune", bool),
+    "lp_solution": ("lp_solution_path", str),
 }
 
 
 def _pipeline_config(args) -> PipelineConfig:
     """Effective run configuration: flags override the config file,
-    which overrides the built-in defaults."""
+    which overrides the PipelineConfig defaults."""
     doc = {}
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text())
-        unknown = set(doc) - set(_DEFAULTS)
+        unknown = set(doc) - set(_KEYS)
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
 
-    def pick(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if doc.get(name) is not None:
-            return doc[name]
-        return _DEFAULTS[name]
-
-    iters = pick("iters")
-    samples = pick("samples")
-    return PipelineConfig(
-        depth=int(pick("depth")),
-        seed=int(pick("seed")),
-        beta_multiplier=float(pick("beta_mult")),
-        iterations=None if iters is None else int(iters),
-        samples=None if samples is None else int(samples),
-        iteration_multiplier=float(pick("iter_mult")),
-        prune=bool(pick("prune")),
-        lp_solution_path=pick("lp_solution"),
-    )
+    chosen = {"depth": CLI_DEPTH}
+    for key, (name, convert) in _KEYS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = doc.get(key)
+        if value is not None:
+            chosen[name] = convert(value)
+    return PipelineConfig(**chosen)
 
 
 def _load_rooted(path) -> DstInstance:
@@ -277,17 +271,24 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def _add_pipeline_flags(sub) -> None:
-    sub.add_argument("--depth", type=int, default=None, help="tree depth D (default 2)")
-    sub.add_argument("--seed", type=int, default=None, help="rounding seed (default 0)")
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
+    sub.add_argument(
+        "--depth", type=int, default=None, help=f"tree depth D (default {CLI_DEPTH})"
+    )
+    sub.add_argument(
+        "--seed", type=int, default=None, help=f"rounding seed (default {defaults['seed']})"
+    )
     sub.add_argument(
         "--beta-mult", dest="beta_mult", type=float, default=None,
-        help="multiplier on the congestion parameter (default 1.0)",
+        help=f"multiplier on the congestion parameter "
+        f"(default {defaults['beta_multiplier']})",
     )
     sub.add_argument("--iters", type=int, default=None, help="override rounding iteration count")
     sub.add_argument("--samples", type=int, default=None, help="override per-tree-edge sample count")
     sub.add_argument(
         "--iter-mult", dest="iter_mult", type=float, default=None,
-        help="multiplier on the default iteration count (default 2.0)",
+        help=f"multiplier on the default iteration count "
+        f"(default {defaults['iteration_multiplier']})",
     )
     sub.add_argument("--prune", action="store_true", default=None, help="reverse-delete the result")
     sub.add_argument("--config", default=None, help="JSON file holding defaults for these flags")

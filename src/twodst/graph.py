@@ -1,21 +1,21 @@
-"""Directed multigraph with explicit edge identities, plus max-flow primitives.
+"""Directed multigraph with explicit edge identities, plus unit-capacity max
+flow and reachability.
 
 Edge-disjointness is per edge instance, so edges are identified by dense
 integer ids (0..m-1) rather than by vertex pairs; parallel and antiparallel
 edges are legal and distinct. Graphs are immutable after construction and
-safe to share across threads.
+safe to share across threads. `max_flow_unit` is the one flow routine: it
+answers the integral question the solver's guarantee rests on, how many
+edge-disjoint paths join two vertices, and gives a minimum cut with it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 Vertex = Hashable
-
-# Residual amounts below this are treated as zero in fractional flow search.
-RESIDUAL_TOL = 1e-12
 
 
 class DirectedMultigraph:
@@ -157,24 +157,20 @@ def max_flow_unit(
     graph: DirectedMultigraph,
     source: Vertex,
     sink: Vertex,
-    forbidden: Optional[int] = None,
     restrict_to: Optional[Iterable[int]] = None,
 ) -> tuple[int, frozenset]:
     """Maximum number of edge-disjoint source-sink paths, with a min cut.
 
-    Every edge has unit capacity. `forbidden` removes one edge id;
-    `restrict_to` limits the search to a subset of edge ids (useful for
-    checking candidate solutions without re-indexing edges). Augmenting
-    paths are found by BFS with edges scanned in ascending id order, so the
-    result is deterministic.
+    Every edge has unit capacity. `restrict_to` limits the search to a
+    subset of edge ids (useful for checking candidate solutions without
+    re-indexing edges). Augmenting paths are found by BFS with edges scanned
+    in ascending id order, so the result is deterministic.
     """
     _check_vertex(graph, source, "source")
     _check_vertex(graph, sink, "sink")
     if source == sink:
         raise ValueError("source and sink must differ")
     allowed = set(range(graph.num_edges)) if restrict_to is None else set(restrict_to)
-    if forbidden is not None:
-        allowed.discard(forbidden)
 
     flow = [0] * graph.num_edges
     value = 0
@@ -207,68 +203,6 @@ def max_flow_unit(
         value += 1
 
 
-def max_flow_capacitated(
-    graph: DirectedMultigraph,
-    capacities: Mapping[int, float],
-    source: Vertex,
-    sink: Vertex,
-) -> tuple[float, frozenset]:
-    """Fractional max flow under per-edge capacities, with a min cut.
-
-    Same BFS augmenting scheme as the unit variant; residual amounts below
-    RESIDUAL_TOL are treated as exhausted.
-    """
-    _check_vertex(graph, source, "source")
-    _check_vertex(graph, sink, "sink")
-    if source == sink:
-        raise ValueError("source and sink must differ")
-    cap = [0.0] * graph.num_edges
-    for e in range(graph.num_edges):
-        if e not in capacities:
-            raise ValueError(f"capacity missing for edge {e}")
-        c = float(capacities[e])
-        if c < 0:
-            raise ValueError(f"negative capacity {c} on edge {e}")
-        cap[e] = c
-
-    flow = [0.0] * graph.num_edges
-    value = 0.0
-    while True:
-        parent: dict = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for e in graph.out_edges(u):
-                if cap[e] - flow[e] > RESIDUAL_TOL and graph.heads[e] not in parent:
-                    parent[graph.heads[e]] = (e, +1)
-                    queue.append(graph.heads[e])
-            for e in graph.in_edges(u):
-                if flow[e] > RESIDUAL_TOL and graph.tails[e] not in parent:
-                    parent[graph.tails[e]] = (e, -1)
-                    queue.append(graph.tails[e])
-        if sink not in parent:
-            reachable = frozenset(parent)
-            cut = frozenset(
-                e
-                for e in range(graph.num_edges)
-                if graph.tails[e] in reachable and graph.heads[e] not in reachable
-            )
-            return value, cut
-        bottleneck = float("inf")
-        v = sink
-        while v != source:
-            e, direction = parent[v]
-            residual = cap[e] - flow[e] if direction > 0 else flow[e]
-            bottleneck = min(bottleneck, residual)
-            v = graph.tails[e] if direction > 0 else graph.heads[e]
-        v = sink
-        while v != source:
-            e, direction = parent[v]
-            flow[e] += bottleneck if direction > 0 else -bottleneck
-            v = graph.tails[e] if direction > 0 else graph.heads[e]
-        value += bottleneck
-
-
 def reachable_set(
     graph: DirectedMultigraph,
     source: Vertex,
@@ -293,17 +227,3 @@ def reachable_set(
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
-
-
-def has_path(
-    graph: DirectedMultigraph,
-    source: Vertex,
-    target: Vertex,
-    restrict_to: Optional[Iterable[int]] = None,
-    forbidden: Optional[int] = None,
-) -> bool:
-    """True if some directed walk from source reaches target."""
-    allowed = set(range(graph.num_edges)) if restrict_to is None else set(restrict_to)
-    if forbidden is not None:
-        allowed.discard(forbidden)
-    return target in reachable_set(graph, source, "forward", restrict_to=allowed)

@@ -40,15 +40,21 @@ from .lp_model import (
 )
 
 
+# HiGHS primal and dual feasibility tolerances
+FEAS_TOL = 1e-9
+OPT_TOL = 1e-9
+# largest row violation accepted when replaying a backend optimum, and the
+# smallest elastic slack that puts a row into an infeasibility certificate
+REPLAY_TOL = 1e-8
+# largest row violation accepted in an externally produced solution
+EXTERNAL_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    feas_tol: float = 1e-9
-    opt_tol: float = 1e-9
     max_iterations: Optional[int] = None
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -106,8 +112,8 @@ def _live_block(block, rhs: np.ndarray, cols: np.ndarray, equality: bool):
 def _options(config: SolverConfig) -> dict:
     options = {
         "presolve": True,
-        "primal_feasibility_tolerance": config.feas_tol,
-        "dual_feasibility_tolerance": max(config.opt_tol, 1e-10),
+        "primal_feasibility_tolerance": FEAS_TOL,
+        "dual_feasibility_tolerance": OPT_TOL,
     }
     if config.max_iterations is not None:
         options["maxiter"] = config.max_iterations
@@ -136,7 +142,7 @@ def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
         values = np.zeros(model.num_vars)
         values[cols] = result.x
         violation = replay_constraints(model, values)
-        if violation > max(10.0 * config.feas_tol, 1e-8):
+        if violation > REPLAY_TOL:
             raise SolverError(
                 f"backend reported optimal but replay finds violation {violation:.3e}"
             )
@@ -202,17 +208,14 @@ def _infeasibility_certificate(
     if result.status != 0:
         raise SolverError(f"elastic relaxation failed: {result.message}")
     slacks = np.asarray(result.x[n:])
-    tol = max(10.0 * config.feas_tol, 1e-8)
     offenders = tuple(
         (pos, model.families[model.family[pos]], float(slacks[pos]))
-        for pos in np.flatnonzero(slacks > tol).tolist()
+        for pos in np.flatnonzero(slacks > REPLAY_TOL).tolist()
     )
     return InfeasibilityCertificate(offenders, float(np.sum(slacks)))
 
 
-def solution_from_file(
-    model: LpModel, path, config: SolverConfig = SolverConfig()
-) -> LpSolution:
+def solution_from_file(model: LpModel, path) -> LpSolution:
     """Adopt an externally produced solution dump instead of solving.
 
     Dead columns are set to 0 first: they cost nothing and sit in no row, so
@@ -221,7 +224,7 @@ def solution_from_file(
     values = solution_values_from_json(model, Path(path).read_text())
     values[~model.live] = 0.0
     violation = replay_constraints(model, values)
-    if violation > max(10.0 * config.feas_tol, 1e-6):
+    if violation > EXTERNAL_TOL:
         raise SolverError(
             f"external solution violates the model by {violation:.3e}"
         )

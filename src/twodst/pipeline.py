@@ -1,7 +1,7 @@
 """End-to-end solve: preflight, tree, LP, rounding, verification.
 
 The congestion parameter starts at its analytic value and doubles on LP
-infeasibility for a bounded number of retries; that keeps the pipeline
+infeasibility, at most BETA_RETRIES times; that keeps the pipeline
 alive on instances where the initial bound is numerically too tight,
 and the final value is reported so runs stay attributable.
 """
@@ -30,6 +30,9 @@ from .verify import FeasibilityReport, feasibility_report
 
 log = logging.getLogger(__name__)
 
+# times the congestion parameter may double after an infeasible LP
+BETA_RETRIES = 4
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -40,7 +43,6 @@ class PipelineConfig:
     samples: Optional[int] = None
     iteration_multiplier: float = 2.0
     prune: bool = False
-    beta_retries: int = 4
     max_nodes: int = DEFAULT_MAX_NODES
     max_nonzeros: int = DEFAULT_MAX_NONZEROS
     solver: SolverConfig = field(default=SolverConfig())
@@ -49,8 +51,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.iteration_multiplier <= 0:
             raise ValueError("iteration_multiplier must be positive")
-        if self.beta_retries < 0:
-            raise ValueError("beta_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,6 @@ class PipelineResult:
         if self.lp_objective > 0:
             return self.solution.cost / self.lp_objective
         return None
-
-    def report_doc(self) -> dict:
-        """Flat summary used by the CLI report and the bench CSV."""
-        return {
-            "lp_objective": self.lp_objective,
-            "cost": self.solution.cost,
-            "ratio_vs_lp": self.ratio_vs_lp,
-            "feasible": self.feasible,
-            "beta": self.beta,
-            "tree_nodes": self.tree_nodes,
-            "iterations": self.solution.meta.get("iterations"),
-            "samples": self.solution.meta.get("samples"),
-            "timings": dict(self.timings),
-        }
 
 
 def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResult:
@@ -114,12 +100,12 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     while True:
         model = build_lp(instance, tree, beta, max_nonzeros=config.max_nonzeros)
         if config.lp_solution_path is not None:
-            lp = solution_from_file(model, config.lp_solution_path, config.solver)
+            lp = solution_from_file(model, config.lp_solution_path)
         else:
             lp = solve(model, config.solver)
         if lp.status == OPTIMAL:
             break
-        if lp.status == INFEASIBLE and attempts < config.beta_retries:
+        if lp.status == INFEASIBLE and attempts < BETA_RETRIES:
             attempts += 1
             beta *= 2
             log.info("LP infeasible, retrying with congestion parameter %d", beta)

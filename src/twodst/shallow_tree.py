@@ -1,11 +1,12 @@
 """Depth-bounded prefix tree over vertex sequences.
 
-The tree enumerates all sequences of at most D+1 distinct vertices that
-start at the root, listed twice as two isomorphic subtrees hanging from a
-shared root node. Adjacency in the input graph is not required: the tree
-indexes candidate embeddings, and the LP decides which tree edges map to
-which graph paths. Each node carries a label (a graph vertex); the set of
-nodes labeled t is terminal t's group.
+The tree enumerates all sequences of at most D+1 distinct usable vertices
+(those on some root-to-terminal walk) that start at the root, listed twice
+as two isomorphic subtrees hanging from a shared root node. Adjacency in
+the input graph is not required: the tree indexes candidate embeddings,
+and the LP decides which tree edges map to which graph paths. Each node
+carries a label (a graph vertex); the set of nodes labeled t is terminal
+t's group.
 
 Node ids are breadth-first: the root is 0, children are generated in
 ascending label order with the first copy before the second. Every
@@ -32,7 +33,6 @@ DEFAULT_MAX_NODES = 200_000
 @dataclass(frozen=True)
 class ShallowTreeConfig:
     depth: int
-    prune_unreachable: bool = True
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
@@ -78,9 +78,6 @@ class ShallowTree:
 
     def edge_parent_node(self, tree_edge: int) -> int:
         return self.parents[tree_edge + 1]
-
-    def node_in_edge(self, node: int) -> Optional[int]:
-        return None if node == 0 else node - 1
 
     def parent_edge(self, tree_edge: int) -> Optional[int]:
         """The tree edge ending at this edge's parent node, if any."""
@@ -141,18 +138,14 @@ def usable_vertices(instance: DstInstance) -> frozenset:
 
 
 def build_shallow_tree(instance: DstInstance, config: ShallowTreeConfig) -> ShallowTree:
-    g = instance.graph
-    if config.prune_unreachable:
-        keep = usable_vertices(instance)
-        if instance.root not in keep:
-            raise InfeasibleInstanceError("root cannot reach any terminal")
-        lost = instance.terminals - keep
-        if lost:
-            raise InfeasibleInstanceError(
-                f"terminals unreachable from root: {sorted(lost, key=str)}"
-            )
-    else:
-        keep = g.vertices
+    keep = usable_vertices(instance)
+    if instance.root not in keep:
+        raise InfeasibleInstanceError("root cannot reach any terminal")
+    lost = instance.terminals - keep
+    if lost:
+        raise InfeasibleInstanceError(
+            f"terminals unreachable from root: {sorted(lost, key=str)}"
+        )
 
     projected = projected_node_count(len(keep), config.depth)
     if projected > config.max_nodes:

@@ -38,16 +38,6 @@ class SolutionSubgraph:
             meta=dict(meta or {}),
         )
 
-    def restrict(self, graph: DirectedMultigraph, keep) -> "SolutionSubgraph":
-        """Same solution with only the `keep` edges, cost recomputed."""
-        keep = frozenset(keep) & self.edges
-        return SolutionSubgraph.from_edges(
-            graph,
-            keep,
-            provenance={e: p for e, p in self.provenance.items() if e in keep},
-            meta=dict(self.meta),
-        )
-
     def to_json(self, graph: Optional[DirectedMultigraph] = None) -> str:
         """Deterministic JSON dump; byte-identical for equal solutions."""
         doc: dict = {

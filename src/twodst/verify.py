@@ -1,13 +1,15 @@
 """Feasibility certification and LP-solution diagnostics.
 
 Feasibility of a candidate subgraph is an exact integral check: two
-edge-disjoint root-terminal paths exist iff the unit-capacity max flow is
-at least 2. The diagnostics inspect a fractional LP solution directly:
-per-edge "bad" tree edges, the residual group flow that survives after
-removing them, the per-edge slack comparison between the tree flow and
-its graph realization, and a Monte Carlo survival probe of the rounding
-step. Diagnostics read the raw LP values, not the clamped ones used for
-marking.
+edge-disjoint root-terminal paths exist iff the unit-capacity max flow
+(`graph.max_flow_unit`) is at least 2. A failing subgraph gets a witness:
+the terminal, the first edge (in ascending id order) whose loss cuts it off,
+and a minimum cut. The diagnostics inspect a fractional LP solution
+directly: per-edge "bad" tree edges, the residual group flow that survives
+after removing them (a bottom-up pass over the tree, `_group_flow_dp`, not a
+max-flow call), the per-edge slack comparison between the tree flow and its
+graph realization, and a Monte Carlo survival probe of the rounding step.
+Diagnostics read the raw LP values, not the clamped ones used for marking.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import DstInstance, has_path, max_flow_capacitated, max_flow_unit
+from .graph import DstInstance, max_flow_unit, reachable_set
 from .lp_model import LpSolution
 from .shallow_tree import ShallowTree
 from .solution import SolutionSubgraph
@@ -65,10 +67,9 @@ def feasibility_report(instance: DstInstance, edge_ids) -> FeasibilityReport:
             witness = (None, t, cut)
         else:
             for e in sorted(edge_ids):
-                if not has_path(g, instance.root, t, restrict_to=edge_ids, forbidden=e):
-                    _, cut_e = max_flow_unit(
-                        g, instance.root, t, restrict_to=edge_ids - {e}
-                    )
+                rest = edge_ids - {e}
+                if t not in reachable_set(g, instance.root, restrict_to=rest):
+                    _, cut_e = max_flow_unit(g, instance.root, t, restrict_to=rest)
                     witness = (e, t, cut_e)
                     break
     if witness is None:
@@ -85,13 +86,14 @@ def reverse_delete(instance: DstInstance, edges) -> frozenset:
     2-connected from the root; one descending pass is enough because an
     edge that is needed never becomes droppable as the graph shrinks."""
     g = instance.graph
+    terminals = instance.sorted_terminals()
     kept = set(edges)
     order = sorted(kept, key=lambda e: (-g.costs[e], -e))
     for e in order:
         trial = kept - {e}
         if all(
             max_flow_unit(g, instance.root, t, restrict_to=trial)[0] >= 2
-            for t in instance.terminals
+            for t in terminals
         ):
             kept = trial
     return frozenset(kept)
@@ -213,31 +215,9 @@ def survival_estimate(
     successes = 0
     for j in range(1, trials + 1):
         rng = np.random.default_rng((config.seed, j))
-        edges = sampler.sample_edges(rng)
-        if has_path(g, instance.root, t, restrict_to=edges, forbidden=e):
+        edges = sampler.sample_edges(rng) - {e}
+        if t in reachable_set(g, instance.root, restrict_to=edges):
             successes += 1
     p = successes / trials
     radius = 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
     return SurvivalEstimate(p, radius, successes, trials)
-
-
-def group_flow_via_maxflow(tree: ShallowTree, capacities, group: frozenset) -> float:
-    """Same quantity as the DP, via an explicit super-sink max flow.
-
-    Kept as an independent route for cross-checking in tests.
-    """
-    from .graph import DirectedMultigraph
-
-    n = tree.num_nodes
-    vertices = list(range(n + 1))
-    edges = []
-    for ehat in range(tree.num_edges):
-        edges.append((tree.edge_parent_node(ehat), tree.edge_child(ehat), 0.0))
-    caps = {ehat: capacities[ehat] for ehat in range(tree.num_edges)}
-    big = sum(capacities) + 1.0
-    for gnode in sorted(group):
-        caps[len(edges)] = big
-        edges.append((gnode, n, 0.0))
-    adhoc = DirectedMultigraph(vertices, edges)
-    value, _ = max_flow_capacitated(adhoc, caps, 0, n)
-    return value

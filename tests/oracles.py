@@ -5,9 +5,10 @@ or so) when calling them from tests. `reference_rows` builds the full
 relaxation one row at a time; `reference_live` marks its live columns one
 at a time, as a reference for `LpModel.live`; and `reference_live_rows`
 cuts the rows down to those columns, as a reference for the live model
-that `build_lp` emits. `reference_round` is the rounding loop one draw at
-a time, as a reference for the batched `round_solution`: same random
-stream, so the two must agree byte for byte.
+that `build_lp` emits. `group_flow_lp` is a linprog max flow, as a
+reference for the tree-flow DP in `verify`. `reference_round` is the
+rounding loop one draw at a time, as a reference for the batched
+`round_solution`: same random stream, so the two must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog
 
-from twodst.graph import DirectedMultigraph, has_path, reachable_set
+from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 from twodst.rounding import SUPPORT_TOL, decompose_flow, default_iterations, default_samples
 from twodst.solution import SolutionSubgraph
@@ -299,9 +301,40 @@ def scan_failures(instance, solution) -> list[tuple]:
     out = []
     for t in sorted(instance.terminals):
         for e in sorted(solution.edges):
-            if not has_path(g, instance.root, t, restrict_to=solution.edges, forbidden=e):
+            if t not in reachable_set(g, instance.root, restrict_to=solution.edges - {e}):
                 out.append((e, t))
     return out
+
+
+def group_flow_lp(tree, capacities, group) -> float:
+    """Max root-to-group flow in the tree under per-edge capacities, by LP.
+
+    Columns: the flow on each tree edge, capped by its capacity, then one
+    uncapped arc from each group node to a super-sink. Rows: conservation
+    at every non-root node (row v-1 for node v). Maximizes the sink intake.
+    The capacities are scaled by 1e6 and the value scaled back: HiGHS
+    accepts rows violated by up to 1e-7, so unscaled capacities near that
+    size could leak flow past a zero-capacity edge.
+    """
+    scale = 1e6
+    te = tree.num_edges
+    sinks = sorted(group)
+    a_eq = np.zeros((te, te + len(sinks)))
+    for v in range(1, tree.num_nodes):
+        a_eq[v - 1, v - 1] = 1.0
+        if tree.parents[v] > 0:
+            a_eq[tree.parents[v] - 1, v - 1] = -1.0
+    for j, v in enumerate(sinks):
+        a_eq[v - 1, te + j] = -1.0
+    result = linprog(
+        np.concatenate([np.zeros(te), -np.ones(len(sinks))]),
+        A_eq=a_eq,
+        b_eq=np.zeros(te),
+        bounds=[(0.0, scale * float(c)) for c in capacities] + [(0.0, None)] * len(sinks),
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return -float(result.fun) / scale
 
 
 def drop_family(model: LpModel, family: str) -> LpModel:

@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import is_feasible_subset
+from oracles import group_flow_lp, is_feasible_subset
 from twodst.cli import EXIT_OK, main
 from twodst.errors import InfeasibleInstanceError
 from twodst.exact import ExactConfig, exact_2dst, random_instance
@@ -31,7 +31,6 @@ from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
 from twodst.solution import SolutionSubgraph
 from twodst.verify import (
     flow_slack_violation,
-    group_flow_via_maxflow,
     residual_group_flow,
     verify_2dst,
 )
@@ -183,7 +182,7 @@ def test_group_connectivity(marking_stats):
     checked = 0
     for _, tree, _, sampler, _, connected in marking_stats:
         for t, group in tree.groups.items():
-            mu = group_flow_via_maxflow(tree, sampler.clamped, group)
+            mu = group_flow_lp(tree, sampler.clamped, group)
             rate = connected[t] / MARK_ROUNDS
             worst = min(worst, rate - (mu / (2.0 * tree.depth) - 0.02))
             checked += 1

@@ -12,12 +12,15 @@ from twodst.cli import (
     EXIT_NOT_VERIFIED,
     EXIT_OK,
     EXIT_SIZE_CAP,
+    _pipeline_config,
+    build_parser,
     main,
 )
 from twodst.graph import DirectedMultigraph, DstInstance, max_flow_unit
 from twodst.io import load_instance, save_instance
 from twodst.lp_model import build_lp, congestion_parameter, solution_to_json
 from twodst.lp_solver import solve
+from twodst.pipeline import PipelineConfig
 from twodst.reductions import DssInstance
 from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
 
@@ -120,6 +123,10 @@ def test_config_file_and_flag_precedence(diamond_file, tmp_path, capsys):
     assert "seed=11" in text  # flag beats file
     assert "depth=2" in text  # file beats built-in default
     assert "iterations=56" in text  # iter_mult 1.0 from file: 20 * 2 * ln 4 -> 56
+    # no flags and no file: the PipelineConfig defaults, at the CLI's depth 2
+    assert _pipeline_config(build_parser().parse_args(["solve", "x.json"])) == PipelineConfig(
+        depth=2
+    )
 
 
 def test_config_file_unknown_key(diamond_file, tmp_path, capsys):

@@ -6,8 +6,6 @@ from twodst.graph import (
     DirectedMultigraph,
     DstInstance,
     EdgePath,
-    has_path,
-    max_flow_capacitated,
     max_flow_unit,
     reachable_set,
 )
@@ -124,7 +122,7 @@ class TestUnitFlow:
         assert len(cut) == 2
 
     def test_forbidding_an_edge_drops_to_one(self, diamond):
-        value, _ = max_flow_unit(diamond.graph, "r", "t", forbidden=1)
+        value, _ = max_flow_unit(diamond.graph, "r", "t", restrict_to=[0, 2, 3])
         assert value == 1
 
     def test_single_edge_value_and_cut(self):
@@ -188,7 +186,7 @@ class TestUnitFlow:
         g, s, t = gst
         _, cut = max_flow_unit(g, s, t)
         remaining = set(range(g.num_edges)) - cut
-        assert not has_path(g, s, t, restrict_to=remaining)
+        assert t not in reachable_set(g, s, restrict_to=remaining)
 
     @given(small_digraphs())
     def test_two_disjoint_agreement(self, gst):
@@ -203,54 +201,9 @@ class TestUnitFlow:
             return
         value, _ = max_flow_unit(g, s, t)
         for e in range(g.num_edges):
-            dropped, _ = max_flow_unit(g, s, t, forbidden=e)
+            dropped, _ = max_flow_unit(g, s, t, restrict_to=set(range(g.num_edges)) - {e})
             assert dropped <= value
             assert dropped >= value - 1
-
-
-class TestCapacitatedFlow:
-    def test_parallel_capacities_add(self, parallel_pair):
-        value, _ = max_flow_capacitated(
-            parallel_pair.graph, {0: 0.3, 1: 0.2}, "r", "t"
-        )
-        assert value == pytest.approx(0.5)
-
-    def test_path_bottleneck(self):
-        g = DirectedMultigraph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)])
-        value, cut = max_flow_capacitated(g, {0: 0.7, 1: 0.25}, 0, 2)
-        assert value == pytest.approx(0.25)
-        assert cut == frozenset([1])
-
-    def test_zero_capacities_give_zero(self, diamond):
-        caps = {e: 0.0 for e in range(diamond.graph.num_edges)}
-        value, _ = max_flow_capacitated(diamond.graph, caps, "r", "t")
-        assert value == 0.0
-
-    def test_negative_capacity_rejected(self, parallel_pair):
-        with pytest.raises(ValueError):
-            max_flow_capacitated(parallel_pair.graph, {0: -0.1, 1: 0.2}, "r", "t")
-
-    def test_missing_capacity_rejected(self, parallel_pair):
-        with pytest.raises(ValueError):
-            max_flow_capacitated(parallel_pair.graph, {0: 0.3}, "r", "t")
-
-    @given(small_digraphs(max_n=4, max_m=8), st.integers(min_value=0, max_value=10**6))
-    def test_flow_value_equals_cut_capacity(self, gst, seed):
-        import numpy as np
-
-        g, s, t = gst
-        rng = np.random.default_rng(seed)
-        caps = {e: float(rng.uniform(0.0, 1.0)) for e in range(g.num_edges)}
-        value, cut = max_flow_capacitated(g, caps, s, t)
-        assert value == pytest.approx(sum(caps[e] for e in cut), abs=1e-9)
-
-    @given(small_digraphs(max_n=4, max_m=8))
-    def test_unit_capacities_match_unit_flow(self, gst):
-        g, s, t = gst
-        caps = {e: 1.0 for e in range(g.num_edges)}
-        value, _ = max_flow_capacitated(g, caps, s, t)
-        unit_value, _ = max_flow_unit(g, s, t)
-        assert value == pytest.approx(unit_value, abs=1e-9)
 
 
 class TestReachability:

@@ -47,8 +47,6 @@ class TestBasics:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(feas_tol=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
 
 

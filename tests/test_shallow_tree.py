@@ -27,16 +27,16 @@ def complete_instance(n, terminals):
 
 class TestFrozenSizes:
     def test_four_vertices_depth_two(self, diamond):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2, prune_unreachable=False))
+        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
         nodes, edges, groups = tree_stats(tree)
         assert (nodes, edges) == (19, 18)
         assert groups == {"t": 6}
 
     def test_pruning_is_a_noop_when_all_vertices_usable(self, diamond):
+        assert usable_vertices(diamond) == diamond.graph.vertices
         pruned = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
-        bare = build_shallow_tree(diamond, ShallowTreeConfig(depth=2, prune_unreachable=False))
-        assert pruned.labels == bare.labels
-        assert pruned.parents == bare.parents
+        assert set(pruned.labels) == diamond.graph.vertices
+        assert pruned.num_nodes == projected_node_count(diamond.graph.num_vertices, 2)
 
     def test_two_vertices_depth_one(self, parallel_pair):
         tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
@@ -148,8 +148,6 @@ class TestPruning:
         assert usable_vertices(inst) == frozenset(["r", "a", "t"])
         tree = build_shallow_tree(inst, ShallowTreeConfig(depth=2))
         assert "z" not in set(tree.labels)
-        bare = build_shallow_tree(inst, ShallowTreeConfig(depth=2, prune_unreachable=False))
-        assert "z" in set(bare.labels)
 
     def test_unreachable_terminal_is_an_error(self):
         g = DirectedMultigraph(["r", "t", "u"], [("r", "t", 1.0), ("u", "t", 1.0)])

@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import is_feasible_subset, scan_failures
-from twodst.graph import DirectedMultigraph, DstInstance, has_path
+from oracles import group_flow_lp, is_feasible_subset, scan_failures
+from twodst.exact import random_instance
+from twodst.graph import DirectedMultigraph, DstInstance, reachable_set
 from twodst.lp_model import LpSolution, build_lp, congestion_parameter
 from twodst.lp_solver import solve
 from twodst.rounding import RoundingConfig
 from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
 from twodst.solution import SolutionSubgraph
+from twodst import verify
 from twodst.verify import (
     GoodEdgeAnalysis,
     _group_flow_dp,
     feasibility_report,
     flow_slack_violation,
-    group_flow_via_maxflow,
     residual_group_flow,
+    reverse_delete,
     survival_estimate,
     verify_2dst,
 )
@@ -84,9 +86,7 @@ def test_diamond_missing_branch_edge(diamond):
     # ascending scan: dropping edge 2 is the first removal that cuts t off
     assert report.witness_edge == 2
     assert report.witness_terminal == "t"
-    assert not has_path(
-        diamond.graph, "r", "t", restrict_to={0, 2, 3}, forbidden=2
-    )
+    assert "t" not in reachable_set(diamond.graph, "r", restrict_to={0, 3})
 
 
 def test_empty_set_witness(diamond):
@@ -119,6 +119,34 @@ def test_report_json_shape(diamond):
 def test_verify_matches_report(diamond):
     sol = SolutionSubgraph.from_edges(diamond.graph, {0, 1, 2, 3})
     assert verify_2dst(diamond, sol).feasible
+
+
+def test_reverse_delete_checks_terminals_in_sorted_order(monkeypatch):
+    # int hashes are fixed, so this frozenset iterates out of sorted order
+    terminals = (33, 2, 65, 4, 97, 6)
+    edges = []
+    for t in terminals:
+        edges += [(0, t, 1.0), (0, t, 1.0), (0, t, 3.0)]
+    inst = _instance([0, *terminals], edges, 0, terminals)
+    assert list(inst.terminals) != inst.sorted_terminals()
+
+    seen = []  # (trial edge set, terminal) per max-flow call
+    real = verify.max_flow_unit
+
+    def recording(graph, source, sink, restrict_to=None):
+        seen.append((frozenset(restrict_to), sink))
+        return real(graph, source, sink, restrict_to=restrict_to)
+
+    monkeypatch.setattr(verify, "max_flow_unit", recording)
+    kept = reverse_delete(inst, range(len(edges)))
+    assert inst.graph.total_cost(kept) == 2.0 * len(terminals)
+
+    trials: dict = {}
+    for trial, t in seen:
+        trials.setdefault(trial, []).append(t)
+    assert len(trials) == len(edges)
+    for order in trials.values():
+        assert order == inst.sorted_terminals()[: len(order)]
 
 
 def test_scan_failures(diamond):
@@ -169,14 +197,30 @@ def test_group_flow_dp_simple(diamond_solved):
     assert flow == pytest.approx(0.75 * len(direct))
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=18, max_size=18))
-def test_group_flow_dp_matches_maxflow(diamond_solved, caps):
-    _, tree, _, _ = diamond_solved
-    assert tree.num_edges == 18
-    group = tree.groups["t"]
-    assert _group_flow_dp(tree, caps, group) == pytest.approx(
-        group_flow_via_maxflow(tree, caps, group), abs=1e-9
-    )
+@pytest.fixture(scope="module")
+def group_flow_trees(diamond_solved):
+    """The 18-edge diamond tree (D=2) and a three-level tree (D=3)."""
+    _, diamond_tree, _, _ = diamond_solved
+    assert diamond_tree.num_edges == 18
+    deep = build_shallow_tree(random_instance(6, 14, 2, seed=1), ShallowTreeConfig(depth=3))
+    assert deep.depth == 3 and deep.num_edges == 170
+    return diamond_tree, deep
+
+
+@given(st.data())
+def test_group_flow_dp_matches_maxflow(group_flow_trees, data):
+    for tree in group_flow_trees:
+        caps = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0),
+                min_size=tree.num_edges,
+                max_size=tree.num_edges,
+            )
+        )
+        for group in tree.groups.values():
+            assert _group_flow_dp(tree, caps, group) == pytest.approx(
+                group_flow_lp(tree, caps, group), abs=1e-9
+            )
 
 
 # ------------------------------------------------------------- diagnostics
