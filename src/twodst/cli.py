@@ -199,11 +199,9 @@ def cmd_reduce(args) -> int:
 def cmd_lp_export(args) -> int:
     instance = _load_rooted(args.instance)
     config = _pipeline_config(args)
-    tree = build_shallow_tree(
-        instance, ShallowTreeConfig(depth=config.depth, max_nodes=config.max_nodes)
-    )
+    tree = build_shallow_tree(instance, ShallowTreeConfig(depth=config.depth))
     beta = congestion_parameter(config.depth, instance.num_terminals, config.beta_multiplier)
-    model = build_lp(instance, tree, beta, max_nonzeros=config.max_nonzeros)
+    model = build_lp(instance, tree, beta)
     text = export_lp(model)
     if args.out:
         Path(args.out).write_text(text)

@@ -180,9 +180,11 @@ def _infeasibility_certificate(
     Every row gets one slack variable easing it in the violated
     direction (equalities may flex both ways). Rows given positive slack
     at the optimum form the repair set: relaxing each by its amount makes
-    the model feasible.
+    the model feasible. As in `solve`, HiGHS sees only the live columns;
+    the dead ones sit in no row and would stay at 0.
     """
-    n = model.num_vars
+    cols = np.flatnonzero(model.live)
+    n = len(cols)
     k = model.num_rows
     # equalities become two inequalities (sign +1, then -1) sharing one slack
     eq = model.sense == EQ
@@ -194,7 +196,7 @@ def _infeasibility_certificate(
     slack = csr_matrix(
         (-np.ones(len(rows)), (np.arange(len(rows)), rows)), shape=(len(rows), k)
     )
-    a_ub = hstack([signed, slack], format="csr")
+    a_ub = hstack([signed[:, cols], slack], format="csr")
     cost = np.concatenate([np.zeros(n), np.ones(k)])
     bounds = [(0.0, 1.0)] * n + [(0.0, None)] * k
     result = linprog(

@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import InfeasibleInstanceError, SolverError
 from .graph import DstInstance, max_flow_unit
-from .lp_model import (
-    DEFAULT_MAX_NONZEROS,
-    INFEASIBLE,
-    OPTIMAL,
-    build_lp,
-    congestion_parameter,
-)
-from .lp_solver import SolverConfig, solution_from_file, solve
+from .lp_model import INFEASIBLE, OPTIMAL, build_lp, congestion_parameter
+from .lp_solver import solution_from_file, solve
 from .rounding import RoundingConfig, default_iterations, round_solution
-from .shallow_tree import DEFAULT_MAX_NODES, ShallowTreeConfig, build_shallow_tree
+from .shallow_tree import ShallowTreeConfig, build_shallow_tree
 from .solution import SolutionSubgraph
 from .verify import FeasibilityReport, feasibility_report
 
@@ -43,9 +37,6 @@ class PipelineConfig:
     samples: Optional[int] = None
     iteration_multiplier: float = 2.0
     prune: bool = False
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_nonzeros: int = DEFAULT_MAX_NONZEROS
-    solver: SolverConfig = field(default=SolverConfig())
     lp_solution_path: Optional[str] = None  # adopt an external LP solution
 
     def __post_init__(self):
@@ -88,9 +79,7 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     timings["preflight"] = clock() - t0
 
     t0 = clock()
-    tree = build_shallow_tree(
-        instance, ShallowTreeConfig(depth=config.depth, max_nodes=config.max_nodes)
-    )
+    tree = build_shallow_tree(instance, ShallowTreeConfig(depth=config.depth))
     timings["tree"] = clock() - t0
     log.info("tree built: %d nodes, %d edges", tree.num_nodes, tree.num_edges)
 
@@ -98,11 +87,11 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     beta = congestion_parameter(config.depth, instance.num_terminals, config.beta_multiplier)
     attempts = 0
     while True:
-        model = build_lp(instance, tree, beta, max_nonzeros=config.max_nonzeros)
+        model = build_lp(instance, tree, beta)
         if config.lp_solution_path is not None:
             lp = solution_from_file(model, config.lp_solution_path)
         else:
-            lp = solve(model, config.solver)
+            lp = solve(model)
         if lp.status == OPTIMAL:
             break
         if lp.status == INFEASIBLE and attempts < BETA_RETRIES:

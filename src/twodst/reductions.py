@@ -2,11 +2,13 @@
 
 * pairwise 2-edge-connectivity on a terminal set via two rooted solves
   (out-rooted plus in-rooted on the reversed graph), union of results;
-* vertex connectivity via vertex splitting (each v becomes v_in -> v_out
-  with a zero-cost internal edge), which turns internally-vertex-disjoint
-  paths into edge-disjoint ones;
-* pairwise 2-vertex-connectivity via a two-vertex root gadget plus
-  min-cost two-disjoint-path sets between the gadget pair.
+* vertex connectivity via vertex splitting (each v becomes (v, "in") ->
+  (v, "out") with a zero-cost internal edge), which turns
+  internally-vertex-disjoint paths into edge-disjoint ones; the split graph
+  keeps the original edge ids below m and numbers its internal edges from m;
+* pairwise 2-vertex-connectivity via a two-vertex root gadget plus a
+  cheapest pair of internally-vertex-disjoint paths each way between the
+  gadget vertices, found by two successive shortest paths on the split graph.
 
 A `solver` argument is any callable DstInstance -> SolutionSubgraph that
 raises InfeasibleInstanceError when no feasible subgraph exists.
@@ -14,8 +16,10 @@ raises InfeasibleInstanceError when no feasible subgraph exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from itertools import permutations
+from typing import Callable, Iterable, Optional
 
 from .errors import InfeasibleInstanceError, ModelInconsistencyError
 from .graph import DirectedMultigraph, DstInstance, max_flow_unit
@@ -43,60 +47,32 @@ class DssInstance:
         return sorted(self.terminals)
 
 
-@dataclass(frozen=True)
-class SplitMap:
-    """Bookkeeping for a vertex-split graph.
-
-    Original edge ids are preserved (0..m-1); internal edges occupy
-    m..m+n-1 and all cost 0.
-    """
-
-    vertex_copies: Mapping[object, tuple]  # v -> ((v,"in"), (v,"out"))
-    edge_map: Mapping[int, int]  # original edge id -> split edge id
-    internal_edges: frozenset  # split edge ids of the zero-cost v_in->v_out edges
-
-    def in_copy(self, v):
-        return self.vertex_copies[v][0]
-
-    def out_copy(self, v):
-        return self.vertex_copies[v][1]
-
-    def to_original_edges(self, split_edge_ids: Iterable[int]) -> frozenset:
-        """Drop internal edges and map the rest back to original ids."""
-        inverse = {se: e for e, se in self.edge_map.items()}
-        return frozenset(
-            inverse[se] for se in split_edge_ids if se not in self.internal_edges
-        )
-
-
-def vertex_split(graph: DirectedMultigraph) -> tuple[DirectedMultigraph, SplitMap]:
+def vertex_split(graph: DirectedMultigraph) -> DirectedMultigraph:
     """Split every vertex v into (v, "in") -> (v, "out") with a free edge.
 
-    Original edges keep their ids and run (tail, "out") -> (head, "in"),
-    so k edge-disjoint (s,"out") -> (t,"in") paths in the split graph
+    With m = graph.num_edges, edge e < m keeps its id and cost and runs
+    (tail, "out") -> (head, "in"); the internal edge (v, "in") -> (v, "out")
+    of the i-th vertex in `str` order has id m + i and cost 0. So k
+    edge-disjoint (s, "out") -> (t, "in") paths in the split graph
     correspond to k internally-vertex-disjoint s -> t paths.
     """
-    vertices = []
-    copies = {}
-    for v in graph.vertices:
-        vin, vout = (v, "in"), (v, "out")
-        copies[v] = (vin, vout)
-        vertices.extend((vin, vout))
+    vertices = [(v, side) for v in graph.vertices for side in ("in", "out")]
     edges = [
         ((graph.tails[e], "out"), (graph.heads[e], "in"), graph.costs[e])
         for e in range(graph.num_edges)
     ]
-    internal = []
-    for v in sorted(graph.vertices, key=str):
-        internal.append(len(edges))
-        edges.append(((v, "in"), (v, "out"), 0.0))
-    split = DirectedMultigraph(vertices, edges)
-    smap = SplitMap(
-        vertex_copies=copies,
-        edge_map={e: e for e in range(graph.num_edges)},
-        internal_edges=frozenset(internal),
-    )
-    return split, smap
+    edges += [((v, "in"), (v, "out"), 0.0) for v in sorted(graph.vertices, key=str)]
+    return DirectedMultigraph(vertices, edges)
+
+
+def _short_pair(graph: DirectedMultigraph, pairs: Iterable, restrict_to=None) -> Optional[tuple]:
+    """The first (s, t, value) of `pairs` with fewer than two edge-disjoint
+    s -> t paths in `graph` (within `restrict_to`), or None."""
+    for s, t in pairs:
+        value, _ = max_flow_unit(graph, s, t, restrict_to=restrict_to)
+        if value < 2:
+            return s, t, value
+    return None
 
 
 def dss_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
@@ -115,7 +91,12 @@ def dss_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
     in_sol = solver(DstInstance(g.reversed(), root, others))
 
     union = out_sol.edges | in_sol.edges
-    _check_pairwise(g, union, instance.terminals)
+    short = _short_pair(g, permutations(terminals, 2), union)
+    if short:
+        s, t, value = short
+        raise ModelInconsistencyError(
+            f"union solution carries only {value} disjoint paths from {s!r} to {t!r}"
+        )
     return SolutionSubgraph.from_edges(
         g,
         union,
@@ -127,46 +108,31 @@ def dss_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
     )
 
 
-def _check_pairwise(graph, edge_ids, terminals, required=2) -> None:
-    for s in sorted(terminals):
-        for t in sorted(terminals):
-            if s == t:
-                continue
-            value, _ = max_flow_unit(graph, s, t, restrict_to=edge_ids)
-            if value < required:
-                raise ModelInconsistencyError(
-                    f"union solution carries only {value} disjoint paths "
-                    f"from {s!r} to {t!r}"
-                )
-
-
 def solve_vertex_2dst(instance: DstInstance, solver: Solver) -> SolutionSubgraph:
     """Vertex-connectivity via the split graph; result in original edges."""
     g = instance.graph
-    split, smap = vertex_split(g)
-    root = smap.out_copy(instance.root)
-    terminals = frozenset(smap.in_copy(t) for t in instance.terminals)
+    m = g.num_edges
+    split = vertex_split(g)
+    root = (instance.root, "out")
+    pairs = [(root, (t, "in")) for t in sorted(instance.terminals)]
 
-    for t in sorted(instance.terminals):
-        value, _ = max_flow_unit(split, root, smap.in_copy(t))
-        if value < 2:
-            raise InfeasibleInstanceError(
-                f"no two internally-vertex-disjoint paths from "
-                f"{instance.root!r} to {t!r} (split flow {value})"
-            )
+    short = _short_pair(split, pairs)
+    if short:
+        _, (t, _), value = short
+        raise InfeasibleInstanceError(
+            f"no two internally-vertex-disjoint paths from "
+            f"{instance.root!r} to {t!r} (split flow {value})"
+        )
 
-    split_sol = solver(DstInstance(split, root, terminals))
-    check_edges = set(split_sol.edges) | smap.internal_edges
-    for t in sorted(instance.terminals):
-        value, _ = max_flow_unit(split, root, smap.in_copy(t), restrict_to=check_edges)
-        if value < 2:
-            raise ModelInconsistencyError(
-                f"split solution carries only {value} disjoint paths to {t!r}"
-            )
-    original = smap.to_original_edges(split_sol.edges)
-    return SolutionSubgraph.from_edges(
-        g, original, meta={"split_cost": split_sol.cost}
-    )
+    split_sol = solver(DstInstance(split, root, frozenset(t for _, t in pairs)))
+    short = _short_pair(split, pairs, split_sol.edges | set(range(m, split.num_edges)))
+    if short:
+        _, (t, _), value = short
+        raise ModelInconsistencyError(
+            f"split solution carries only {value} disjoint paths to {t!r}"
+        )
+    original = frozenset(e for e in split_sol.edges if e < m)
+    return SolutionSubgraph.from_edges(g, original, meta={"split_cost": split_sol.cost})
 
 
 def _fresh_vertex(vertices):
@@ -180,38 +146,46 @@ def _fresh_vertex(vertices):
 
 
 def _disjoint_pair_cost(graph: DirectedMultigraph, source, target):
-    """Cheapest union of two edge-disjoint, internally-vertex-disjoint
-    source -> target paths, by exhaustive enumeration. Returns
-    (cost, edge set) or (None, None). Exponential; fine at desk scale.
+    """Cheapest union of two internally-vertex-disjoint source -> target
+    paths: (cost, frozenset of edge ids), or (None, None) if no pair exists.
+
+    Two successive shortest paths (Suurballe 1974; Suurballe & Tarjan 1984)
+    from (source, "out") to (target, "in") in the residual split graph, where
+    an unused edge runs forward at +cost and a used one backward at -cost.
+    Each round is Bellman-Ford, relaxing only on strict improvement, and
+    flips the edges along the path it finds. The second round measures
+    costs against the first round's distances (reduced costs, clamped at 0),
+    which moves no shortest path but keeps rounding from turning a zero-cost
+    residual cycle (a used edge and its parallel copy) into a predecessor loop.
     """
-    paths: list[tuple[tuple[int, ...], frozenset]] = []
-
-    def extend(v, used_vertices, edge_seq):
-        if v == target:
-            inner = frozenset(used_vertices) - {source, target}
-            paths.append((tuple(edge_seq), inner))
-            return
-        for e in graph.out_edges(v):
-            w = graph.heads[e]
-            if w in used_vertices or (w == source):
-                continue
-            used_vertices.add(w)
-            edge_seq.append(e)
-            extend(w, used_vertices, edge_seq)
-            edge_seq.pop()
-            used_vertices.remove(w)
-
-    extend(source, {source}, [])
-    best_cost, best_set = None, None
-    for i, (p1, inner1) in enumerate(paths):
-        for p2, inner2 in paths[i + 1 :]:
-            if inner1 & inner2 or set(p1) & set(p2):
-                continue
-            union = frozenset(p1) | frozenset(p2)
-            cost = graph.total_cost(union)
-            if best_cost is None or cost < best_cost:
-                best_cost, best_set = cost, union
-    return best_cost, best_set
+    split = vertex_split(graph)
+    start, goal = (source, "out"), (target, "in")
+    arcs = [split.edge(e) for e in range(split.num_edges)]
+    used = [False] * len(arcs)
+    potential = dict.fromkeys(split.vertices, 0.0)
+    for _ in range(2):
+        dist, via = {start: 0.0}, {}
+        changed = True
+        while changed:
+            changed = False
+            for e, (tail, head, cost) in enumerate(arcs):
+                if used[e]:
+                    tail, head, cost = head, tail, -cost
+                if tail in dist:
+                    d = dist[tail] + max(0.0, cost + potential[tail] - potential[head])
+                    if d < dist.get(head, math.inf):
+                        dist[head], via[head] = d, e
+                        changed = True
+        if goal not in dist:
+            return None, None
+        v = goal
+        while v != start:
+            e = via[v]
+            used[e] = not used[e]
+            v = split.tails[e] if used[e] else split.heads[e]
+        potential = dist
+    edges = frozenset(e for e in range(graph.num_edges) if used[e])
+    return graph.total_cost(edges), edges
 
 
 def dss_vertex_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
@@ -231,7 +205,7 @@ def dss_vertex_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgrap
 
     chosen: set[int] = set()
     for s, t in ((r1, r2), (r2, r1)):
-        cost, edge_set = _disjoint_pair_cost(g, s, t)
+        _, edge_set = _disjoint_pair_cost(g, s, t)
         if edge_set is None:
             raise InfeasibleInstanceError(
                 f"no two internally-vertex-disjoint paths from {s!r} to {t!r}"
@@ -253,20 +227,14 @@ def dss_vertex_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgrap
             chosen |= {e for e in sol.edges if e < g.num_edges}
             sub_costs.append(sol.cost)
 
-    split, smap = vertex_split(g)
-    check_edges = {smap.edge_map[e] for e in chosen} | smap.internal_edges
-    for s in terminals:
-        for t in terminals:
-            if s == t:
-                continue
-            value, _ = max_flow_unit(
-                split, smap.out_copy(s), smap.in_copy(t), restrict_to=check_edges
-            )
-            if value < 2:
-                raise ModelInconsistencyError(
-                    f"union carries only {value} vertex-disjoint paths "
-                    f"from {s!r} to {t!r}"
-                )
+    split = vertex_split(g)
+    pairs = [((s, "out"), (t, "in")) for s, t in permutations(terminals, 2)]
+    short = _short_pair(split, pairs, chosen | set(range(g.num_edges, split.num_edges)))
+    if short:
+        (s, _), (t, _), value = short
+        raise ModelInconsistencyError(
+            f"union carries only {value} vertex-disjoint paths from {s!r} to {t!r}"
+        )
     return SolutionSubgraph.from_edges(
         g,
         chosen,

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,17 @@ from hypothesis import HealthCheck, settings
 from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.lp_model import build_lp, congestion_parameter
 from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+
+# Hypothesis imports libcst while it explains a failure, and libcst warns
+# about mypy_extensions on import; under `-W error` that warning turned a
+# failing example into a pytest INTERNALERROR. Importing it here, with the
+# warning ignored, keeps the normal failure report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile(
     "default",

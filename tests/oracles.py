@@ -1,7 +1,9 @@
 """Slow, independent reference implementations used to check the fast code.
 
 The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
-or so) when calling them from tests. `reference_rows` builds the full
+or so) when calling them from tests. `reference_disjoint_pair_cost` tries
+every pair of simple paths, as a reference for the two shortest paths of
+`reductions._disjoint_pair_cost`. `reference_rows` builds the full
 relaxation one row at a time; `reference_live` marks its live columns one
 at a time, as a reference for `LpModel.live`; and `reference_live_rows`
 cuts the rows down to those columns, as a reference for the live model
@@ -46,6 +48,26 @@ def enumerate_simple_paths(graph: DirectedMultigraph, source, target) -> list[tu
 
     extend(source, {source}, [])
     return paths
+
+
+def reference_disjoint_pair_cost(graph: DirectedMultigraph, source, target):
+    """Cheapest union of two internally-vertex-disjoint source -> target
+    paths, by trying every pair of simple paths: (cost, frozenset of edge
+    ids), or (None, None) if no pair exists. A reference for
+    `reductions._disjoint_pair_cost`."""
+    paths = [
+        (p, frozenset(graph.heads[e] for e in p[:-1]))
+        for p in enumerate_simple_paths(graph, source, target)
+    ]
+    best_cost, best_set = None, None
+    for (p1, inner1), (p2, inner2) in combinations(paths, 2):
+        if inner1 & inner2 or set(p1) & set(p2):
+            continue
+        union = frozenset(p1) | frozenset(p2)
+        cost = graph.total_cost(union)
+        if best_cost is None or cost < best_cost:
+            best_cost, best_set = cost, union
+    return best_cost, best_set
 
 
 def path_packing_number(graph: DirectedMultigraph, source, target) -> int:

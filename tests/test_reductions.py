@@ -1,14 +1,16 @@
 """Pairwise and vertex-connectivity reductions."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_disjoint_pair_cost
 from twodst.errors import InfeasibleInstanceError
 from twodst.exact import ExactConfig, exact_2dst
 from twodst.graph import DirectedMultigraph, DstInstance, max_flow_unit
 from twodst.reductions import (
     DssInstance,
+    _disjoint_pair_cost,
     _fresh_vertex,
     dss_via_dst,
     dss_vertex_via_dst,
@@ -60,25 +62,24 @@ def test_vertex_split_counts():
             ("a", "b", 5.0),
         ],
     )
-    split, smap = vertex_split(g)
+    split = vertex_split(g)
     assert split.num_vertices == 8
     assert split.num_edges == 9
-    assert len(smap.internal_edges) == 4
     for e in range(g.num_edges):
-        se = smap.edge_map[e]
-        assert split.tails[se] == (g.tails[e], "out")
-        assert split.heads[se] == (g.heads[e], "in")
-        assert split.costs[se] == g.costs[e]
-    for se in smap.internal_edges:
+        assert split.tails[e] == (g.tails[e], "out")
+        assert split.heads[e] == (g.heads[e], "in")
+        assert split.costs[e] == g.costs[e]
+    # the internal edge of the i-th vertex in str order has id m + i
+    for i, v in enumerate(sorted(g.vertices, key=str)):
+        se = g.num_edges + i
         assert split.costs[se] == 0.0
-        (v, kind_in) = split.tails[se]
-        assert kind_in == "in"
+        assert split.tails[se] == (v, "in")
         assert split.heads[se] == (v, "out")
 
 
 def test_split_flow_diamond(diamond):
-    split, smap = vertex_split(diamond.graph)
-    flow, _ = max_flow_unit(split, smap.out_copy("r"), smap.in_copy("t"))
+    split = vertex_split(diamond.graph)
+    flow, _ = max_flow_unit(split, ("r", "out"), ("t", "in"))
     assert flow == 2
 
 
@@ -89,8 +90,8 @@ def test_split_flow_shared_midpoint():
         [("r", "a", 1.0), ("a", "t", 1.0), ("r", "a", 1.0), ("a", "t", 1.0)],
     )
     assert max_flow_unit(g, "r", "t")[0] == 2
-    split, smap = vertex_split(g)
-    flow, _ = max_flow_unit(split, smap.out_copy("r"), smap.in_copy("t"))
+    split = vertex_split(g)
+    flow, _ = max_flow_unit(split, ("r", "out"), ("t", "in"))
     assert flow == 1
 
 
@@ -114,20 +115,122 @@ def small_graph_and_subset(draw):
 @given(small_graph_and_subset())
 def test_split_round_trip(pair):
     g, subset = pair
-    _, smap = vertex_split(g)
-    mapped = {smap.edge_map[e] for e in subset} | set(smap.internal_edges)
-    assert smap.to_original_edges(mapped) == subset
+    m = g.num_edges
+    split = vertex_split(g)
+    internal = range(m, m + g.num_vertices)
+    assert split.num_edges == m + g.num_vertices
+    # original edges keep their ids, so a split set maps back by ids below m
+    mapped = set(subset) | set(internal)
+    assert frozenset(e for e in mapped if e < m) == subset
+    for e in subset:
+        assert split.edge(e) == ((g.tails[e], "out"), (g.heads[e], "in"), g.costs[e])
+    for se in internal:
+        (v, side), (w, other), cost = split.edge(se)
+        assert (side, other, cost) == ("in", "out", 0.0) and v == w
+    assert {split.tails[se][0] for se in internal} == g.vertices
 
 
 @settings(max_examples=30)
 @given(small_graph_and_subset())
 def test_split_flow_never_exceeds_edge_flow(pair):
     g, _ = pair
-    split, smap = vertex_split(g)
+    split = vertex_split(g)
     s, t = sorted(g.vertices)[0], sorted(g.vertices)[-1]
     edge_flow, _ = max_flow_unit(g, s, t)
-    vertex_flow, _ = max_flow_unit(split, smap.out_copy(s), smap.in_copy(t))
+    vertex_flow, _ = max_flow_unit(split, (s, "out"), (t, "in"))
     assert vertex_flow <= edge_flow
+
+
+# ------------------------------------------------------ gadget pair search
+
+@st.composite
+def pair_search_case(draw):
+    """n <= 7 vertices and at most 12 edges: two planted source -> target
+    routes with random gaps, random extra edges, some free edges, parallel
+    copies at the same cost, and targets that may be unreachable."""
+    n = draw(st.integers(2, 7))
+    order = draw(st.permutations(range(n)))
+    source, target, inner = order[0], order[-1], order[1:-1]
+    cut = draw(st.integers(0, len(inner)))
+    pairs = []
+    for route in (inner[:cut], inner[cut:]):
+        hops = [source, *route, target]
+        pairs += [hop for hop in zip(hops, hops[1:]) if draw(st.integers(0, 5))]
+    vertex_pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    pairs += draw(st.lists(vertex_pair.map(tuple), max_size=12 - len(pairs)))
+    cost = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.7, 1.0]), st.floats(0.0, 10.0))
+    edges = []
+    for tail, head in pairs[:12]:
+        c = draw(cost)
+        edges.append((tail, head, c))
+        if len(edges) < 12 and draw(st.integers(0, 3)) == 0:
+            edges.append((tail, head, c))
+    return DirectedMultigraph(range(n), edges), source, target
+
+
+def _carries_vertex_disjoint_pair(g, edges, source, target):
+    split = vertex_split(g)
+    keep = set(edges) | set(range(g.num_edges, split.num_edges))
+    flow, _ = max_flow_unit(split, (source, "out"), (target, "in"), restrict_to=keep)
+    return flow >= 2
+
+
+# the cheapest path s -> a -> b -> t blocks every second path, so the
+# second search must undo its a -> b edge
+TRAP = (
+    DirectedMultigraph(
+        "sabt",
+        [("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("a", "t", 3.0), ("s", "b", 3.0)],
+    ),
+    "s",
+    "t",
+)
+# the first path takes one of the two a -> b copies; the residual cycle
+# through both copies costs 0, which plain +-cost sums round below 0 at
+# these costs, so the second search would follow a loop of predecessors
+PARALLEL_COPY = (
+    DirectedMultigraph(
+        "sabt",
+        [
+            ("s", "a", 0.1),
+            ("a", "b", 0.46891485609179917),
+            ("a", "b", 0.46891485609179917),
+            ("b", "t", 0.1),
+            ("s", "b", 1.67906353774072),
+            ("a", "t", 5.0),
+        ],
+    ),
+    "s",
+    "t",
+)
+
+
+@settings(max_examples=200)
+@example(TRAP)
+@example(PARALLEL_COPY)
+@given(pair_search_case())
+def test_disjoint_pair_matches_enumeration(case):
+    g, source, target = case
+    want_cost, _ = reference_disjoint_pair_cost(g, source, target)
+    cost, edges = _disjoint_pair_cost(g, source, target)
+    assert (cost is None) == (want_cost is None)
+    if cost is None:
+        assert edges is None
+        return
+    assert cost == pytest.approx(want_cost, rel=0, abs=1e-9)
+    assert cost == g.total_cost(edges)
+    assert _carries_vertex_disjoint_pair(g, edges, source, target)
+
+
+def test_disjoint_pair_on_dense_graph():
+    # bidirected K12 with unit costs: 132 edges, far too many simple paths
+    # to pair up, while the cheapest pair is the direct edge plus two hops
+    vs = range(12)
+    g = DirectedMultigraph(vs, [(a, b, 1.0) for a in vs for b in vs if a != b])
+    cost, edges = _disjoint_pair_cost(g, 0, 11)
+    assert cost == 3.0
+    assert len(edges) == 3
+    assert _carries_vertex_disjoint_pair(g, edges, 0, 11)
 
 
 # -------------------------------------------------------- pairwise variant
@@ -188,12 +291,12 @@ def test_vertex_2dst_avoids_cut_vertex():
     sol = solve_vertex_2dst(inst, exact_solver())
     assert {4, 5} <= sol.edges
     assert all(e < g.num_edges for e in sol.edges)
-    split, smap = vertex_split(g)
+    split = vertex_split(g)
     flow, _ = max_flow_unit(
         split,
-        smap.out_copy("r"),
-        smap.in_copy("t"),
-        restrict_to={smap.edge_map[e] for e in sol.edges} | set(smap.internal_edges),
+        ("r", "out"),
+        ("t", "in"),
+        restrict_to=set(sol.edges) | set(range(g.num_edges, split.num_edges)),
     )
     assert flow >= 2
 
@@ -219,14 +322,12 @@ def test_dss_vertex_with_extra_terminal():
     sol = dss_vertex_via_dst(inst, exact_solver())
     assert len(sol.meta["sub_costs"]) == 2
     assert sol.edges <= frozenset(range(g.num_edges))
-    split, smap = vertex_split(g)
-    keep = {smap.edge_map[e] for e in sol.edges} | set(smap.internal_edges)
+    split = vertex_split(g)
+    keep = set(sol.edges) | set(range(g.num_edges, split.num_edges))
     for s in ("w", "x", "y"):
         for t in ("w", "x", "y"):
             if s != t:
-                flow, _ = max_flow_unit(
-                    split, smap.out_copy(s), smap.in_copy(t), restrict_to=keep
-                )
+                flow, _ = max_flow_unit(split, (s, "out"), (t, "in"), restrict_to=keep)
                 assert flow >= 2
 
 
