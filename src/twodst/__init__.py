@@ -18,8 +18,8 @@ from .errors import (
 from .exact import ExactConfig, ExactResult, exact_2dst, random_instance
 from .graph import DirectedMultigraph, DstInstance, EdgePath, max_flow_unit
 from .io import dump_instance_json, dump_instance_text, load_instance, parse_instance, save_instance
-from .lp_model import LpModel, LpSolution, build_lp, congestion_parameter, export_lp, parse_lp
-from .lp_solver import SolverConfig, solution_from_file, solve
+from .lp_model import LpModel, LpSolution, build_lp, congestion_parameter, export_lp
+from .lp_solver import SolverConfig, solve
 from .pipeline import PipelineConfig, PipelineResult, make_pipeline_solver, run_pipeline
 from .reductions import (
     DssInstance,
@@ -31,7 +31,7 @@ from .reductions import (
 from .rounding import RoundingConfig, gkr_round, round_solution
 from .shallow_tree import ShallowTree, ShallowTreeConfig, build_shallow_tree
 from .solution import SolutionSubgraph
-from .verify import FeasibilityReport, feasibility_report, verify_2dst
+from .verify import FeasibilityReport, feasibility_report
 
 __version__ = "0.1.0"
 
@@ -73,14 +73,11 @@ __all__ = [
     "make_pipeline_solver",
     "max_flow_unit",
     "parse_instance",
-    "parse_lp",
     "random_instance",
     "round_solution",
     "run_pipeline",
     "save_instance",
-    "solution_from_file",
     "solve",
     "solve_vertex_2dst",
-    "verify_2dst",
     "vertex_split",
 ]

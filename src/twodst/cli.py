@@ -60,7 +60,7 @@ BENCH_COLUMNS = [
 # the PipelineConfig one
 CLI_DEPTH = 2
 
-# flag / config-file key -> (PipelineConfig field, conversion)
+# flag / config-file key -> (PipelineConfig field, type)
 _KEYS = {
     "depth": ("depth", int),
     "seed": ("seed", int),
@@ -69,8 +69,18 @@ _KEYS = {
     "samples": ("samples", int),
     "iter_mult": ("iteration_multiplier", float),
     "prune": ("prune", bool),
-    "lp_solution": ("lp_solution_path", str),
 }
+_JSON_TYPE = {bool: "boolean", int: "integer", float: "number"}
+
+
+def _file_value(key: str, value, kind: type):
+    """A config-file value of the key's type: a JSON bool for a bool key,
+    an integer for an int key, any number for a float key; a bool passes
+    only as a bool."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
+        return kind(value)
+    raise ValueError(f"config file key {key!r} needs a JSON {_JSON_TYPE[kind]}, got {value!r}")
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -79,17 +89,19 @@ def _pipeline_config(args) -> PipelineConfig:
     doc = {}
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(doc) - set(_KEYS)
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
 
     chosen = {"depth": CLI_DEPTH}
-    for key, (name, convert) in _KEYS.items():
+    for key, (name, kind) in _KEYS.items():
         value = getattr(args, key, None)
-        if value is None:
-            value = doc.get(key)
+        if value is None and key in doc:
+            value = _file_value(key, doc[key], kind)
         if value is not None:
-            chosen[name] = convert(value)
+            chosen[name] = value
     return PipelineConfig(**chosen)
 
 
@@ -152,6 +164,11 @@ def cmd_verify(args) -> int:
     instance = _load_rooted(args.instance)
     doc = json.loads(Path(args.solution).read_text())
     edges = doc["edges"] if isinstance(doc, dict) else doc
+    if not isinstance(edges, list):
+        raise ValueError("solution edges must be a JSON list of integers")
+    for k, e in enumerate(edges):
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"solution edge {k} is {e!r}, not an integer")
     report = feasibility_report(instance, edges)
     sys.stdout.write(report.to_json())
     return EXIT_OK if report.feasible else EXIT_NOT_VERIFIED
@@ -303,10 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run the LP-rounding pipeline on a rooted instance")
     s.add_argument("instance")
     _add_pipeline_flags(s)
-    s.add_argument(
-        "--lp-solution", dest="lp_solution", default=None,
-        help="adopt an externally solved LP from this values file instead of solving",
-    )
     s.add_argument("--out", default=None, help="write the solution JSON here")
     s.set_defaults(func=cmd_solve)
 

@@ -134,16 +134,6 @@ class EdgePath:
     def target(self) -> Vertex:
         return self.graph.heads[self.edges[-1]]
 
-    def vertices(self) -> list:
-        vs = [self.source]
-        vs.extend(self.graph.heads[e] for e in self.edges)
-        return vs
-
-    @property
-    def is_simple(self) -> bool:
-        vs = self.vertices()
-        return len(vs) == len(set(vs))
-
     def cost(self) -> float:
         return self.graph.total_cost(self.edges)
 

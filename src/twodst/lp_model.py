@@ -21,12 +21,13 @@ live-column mask first (rules (a)-(c) below), then emits only live terms:
 the model holds the full relaxation's rows restricted to the live columns,
 in the same row order and term order, and the rows left with no term are
 not built. Each of those has rhs 0 with sense <= or =, so 0 satisfies it;
-the builder checks this rather than assuming it. The flow-conservation rows
+the builder checks this rather than assuming it, and it is the only code
+that decides which rows survive the mask. The flow-conservation rows
 of a tree edge (u, v) are built over the graph edges rule (c) keeps for
 (u, v), only for tree edges whose xh (cong) or fh (div) column is live, and
 offset into the f columns (cong) and each terminal's ft columns (div).
 `VarIndex` still numbers every column of the full relaxation, so solution
-vectors, rounding and the JSON dump see the full variable set.
+vectors, rounding and the LP text export see the full variable set.
 
 The model is stored as one CSR matrix (`indptr`, `indices`, `data`) with
 per-row `sense`, `rhs` and family-code arrays. `LpModel.rows` rebuilds
@@ -36,11 +37,12 @@ sums and caps `max_nonzeros` before anything is allocated, and
 `live_nonzeros` counts the live model from the column mask and the degree
 sums, separately from the builder; the built count must equal it exactly.
 
-`LpModel.live` marks the live columns. A dead column sits in no row and is
-fixed to 0, which loses no optimum: at a point whose dead columns are 0,
-each row of the full relaxation is a row of the live model or a row that
-0 satisfies. A column is dead by one of three rules (write "below ê" for
-the subtree under ê's child node, and (u, v) for ê's endpoint labels):
+`LpModel.live` marks the live columns. A dead column sits in no row (the
+`LpModel` constructor checks this) and is fixed to 0, which loses no
+optimum: at a point whose dead columns are 0, each row of the full
+relaxation is a row of the live model or a row that 0 satisfies. A column
+is dead by one of three rules (write "below ê" for the subtree under ê's
+child node, and (u, v) for ê's endpoint labels):
 
 (a) fh_(t,ê) and ft_(t,ê,·) when no node labelled t lies below ê. Every
     node below ê then has a gst conservation row, so fh_(t,ê) = 0 in every
@@ -60,9 +62,7 @@ the subtree under ê's child node, and (u, v) for ê's endpoint labels):
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -157,23 +157,6 @@ class VarIndex:
         ehat, e = divmod(rest, m)
         return f"ft_{self.terminals[k]}_{ehat}_{e}"
 
-    def names(self) -> list[str]:
-        return [self.name(i) for i in range(self.total)]
-
-
-class FlatVarIndex:
-    """Name-only index for models re-imported from an export."""
-
-    def __init__(self, names: Sequence[str]):
-        self._names = tuple(names)
-        self.total = len(self._names)
-
-    def name(self, index: int) -> str:
-        return self._names[index]
-
-    def names(self) -> list[str]:
-        return list(self._names)
-
 
 class LpRow(NamedTuple):
     cols: tuple[int, ...]
@@ -191,11 +174,12 @@ class LpModel:
     `data[...]`, in the order the builder emitted them (not sorted), so the
     text export is stable. `sense` holds LE/EQ/GE strings and `family`
     indexes into `families`. `live` is the boolean column mask of the
-    columns that may be nonzero (see the module docstring); in a model from
-    `build_lp` no row holds a dead column.
+    columns that may be nonzero (see the module docstring). No row holds a
+    dead column: construction checks this and raises
+    `ModelInconsistencyError` otherwise.
     """
 
-    var_index: object
+    var_index: VarIndex
     objective: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
@@ -206,6 +190,15 @@ class LpModel:
     families: tuple[str, ...]
     beta: Optional[float]
     live: np.ndarray
+
+    def __post_init__(self):
+        held = self.live[self.indices]
+        if not held.all():
+            term = int(np.argmin(held))
+            row = int(np.searchsorted(self.indptr, term, side="right")) - 1
+            raise ModelInconsistencyError(
+                f"row {row} holds dead column {self.var_index.name(int(self.indices[term]))}"
+            )
 
     @classmethod
     def from_rows(cls, var_index, objective, rows: Iterable[LpRow], beta=None) -> "LpModel":
@@ -246,9 +239,6 @@ class LpModel:
     @property
     def rows(self) -> "RowView":
         return RowView(self)
-
-    def family_rows(self, family: str) -> list[LpRow]:
-        return [r for r in self.rows if r.family == family]
 
 
 class RowView:
@@ -691,117 +681,3 @@ def _objective_terms(model: LpModel):
     cols = [j for j in range(model.num_vars) if model.objective[j] != 0.0]
     return cols, [float(model.objective[j]) for j in cols]
 
-
-_TERM_RE = re.compile(r"([+-])?\s*([0-9.eE+-]+)\s+([A-Za-z_][\w]*)")
-
-
-def _parse_terms(expr: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    pos = 0
-    expr = expr.strip()
-    while pos < len(expr):
-        match = _TERM_RE.match(expr, pos)
-        if not match:
-            raise ValueError(f"cannot parse term at: {expr[pos:pos+30]!r}")
-        sign, coef, name = match.groups()
-        value = float(coef) * (-1.0 if sign == "-" else 1.0)
-        out[name] = out.get(name, 0.0) + value
-        pos = match.end()
-        while pos < len(expr) and expr[pos] == " ":
-            pos += 1
-    return out
-
-
-def parse_lp(text: str) -> LpModel:
-    """Re-import the subset of the LP interchange format that export_lp
-    writes: one row per line, named rows, [0,1] bounds."""
-    section = None
-    objective_terms: dict[str, float] = {}
-    raw_rows: list[tuple[str, dict, str, float]] = []
-    names: list[str] = []
-    seen: set[str] = set()
-
-    def note_names(terms):
-        for n in terms:
-            if n not in seen:
-                seen.add(n)
-                names.append(n)
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        lowered = line.lower()
-        if lowered in ("minimize", "subject to", "bounds", "end"):
-            section = lowered
-            continue
-        if section == "minimize":
-            _, _, expr = line.partition(":")
-            objective_terms.update(_parse_terms(expr))
-            note_names(objective_terms)
-        elif section == "subject to":
-            label, _, rest = line.partition(":")
-            for sense in (LE, GE, "="):
-                lhs, found, rhs = rest.partition(f" {sense} ")
-                if found:
-                    terms = _parse_terms(lhs)
-                    note_names(terms)
-                    family = label.strip().rsplit("_", 1)[0]
-                    raw_rows.append((family, terms, sense, float(rhs)))
-                    break
-            else:
-                raise ValueError(f"row without relation: {line!r}")
-        elif section == "bounds":
-            match = re.match(r"0\s*<=\s*([\w]+)\s*<=\s*1$", line)
-            if not match:
-                raise ValueError(f"unsupported bound line: {line!r}")
-            note_names({match.group(1): 0.0})
-
-    index = FlatVarIndex(names)
-    pos = {n: j for j, n in enumerate(names)}
-    objective = np.zeros(index.total)
-    for n, c in objective_terms.items():
-        objective[pos[n]] = c
-    rows = (
-        LpRow(
-            tuple(pos[n] for n in terms),
-            tuple(terms[n] for n in terms),
-            EQ if sense == "=" else sense,
-            rhs,
-            family,
-        )
-        for family, terms, sense, rhs in raw_rows
-    )
-    return LpModel.from_rows(index, objective, rows)
-
-
-def solution_to_json(solution: LpSolution) -> str:
-    doc = {
-        "objective": solution.objective,
-        "status": solution.status,
-        "values": {
-            solution.model.var_index.name(j): float(solution.values[j])
-            for j in range(solution.model.num_vars)
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def solution_values_from_json(model: LpModel, text: str) -> np.ndarray:
-    """Escape hatch: accept an externally produced solution dump."""
-    doc = json.loads(text)
-    given = doc["values"] if "values" in doc else doc
-    values = np.zeros(model.num_vars)
-    missing = []
-    for j in range(model.num_vars):
-        name = model.var_index.name(j)
-        if name in given:
-            values[j] = float(given[name])
-        else:
-            missing.append(name)
-    if missing:
-        raise ValueError(f"solution dump lacks {len(missing)} variables, e.g. {missing[0]}")
-    extras = set(given) - {model.var_index.name(j) for j in range(model.num_vars)}
-    if extras:
-        raise ValueError(f"solution dump has unknown variables, e.g. {sorted(extras)[0]}")
-    return values

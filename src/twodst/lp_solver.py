@@ -1,32 +1,33 @@
 """Linear program solving behind a thin stable interface.
 
 The heavy lifting is delegated to scipy's HiGHS backend, which is
-deterministic for a fixed model and configuration. The model holds only
-the live part of the relaxation (see `lp_model`): a dead column
-(`LpModel.live` false) sits in no row. HiGHS sees only the live columns,
-and the dead ones come back as exact zeros. Every optimal result is
-replayed against every row of the model before being returned; at a point
-whose dead columns are 0 this is the replay against the full relaxation,
-whose other rows 0 satisfies. So a wrong answer from the backend cannot
-slip through silently. A wrong column mask would instead give a feasible,
-suboptimal point, which no replay sees; the tests catch it by comparing the
-model with a full reference model, and the benchmark by checking that the
-LP value stays at most OPT. Infeasible models get a certificate: the
-smallest total relaxation (elastic slacks) that would make the rows
-consistent, reported per offending row.
+deterministic for a fixed model and configuration. HiGHS in process is the
+only source of an LP solution, so the reported objective is the optimum of
+the live relaxation. The model holds only the live part of the relaxation
+(see `lp_model`): a dead column (`LpModel.live` false) sits in no row, which
+`LpModel` checks at construction. HiGHS sees only the live columns, and the
+dead ones come back as exact zeros. Every optimal result is replayed against
+every row of the model before being returned; at a point whose dead columns
+are 0 this is the replay against the full relaxation, whose other rows 0
+satisfies. So a wrong answer from the backend cannot slip through silently.
+A wrong column mask would instead give a feasible, suboptimal point, which
+no replay sees; the tests catch it by comparing the model with a full
+reference model, and the benchmark by checking that the LP value stays at
+most OPT. Infeasible models get a certificate: the smallest total
+relaxation (elastic slacks) that would make the rows consistent, reported
+per offending row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, hstack
 
-from .errors import ModelInconsistencyError, SolverError
+from .errors import SolverError
 from .lp_model import (
     EQ,
     GE,
@@ -36,7 +37,6 @@ from .lp_model import (
     LpModel,
     LpSolution,
     replay_constraints,
-    solution_values_from_json,
 )
 
 
@@ -46,8 +46,6 @@ OPT_TOL = 1e-9
 # largest row violation accepted when replaying a backend optimum, and the
 # smallest elastic slack that puts a row into an infeasibility certificate
 REPLAY_TOL = 1e-8
-# largest row violation accepted in an externally produced solution
-EXTERNAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,25 +88,6 @@ def _split_rows(model: LpModel):
     return (a_ub if len(ub) else None), b_ub, (a_eq if len(b_eq) else None), b_eq
 
 
-def _live_block(block, rhs: np.ndarray, cols: np.ndarray, equality: bool):
-    """The block's live columns, without the rows left with no term.
-
-    Such a row reads 0 against its right-hand side, which must hold.
-    """
-    if block is None:
-        return None, rhs
-    block = block[:, cols]
-    kept = np.diff(block.indptr) > 0
-    dropped = rhs[~kept]
-    broken = dropped != 0.0 if equality else dropped < 0.0
-    if broken.any():
-        raise ModelInconsistencyError(
-            f"{int(broken.sum())} row(s) with only dead columns are not satisfied by 0"
-        )
-    block = block[kept]
-    return (block if block.shape[0] else None), rhs[kept]
-
-
 def _options(config: SolverConfig) -> dict:
     options = {
         "presolve": True,
@@ -123,8 +102,7 @@ def _options(config: SolverConfig) -> dict:
 def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
     cols = np.flatnonzero(model.live)
     a_ub, b_ub, a_eq, b_eq = _split_rows(model)
-    a_ub, b_ub = _live_block(a_ub, b_ub, cols, equality=False)
-    a_eq, b_eq = _live_block(a_eq, b_eq, cols, equality=True)
+    a_ub, a_eq = (None if a is None else a[:, cols] for a in (a_ub, a_eq))
     blocks = [a for a in (a_ub, a_eq) if a is not None]
     shape = (sum(a.shape[0] for a in blocks), len(cols), sum(a.nnz for a in blocks))
     result = linprog(
@@ -216,24 +194,3 @@ def _infeasibility_certificate(
     )
     return InfeasibilityCertificate(offenders, float(np.sum(slacks)))
 
-
-def solution_from_file(model: LpModel, path) -> LpSolution:
-    """Adopt an externally produced solution dump instead of solving.
-
-    Dead columns are set to 0 first: they cost nothing and sit in no row, so
-    a dump could otherwise pass any value on them on to rounding.
-    """
-    values = solution_values_from_json(model, Path(path).read_text())
-    values[~model.live] = 0.0
-    violation = replay_constraints(model, values)
-    if violation > EXTERNAL_TOL:
-        raise SolverError(
-            f"external solution violates the model by {violation:.3e}"
-        )
-    return LpSolution(
-        model=model,
-        values=values,
-        objective=float(np.dot(model.objective, values)),
-        status=OPTIMAL,
-        max_violation=violation,
-    )

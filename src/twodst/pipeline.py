@@ -1,5 +1,9 @@
 """End-to-end solve: preflight, tree, LP, rounding, verification.
 
+The LP stage always solves the live relaxation with HiGHS (`lp_solver.solve`),
+so `PipelineResult.lp_objective` is HiGHS's optimum of that relaxation, the
+value the CLI reports as the lower bound.
+
 The congestion parameter starts at its analytic value and doubles on LP
 infeasibility, at most BETA_RETRIES times; that keeps the pipeline
 alive on instances where the initial bound is numerically too tight,
@@ -16,7 +20,7 @@ from typing import Mapping, Optional
 from .errors import InfeasibleInstanceError, SolverError
 from .graph import DstInstance, max_flow_unit
 from .lp_model import INFEASIBLE, OPTIMAL, build_lp, congestion_parameter
-from .lp_solver import solution_from_file, solve
+from .lp_solver import solve
 from .rounding import RoundingConfig, default_iterations, round_solution
 from .shallow_tree import ShallowTreeConfig, build_shallow_tree
 from .solution import SolutionSubgraph
@@ -37,7 +41,6 @@ class PipelineConfig:
     samples: Optional[int] = None
     iteration_multiplier: float = 2.0
     prune: bool = False
-    lp_solution_path: Optional[str] = None  # adopt an external LP solution
 
     def __post_init__(self):
         if self.iteration_multiplier <= 0:
@@ -88,10 +91,7 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     attempts = 0
     while True:
         model = build_lp(instance, tree, beta)
-        if config.lp_solution_path is not None:
-            lp = solution_from_file(model, config.lp_solution_path)
-        else:
-            lp = solve(model)
+        lp = solve(model)
         if lp.status == OPTIMAL:
             break
         if lp.status == INFEASIBLE and attempts < BETA_RETRIES:

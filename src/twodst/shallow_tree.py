@@ -107,15 +107,6 @@ class ShallowTree:
             walk.append(node)
         return walk
 
-    def dump(self) -> str:
-        lines = []
-        for v in range(self.num_nodes):
-            parent = "-" if v == 0 else str(self.parents[v])
-            lines.append(
-                f"node {v} label={self.labels[v]} depth={self.depths[v]} parent={parent}"
-            )
-        return "\n".join(lines) + "\n"
-
     def __repr__(self) -> str:
         return f"ShallowTree(depth={self.depth}, nodes={self.num_nodes})"
 
@@ -192,7 +183,3 @@ def build_shallow_tree(instance: DstInstance, config: ShallowTreeConfig) -> Shal
 
     return ShallowTree(config.depth, labels, depths, parents, copies, children, groups)
 
-
-def tree_stats(tree: ShallowTree) -> tuple[int, int, dict]:
-    group_sizes = {t: len(nodes) for t, nodes in sorted(tree.groups.items(), key=lambda kv: str(kv[0]))}
-    return tree.num_nodes, tree.num_edges, group_sizes

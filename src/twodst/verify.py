@@ -24,7 +24,6 @@ import numpy as np
 from .graph import DstInstance, max_flow_unit, reachable_set
 from .lp_model import LpSolution
 from .shallow_tree import ShallowTree
-from .solution import SolutionSubgraph
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,6 @@ def feasibility_report(instance: DstInstance, edge_ids) -> FeasibilityReport:
     if witness is None:
         return FeasibilityReport(all(v >= 2 for v in flows.values()), flows)
     return FeasibilityReport(False, flows, witness[0], witness[1], witness[2])
-
-
-def verify_2dst(instance: DstInstance, solution: SolutionSubgraph) -> FeasibilityReport:
-    return feasibility_report(instance, solution.edges)
 
 
 def reverse_delete(instance: DstInstance, edges) -> frozenset:

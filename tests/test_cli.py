@@ -18,11 +18,8 @@ from twodst.cli import (
 )
 from twodst.graph import DirectedMultigraph, DstInstance, max_flow_unit
 from twodst.io import load_instance, save_instance
-from twodst.lp_model import build_lp, congestion_parameter, solution_to_json
-from twodst.lp_solver import solve
 from twodst.pipeline import PipelineConfig
 from twodst.reductions import DssInstance
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
 
 
 def _diamond_instance():
@@ -136,23 +133,40 @@ def test_config_file_unknown_key(diamond_file, tmp_path, capsys):
     assert "unknown config" in capsys.readouterr().err
 
 
-def test_solve_adopts_external_lp(diamond_file, tmp_path, capsys):
-    inst = _diamond_instance()
-    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=2))
-    model = build_lp(inst, tree, congestion_parameter(2, 1))
-    lp = solve(model)
-    values_file = tmp_path / "lp_values.json"
-    values_file.write_text(solution_to_json(lp))
-    out = tmp_path / "sol.json"
-    code = main(
-        [
-            "solve", str(diamond_file), "--depth", "2", "--seed", "7",
-            "--lp-solution", str(values_file), "--out", str(out),
-        ]
+@pytest.mark.parametrize(
+    "key, value",
+    [("prune", "no"), ("prune", 1), ("seed", 1.7), ("depth", True), ("iters", "56"),
+     ("samples", None), ("beta_mult", False), ("iter_mult", "2")],
+)
+def test_config_file_wrong_type(diamond_file, tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(["solve", str(diamond_file), "--config", str(config)]) == EXIT_ERROR
+    assert f"error: config file key '{key}'" in capsys.readouterr().err
+
+
+def test_config_file_not_an_object(diamond_file, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(["seed"]))
+    assert main(["solve", str(diamond_file), "--config", str(config)]) == EXIT_ERROR
+    assert "error: config file must hold a JSON object" in capsys.readouterr().err
+
+
+def test_config_file_typed_values(tmp_path):
+    # integers pass for the float keys, and a bool for prune
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"beta_mult": 2, "iter_mult": 1, "prune": True, "seed": 3}))
+    args = build_parser().parse_args(["solve", "x.json", "--config", str(config)])
+    assert _pipeline_config(args) == PipelineConfig(
+        depth=2, seed=3, beta_multiplier=2.0, iteration_multiplier=1.0, prune=True
     )
-    assert code == EXIT_OK
-    assert "feasible: yes" in capsys.readouterr().out
-    assert sorted(json.loads(out.read_text())["edges"]) == [0, 1, 2, 3]
+
+
+def test_solve_has_no_lp_solution_flag(diamond_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", str(diamond_file), "--lp-solution", "f.json"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --lp-solution" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ exact
@@ -191,6 +205,18 @@ def test_verify_bad_solution(diamond_file, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasible"] is False
     assert doc["witness"]["edge"] == 2
+
+
+@pytest.mark.parametrize(
+    "edges, bad", [(["0", 1, 2, 3], "edge 0 is '0'"), ([0, 1, 2, 3.5], "edge 3 is 3.5"),
+                   ([0, True, 2, 3], "edge 1 is True"), ({"0": 1}, "JSON list")],
+)
+def test_verify_malformed_solution(diamond_file, tmp_path, capsys, edges, bad):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"edges": edges}))
+    assert main(["verify", str(diamond_file), str(sol)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
 
 
 # ----------------------------------------------------------------- reduce

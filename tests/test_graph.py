@@ -99,7 +99,6 @@ class TestEdgePath:
         assert p.source == "r"
         assert p.target == "t"
         assert p.cost() == pytest.approx(2.0)
-        assert p.is_simple
 
     def test_mismatched_edges_rejected(self, diamond):
         with pytest.raises(ValueError):
@@ -108,11 +107,6 @@ class TestEdgePath:
     def test_empty_path_rejected(self, diamond):
         with pytest.raises(ValueError):
             EdgePath(diamond.graph, ())
-
-    def test_vertex_repeat_is_not_simple(self):
-        g = DirectedMultigraph([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-        p = EdgePath(g, (0, 1, 2))
-        assert not p.is_simple
 
 
 class TestUnitFlow:

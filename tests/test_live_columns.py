@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_live, reference_rows, useless_pairs
+from twodst import lp_model
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
 from twodst.lp_model import (
@@ -17,9 +18,9 @@ from twodst.lp_model import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    FlatVarIndex,
     LpModel,
     LpRow,
+    VarIndex,
     build_lp,
     congestion_parameter,
 )
@@ -47,7 +48,8 @@ def _check(inst, depth, beta=None):
 
     reduced, full = solve(model), solve(_full(inst, tree, model))
     assert reduced.status == full.status
-    assert reduced.solved_shape[1] == int(model.live.sum())
+    # HiGHS gets every row of the live model, over the live columns
+    assert reduced.solved_shape == (model.num_rows, int(model.live.sum()), model.nonzeros())
     assert full.solved_shape[1] == model.num_vars
     # dead columns come back as exact zeros
     assert np.all(reduced.values[~model.live] == 0.0)
@@ -119,27 +121,34 @@ def test_heavy_tail_instance_solves():
     assert sol.max_violation <= 1e-8
 
 
-def _flat_model(rows, live):
-    index = FlatVarIndex([f"v_{j}" for j in range(len(live))])
-    model = LpModel.from_rows(
-        index, np.ones(index.total), [LpRow(c, co, s, r, "test") for c, co, s, r in rows]
-    )
-    assert model.live.all()
-    return dataclasses.replace(model, live=np.array(live))
+def _blocks(*rows):
+    """`build_lp`'s row collector over columns 0 (dead) and 1 (live)."""
+    blocks = lp_model._RowBlocks(np.array([False, True]))
+    for col, sense, rhs in rows:
+        blocks.add([1], [col], [1.0], sense, rhs, 0)
+    return blocks
 
 
 def test_rows_of_dead_columns_are_dropped_when_zero_satisfies_them():
-    model = _flat_model([((0,), (1.0,), LE, 0.5), ((1,), (1.0,), GE, 0.25)], [False, True])
-    sol = solve(model)
-    assert sol.status == OPTIMAL
-    assert sol.solved_shape == (1, 1, 1)
-    assert list(sol.values) == pytest.approx([0.0, 0.25], abs=1e-9)
+    arrays = _blocks((0, LE, 0.5), (1, GE, 0.25)).arrays()
+    assert arrays["indptr"].tolist() == [0, 1]
+    assert arrays["indices"].tolist() == [1]
+    assert (arrays["sense"].tolist(), arrays["rhs"].tolist()) == ([GE], [0.25])
 
 
 def test_rows_of_dead_columns_must_be_satisfied_by_zero():
-    model = _flat_model([((0,), (1.0,), GE, 0.5), ((1,), (1.0,), GE, 0.25)], [False, True])
-    with pytest.raises(ModelInconsistencyError):
-        solve(model)
+    with pytest.raises(ModelInconsistencyError, match="only dead columns"):
+        _blocks((0, GE, 0.5), (1, GE, 0.25)).arrays()
+
+
+def test_row_with_dead_column_is_rejected():
+    # build_lp cuts dead terms itself (test_row_that_zero_breaks_keeps_a_live_column);
+    # a model whose row still holds a dead column is refused at construction
+    rows = [LpRow((0,), (1.0,), LE, 0.5, "test"), LpRow((1,), (1.0,), GE, 0.25, "test")]
+    model = LpModel.from_rows(VarIndex(2, 0, ()), np.ones(2), rows)
+    assert model.live.all()
+    with pytest.raises(ModelInconsistencyError, match="row 0 holds dead column x_0"):
+        dataclasses.replace(model, live=np.array([False, True]))
 
 
 def test_pipeline_logs_solver_run(diamond, caplog):

@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
-from twodst.errors import SolverError
 from twodst.lp_model import (
     EQ,
     GE,
     LE,
-    FlatVarIndex,
     LpModel,
     LpRow,
+    VarIndex,
     build_lp,
     congestion_parameter,
-    solution_to_json,
 )
-from twodst.lp_solver import SolverConfig, solution_from_file, solve
+from twodst.lp_solver import SolverConfig, solve
 from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
 
 
 def tiny_model(rows):
-    names = sorted({i for r in rows for i in r[0]})
-    index = FlatVarIndex([f"v_{i}" for i in names])
+    index = VarIndex(1 + max(i for r in rows for i in r[0]), 0, ())
     objective = np.ones(index.total)
     return LpModel.from_rows(
         index, objective, [LpRow(tuple(c), tuple(co), s, r, "test") for c, co, s, r in rows]
@@ -127,46 +124,3 @@ class TestInfeasibility:
         assert sol.status == "infeasible"
         assert sol.certificate.total_relaxation == pytest.approx(0.6, abs=1e-6)
 
-
-class TestEscapeHatch:
-    def test_adopts_external_solution(self, diamond_embedding, tmp_path):
-        _, _, model, _ = diamond_embedding
-        sol = solve(model)
-        path = tmp_path / "sol.json"
-        path.write_text(solution_to_json(sol))
-        adopted = solution_from_file(model, path)
-        assert adopted.status == "optimal"
-        assert adopted.objective == pytest.approx(sol.objective, abs=1e-9)
-
-    def test_rejects_violating_solution(self, diamond_embedding, tmp_path):
-        import json
-
-        _, _, model, _ = diamond_embedding
-        sol = solve(model)
-        doc = json.loads(solution_to_json(sol))
-        doc["values"]["x_0"] = 0.0  # break a binding constraint
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SolverError):
-            solution_from_file(model, path)
-
-    def test_zeroes_dead_columns(self, diamond_embedding, tmp_path):
-        import json
-
-        _, _, model, _ = diamond_embedding
-        sol = solve(model)
-        dead = [model.var_index.name(j) for j in np.flatnonzero(~model.live)]
-        assert dead
-        doc = json.loads(solution_to_json(sol))
-        for name in dead:
-            doc["values"][name] = 0.75
-        path = tmp_path / "dead.json"
-        path.write_text(json.dumps(doc))
-        adopted = solution_from_file(model, path)
-        assert np.array_equal(adopted.values, sol.values)
-        assert adopted.objective == sol.objective
-
-        doc["values"]["x_0"] = 0.0  # and a live row broken as well
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SolverError):
-            solution_from_file(model, path)

@@ -11,7 +11,6 @@ from twodst.shallow_tree import (
     ShallowTreeConfig,
     build_shallow_tree,
     projected_node_count,
-    tree_stats,
     usable_vertices,
 )
 
@@ -28,9 +27,8 @@ def complete_instance(n, terminals):
 class TestFrozenSizes:
     def test_four_vertices_depth_two(self, diamond):
         tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
-        nodes, edges, groups = tree_stats(tree)
-        assert (nodes, edges) == (19, 18)
-        assert groups == {"t": 6}
+        assert (tree.num_nodes, tree.num_edges) == (19, 18)
+        assert {t: len(nodes) for t, nodes in tree.groups.items()} == {"t": 6}
 
     def test_pruning_is_a_noop_when_all_vertices_usable(self, diamond):
         assert usable_vertices(diamond) == diamond.graph.vertices
@@ -40,10 +38,8 @@ class TestFrozenSizes:
 
     def test_two_vertices_depth_one(self, parallel_pair):
         tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
-        nodes, edges, groups = tree_stats(tree)
-        assert (nodes, edges) == (3, 2)
-        assert groups == {"t": 2}
-        assert tree.groups["t"] == frozenset([1, 2])
+        assert (tree.num_nodes, tree.num_edges) == (3, 2)
+        assert tree.groups == {"t": frozenset([1, 2])}
 
     def test_depth_one_groups_are_root_children(self):
         inst = complete_instance(5, ["v3", "v4"])
@@ -177,14 +173,6 @@ class TestLimitsAndDump:
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             ShallowTreeConfig(depth=0)
-
-    def test_dump_format(self, parallel_pair):
-        tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
-        assert tree.dump() == (
-            "node 0 label=r depth=0 parent=-\n"
-            "node 1 label=t depth=1 parent=0\n"
-            "node 2 label=t depth=1 parent=0\n"
-        )
 
     def test_large_depth_is_allowed(self, parallel_pair):
         # depth above log2(h) is fine; sequences just stay short
