@@ -19,7 +19,7 @@ from .exact import ExactConfig, ExactResult, exact_2dst, random_instance
 from .graph import DirectedMultigraph, DstInstance, EdgePath, max_flow_unit
 from .io import dump_instance_json, dump_instance_text, load_instance, parse_instance, save_instance
 from .lp_model import LpModel, LpSolution, build_lp, congestion_parameter, export_lp
-from .lp_solver import SolverConfig, solve
+from .lp_solver import solve
 from .pipeline import PipelineConfig, PipelineResult, make_pipeline_solver, run_pipeline
 from .reductions import (
     DssInstance,
@@ -28,8 +28,8 @@ from .reductions import (
     solve_vertex_2dst,
     vertex_split,
 )
-from .rounding import RoundingConfig, gkr_round, round_solution
-from .shallow_tree import ShallowTree, ShallowTreeConfig, build_shallow_tree
+from .rounding import gkr_round, round_solution
+from .shallow_tree import ShallowTree, build_shallow_tree
 from .solution import SolutionSubgraph
 from .verify import FeasibilityReport, feasibility_report
 
@@ -50,12 +50,9 @@ __all__ = [
     "ModelInconsistencyError",
     "PipelineConfig",
     "PipelineResult",
-    "RoundingConfig",
     "ShallowTree",
-    "ShallowTreeConfig",
     "SizeLimitError",
     "SolutionSubgraph",
-    "SolverConfig",
     "SolverError",
     "TwoDstError",
     "build_lp",

@@ -23,7 +23,7 @@ from .io import load_instance, save_instance
 from .lp_model import build_lp, congestion_parameter, export_lp
 from .pipeline import PipelineConfig, make_pipeline_solver, run_pipeline
 from .reductions import DssInstance, dss_via_dst, dss_vertex_via_dst, solve_vertex_2dst
-from .shallow_tree import ShallowTreeConfig, build_shallow_tree
+from .shallow_tree import build_shallow_tree
 from .solution import SolutionSubgraph
 from .verify import feasibility_report
 
@@ -55,10 +55,6 @@ BENCH_COLUMNS = [
     "t_verify",
     "error",
 ]
-
-# the CLI solves at depth 2 unless told otherwise; every other default is
-# the PipelineConfig one
-CLI_DEPTH = 2
 
 # flag / config-file key -> (PipelineConfig field, type)
 _KEYS = {
@@ -95,7 +91,7 @@ def _pipeline_config(args) -> PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
 
-    chosen = {"depth": CLI_DEPTH}
+    chosen = {}
     for key, (name, kind) in _KEYS.items():
         value = getattr(args, key, None)
         if value is None and key in doc:
@@ -163,7 +159,7 @@ def cmd_exact(args) -> int:
 def cmd_verify(args) -> int:
     instance = _load_rooted(args.instance)
     doc = json.loads(Path(args.solution).read_text())
-    edges = doc["edges"] if isinstance(doc, dict) else doc
+    edges = doc.get("edges") if isinstance(doc, dict) else doc
     if not isinstance(edges, list):
         raise ValueError("solution edges must be a JSON list of integers")
     for k, e in enumerate(edges):
@@ -216,7 +212,7 @@ def cmd_reduce(args) -> int:
 def cmd_lp_export(args) -> int:
     instance = _load_rooted(args.instance)
     config = _pipeline_config(args)
-    tree = build_shallow_tree(instance, ShallowTreeConfig(depth=config.depth))
+    tree = build_shallow_tree(instance, config.depth)
     beta = congestion_parameter(config.depth, instance.num_terminals, config.beta_multiplier)
     model = build_lp(instance, tree, beta)
     text = export_lp(model)
@@ -288,7 +284,7 @@ def cmd_bench(args) -> int:
 def _add_pipeline_flags(sub) -> None:
     defaults = {f.name: f.default for f in fields(PipelineConfig)}
     sub.add_argument(
-        "--depth", type=int, default=None, help=f"tree depth D (default {CLI_DEPTH})"
+        "--depth", type=int, default=None, help=f"tree depth D (default {defaults['depth']})"
     )
     sub.add_argument(
         "--seed", type=int, default=None, help=f"rounding seed (default {defaults['seed']})"

@@ -11,6 +11,7 @@ edge-disjoint paths join two vertices, and gives a minimum cut with it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
@@ -19,7 +20,7 @@ Vertex = Hashable
 
 
 class DirectedMultigraph:
-    """Immutable directed multigraph with non-negative edge costs.
+    """Immutable directed multigraph with finite non-negative edge costs.
 
     Vertices are arbitrary hashable, mutually comparable ids (all str or all
     int in practice). Edge ids are assigned densely in construction order.
@@ -35,8 +36,10 @@ class DirectedMultigraph:
                 raise ValueError(f"edge ({tail!r}, {head!r}) references unknown vertex")
             if tail == head:
                 raise ValueError(f"self-loop at {tail!r} is not allowed")
-            if cost < 0:
-                raise ValueError(f"negative cost {cost} on edge ({tail!r}, {head!r})")
+            if not 0 <= cost < math.inf:
+                raise ValueError(
+                    f"cost {cost} on edge ({tail!r}, {head!r}) is not finite and non-negative"
+                )
             tails.append(tail)
             heads.append(head)
             costs.append(float(cost))

@@ -35,15 +35,30 @@ def parse_instance_json(text: str) -> Instance:
     for key in ("vertices", "edges", "terminals"):
         if key not in doc:
             raise ValueError(f"missing required key {key!r}")
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key!r} must be a JSON list")
     edges = []
     for k, rec in enumerate(doc["edges"]):
         if not isinstance(rec, dict) or not {"tail", "head", "cost"} <= set(rec):
             raise ValueError(f"edge {k} must be an object with tail/head/cost")
-        edges.append((rec["tail"], rec["head"], float(rec["cost"])))
+        cost = rec["cost"]
+        if not isinstance(cost, (int, float)) or isinstance(cost, bool):
+            raise ValueError(f"edge {k} cost must be a number, got {cost!r}")
+        edges.append((rec["tail"], rec["head"], float(cost)))
+    root = doc.get("root")
+    ids = doc["vertices"] + doc["terminals"] + [v for t, h, _ in edges for v in (t, h)]
+    if root is not None:
+        ids.append(root)
+    # vertex ids are hashed and sorted together, so they share one type
+    kinds = {type(v) for v in ids}
+    if not kinds <= {str, int}:
+        raise ValueError("vertex ids must be strings or integers")
+    if len(kinds) > 1:
+        raise ValueError("vertex ids must be all strings or all integers")
     graph = DirectedMultigraph(doc["vertices"], edges)
     terminals = frozenset(doc["terminals"])
-    if "root" in doc and doc["root"] is not None:
-        return DstInstance(graph, doc["root"], terminals)
+    if root is not None:
+        return DstInstance(graph, root, terminals)
     return DssInstance(graph, terminals)
 
 

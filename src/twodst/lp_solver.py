@@ -49,15 +49,6 @@ REPLAY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    max_iterations: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
 class InfeasibilityCertificate:
     """Rows that must be relaxed, with the amounts, to restore feasibility."""
 
@@ -88,18 +79,21 @@ def _split_rows(model: LpModel):
     return (a_ub if len(ub) else None), b_ub, (a_eq if len(b_eq) else None), b_eq
 
 
-def _options(config: SolverConfig) -> dict:
+def _options(max_iterations: Optional[int]) -> dict:
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     options = {
         "presolve": True,
         "primal_feasibility_tolerance": FEAS_TOL,
         "dual_feasibility_tolerance": OPT_TOL,
     }
-    if config.max_iterations is not None:
-        options["maxiter"] = config.max_iterations
+    if max_iterations is not None:
+        options["maxiter"] = max_iterations
     return options
 
 
-def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
+def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
+    options = _options(max_iterations)
     cols = np.flatnonzero(model.live)
     a_ub, b_ub, a_eq, b_eq = _split_rows(model)
     a_ub, a_eq = (None if a is None else a[:, cols] for a in (a_ub, a_eq))
@@ -113,7 +107,7 @@ def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
         b_eq=b_eq if a_eq is not None else None,
         bounds=(0.0, 1.0),
         method="highs",
-        options=_options(config),
+        options=options,
     )
     run = {"model": model, "iterations": int(result.nit), "solved_shape": shape}
     if result.status == 0:
@@ -139,7 +133,7 @@ def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
             **run,
         )
     if result.status == 2:
-        certificate = _infeasibility_certificate(model, config)
+        certificate = _infeasibility_certificate(model, max_iterations)
         return LpSolution(
             values=np.zeros(model.num_vars),
             objective=float("nan"),
@@ -151,7 +145,7 @@ def solve(model: LpModel, config: SolverConfig = SolverConfig()) -> LpSolution:
 
 
 def _infeasibility_certificate(
-    model: LpModel, config: SolverConfig
+    model: LpModel, max_iterations: Optional[int]
 ) -> InfeasibilityCertificate:
     """Minimize the total elastic slack needed to satisfy all rows.
 
@@ -183,7 +177,7 @@ def _infeasibility_certificate(
         b_ub=rhs_ub,
         bounds=bounds,
         method="highs",
-        options=_options(config),
+        options=_options(max_iterations),
     )
     if result.status != 0:
         raise SolverError(f"elastic relaxation failed: {result.message}")

@@ -21,8 +21,8 @@ from .errors import InfeasibleInstanceError, SolverError
 from .graph import DstInstance, max_flow_unit
 from .lp_model import INFEASIBLE, OPTIMAL, build_lp, congestion_parameter
 from .lp_solver import solve
-from .rounding import RoundingConfig, default_iterations, round_solution
-from .shallow_tree import ShallowTreeConfig, build_shallow_tree
+from .rounding import default_iterations, round_solution
+from .shallow_tree import build_shallow_tree
 from .solution import SolutionSubgraph
 from .verify import FeasibilityReport, feasibility_report
 
@@ -34,7 +34,10 @@ BETA_RETRIES = 4
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    depth: int
+    """Every run setting with its one default and its one check; iterations
+    and samples of None mean the analytic J and L."""
+
+    depth: int = 2
     seed: int = 0
     beta_multiplier: float = 1.0
     iterations: Optional[int] = None
@@ -43,6 +46,14 @@ class PipelineConfig:
     prune: bool = False
 
     def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.iterations is not None and self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if self.beta_multiplier <= 0:
+            raise ValueError("beta_multiplier must be positive")
         if self.iteration_multiplier <= 0:
             raise ValueError("iteration_multiplier must be positive")
 
@@ -82,7 +93,7 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     timings["preflight"] = clock() - t0
 
     t0 = clock()
-    tree = build_shallow_tree(instance, ShallowTreeConfig(depth=config.depth))
+    tree = build_shallow_tree(instance, config.depth)
     timings["tree"] = clock() - t0
     log.info("tree built: %d nodes, %d edges", tree.num_nodes, tree.num_edges)
 
@@ -111,16 +122,12 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     )
 
     t0 = clock()
-    iterations = config.iterations or default_iterations(
-        config.depth, g.num_vertices, config.iteration_multiplier
+    iterations = config.iterations
+    if iterations is None:
+        iterations = default_iterations(config.depth, g.num_vertices, config.iteration_multiplier)
+    solution = round_solution(
+        instance, tree, lp, config.seed, iterations, config.samples, config.prune
     )
-    rounding = RoundingConfig(
-        seed=config.seed,
-        iterations=iterations,
-        samples=config.samples,
-        prune_result=config.prune,
-    )
-    solution = round_solution(instance, tree, lp, rounding)
     timings["round"] = clock() - t0
 
     t0 = clock()

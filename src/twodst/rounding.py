@@ -42,20 +42,6 @@ SUPPORT_TOL = 1e-9
 STRIP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RoundingConfig:
-    seed: int
-    iterations: Optional[int] = None  # override for the outer loop count J
-    samples: Optional[int] = None  # override for the per-tree-edge count L
-    prune_result: bool = False
-
-    def __post_init__(self):
-        if self.iterations is not None and self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be >= 1")
-
-
 def default_iterations(depth: int, num_vertices: int, multiplier: float = 1.0) -> int:
     """Outer loop count: ceil(multiplier * 20 * D * ln n), floored at 1."""
     return max(1, math.ceil(multiplier * 20.0 * depth * math.log(num_vertices)))
@@ -258,20 +244,23 @@ class IterationSampler:
 
     Random stream of one iteration: `tree.num_edges` uniforms for marking,
     then `samples` uniforms per marked tree edge, in ascending edge order.
+    `samples` defaults to `default_samples` of the model's beta.
     """
 
-    def __init__(self, instance: DstInstance, tree: ShallowTree, lp: LpSolution, config: RoundingConfig):
+    def __init__(
+        self, instance: DstInstance, tree: ShallowTree, lp: LpSolution,
+        samples: Optional[int] = None,
+    ):
         self.instance = instance
         self.tree = tree
         self.lp = lp
-        self.config = config
         self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
         self.clamped = monotone_clamp(tree, self.raw_xhat)
         self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
         self._thresholds = _marking_thresholds(tree, self.clamped)
         beta = lp.model.beta
-        if config.samples is not None:
-            self.samples = config.samples
+        if samples is not None:
+            self.samples = samples
         elif beta is not None:
             self.samples = default_samples(beta, tree.depth)
         else:
@@ -338,9 +327,14 @@ def round_solution(
     instance: DstInstance,
     tree: ShallowTree,
     lp: LpSolution,
-    config: RoundingConfig,
+    seed: int,
+    iterations: int,
+    samples: Optional[int] = None,
+    prune: bool = False,
 ) -> SolutionSubgraph:
-    """Union of J independent rounding iterations, verified and annotated.
+    """Union of `iterations` (J) independent rounding iterations, verified
+    and annotated; `samples` (L) is passed on to `IterationSampler`, and
+    `prune` reverse-deletes the union.
 
     An edge's provenance is the (iteration, tree edge, sample index) of the
     first draw whose path contains it. Within an iteration only the first
@@ -351,10 +345,7 @@ def round_solution(
 
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
-    sampler = IterationSampler(instance, tree, lp, config)
-    iterations = config.iterations or default_iterations(
-        tree.depth, instance.graph.num_vertices
-    )
+    sampler = IterationSampler(instance, tree, lp, samples)
 
     edges: set[int] = set()
     provenance: dict[int, tuple] = {}
@@ -363,7 +354,7 @@ def round_solution(
     last_new = 0
     samples = sampler.samples
     for j in range(1, iterations + 1):
-        marked, path_ids = sampler.draw(np.random.default_rng((config.seed, j)))
+        marked, path_ids = sampler.draw(np.random.default_rng((seed, j)))
         drawn += len(path_ids)
         ids, first = np.unique(path_ids, return_index=True)
         order = np.argsort(first)
@@ -382,20 +373,18 @@ def round_solution(
         iterations, drawn, len(seen), last_new,
     )
 
-    pruned = False
-    if config.prune_result:
+    if prune:
         edges = set(reverse_delete(instance, edges))
         provenance = {e: p for e, p in provenance.items() if e in edges}
-        pruned = True
 
     report = feasibility_report(instance, edges)
     meta = {
-        "seed": config.seed,
+        "seed": seed,
         "iterations": iterations,
         "samples": sampler.samples,
         "beta": lp.model.beta,
         "lp_objective": lp.objective,
         "feasible": report.feasible,
-        "pruned": pruned,
+        "pruned": prune,
     }
     return SolutionSubgraph.from_edges(instance.graph, edges, provenance, meta)

@@ -19,7 +19,6 @@ which lets top-down passes run one numpy step per level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,18 +27,6 @@ from .errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitE
 from .graph import DstInstance, reachable_set
 
 DEFAULT_MAX_NODES = 200_000
-
-
-@dataclass(frozen=True)
-class ShallowTreeConfig:
-    depth: int
-    max_nodes: int = DEFAULT_MAX_NODES
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
 class ShallowTree:
@@ -128,7 +115,11 @@ def usable_vertices(instance: DstInstance) -> frozenset:
     return frozenset(forward & backward)
 
 
-def build_shallow_tree(instance: DstInstance, config: ShallowTreeConfig) -> ShallowTree:
+def build_shallow_tree(
+    instance: DstInstance, depth: int, max_nodes: int = DEFAULT_MAX_NODES
+) -> ShallowTree:
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     keep = usable_vertices(instance)
     if instance.root not in keep:
         raise InfeasibleInstanceError("root cannot reach any terminal")
@@ -138,9 +129,9 @@ def build_shallow_tree(instance: DstInstance, config: ShallowTreeConfig) -> Shal
             f"terminals unreachable from root: {sorted(lost, key=str)}"
         )
 
-    projected = projected_node_count(len(keep), config.depth)
-    if projected > config.max_nodes:
-        raise SizeLimitError("tree would be too large", projected, config.max_nodes)
+    projected = projected_node_count(len(keep), depth)
+    if projected > max_nodes:
+        raise SizeLimitError("tree would be too large", projected, max_nodes)
 
     pool = sorted(keep - {instance.root})
     labels = [instance.root]
@@ -157,7 +148,7 @@ def build_shallow_tree(instance: DstInstance, config: ShallowTreeConfig) -> Shal
     while head < len(queue):
         parent, copy = queue[head]
         head += 1
-        if depths[parent] == config.depth:
+        if depths[parent] == depth:
             continue
         for v in pool:
             if v in banned[parent]:
@@ -181,5 +172,5 @@ def build_shallow_tree(instance: DstInstance, config: ShallowTreeConfig) -> Shal
             f"tree has {len(labels)} nodes but the closed form projects {projected}"
         )
 
-    return ShallowTree(config.depth, labels, depths, parents, copies, children, groups)
+    return ShallowTree(depth, labels, depths, parents, copies, children, groups)
 

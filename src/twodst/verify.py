@@ -194,22 +194,24 @@ def survival_estimate(
     instance: DstInstance,
     tree: ShallowTree,
     lp: LpSolution,
-    config,
+    seed: int,
     e: int,
     t,
     trials: int,
+    samples: Optional[int] = None,
 ) -> SurvivalEstimate:
     """Empirical probability that one rounding iteration connects the
-    root to terminal t without using graph edge e."""
+    root to terminal t without using graph edge e; trial j draws from
+    `default_rng((seed, j))`, as rounding iteration j does."""
     from .rounding import IterationSampler  # deferred: avoids an import cycle
 
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sampler = IterationSampler(instance, tree, lp, config)
+    sampler = IterationSampler(instance, tree, lp, samples)
     g = instance.graph
     successes = 0
     for j in range(1, trials + 1):
-        rng = np.random.default_rng((config.seed, j))
+        rng = np.random.default_rng((seed, j))
         edges = sampler.sample_edges(rng) - {e}
         if t in reachable_set(g, instance.root, restrict_to=edges):
             successes += 1

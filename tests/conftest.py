@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.lp_model import build_lp, congestion_parameter
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.shallow_tree import build_shallow_tree
 
 # Hypothesis imports libcst while it explains a failure, and libcst warns
 # about mypy_extensions on import; under `-W error` that warning turned a
@@ -86,7 +86,7 @@ def diamond_embedding(diamond):
     The point buys all four edges and routes copy 1 through a and copy 2
     through b: a feasible certificate the model must accept.
     """
-    tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+    tree = build_shallow_tree(diamond, 2)
     beta = congestion_parameter(2, 1)
     model = build_lp(diamond, tree, beta)
     idx = model.var_index

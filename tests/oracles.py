@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 
 from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
-from twodst.rounding import SUPPORT_TOL, decompose_flow, default_iterations, default_samples
+from twodst.rounding import SUPPORT_TOL, decompose_flow, default_samples
 from twodst.solution import SolutionSubgraph
 from twodst.verify import feasibility_report, reverse_delete
 
@@ -470,14 +470,14 @@ def reference_sample_path(dist, rng):
 class ReferenceSampler:
     """One rounding iteration, one scalar draw per sampled path."""
 
-    def __init__(self, instance, tree, lp, config):
+    def __init__(self, instance, tree, lp, samples=None):
         self.instance = instance
         self.tree = tree
         self.lp = lp
         self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
         self.clamped = reference_clamp(tree, self.raw_xhat)
         self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
-        self.samples = config.samples or default_samples(lp.model.beta, tree.depth)
+        self.samples = samples or default_samples(lp.model.beta, tree.depth)
         self._distributions = {}
 
     def distribution(self, ehat):
@@ -498,30 +498,31 @@ class ReferenceSampler:
         return draws
 
 
-def reference_round(instance, tree, lp, config) -> SolutionSubgraph:
+def reference_round(
+    instance, tree, lp, seed, iterations, samples=None, prune=False
+) -> SolutionSubgraph:
     """The rounding loop in draw order: each edge's provenance is the first
     draw whose path contains it."""
-    sampler = ReferenceSampler(instance, tree, lp, config)
-    iterations = config.iterations or default_iterations(tree.depth, instance.graph.num_vertices)
+    sampler = ReferenceSampler(instance, tree, lp, samples)
     edges: set = set()
     provenance: dict = {}
     for j in range(1, iterations + 1):
-        rng = np.random.default_rng((config.seed, j))
+        rng = np.random.default_rng((seed, j))
         for ehat, ell, path in sampler.sample_draws(rng):
             for e in path.edges:
                 if e not in edges:
                     edges.add(e)
                     provenance[e] = (j, ehat, ell)
-    if config.prune_result:
+    if prune:
         edges = set(reverse_delete(instance, edges))
         provenance = {e: p for e, p in provenance.items() if e in edges}
     meta = {
-        "seed": config.seed,
+        "seed": seed,
         "iterations": iterations,
         "samples": sampler.samples,
         "beta": lp.model.beta,
         "lp_objective": lp.objective,
         "feasible": feasibility_report(instance, edges).feasible,
-        "pruned": config.prune_result,
+        "pruned": prune,
     }
     return SolutionSubgraph.from_edges(instance.graph, edges, provenance, meta)

@@ -26,8 +26,8 @@ from twodst.lp_model import build_lp, congestion_parameter
 from twodst.lp_solver import solve
 from twodst.pipeline import PipelineConfig, run_pipeline
 from twodst.reductions import DssInstance, dss_via_dst, solve_vertex_2dst
-from twodst.rounding import IterationSampler, RoundingConfig, gkr_round, sample_path
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.rounding import IterationSampler, gkr_round, sample_path
+from twodst.shallow_tree import build_shallow_tree
 from twodst.solution import SolutionSubgraph
 from twodst.verify import (
     feasibility_report,
@@ -52,7 +52,7 @@ def _report(name, ok, detail=""):
 
 
 def _solve_depth2(instance):
-    tree = build_shallow_tree(instance, ShallowTreeConfig(depth=DEPTH))
+    tree = build_shallow_tree(instance, DEPTH)
     model = build_lp(instance, tree, congestion_parameter(DEPTH, instance.num_terminals))
     lp = solve(model)
     assert lp.status == "optimal", f"relaxation not solved: {lp.status}"
@@ -113,7 +113,7 @@ def marking_stats(solved5):
     """Per instance: marking counts per tree edge and group-connection counts."""
     stats = []
     for i, (inst, tree, lp) in enumerate(solved5):
-        sampler = IterationSampler(inst, tree, lp, RoundingConfig(seed=0, samples=1))
+        sampler = IterationSampler(inst, tree, lp, samples=1)
         group_paths = {}
         for t, group in tree.groups.items():
             reqs = []
@@ -255,7 +255,7 @@ def test_flow_slack(fifty_runs, solved5):
 def test_iteration_cost(solved5):
     worst_ratio = 0.0
     for i, (inst, tree, lp) in enumerate(solved5):
-        sampler = IterationSampler(inst, tree, lp, RoundingConfig(seed=0))
+        sampler = IterationSampler(inst, tree, lp)
         budget = sampler.samples * lp.model.beta * lp.objective
         rng = np.random.default_rng((1213, i))
         total = 0.0

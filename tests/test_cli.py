@@ -103,6 +103,13 @@ def test_solve_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_rejects_malformed_instance(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": ["r", "t"], "edges": [], "root": "r", "terminals": 5}))
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: 'terminals' must be a JSON list")
+
+
 def test_solve_rejects_unrooted(tmp_path, capsys):
     g = DirectedMultigraph(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)])
     path = tmp_path / "pair.json"
@@ -120,10 +127,8 @@ def test_config_file_and_flag_precedence(diamond_file, tmp_path, capsys):
     assert "seed=11" in text  # flag beats file
     assert "depth=2" in text  # file beats built-in default
     assert "iterations=56" in text  # iter_mult 1.0 from file: 20 * 2 * ln 4 -> 56
-    # no flags and no file: the PipelineConfig defaults, at the CLI's depth 2
-    assert _pipeline_config(build_parser().parse_args(["solve", "x.json"])) == PipelineConfig(
-        depth=2
-    )
+    # no flags and no file: the PipelineConfig defaults
+    assert _pipeline_config(build_parser().parse_args(["solve", "x.json"])) == PipelineConfig()
 
 
 def test_config_file_unknown_key(diamond_file, tmp_path, capsys):
@@ -143,6 +148,24 @@ def test_config_file_wrong_type(diamond_file, tmp_path, capsys, key, value):
     config.write_text(json.dumps({key: value}))
     assert main(["solve", str(diamond_file), "--config", str(config)]) == EXIT_ERROR
     assert f"error: config file key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field", ["depth", "iterations", "samples", "beta_multiplier", "iteration_multiplier"]
+)
+def test_pipeline_config_rejects(field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        PipelineConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_solve_rejects_zero_iterations(diamond_file, tmp_path, capsys, how):
+    # an explicit 0 is an error, not a request for the default count
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"iters": 0}))
+    extra = ["--iters", "0"] if how == "flag" else ["--config", str(config)]
+    assert main(["solve", str(diamond_file), *extra]) == EXIT_ERROR
+    assert "error: iterations must be >= 1" in capsys.readouterr().err
 
 
 def test_config_file_not_an_object(diamond_file, tmp_path, capsys):
@@ -209,11 +232,13 @@ def test_verify_bad_solution(diamond_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edges, bad", [(["0", 1, 2, 3], "edge 0 is '0'"), ([0, 1, 2, 3.5], "edge 3 is 3.5"),
-                   ([0, True, 2, 3], "edge 1 is True"), ({"0": 1}, "JSON list")],
+                   ([0, True, 2, 3], "edge 1 is True"), ({"edges": {"0": 1}}, "JSON list"),
+                   ({"solution": [0, 1, 2, 3]}, "JSON list")],
 )
 def test_verify_malformed_solution(diamond_file, tmp_path, capsys, edges, bad):
+    # `edges` is the whole solution file: a bare list or an object
     sol = tmp_path / "sol.json"
-    sol.write_text(json.dumps({"edges": edges}))
+    sol.write_text(json.dumps(edges))
     assert main(["verify", str(diamond_file), str(sol)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and bad in err

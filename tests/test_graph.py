@@ -53,6 +53,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedMultigraph([0, 1], [(0, 1, -0.5)])
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="not finite and non-negative"):
+            DirectedMultigraph([0, 1], [(0, 1, cost)])
+
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(ValueError):
             DirectedMultigraph([0, 1], [(0, 2, 1.0)])

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from twodst.graph import DstInstance
@@ -53,6 +55,40 @@ class TestJson:
         with pytest.raises(ValueError, match="JSON"):
             parse_instance_json("{nope")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"terminals": 5}, "'terminals' must be a JSON list"),
+            ({"terminals": "t"}, "'terminals' must be a JSON list"),
+            ({"vertices": {"r": 1, "t": 2}}, "'vertices' must be a JSON list"),
+            ({"terminals": [["t"]]}, "strings or integers"),
+            ({"root": 1.5}, "strings or integers"),
+            ({"vertices": ["r", "t", True]}, "strings or integers"),
+            ({"vertices": ["r", "t", 3]}, "all strings or all integers"),
+            ({"edges": [{"tail": "r", "head": "t", "cost": True}]}, "edge 0 cost must be a number"),
+            ({"edges": [{"tail": "r", "head": "t", "cost": "1"}]}, "edge 0 cost must be a number"),
+        ],
+    )
+    def test_malformed_values_rejected(self, change, message):
+        doc = {"vertices": ["r", "t"], "edges": [{"tail": "r", "head": "t", "cost": 1}],
+               "root": "r", "terminals": ["t"], **change}
+        with pytest.raises(ValueError, match=message):
+            parse_instance_json(json.dumps(doc))
+
+    def test_integer_vertex_ids(self):
+        inst = parse_instance_json(
+            '{"vertices": [0, 1], "edges": [{"tail": 0, "head": 1, "cost": 2}], '
+            '"root": 0, "terminals": [1]}'
+        )
+        assert inst.graph.edge(0) == (0, 1, 2.0)
+
+    @pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cost_rejected(self, cost):
+        text = ('{"vertices": ["r", "t"], "edges": [{"tail": "r", "head": "t", "cost": %s}], '
+                '"root": "r", "terminals": ["t"]}' % cost)
+        with pytest.raises(ValueError, match="not finite"):
+            parse_instance_json(text)
+
 
 class TestText:
     def test_parse_rooted(self):
@@ -88,6 +124,11 @@ class TestText:
         inst = DstInstance(g, "r", frozenset(["t"]))
         back = parse_instance_text(dump_instance_text(inst))
         assert back.graph.costs == g.costs
+
+    @pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_instance_text(f"p 2dst 2 1\ne r t {cost}\nr r\nt t\n")
 
     def test_pairwise_header(self, diamond):
         inst = DssInstance(diamond.graph, frozenset(["a", "t"]))

@@ -24,13 +24,13 @@ from twodst.lp_model import (
     build_lp,
     congestion_parameter,
 )
-from twodst.lp_solver import SolverConfig, solve
+from twodst.lp_solver import solve
 from twodst.pipeline import PipelineConfig, run_pipeline
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.shallow_tree import build_shallow_tree
 
 
 def _model(inst, depth, beta=None):
-    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+    tree = build_shallow_tree(inst, depth)
     if beta is None:
         beta = congestion_parameter(depth, inst.num_terminals)
     return tree, build_lp(inst, tree, beta)
@@ -116,7 +116,7 @@ def test_heavy_tail_instance_solves():
     # the full LP of this instance ran for minutes in HiGHS; the live
     # columns solve in about a thousand iterations
     _, model = _model(random_instance(12, 40, 3, seed=25), 2)
-    sol = solve(model, SolverConfig(max_iterations=20_000))
+    sol = solve(model, max_iterations=20_000)
     assert sol.status == OPTIMAL
     assert sol.max_violation <= 1e-8
 

@@ -24,7 +24,7 @@ from twodst.lp_model import (
     replay_constraints,
 )
 from twodst.lp_solver import _split_rows, solve
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.shallow_tree import build_shallow_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,13 +54,13 @@ class TestCongestionParameter:
 
 class TestVarIndex:
     def test_counts_for_parallel_pair(self, parallel_pair):
-        tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
+        tree = build_shallow_tree(parallel_pair, 1)
         idx = VarIndex(parallel_pair.graph.num_edges, tree.num_edges, parallel_pair.terminals)
         # m + |tree edges| + h*|tree| + |tree|*m + h*|tree|*m
         assert idx.total == 2 + 2 + 2 + 4 + 4 == 14
 
     def test_bijection(self, parallel_pair):
-        tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
+        tree = build_shallow_tree(parallel_pair, 1)
         idx = VarIndex(2, tree.num_edges, parallel_pair.terminals)
         names = [idx.name(j) for j in range(idx.total)]
         assert len(names) == len(set(names)) == idx.total
@@ -85,25 +85,25 @@ class TestVarIndex:
 
 class TestBuildLp:
     def test_variable_count_formula(self, parallel_pair):
-        tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
+        tree = build_shallow_tree(parallel_pair, 1)
         model = build_lp(parallel_pair, tree, beta=congestion_parameter(1, 1))
         assert model.num_vars == 14
 
     def test_one_lower_bound_row_per_terminal(self, diamond):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         model = build_lp(diamond, tree, beta=4)
         ge_rows = [r for r in model.rows if r.family == "gst" and r.sense == GE]
         assert len(ge_rows) == diamond.num_terminals
         assert all(r.rhs == 2.0 for r in ge_rows)
 
     def test_families_are_tagged(self, diamond):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         model = build_lp(diamond, tree, beta=4)
         assert {r.family for r in model.rows} == {"gst", "cong", "div"}
 
     def test_projection_matches_built_size(self, parallel_pair, diamond, multicover):
         for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
-            tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+            tree = build_shallow_tree(inst, depth)
             model = build_lp(inst, tree, beta=4)
             assert model.nonzeros() == live_nonzeros(inst, tree, model.live)
             full = LpModel.from_rows(model.var_index, model.objective, reference_rows(inst, tree, 4))
@@ -111,7 +111,7 @@ class TestBuildLp:
             assert model.nonzeros() <= projected_nonzeros(inst, tree)
 
     def test_row_that_zero_breaks_keeps_a_live_column(self, diamond, monkeypatch):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         real = lp_model.live_columns
 
         def no_fhat(*args):
@@ -124,19 +124,19 @@ class TestBuildLp:
             build_lp(diamond, tree, beta=4)
 
     def test_live_count_disagreeing_with_built_size_raises(self, diamond, monkeypatch):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         monkeypatch.setattr(lp_model, "live_nonzeros", lambda *args: 0)
         with pytest.raises(ModelInconsistencyError, match="live nonzero count"):
             build_lp(diamond, tree, beta=4)
 
     def test_objective_is_edge_costs(self, diamond):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         model = build_lp(diamond, tree, beta=4)
         assert list(model.objective[:4]) == [1.0, 1.0, 1.0, 1.0]
         assert not model.objective[4:].any()
 
     def test_size_cap(self, diamond):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         with pytest.raises(SizeLimitError) as err:
             build_lp(diamond, tree, beta=4, max_nonzeros=100)
         assert err.value.projected > 100
@@ -171,7 +171,7 @@ class TestBuildLp:
 class TestExport:
     @pytest.fixture
     def model(self, parallel_pair):
-        tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
+        tree = build_shallow_tree(parallel_pair, 1)
         return build_lp(parallel_pair, tree, beta=2)
 
     def test_byte_identical(self, model):
@@ -189,7 +189,7 @@ class TestExport:
     def test_matches_golden_text(self, request, fixture, depth, beta, golden):
         # the goldens hold the full model; the export is its live part
         inst = request.getfixturevalue(fixture)
-        tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+        tree = build_shallow_tree(inst, depth)
         model = build_lp(inst, tree, beta=beta)
         dead = {model.var_index.name(j) for j in np.flatnonzero(~reference_live(inst, tree))}
         expected = (DATA / golden).read_text()
@@ -243,7 +243,7 @@ def _replay_by_rows(rows, values):
 
 
 def _check_against_reference(inst, depth, beta, seed):
-    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+    tree = build_shallow_tree(inst, depth)
     model = build_lp(inst, tree, beta)
     full = reference_rows(inst, tree, beta)
     ref = reference_live_rows(inst, tree, beta)

@@ -11,8 +11,8 @@ from twodst.lp_model import (
     build_lp,
     congestion_parameter,
 )
-from twodst.lp_solver import SolverConfig, solve
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.lp_solver import solve
+from twodst.shallow_tree import build_shallow_tree
 
 
 def tiny_model(rows):
@@ -43,14 +43,15 @@ class TestBasics:
         assert sol.values[0] <= 1.0 + 1e-12
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
+        model = tiny_model([((0,), (1.0,), GE, 0.9)])
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            solve(model, max_iterations=0)
 
 
 class TestOnRealModels:
     @pytest.fixture
     def diamond_model(self, diamond):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         return build_lp(diamond, tree, beta=congestion_parameter(2, 1))
 
     def test_diamond_objective_bracket(self, diamond_model):
@@ -69,7 +70,7 @@ class TestOnRealModels:
         assert a.objective == b.objective
 
     def test_iteration_limit_is_explicit(self, diamond_model):
-        sol = solve(diamond_model, SolverConfig(max_iterations=1))
+        sol = solve(diamond_model, max_iterations=1)
         assert sol.status == "limit"
         assert np.isnan(sol.objective)
 
@@ -77,7 +78,7 @@ class TestOnRealModels:
 class TestInfeasibility:
     @pytest.fixture
     def infeasible_model(self, chain):
-        tree = build_shallow_tree(chain, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(chain, 2)
         return build_lp(chain, tree, beta=100.0)
 
     def test_status_and_certificate(self, infeasible_model):

@@ -29,7 +29,6 @@ from twodst.pipeline import PipelineConfig, run_pipeline
 from twodst.rounding import (
     IterationSampler,
     PathDistribution,
-    RoundingConfig,
     _marking_thresholds,
     decompose_flow,
     default_iterations,
@@ -39,7 +38,7 @@ from twodst.rounding import (
     round_solution,
     sample_path,
 )
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.shallow_tree import build_shallow_tree
 from twodst.verify import reverse_delete
 
 DATA = Path(__file__).parent / "data"
@@ -53,7 +52,7 @@ def _instance(vertices, edges, root, terminals):
 def pair_tree():
     """Depth-1 tree over two parallel r -> t edges: two root tree edges."""
     inst = _instance(["r", "t"], [("r", "t", 1.0), ("r", "t", 1.0)], "r", ["t"])
-    return build_shallow_tree(inst, ShallowTreeConfig(depth=1))
+    return build_shallow_tree(inst, 1)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def chain_tree():
     inst = _instance(
         ["r", "a", "t"], [("r", "a", 1.0), ("a", "t", 1.0)], "r", ["t"]
     )
-    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=2))
+    tree = build_shallow_tree(inst, 2)
     assert tree.parent_edge(4) == 0
     return tree
 
@@ -75,7 +74,7 @@ def solved_diamond():
         "r",
         ["t"],
     )
-    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=2))
+    tree = build_shallow_tree(inst, 2)
     model = build_lp(inst, tree, congestion_parameter(2, 1))
     lp = solve(model)
     assert lp.status == "optimal"
@@ -190,7 +189,7 @@ def test_decompose_discards_disjoint_cycle():
         [("r", "t", 1.0), ("a", "b", 1.0), ("b", "a", 1.0)],
     )
     inst = DstInstance(g, "r", frozenset(["t"]))
-    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=1))
+    tree = build_shallow_tree(inst, 1)
     dist = decompose_flow(g, tree, 0, {0: 0.5, 1: 0.2, 2: 0.2}, 0.5)
     assert [p.edges for p in dist.paths] == [(0,)]
     assert dist.weights == (1.0,)
@@ -277,19 +276,11 @@ def test_default_samples_examples():
     assert default_samples(100, 1) == 1
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RoundingConfig(seed=1, iterations=0)
-    with pytest.raises(ValueError):
-        RoundingConfig(seed=1, samples=0)
-    RoundingConfig(seed=1)  # defaults are fine
-
-
 # --------------------------------------------------------------- sampler
 
 def test_sampler_edges_within_flow_support(solved_diamond):
     inst, tree, lp = solved_diamond
-    sampler = IterationSampler(inst, tree, lp, RoundingConfig(seed=2))
+    sampler = IterationSampler(inst, tree, lp)
     support = {
         e
         for e in range(inst.graph.num_edges)
@@ -302,7 +293,7 @@ def test_sampler_edges_within_flow_support(solved_diamond):
 
 def test_sampler_is_deterministic(solved_diamond):
     inst, tree, lp = solved_diamond
-    sampler = IterationSampler(inst, tree, lp, RoundingConfig(seed=9))
+    sampler = IterationSampler(inst, tree, lp)
     a = sampler.sample_edges(np.random.default_rng((9, 1)))
     b = sampler.sample_edges(np.random.default_rng((9, 1)))
     assert a == b
@@ -310,7 +301,7 @@ def test_sampler_is_deterministic(solved_diamond):
 
 def test_sampler_draw_shape(solved_diamond):
     inst, tree, lp = solved_diamond
-    sampler = IterationSampler(inst, tree, lp, RoundingConfig(seed=4, samples=3))
+    sampler = IterationSampler(inst, tree, lp, samples=3)
     draws = sampler.sample_draws(np.random.default_rng((4, 1)))
     marked = sorted({ehat for ehat, _, _ in draws})
     for ehat in marked:
@@ -328,12 +319,12 @@ def test_round_requires_optimal(solved_diamond):
     inst = solved_diamond[0]
     stuck = LpSolution(lp.model, np.zeros(lp.model.num_vars), float("nan"), "limit")
     with pytest.raises(ValueError):
-        round_solution(inst, tree, stuck, RoundingConfig(seed=1))
+        round_solution(inst, tree, stuck, 1, 1)
 
 
 def test_round_diamond(solved_diamond):
     inst, tree, lp = solved_diamond
-    sol = round_solution(inst, tree, lp, RoundingConfig(seed=11))
+    sol = round_solution(inst, tree, lp, 11, default_iterations(2, 4))
     assert sol.meta["feasible"] is True
     assert sol.cost == pytest.approx(4.0)
     assert set(sol.provenance) == set(sol.edges)
@@ -348,8 +339,8 @@ def test_round_diamond(solved_diamond):
 
 def test_round_is_deterministic(solved_diamond):
     inst, tree, lp = solved_diamond
-    a = round_solution(inst, tree, lp, RoundingConfig(seed=21))
-    b = round_solution(inst, tree, lp, RoundingConfig(seed=21))
+    a = round_solution(inst, tree, lp, 21, default_iterations(2, 4))
+    b = round_solution(inst, tree, lp, 21, default_iterations(2, 4))
     assert a.edges == b.edges
     assert a.provenance == b.provenance
     assert a.meta == b.meta
@@ -357,7 +348,7 @@ def test_round_is_deterministic(solved_diamond):
 
 def test_round_iteration_override(solved_diamond):
     inst, tree, lp = solved_diamond
-    sol = round_solution(inst, tree, lp, RoundingConfig(seed=5, iterations=3, samples=2))
+    sol = round_solution(inst, tree, lp, 5, 3, samples=2)
     assert sol.meta["iterations"] == 3
     assert sol.meta["samples"] == 2
     assert max(j for j, _, _ in sol.provenance.values()) <= 3
@@ -365,8 +356,8 @@ def test_round_iteration_override(solved_diamond):
 
 def test_round_with_pruning(solved_diamond):
     inst, tree, lp = solved_diamond
-    plain = round_solution(inst, tree, lp, RoundingConfig(seed=11))
-    pruned = round_solution(inst, tree, lp, RoundingConfig(seed=11, prune_result=True))
+    plain = round_solution(inst, tree, lp, 11, default_iterations(2, 4))
+    pruned = round_solution(inst, tree, lp, 11, default_iterations(2, 4), prune=True)
     assert pruned.meta["pruned"] is True
     assert pruned.meta["feasible"] is True
     assert pruned.cost <= plain.cost
@@ -395,7 +386,7 @@ def test_reverse_delete_drops_redundant_edge():
 # ------------------------------------------- batched draws vs the reference
 
 def _solved(instance, depth):
-    tree = build_shallow_tree(instance, ShallowTreeConfig(depth=depth))
+    tree = build_shallow_tree(instance, depth)
     lp = solve(build_lp(instance, tree, congestion_parameter(depth, instance.num_terminals)))
     return tree, lp
 
@@ -420,7 +411,7 @@ def depth3_tree():
         "r",
         ["t"],
     )
-    return build_shallow_tree(inst, ShallowTreeConfig(depth=3))
+    return build_shallow_tree(inst, 3)
 
 
 @pytest.mark.parametrize("name, seed", [("diamond", 11), ("multicover", 1)])
@@ -435,18 +426,19 @@ def test_pipeline_matches_golden(request, name, seed):
 @pytest.mark.parametrize(
     "name, depth, config",
     [
-        ("diamond", 2, RoundingConfig(seed=11)),
-        ("diamond", 2, RoundingConfig(seed=3, iterations=4, samples=2, prune_result=True)),
-        ("parallel_pair", 1, RoundingConfig(seed=5)),
-        ("multicover", 2, RoundingConfig(seed=1)),
-        ("multicover", 2, RoundingConfig(seed=8, iterations=6, samples=3, prune_result=True)),
+        ("diamond", 2, {"seed": 11}),
+        ("diamond", 2, {"seed": 3, "iterations": 4, "samples": 2, "prune": True}),
+        ("parallel_pair", 1, {"seed": 5}),
+        ("multicover", 2, {"seed": 1}),
+        ("multicover", 2, {"seed": 8, "iterations": 6, "samples": 3, "prune": True}),
     ],
 )
 def test_round_matches_reference(request, name, depth, config):
     inst = request.getfixturevalue(name)
     tree, lp = _solved(inst, depth)
-    got = round_solution(inst, tree, lp, config).to_json(inst.graph)
-    assert got == reference_round(inst, tree, lp, config).to_json(inst.graph)
+    config = {"iterations": default_iterations(depth, inst.graph.num_vertices), **config}
+    got = round_solution(inst, tree, lp, **config).to_json(inst.graph)
+    assert got == reference_round(inst, tree, lp, **config).to_json(inst.graph)
 
 
 def _multicover_paths(g, ehat):
@@ -491,9 +483,9 @@ def test_round_matches_reference_on_overlapping_paths(request, monkeypatch, name
 
     monkeypatch.setattr(rounding, "decompose_flow", fake)
     monkeypatch.setattr(oracles, "decompose_flow", fake)
-    for config in (RoundingConfig(seed=2, iterations=40), RoundingConfig(seed=9, iterations=5)):
-        got = round_solution(inst, tree, lp, config).to_json(g)
-        assert got == reference_round(inst, tree, lp, config).to_json(g)
+    for seed, iterations in ((2, 40), (9, 5)):
+        got = round_solution(inst, tree, lp, seed, iterations).to_json(g)
+        assert got == reference_round(inst, tree, lp, seed, iterations).to_json(g)
 
 
 @settings(max_examples=30)
@@ -509,9 +501,8 @@ def test_round_matches_reference_on_random_instances(n, extra, h, depth, seed, i
     inst = random_instance(n, 2 * h + extra, h, seed=seed)
     tree, lp = _solved(inst, depth)
     assume(lp.status == OPTIMAL)
-    config = RoundingConfig(seed=seed, iterations=iterations)
-    got = round_solution(inst, tree, lp, config).to_json(inst.graph)
-    assert got == reference_round(inst, tree, lp, config).to_json(inst.graph)
+    got = round_solution(inst, tree, lp, seed, iterations).to_json(inst.graph)
+    assert got == reference_round(inst, tree, lp, seed, iterations).to_json(inst.graph)
 
 
 @given(
@@ -548,9 +539,8 @@ def test_subnormal_parent_caps_the_ratio(depth3_tree):
 def test_sample_draws_match_reference(request, name, depth):
     inst = request.getfixturevalue(name)
     tree, lp = _solved(inst, depth)
-    config = RoundingConfig(seed=4)
-    sampler = IterationSampler(inst, tree, lp, config)
-    reference = ReferenceSampler(inst, tree, lp, config)
+    sampler = IterationSampler(inst, tree, lp)
+    reference = ReferenceSampler(inst, tree, lp)
     for j in range(1, 9):
         got = sampler.sample_draws(np.random.default_rng((4, j)))
         want = reference.sample_draws(np.random.default_rng((4, j)))
@@ -573,7 +563,7 @@ def test_draw_above_short_weight_sum_takes_last_path(parallel_pair, monkeypatch)
     monkeypatch.setattr(
         rounding, "decompose_flow", lambda graph, tree, ehat, flow, value: short
     )
-    sampler = IterationSampler(parallel_pair, tree, lp, RoundingConfig(seed=1, samples=3))
+    sampler = IterationSampler(parallel_pair, tree, lp, samples=3)
     draws = sampler.sample_draws(FixedDraws(0.0, high))  # mark every edge, then draw high
     assert len(draws) == 3 * tree.num_edges
     assert all(p.edges == (1,) for _, _, p in draws)
@@ -589,7 +579,7 @@ def test_decomposition_is_lazy_and_once_per_edge(solved_diamond, monkeypatch):
         return real(graph, tree, ehat, flow, value)
 
     monkeypatch.setattr(rounding, "decompose_flow", counting)
-    sampler = IterationSampler(inst, tree, lp, RoundingConfig(seed=6))
+    sampler = IterationSampler(inst, tree, lp)
     assert not calls
     marked = set()
     for j in range(1, 21):
@@ -600,12 +590,11 @@ def test_decomposition_is_lazy_and_once_per_edge(solved_diamond, monkeypatch):
 
 def test_round_logs_summary(solved_diamond, caplog):
     inst, tree, lp = solved_diamond
-    config = RoundingConfig(seed=7, iterations=12)
     with caplog.at_level(logging.INFO, logger="twodst.rounding"):
-        sol = round_solution(inst, tree, lp, config)
+        sol = round_solution(inst, tree, lp, 7, 12)
     (record,) = [r for r in caplog.records if r.name == "twodst.rounding"]
     numbers = [int(x) for x in re.findall(r"\d+", record.getMessage())]
-    sampler = IterationSampler(inst, tree, lp, config)
+    sampler = IterationSampler(inst, tree, lp)
     draws = [sampler.sample_draws(np.random.default_rng((7, j))) for j in range(1, 13)]
     distinct = {(ehat, p.edges) for batch in draws for ehat, _, p in batch}
     last_new = max(j for j, _, _ in sol.provenance.values())

@@ -8,7 +8,6 @@ import twodst.shallow_tree as shallow_tree
 from twodst.errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitError
 from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.shallow_tree import (
-    ShallowTreeConfig,
     build_shallow_tree,
     projected_node_count,
     usable_vertices,
@@ -26,24 +25,24 @@ def complete_instance(n, terminals):
 
 class TestFrozenSizes:
     def test_four_vertices_depth_two(self, diamond):
-        tree = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(diamond, 2)
         assert (tree.num_nodes, tree.num_edges) == (19, 18)
         assert {t: len(nodes) for t, nodes in tree.groups.items()} == {"t": 6}
 
     def test_pruning_is_a_noop_when_all_vertices_usable(self, diamond):
         assert usable_vertices(diamond) == diamond.graph.vertices
-        pruned = build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        pruned = build_shallow_tree(diamond, 2)
         assert set(pruned.labels) == diamond.graph.vertices
         assert pruned.num_nodes == projected_node_count(diamond.graph.num_vertices, 2)
 
     def test_two_vertices_depth_one(self, parallel_pair):
-        tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=1))
+        tree = build_shallow_tree(parallel_pair, 1)
         assert (tree.num_nodes, tree.num_edges) == (3, 2)
         assert tree.groups == {"t": frozenset([1, 2])}
 
     def test_depth_one_groups_are_root_children(self):
         inst = complete_instance(5, ["v3", "v4"])
-        tree = build_shallow_tree(inst, ShallowTreeConfig(depth=1))
+        tree = build_shallow_tree(inst, 1)
         root_children = set(tree.children[0])
         for t in inst.terminals:
             assert len(tree.groups[t]) == 2
@@ -53,7 +52,7 @@ class TestFrozenSizes:
 class TestStructure:
     @pytest.fixture
     def tree(self, diamond):
-        return build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+        return build_shallow_tree(diamond, 2)
 
     def test_root_record(self, tree):
         assert tree.labels[0] == "r"
@@ -115,7 +114,7 @@ class TestAgainstEnumeration:
     )
     def test_node_count_matches_sequence_count(self, n, depth):
         inst = complete_instance(n, [f"v{n-1}"])
-        tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+        tree = build_shallow_tree(inst, depth)
         seqs = enumerate_label_sequences([f"v{i}" for i in range(n)], "v0", depth)
         expected = 1 + 2 * (len(seqs) - 1)
         assert tree.num_nodes == expected
@@ -128,7 +127,7 @@ class TestAgainstEnumeration:
     def test_group_sizes_match_sequence_count(self, n, depth):
         t = f"v{n-1}"
         inst = complete_instance(n, [t])
-        tree = build_shallow_tree(inst, ShallowTreeConfig(depth=depth))
+        tree = build_shallow_tree(inst, depth)
         seqs = enumerate_label_sequences([f"v{i}" for i in range(n)], "v0", depth)
         ending_at_t = sum(1 for s in seqs if len(s) > 1 and s[-1] == t)
         assert len(tree.groups[t]) == 2 * ending_at_t
@@ -142,39 +141,39 @@ class TestPruning:
         )
         inst = DstInstance(g, "r", frozenset(["t"]))
         assert usable_vertices(inst) == frozenset(["r", "a", "t"])
-        tree = build_shallow_tree(inst, ShallowTreeConfig(depth=2))
+        tree = build_shallow_tree(inst, 2)
         assert "z" not in set(tree.labels)
 
     def test_unreachable_terminal_is_an_error(self):
         g = DirectedMultigraph(["r", "t", "u"], [("r", "t", 1.0), ("u", "t", 1.0)])
         inst = DstInstance(g, "r", frozenset(["t", "u"]))
         with pytest.raises(InfeasibleInstanceError):
-            build_shallow_tree(inst, ShallowTreeConfig(depth=2))
+            build_shallow_tree(inst, 2)
 
     def test_root_without_outgoing_walks_is_an_error(self):
         g = DirectedMultigraph(["r", "t"], [("t", "r", 1.0)])
         inst = DstInstance(g, "r", frozenset(["t"]))
         with pytest.raises(InfeasibleInstanceError):
-            build_shallow_tree(inst, ShallowTreeConfig(depth=1))
+            build_shallow_tree(inst, 1)
 
 
 class TestLimitsAndDump:
     def test_size_cap(self, diamond):
         with pytest.raises(SizeLimitError) as err:
-            build_shallow_tree(diamond, ShallowTreeConfig(depth=2, max_nodes=18))
+            build_shallow_tree(diamond, 2, max_nodes=18)
         assert err.value.projected == 19
         assert err.value.cap == 18
 
     def test_node_count_disagreeing_with_projection_raises(self, diamond, monkeypatch):
         monkeypatch.setattr(shallow_tree, "projected_node_count", lambda n, depth: 20)
         with pytest.raises(ModelInconsistencyError, match="19 nodes .* projects 20"):
-            build_shallow_tree(diamond, ShallowTreeConfig(depth=2))
+            build_shallow_tree(diamond, 2)
 
-    def test_depth_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ShallowTreeConfig(depth=0)
+    def test_depth_zero_rejected(self, diamond):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            build_shallow_tree(diamond, 0)
 
     def test_large_depth_is_allowed(self, parallel_pair):
         # depth above log2(h) is fine; sequences just stay short
-        tree = build_shallow_tree(parallel_pair, ShallowTreeConfig(depth=5))
+        tree = build_shallow_tree(parallel_pair, 5)
         assert tree.num_nodes == 3

@@ -12,8 +12,7 @@ from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance, reachable_set
 from twodst.lp_model import LpSolution, build_lp, congestion_parameter
 from twodst.lp_solver import solve
-from twodst.rounding import RoundingConfig
-from twodst.shallow_tree import ShallowTreeConfig, build_shallow_tree
+from twodst.shallow_tree import build_shallow_tree
 from twodst.solution import SolutionSubgraph
 from twodst import verify
 from twodst.verify import (
@@ -32,7 +31,7 @@ def _instance(vertices, edges, root, terminals):
 
 
 def _solve_depth2(inst):
-    tree = build_shallow_tree(inst, ShallowTreeConfig(depth=2))
+    tree = build_shallow_tree(inst, 2)
     beta = congestion_parameter(2, inst.num_terminals)
     lp = solve(build_lp(inst, tree, beta))
     assert lp.status == "optimal"
@@ -201,7 +200,7 @@ def group_flow_trees(diamond_solved):
     """The 18-edge diamond tree (D=2) and a three-level tree (D=3)."""
     _, diamond_tree, _, _ = diamond_solved
     assert diamond_tree.num_edges == 18
-    deep = build_shallow_tree(random_instance(6, 14, 2, seed=1), ShallowTreeConfig(depth=3))
+    deep = build_shallow_tree(random_instance(6, 14, 2, seed=1), 3)
     assert deep.depth == 3 and deep.num_edges == 170
     return diamond_tree, deep
 
@@ -273,12 +272,12 @@ def test_flow_slack_violation_hand_built(diamond_embedding):
 def test_survival_rejects_zero_trials(diamond_solved):
     inst, tree, _, lp = diamond_solved
     with pytest.raises(ValueError):
-        survival_estimate(inst, tree, lp, RoundingConfig(seed=1), 0, "t", 0)
+        survival_estimate(inst, tree, lp, 1, 0, "t", 0)
 
 
 def test_survival_diamond(diamond_solved):
     inst, tree, _, lp = diamond_solved
-    est = survival_estimate(inst, tree, lp, RoundingConfig(seed=6), 0, "t", 200)
+    est = survival_estimate(inst, tree, lp, 6, 0, "t", 200)
     assert est.trials == 200
     assert 0.0 <= est.probability <= 1.0
     assert est.successes == pytest.approx(est.probability * 200)
@@ -290,6 +289,6 @@ def test_survival_diamond(diamond_solved):
 
 def test_survival_depends_on_seed(diamond_solved):
     inst, tree, _, lp = diamond_solved
-    a = survival_estimate(inst, tree, lp, RoundingConfig(seed=6), 0, "t", 50)
-    b = survival_estimate(inst, tree, lp, RoundingConfig(seed=6), 0, "t", 50)
+    a = survival_estimate(inst, tree, lp, 6, 0, "t", 50)
+    b = survival_estimate(inst, tree, lp, 6, 0, "t", 50)
     assert a == b
