@@ -98,12 +98,9 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
 
     search(0, frozenset(), 0.0)
 
-    # drop free edges the optimum does not actually need
-    final = set(best_set)
-    for e in sorted(base & best_set, reverse=True):
-        if feasible(final - {e}):
-            final.discard(e)
-    return ExactResult(True, best_cost, frozenset(final))
+    # drop the free edges the optimum does not need: on an optimum no edge
+    # costing more than COST_EPS can go, so reverse-delete only drops those
+    return ExactResult(True, best_cost, reverse_delete(instance, best_set))
 
 
 def random_instance(

@@ -44,7 +44,11 @@ def parse_instance_json(text: str) -> Instance:
         cost = rec["cost"]
         if not isinstance(cost, (int, float)) or isinstance(cost, bool):
             raise ValueError(f"edge {k} cost must be a number, got {cost!r}")
-        edges.append((rec["tail"], rec["head"], float(cost)))
+        try:
+            cost = float(cost)
+        except OverflowError:
+            raise ValueError(f"edge {k} cost is too large for a float") from None
+        edges.append((rec["tail"], rec["head"], cost))
     root = doc.get("root")
     ids = doc["vertices"] + doc["terminals"] + [v for t, h, _ in edges for v in (t, h)]
     if root is not None:

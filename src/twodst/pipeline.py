@@ -1,4 +1,4 @@
-"""End-to-end solve: preflight, tree, LP, rounding, verification.
+"""End-to-end solve: preflight, tree, LP, rounding, pruning, verification.
 
 The LP stage always solves the live relaxation with HiGHS (`lp_solver.solve`),
 so `PipelineResult.lp_objective` is HiGHS's optimum of that relaxation, the
@@ -8,6 +8,11 @@ The congestion parameter starts at its analytic value and doubles on LP
 infeasibility, at most BETA_RETRIES times; that keeps the pipeline
 alive on instances where the initial bound is numerically too tight,
 and the final value is reported so runs stay attributable.
+
+Rounding only samples (`rounding.round_solution`). With `prune` the
+pipeline reverse-deletes the union and keeps the provenance of the kept
+edges; it then runs the solve's one max-flow verification and records
+`feasible` and `pruned` in the solution meta.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .lp_solver import solve
 from .rounding import default_iterations, round_solution
 from .shallow_tree import build_shallow_tree
 from .solution import SolutionSubgraph
-from .verify import FeasibilityReport, feasibility_report
+from .verify import FeasibilityReport, feasibility_report, reverse_delete
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +53,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.samples is not None and self.samples < 1:
@@ -125,14 +132,18 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     iterations = config.iterations
     if iterations is None:
         iterations = default_iterations(config.depth, g.num_vertices, config.iteration_multiplier)
-    solution = round_solution(
-        instance, tree, lp, config.seed, iterations, config.samples, config.prune
-    )
+    union = round_solution(instance, tree, lp, config.seed, iterations, config.samples)
+    edges, provenance = union.edges, union.provenance
+    if config.prune:
+        edges = reverse_delete(instance, edges)
+        provenance = {e: p for e, p in provenance.items() if e in edges}
     timings["round"] = clock() - t0
 
     t0 = clock()
-    report = feasibility_report(instance, solution.edges)
+    report = feasibility_report(instance, edges)
     timings["verify"] = clock() - t0
+    meta = {**union.meta, "feasible": report.feasible, "pruned": config.prune}
+    solution = SolutionSubgraph.from_edges(g, edges, provenance, meta)
     log.info("rounded cost %.6f, feasible=%s", solution.cost, report.feasible)
 
     return PipelineResult(

@@ -1,13 +1,17 @@
-"""Randomized rounding of the tree relaxation into a subgraph.
+"""Randomized rounding of the tree relaxation: a sampler and nothing more.
 
 One iteration marks a random subtree (each tree edge survives with
 probability proportional to its value over its parent's), then realizes
 every marked tree edge by sampling paths from the flow decomposition of
-its graph flow. Iterations are unioned; enough of them make the result
-feasible with high probability.
+its graph flow. `round_solution` unions J iterations and records where
+each edge came from; pruning the union and the feasibility verdict belong
+to the caller (`pipeline.run_pipeline`).
 
 Marking uses monotonically clamped tree values so parent ratios stay in
-[0,1]; decompositions and diagnostics use the raw LP values.
+[0,1]; decompositions and diagnostics use the raw LP values. A tree edge
+can be marked exactly when its clamped value is positive, so
+`IterationSampler` decomposes those edges, and only those, once when it is
+built.
 
 Random stream: iteration j of a run with seed s draws from
 `default_rng((s, j))`, first `tree.num_edges` uniforms for marking (one
@@ -145,10 +149,10 @@ def decompose_flow(
     """
     source, target = tree.edge_endpoints_labels(tree_edge)
     residual = [0.0] * graph.num_edges
-    for e, value in _flow_items(flow, graph.num_edges):
-        if value < -1e-9:
-            raise ValueError(f"negative flow {value} on edge {e}")
-        residual[e] = max(0.0, value)
+    for e in range(graph.num_edges):
+        if flow[e] < -1e-9:
+            raise ValueError(f"negative flow {flow[e]} on edge {e}")
+        residual[e] = max(0.0, flow[e])
 
     strips: list[tuple[tuple[int, ...], float]] = []
     while True:
@@ -178,12 +182,6 @@ def decompose_flow(
         tuple(w / total for _, w in strips),
         discarded,
     )
-
-
-def _flow_items(flow, num_edges):
-    if isinstance(flow, dict):
-        return sorted(flow.items())
-    return ((e, flow[e]) for e in range(num_edges))
 
 
 def _shortest_support_path(graph, residual, source, target):
@@ -235,12 +233,13 @@ def sample_path(dist: PathDistribution, rng) -> EdgePath:
 class IterationSampler:
     """Shared machinery for rounding iterations.
 
-    Holds the marking thresholds of the clamped tree values and a lazy
-    cache of per-tree-edge path distributions, so repeated iterations
-    (rounding, Monte Carlo probes) don't re-decompose flows. The paths of
-    every decomposed edge get global ids (`paths`), and their cumulative
-    weights one row each of a padded table, so one iteration's draws are a
-    single lookup.
+    Holds the marking thresholds of the clamped tree values and the path
+    distribution of every markable tree edge (`distributions`, decomposed
+    once here, in ascending edge order), so repeated iterations (rounding,
+    Monte Carlo probes) never re-decompose a flow. The paths of all
+    distributions get global ids (`paths`), and their cumulative weights
+    one row each of a padded table, so one iteration's draws are a single
+    lookup.
 
     Random stream of one iteration: `tree.num_edges` uniforms for marking,
     then `samples` uniforms per marked tree edge, in ascending edge order.
@@ -251,9 +250,7 @@ class IterationSampler:
         self, instance: DstInstance, tree: ShallowTree, lp: LpSolution,
         samples: Optional[int] = None,
     ):
-        self.instance = instance
         self.tree = tree
-        self.lp = lp
         self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
         self.clamped = monotone_clamp(tree, self.raw_xhat)
         self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
@@ -265,44 +262,27 @@ class IterationSampler:
             self.samples = default_samples(beta, tree.depth)
         else:
             raise ValueError("samples not set and the model carries no beta")
-        self._distributions: dict[int, PathDistribution] = {}
-        self.paths: list[EdgePath] = []  # global path id -> path
-        self._row = np.full(tree.num_edges, -1)  # table row of each decomposed edge
-        self._cdf = np.empty((0, 0))  # one padded row per decomposed edge
-        self._counts = np.empty(0, dtype=int)  # paths per row
-        self._starts = np.empty(0, dtype=int)  # global id of each row's first path
 
-    def distribution(self, ehat: int) -> PathDistribution:
-        if ehat not in self._distributions:
-            flow = [self.lp.f(ehat, e) for e in range(self.instance.graph.num_edges)]
-            dist = decompose_flow(self.instance.graph, self.tree, ehat, flow, self.raw_xhat[ehat])
-            self._row[ehat] = len(self._distributions)
-            self._distributions[ehat] = dist
-            self.paths.extend(dist.paths)
-        return self._distributions[ehat]
-
-    def _extend_table(self) -> None:
-        """Append the table rows of distributions decomposed since the last call."""
-        old = len(self._cdf)
-        if old == len(self._distributions):
-            return
-        new = list(self._distributions.values())[old:]
-        width = max([self._cdf.shape[1]] + [len(d.paths) for d in new])
-        cdf = np.full((old + len(new), width), np.inf)
-        cdf[:old, : self._cdf.shape[1]] = self._cdf
-        for row, dist in enumerate(new, old):
-            cdf[row, : len(dist.paths)] = dist.cdf
-        self._cdf = cdf
-        self._counts = np.concatenate((self._counts, [len(d.paths) for d in new]))
-        self._starts = np.cumsum(self._counts) - self._counts
+        g = instance.graph
+        markable = np.flatnonzero(self.clamped > 0.0)
+        self.distributions: dict[int, PathDistribution] = {}
+        for ehat in markable.tolist():
+            flow = [lp.f(ehat, e) for e in range(g.num_edges)]
+            self.distributions[ehat] = decompose_flow(g, tree, ehat, flow, self.raw_xhat[ehat])
+        dists = list(self.distributions.values())
+        self.paths: list[EdgePath] = [p for d in dists for p in d.paths]  # global id -> path
+        self._row = np.full(tree.num_edges, -1)  # table row of each markable edge
+        self._row[markable] = np.arange(len(dists))
+        self._counts = np.array([len(d.paths) for d in dists], dtype=int)  # paths per row
+        self._starts = np.cumsum(self._counts) - self._counts  # global id of each row's first path
+        self._cdf = np.full((len(dists), self._counts.max(initial=0)), np.inf)
+        for row, dist in enumerate(dists):
+            self._cdf[row, : len(dist.paths)] = dist.cdf
 
     def draw(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """One iteration: the marked tree edges, ascending, and the global
         ids of the paths drawn for them, `samples` per edge in draw order."""
         marked = _mark(self.tree, self._thresholds, rng.random(self.tree.num_edges))
-        for ehat in marked[self._row[marked] < 0].tolist():
-            self.distribution(ehat)
-        self._extend_table()
         rows = self._row[marked]
         draws = rng.random(len(marked) * self.samples).reshape(len(marked), self.samples)
         picks = _pick(self._cdf[rows], self._counts[rows], draws)
@@ -330,19 +310,16 @@ def round_solution(
     seed: int,
     iterations: int,
     samples: Optional[int] = None,
-    prune: bool = False,
 ) -> SolutionSubgraph:
-    """Union of `iterations` (J) independent rounding iterations, verified
-    and annotated; `samples` (L) is passed on to `IterationSampler`, and
-    `prune` reverse-deletes the union.
+    """Union of `iterations` (J) independent rounding iterations, with its
+    provenance and the run's parameters in `meta`; `samples` (L) is passed
+    on to `IterationSampler`. The union is neither pruned nor verified.
 
     An edge's provenance is the (iteration, tree edge, sample index) of the
     first draw whose path contains it. Within an iteration only the first
     draw of each path not seen before can add edges, so the union walks
     those in draw order.
     """
-    from .verify import feasibility_report, reverse_delete
-
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
     sampler = IterationSampler(instance, tree, lp, samples)
@@ -372,19 +349,11 @@ def round_solution(
         "last new edge in iteration %d",
         iterations, drawn, len(seen), last_new,
     )
-
-    if prune:
-        edges = set(reverse_delete(instance, edges))
-        provenance = {e: p for e, p in provenance.items() if e in edges}
-
-    report = feasibility_report(instance, edges)
     meta = {
         "seed": seed,
         "iterations": iterations,
-        "samples": sampler.samples,
+        "samples": samples,
         "beta": lp.model.beta,
         "lp_objective": lp.objective,
-        "feasible": report.feasible,
-        "pruned": prune,
     }
     return SolutionSubgraph.from_edges(instance.graph, edges, provenance, meta)

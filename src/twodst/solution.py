@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .graph import DirectedMultigraph
 
@@ -38,17 +38,17 @@ class SolutionSubgraph:
             meta=dict(meta or {}),
         )
 
-    def to_json(self, graph: Optional[DirectedMultigraph] = None) -> str:
-        """Deterministic JSON dump; byte-identical for equal solutions."""
+    def to_json(self, graph: DirectedMultigraph) -> str:
+        """Deterministic JSON dump with the `edge_list` expansion of `graph`;
+        byte-identical for equal solutions."""
         doc: dict = {
             "cost": self.cost,
             "edges": sorted(self.edges),
-        }
-        if graph is not None:
-            doc["edge_list"] = [
+            "edge_list": [
                 {"id": e, "tail": graph.tails[e], "head": graph.heads[e], "cost": graph.costs[e]}
                 for e in sorted(self.edges)
-            ]
+            ],
+        }
         if self.provenance:
             doc["provenance"] = {
                 str(e): list(self.provenance[e]) for e in sorted(self.provenance)
@@ -57,5 +57,5 @@ class SolutionSubgraph:
             doc["meta"] = {k: self.meta[k] for k in sorted(self.meta)}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def save(self, path, graph: Optional[DirectedMultigraph] = None) -> None:
+    def save(self, path, graph: DirectedMultigraph) -> None:
         Path(path).write_text(self.to_json(graph))

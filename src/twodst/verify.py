@@ -23,6 +23,7 @@ import numpy as np
 
 from .graph import DstInstance, max_flow_unit, reachable_set
 from .lp_model import LpSolution
+from .rounding import IterationSampler
 from .shallow_tree import ShallowTree
 
 
@@ -203,8 +204,6 @@ def survival_estimate(
     """Empirical probability that one rounding iteration connects the
     root to terminal t without using graph edge e; trial j draws from
     `default_rng((seed, j))`, as rounding iteration j does."""
-    from .rounding import IterationSampler  # deferred: avoids an import cycle
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sampler = IterationSampler(instance, tree, lp, samples)

@@ -25,7 +25,6 @@ from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 from twodst.rounding import SUPPORT_TOL, decompose_flow, default_samples
 from twodst.solution import SolutionSubgraph
-from twodst.verify import feasibility_report, reverse_delete
 
 
 def enumerate_simple_paths(graph: DirectedMultigraph, source, target) -> list[tuple[int, ...]]:
@@ -498,9 +497,7 @@ class ReferenceSampler:
         return draws
 
 
-def reference_round(
-    instance, tree, lp, seed, iterations, samples=None, prune=False
-) -> SolutionSubgraph:
+def reference_round(instance, tree, lp, seed, iterations, samples=None) -> SolutionSubgraph:
     """The rounding loop in draw order: each edge's provenance is the first
     draw whose path contains it."""
     sampler = ReferenceSampler(instance, tree, lp, samples)
@@ -513,16 +510,11 @@ def reference_round(
                 if e not in edges:
                     edges.add(e)
                     provenance[e] = (j, ehat, ell)
-    if prune:
-        edges = set(reverse_delete(instance, edges))
-        provenance = {e: p for e, p in provenance.items() if e in edges}
     meta = {
         "seed": seed,
         "iterations": iterations,
         "samples": sampler.samples,
         "beta": lp.model.beta,
         "lp_objective": lp.objective,
-        "feasible": feasibility_report(instance, edges).feasible,
-        "pruned": prune,
     }
     return SolutionSubgraph.from_edges(instance.graph, edges, provenance, meta)

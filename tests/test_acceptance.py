@@ -26,7 +26,7 @@ from twodst.lp_model import build_lp, congestion_parameter
 from twodst.lp_solver import solve
 from twodst.pipeline import PipelineConfig, run_pipeline
 from twodst.reductions import DssInstance, dss_via_dst, solve_vertex_2dst
-from twodst.rounding import IterationSampler, gkr_round, sample_path
+from twodst.rounding import IterationSampler, decompose_flow, gkr_round, sample_path
 from twodst.shallow_tree import build_shallow_tree
 from twodst.solution import SolutionSubgraph
 from twodst.verify import (
@@ -203,7 +203,9 @@ def test_path_marginals(marking_stats):
             xh = sampler.raw_xhat[ehat]
             if xh < 0.05:
                 continue
-            dist = sampler.distribution(ehat)
+            # decomposed directly: edges whose clamped value is 0 count too
+            flow = [lp.f(ehat, e) for e in range(m)]
+            dist = decompose_flow(inst.graph, tree, ehat, flow, xh)
             rng = np.random.default_rng((905, i, ehat))
             counts = np.zeros(m)
             for _ in range(PATH_SAMPLES):

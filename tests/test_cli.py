@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import twodst.cli as cli
 from twodst.cli import (
     BENCH_COLUMNS,
     EXIT_ERROR,
@@ -110,6 +111,15 @@ def test_solve_rejects_malformed_instance(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: 'terminals' must be a JSON list")
 
 
+@pytest.mark.parametrize("command", ["solve", "exact"])
+def test_rejects_cost_too_large_for_a_float(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    edges = [{"tail": "r", "head": "t", "cost": 1}, {"tail": "r", "head": "t", "cost": 10**400}]
+    path.write_text(json.dumps({"vertices": ["r", "t"], "edges": edges, "root": "r", "terminals": ["t"]}))
+    assert main([command, str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: edge 1 cost is too large for a float")
+
+
 def test_solve_rejects_unrooted(tmp_path, capsys):
     g = DirectedMultigraph(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)])
     path = tmp_path / "pair.json"
@@ -156,6 +166,21 @@ def test_config_file_wrong_type(diamond_file, tmp_path, capsys, key, value):
 def test_pipeline_config_rejects(field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         PipelineConfig(**{field: 0})
+
+
+def test_pipeline_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        PipelineConfig(seed=-1)
+
+
+def test_solve_rejects_negative_seed(diamond_file, capsys, monkeypatch):
+    # rejected while the config is built, before preflight, tree or LP
+    def no_work(*args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_work)
+    assert main(["solve", str(diamond_file), "--seed", "-1"]) == EXIT_ERROR
+    assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("how", ["flag", "file"])

@@ -67,6 +67,7 @@ class TestJson:
             ({"vertices": ["r", "t", 3]}, "all strings or all integers"),
             ({"edges": [{"tail": "r", "head": "t", "cost": True}]}, "edge 0 cost must be a number"),
             ({"edges": [{"tail": "r", "head": "t", "cost": "1"}]}, "edge 0 cost must be a number"),
+            ({"edges": [{"tail": "r", "head": "t", "cost": 10**400}]}, "edge 0 cost is too large"),
         ],
     )
     def test_malformed_values_rejected(self, change, message):

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from oracles import (
     reference_sample_path,
 )
 
+import twodst.pipeline as pipeline
 import twodst.rounding as rounding
+import twodst.verify as verify
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance, EdgePath, max_flow_unit
@@ -39,7 +42,8 @@ from twodst.rounding import (
     sample_path,
 )
 from twodst.shallow_tree import build_shallow_tree
-from twodst.verify import reverse_delete
+from twodst.solution import SolutionSubgraph
+from twodst.verify import feasibility_report, reverse_delete
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,7 +194,7 @@ def test_decompose_discards_disjoint_cycle():
     )
     inst = DstInstance(g, "r", frozenset(["t"]))
     tree = build_shallow_tree(inst, 1)
-    dist = decompose_flow(g, tree, 0, {0: 0.5, 1: 0.2, 2: 0.2}, 0.5)
+    dist = decompose_flow(g, tree, 0, [0.5, 0.2, 0.2], 0.5)
     assert [p.edges for p in dist.paths] == [(0,)]
     assert dist.weights == (1.0,)
     assert dist.discarded == pytest.approx(0.4)
@@ -325,7 +329,9 @@ def test_round_requires_optimal(solved_diamond):
 def test_round_diamond(solved_diamond):
     inst, tree, lp = solved_diamond
     sol = round_solution(inst, tree, lp, 11, default_iterations(2, 4))
-    assert sol.meta["feasible"] is True
+    # rounding only samples: the verdict and pruning belong to the pipeline
+    assert set(sol.meta) == {"seed", "iterations", "samples", "beta", "lp_objective"}
+    assert feasibility_report(inst, sol.edges).feasible
     assert sol.cost == pytest.approx(4.0)
     assert set(sol.provenance) == set(sol.edges)
     assert sol.meta["iterations"] == default_iterations(2, 4)
@@ -354,14 +360,28 @@ def test_round_iteration_override(solved_diamond):
     assert max(j for j, _, _ in sol.provenance.values()) <= 3
 
 
+def _pruned_reference(inst, depth, seed, iterations, samples=None):
+    """`reference_round` followed by `reverse_delete`, annotated as the
+    pipeline annotates a pruned solution."""
+    tree, lp = _solved(inst, depth)
+    union = reference_round(inst, tree, lp, seed, iterations, samples)
+    kept = reverse_delete(inst, union.edges)
+    meta = {**union.meta, "feasible": feasibility_report(inst, kept).feasible, "pruned": True}
+    provenance = {e: p for e, p in union.provenance.items() if e in kept}
+    return SolutionSubgraph.from_edges(inst.graph, kept, provenance, meta)
+
+
 def test_round_with_pruning(solved_diamond):
-    inst, tree, lp = solved_diamond
-    plain = round_solution(inst, tree, lp, 11, default_iterations(2, 4))
-    pruned = round_solution(inst, tree, lp, 11, default_iterations(2, 4), prune=True)
+    inst = solved_diamond[0]
+    config = PipelineConfig(depth=2, seed=11, iterations=default_iterations(2, 4))
+    plain = run_pipeline(inst, config).solution
+    pruned = run_pipeline(inst, replace(config, prune=True)).solution
     assert pruned.meta["pruned"] is True
     assert pruned.meta["feasible"] is True
     assert pruned.cost <= plain.cost
     assert pruned.edges <= plain.edges
+    want = _pruned_reference(inst, 2, 11, default_iterations(2, 4))
+    assert pruned.to_json(inst.graph) == want.to_json(inst.graph)
 
 
 def test_reverse_delete_drops_redundant_edge():
@@ -427,10 +447,10 @@ def test_pipeline_matches_golden(request, name, seed):
     "name, depth, config",
     [
         ("diamond", 2, {"seed": 11}),
-        ("diamond", 2, {"seed": 3, "iterations": 4, "samples": 2, "prune": True}),
+        ("diamond", 2, {"seed": 3, "iterations": 4, "samples": 2}),
         ("parallel_pair", 1, {"seed": 5}),
         ("multicover", 2, {"seed": 1}),
-        ("multicover", 2, {"seed": 8, "iterations": 6, "samples": 3, "prune": True}),
+        ("multicover", 2, {"seed": 8, "iterations": 6, "samples": 3}),
     ],
 )
 def test_round_matches_reference(request, name, depth, config):
@@ -439,6 +459,33 @@ def test_round_matches_reference(request, name, depth, config):
     config = {"iterations": default_iterations(depth, inst.graph.num_vertices), **config}
     got = round_solution(inst, tree, lp, **config).to_json(inst.graph)
     assert got == reference_round(inst, tree, lp, **config).to_json(inst.graph)
+
+
+@pytest.mark.parametrize(
+    "name, seed, iterations, samples", [("diamond", 3, 4, 2), ("multicover", 8, 6, 3)]
+)
+def test_pipeline_prune_matches_reference(request, name, seed, iterations, samples):
+    inst = request.getfixturevalue(name)
+    config = PipelineConfig(
+        depth=2, seed=seed, iterations=iterations, samples=samples, prune=True
+    )
+    got = run_pipeline(inst, config).solution.to_json(inst.graph)
+    want = _pruned_reference(inst, 2, seed, iterations, samples)
+    assert got == want.to_json(inst.graph)
+
+
+def test_pipeline_verifies_once(multicover, monkeypatch):
+    calls = []
+    real = verify.feasibility_report
+
+    def counting(instance, edge_ids):
+        calls.append(frozenset(edge_ids))
+        return real(instance, edge_ids)
+
+    monkeypatch.setattr(pipeline, "feasibility_report", counting)
+    monkeypatch.setattr(verify, "feasibility_report", counting)
+    result = run_pipeline(multicover, PipelineConfig(depth=2, seed=1, prune=True))
+    assert calls == [result.solution.edges]
 
 
 def _multicover_paths(g, ehat):
@@ -569,8 +616,12 @@ def test_draw_above_short_weight_sum_takes_last_path(parallel_pair, monkeypatch)
     assert all(p.edges == (1,) for _, _, p in draws)
 
 
-def test_decomposition_is_lazy_and_once_per_edge(solved_diamond, monkeypatch):
-    inst, tree, lp = solved_diamond
+@pytest.mark.parametrize("name", ["diamond", "multicover"])
+def test_decomposition_once_per_markable_edge(request, name, monkeypatch):
+    # every edge with a positive clamped value, and no other, is decomposed
+    # once when the sampler is built; draws never decompose
+    inst = request.getfixturevalue(name)
+    tree, lp = _solved(inst, 2)
     calls = Counter()
     real = rounding.decompose_flow
 
@@ -580,12 +631,16 @@ def test_decomposition_is_lazy_and_once_per_edge(solved_diamond, monkeypatch):
 
     monkeypatch.setattr(rounding, "decompose_flow", counting)
     sampler = IterationSampler(inst, tree, lp)
-    assert not calls
+    raw = np.array([lp.xhat(ehat) for ehat in range(tree.num_edges)])
+    markable = np.flatnonzero(reference_clamp(tree, raw) > rounding.SUPPORT_TOL).tolist()
+    assert markable
+    assert calls == Counter({ehat: 1 for ehat in markable})
+    assert list(sampler.distributions) == markable
     marked = set()
     for j in range(1, 21):
         marked |= {ehat for ehat, _, _ in sampler.sample_draws(np.random.default_rng((6, j)))}
-    assert marked
-    assert calls == Counter({ehat: 1 for ehat in marked})
+    assert marked <= set(markable)
+    assert calls == Counter({ehat: 1 for ehat in markable})
 
 
 def test_round_logs_summary(solved_diamond, caplog):
