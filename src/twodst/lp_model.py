@@ -17,32 +17,38 @@ congestion cap beta * x_e), and div (per-terminal copies capped by x_e).
 All variables live in [0,1].
 
 `build_lp` builds only the live part of the relaxation. It computes the
-live-column mask first (rules (a)-(c) below), then emits only live terms:
+live columns first (rules (a)-(c) below), then emits only live terms:
 the model holds the full relaxation's rows restricted to the live columns,
 in the same row order and term order, and the rows left with no term are
 not built. Each of those has rhs 0 with sense <= or =, so 0 satisfies it;
 the builder checks this rather than assuming it, and it is the only code
-that decides which rows survive the mask. The flow-conservation rows
+that decides which rows survive. The flow-conservation rows
 of a tree edge (u, v) are built over the graph edges rule (c) keeps for
 (u, v), only for tree edges whose xh (cong) or fh (div) column is live, and
 offset into the f columns (cong) and each terminal's ft columns (div).
-`VarIndex` still numbers every column of the full relaxation, so solution
-vectors, rounding and the LP text export see the full variable set.
 
-The model is stored as one CSR matrix (`indptr`, `indices`, `data`) with
-per-row `sense`, `rhs` and family-code arrays. `LpModel.rows` rebuilds
-Python row tuples from the arrays for export and inspection. Two counts
-check its size: `projected_nonzeros` counts the full relaxation from degree
-sums and caps `max_nonzeros` before anything is allocated, and
-`live_nonzeros` counts the live model from the column mask and the degree
-sums, separately from the builder; the built count must equal it exactly.
+`VarIndex` numbers the columns of the full relaxation by key arithmetic
+only, and lists the live ones as ascending full numbers (`columns`): model
+column j is full column `columns[j]`. The model, its objective, solution
+vectors and the LP text export cover only those columns, and nothing of
+the full relaxation's length is allocated; `LpSolution` reads 0.0 for a
+dead key.
 
-`LpModel.live` marks the live columns. A dead column sits in no row (the
-`LpModel` constructor checks this) and is fixed to 0, which loses no
-optimum: at a point whose dead columns are 0, each row of the full
-relaxation is a row of the live model or a row that 0 satisfies. A column
-is dead by one of three rules (write "below ê" for the subtree under ê's
-child node, and (u, v) for ê's endpoint labels):
+The model is stored as one CSR matrix (`indptr`, `indices`, `data`) over
+the model columns, with per-row `sense`, `rhs` and family-code arrays.
+`LpModel.rows` rebuilds Python row tuples from the arrays for export and
+inspection. `max_nonzeros` caps the live model before it is built, in two
+steps: te * m first, a lower bound on the live count (every f <= x row
+keeps its x term) checked before any te x m array exists; then
+`live_nonzeros`, which counts the live model from the live columns and the
+degree sums, separately from the builder. The built count must equal it
+exactly.
+
+A dead column is fixed to 0, which loses no optimum: at a point whose dead
+columns are 0, each row of the full relaxation is a row of the live model
+or a row that 0 satisfies. A column is dead by one of three rules (write
+"below ê" for the subtree under ê's child node, and (u, v) for ê's
+endpoint labels):
 
 (a) fh_(t,ê) and ft_(t,ê,·) when no node labelled t lies below ê. Every
     node below ê then has a gst conservation row, so fh_(t,ê) = 0 in every
@@ -63,9 +69,8 @@ child node, and (u, v) for ê's endpoint labels):
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -102,44 +107,62 @@ def congestion_parameter(depth: int, num_terminals: int, multiplier: float = 1.0
 
 
 class VarIndex:
-    """Bijection between structured variable keys and dense indices.
+    """Full numbers of the relaxation's columns, and the model's columns
+    among them.
 
-    Layout: x block, then xh, then fh (terminal-major), then f (tree-edge
-    major), then ft (terminal-major, then tree-edge). Terminals are taken
-    in sorted order, so indices are stable for a fixed instance + tree.
+    Full layout, kept as key arithmetic only: x block, then xh, then fh
+    (terminal-major), then f (tree-edge major), then ft (terminal-major,
+    then tree-edge). Terminals are taken in sorted order, so numbers are
+    stable for a fixed instance + tree. `columns` lists the live columns
+    as ascending full numbers, block by block; model column j is full
+    column `columns[j]`.
     """
 
-    def __init__(self, num_edges: int, num_tree_edges: int, terminals: Sequence):
-        self.num_edges = num_edges
-        self.num_tree_edges = num_tree_edges
+    def __init__(self, terminals: Sequence, live: LiveColumns):
         self.terminals = tuple(sorted(terminals))
         self._tpos = {t: k for k, t in enumerate(self.terminals)}
-        m, te, h = num_edges, num_tree_edges, len(self.terminals)
+        te, m = live.useful.shape
+        h = len(self.terminals)
+        self.num_edges = m
+        self.num_tree_edges = te
         self._xhat0 = m
         self._fhat0 = m + te
         self._f0 = m + te + h * te
         self._ft0 = self._f0 + te * m
-        self.total = self._ft0 + h * te * m
+        pairs = np.flatnonzero(live.useful)  # tree-edge major
+        self.columns = np.concatenate([
+            np.arange(m),
+            self._xhat0 + np.flatnonzero(live.xhat),
+            self._fhat0 + np.flatnonzero(live.fhat),
+            self._f0 + np.flatnonzero(live.flow),
+            *(self.ft(t, 0, 0) + pairs[live.fhat[k, pairs // m]]
+              for k, t in enumerate(self.terminals)),
+        ])
 
-    def x(self, e: int) -> int:
+    def x(self, e):
         return e
 
-    def xhat(self, tree_edge: int) -> int:
+    def xhat(self, tree_edge):
         return self._xhat0 + tree_edge
 
-    def fhat(self, terminal, tree_edge: int) -> int:
+    def fhat(self, terminal, tree_edge):
         return self._fhat0 + self._tpos[terminal] * self.num_tree_edges + tree_edge
 
-    def f(self, tree_edge: int, e: int) -> int:
+    def f(self, tree_edge, e):
         return self._f0 + tree_edge * self.num_edges + e
 
-    def ft(self, terminal, tree_edge: int, e: int) -> int:
+    def ft(self, terminal, tree_edge, e):
         return (
             self._ft0
             + self._tpos[terminal] * self.num_tree_edges * self.num_edges
             + tree_edge * self.num_edges
             + e
         )
+
+    def positions(self, keys) -> np.ndarray:
+        """Model column of each full number in `keys`, -1 for a dead one."""
+        pos = np.searchsorted(self.columns, keys)
+        return np.where(np.take(self.columns, pos, mode="clip") == keys, pos, -1)
 
     def name(self, index: int) -> str:
         m, te = self.num_edges, self.num_tree_edges
@@ -170,13 +193,11 @@ class LpRow(NamedTuple):
 class LpModel:
     """Constraint rows as one CSR matrix plus per-row sense, rhs and family.
 
-    Row r has the terms `indices[indptr[r]:indptr[r+1]]` with coefficients
+    The columns are the model's columns (`var_index.columns`). Row r has
+    the terms `indices[indptr[r]:indptr[r+1]]` with coefficients
     `data[...]`, in the order the builder emitted them (not sorted), so the
     text export is stable. `sense` holds LE/EQ/GE strings and `family`
-    indexes into `families`. `live` is the boolean column mask of the
-    columns that may be nonzero (see the module docstring). No row holds a
-    dead column: construction checks this and raises
-    `ModelInconsistencyError` otherwise.
+    indexes into `families`.
     """
 
     var_index: VarIndex
@@ -189,40 +210,10 @@ class LpModel:
     family: np.ndarray
     families: tuple[str, ...]
     beta: Optional[float]
-    live: np.ndarray
-
-    def __post_init__(self):
-        held = self.live[self.indices]
-        if not held.all():
-            term = int(np.argmin(held))
-            row = int(np.searchsorted(self.indptr, term, side="right")) - 1
-            raise ModelInconsistencyError(
-                f"row {row} holds dead column {self.var_index.name(int(self.indices[term]))}"
-            )
-
-    @classmethod
-    def from_rows(cls, var_index, objective, rows: Iterable[LpRow], beta=None) -> "LpModel":
-        rows = list(rows)
-        families = tuple(dict.fromkeys(r.family for r in rows))
-        code = {f: k for k, f in enumerate(families)}
-        lengths = [len(r.cols) for r in rows]
-        return cls(
-            var_index,
-            np.asarray(objective, dtype=float),
-            np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-            np.array([j for r in rows for j in r.cols], dtype=np.int64),
-            np.array([c for r in rows for c in r.coefs], dtype=float),
-            np.array([r.sense for r in rows], dtype=_SENSE_DTYPE),
-            np.array([r.rhs for r in rows], dtype=float),
-            np.array([code[r.family] for r in rows], dtype=np.int32),
-            families,
-            beta,
-            np.ones(var_index.total, dtype=bool),
-        )
 
     @property
     def num_vars(self) -> int:
-        return self.var_index.total
+        return len(self.var_index.columns)
 
     @property
     def num_rows(self) -> int:
@@ -268,60 +259,37 @@ class RowView:
 @dataclass(frozen=True)
 class LpSolution:
     model: LpModel
-    values: np.ndarray
+    values: np.ndarray  # one per model column
     objective: float
     status: str
     max_violation: float = 0.0
     certificate: Optional[object] = None
     iterations: Optional[int] = None  # HiGHS iterations (nit)
-    solved_shape: Optional[tuple[int, int, int]] = None  # rows, columns, nonzeros given to HiGHS
 
-    # structured accessors; only valid when the model carries a VarIndex
+    def at(self, keys) -> np.ndarray:
+        """Values at full column numbers (see `VarIndex`); 0.0 for a dead one."""
+        pos = self.model.var_index.positions(keys)
+        return np.where(pos >= 0, self.values[pos], 0.0)
+
+    # structured accessors by key
     def x(self, e: int) -> float:
-        return float(self.values[self.model.var_index.x(e)])
+        return float(self.at(self.model.var_index.x(e)))
 
     def xhat(self, tree_edge: int) -> float:
-        return float(self.values[self.model.var_index.xhat(tree_edge)])
+        return float(self.at(self.model.var_index.xhat(tree_edge)))
 
     def fhat(self, terminal, tree_edge: int) -> float:
-        return float(self.values[self.model.var_index.fhat(terminal, tree_edge)])
+        return float(self.at(self.model.var_index.fhat(terminal, tree_edge)))
 
     def f(self, tree_edge: int, e: int) -> float:
-        return float(self.values[self.model.var_index.f(tree_edge, e)])
+        return float(self.at(self.model.var_index.f(tree_edge, e)))
 
     def ft(self, terminal, tree_edge: int, e: int) -> float:
-        return float(self.values[self.model.var_index.ft(terminal, tree_edge, e)])
+        return float(self.at(self.model.var_index.ft(terminal, tree_edge, e)))
 
 
-def projected_nonzeros(instance: DstInstance, tree: ShallowTree) -> int:
-    """Exact nonzero count of the full model, from degree sums alone."""
-    g = instance.graph
-    m = g.num_edges
-    te = tree.num_edges
-    h = instance.num_terminals
-    node_row = [1 + len(kids) for kids in tree.children]  # a node's conservation row
-
-    count = 2 * h * te  # fh <= xh
-    for group in tree.groups.values():
-        count += sum(node_row[1:]) - sum(node_row[node] for node in group)
-        count += len(group)  # the >= 2 row
-    count += 2 * te * m  # f <= x
-    # per tree edge (u, v): every graph edge sits in its tail's and its
-    # head's row, out(u) also holds the value, and v has no row
-    heads = Counter(tree.labels[1:])
-    per_edge = te * (1 + 2 * m) - sum(
-        k * (len(g.in_edges(v)) + len(g.out_edges(v))) for v, k in heads.items()
-    )
-    count += per_edge
-    count += m * (te + 1)  # congestion cap
-    count += 2 * h * te * m  # ft <= f
-    count += h * per_edge  # per-terminal flow rows (fh column counts like xh)
-    count += h * m * (te + 1)  # divergence cap
-    return count
-
-
-def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: np.ndarray) -> int:
-    """Exact nonzero count of the live model, from the column mask and the
+def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -> int:
+    """Exact nonzero count of the live model, from the live columns and the
     degree sums, independent of how `build_lp` emits the rows.
 
     A live flow column sits in the conservation rows of its edge's tail and
@@ -331,9 +299,10 @@ def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: np.ndarray) ->
     g = instance.graph
     m, te, h = g.num_edges, tree.num_edges, instance.num_terminals
     terminals = sorted(instance.terminals)
-    _, xhat, fhat, flow, ft = np.split(live, np.cumsum([m, te, h * te, te * m]))
-    fhat, flow, ft = fhat.reshape(h, te), flow.reshape(te, m), ft.reshape(h, te, m)
-    nxh, nfh, nf, nft = (int(np.count_nonzero(a)) for a in (xhat, fhat, flow, ft))
+    flow = live.flow
+    carriers = live.fhat.sum(axis=0)  # terminals with a live fh column, per tree edge
+    nxh, nfh, nf = (int(np.count_nonzero(a)) for a in (live.xhat, live.fhat, flow))
+    nft = int(carriers @ live.useful.sum(axis=1))  # ft live: fh live and (c) keeps the pair
 
     count = h * nxh + nfh  # fh <= xh
     parent_node = np.asarray(tree.parents[1:])
@@ -342,27 +311,28 @@ def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: np.ndarray) ->
         has_row[0] = 0
         has_row[list(tree.groups[t])] = 0
         # fh_(t, ê) sits in the rows of ê's child node and of its parent node
-        count += (fhat[k] * (has_row[1:] + has_row[parent_node])).sum()
-        count += fhat[k, tree.group_in_edges(t)].sum()  # the >= 2 row
+        count += (live.fhat[k] * (has_row[1:] + has_row[parent_node])).sum()
+        count += live.fhat[k, tree.group_in_edges(t)].sum()  # the >= 2 row
 
     ends = _ends(g, tree)
     at_v = (ends.tails == ends.v[:, None]).astype(np.int64) + (ends.heads == ends.v[:, None])
     weight = 2 - at_v  # (tree edge, graph edge)
     count += te * m + nf + nxh + weight[flow].sum() + m + nf  # cong
-    count += h * nf + nft + nfh + (ft.sum(axis=0) * weight).sum() + h * m + nft  # div
+    ft_weight = carriers @ (live.useful * weight).sum(axis=1)
+    count += h * nf + nft + nfh + ft_weight + h * m + nft  # div
     return int(count)
 
 
 class _RowBlocks:
-    """Rows collected block by block, each block with one sense, rhs and
-    family, then cut down to the live columns.
+    """Rows collected block by block over full column numbers, each block
+    with one sense, rhs and family, then cut down to the model's columns.
 
     Dead terms are left out, and so are the rows left with no term. A row
-    that loses every term to the mask must be one that 0 satisfies; rows
-    given with no term at all are dropped, as in the full model."""
+    that loses every term that way must be one that 0 satisfies; rows given
+    with no term at all are dropped, as in the full model."""
 
-    def __init__(self, live: np.ndarray):
-        self.live = live
+    def __init__(self, var_index: VarIndex):
+        self.var_index = var_index
         self.lengths: list = []
         self.cols: list = []
         self.coefs: list = []
@@ -386,7 +356,8 @@ class _RowBlocks:
         sense = np.repeat(np.array(senses, dtype=_SENSE_DTYPE), counts)
         rhs = np.repeat(np.array(rhss, dtype=float), counts)
         family = np.repeat(np.array(families, dtype=np.int32), counts)
-        keep = self.live[cols]
+        pos = self.var_index.positions(cols)
+        keep = pos >= 0
         row_end = np.cumsum(lengths)
         kept = np.diff(np.concatenate(([0], np.cumsum(keep)))[row_end], prepend=0)
         emptied = np.flatnonzero((kept == 0) & (lengths > 0))
@@ -400,7 +371,7 @@ class _RowBlocks:
         rows = kept > 0
         return {
             "indptr": np.concatenate(([0], np.cumsum(kept[rows]))),
-            "indices": cols[keep],
+            "indices": pos[keep],
             "data": np.concatenate(self.coefs)[keep],
             "sense": sense[rows],
             "rhs": rhs[rows],
@@ -446,7 +417,8 @@ def _ends(g, tree: ShallowTree) -> _Ends:
 
 
 class LiveColumns(NamedTuple):
-    """The live columns by rules (a)-(c) of the module docstring, per block."""
+    """The live columns by rules (a)-(c) of the module docstring, per block;
+    an ft column is live when its fh column is and (c) keeps its pair."""
 
     fhat: np.ndarray  # (terminal, tree edge)
     xhat: np.ndarray  # (tree edge,)
@@ -457,23 +429,14 @@ class LiveColumns(NamedTuple):
         """Live f columns, (tree edge, graph edge)."""
         return self.xhat[:, None] & self.useful
 
-    def mask(self) -> np.ndarray:
-        """The mask over all columns, in `VarIndex` order."""
-        return np.concatenate([
-            np.ones(self.useful.shape[1], dtype=bool),
-            self.xhat,
-            self.fhat.ravel(),
-            self.flow.ravel(),
-            (self.fhat[:, :, None] & self.useful[None]).ravel(),
-        ])
 
-
-def live_columns(instance: DstInstance, tree: ShallowTree, idx: VarIndex) -> LiveColumns:
+def live_columns(instance: DstInstance, tree: ShallowTree) -> LiveColumns:
     """The columns rules (a)-(c) of the module docstring keep."""
     g = instance.graph
+    terminals = sorted(instance.terminals)
     # below[node, k]: a node labelled terminal k lies in the node's subtree
-    below = np.zeros((tree.num_nodes, len(idx.terminals)), dtype=bool)
-    for k, t in enumerate(idx.terminals):
+    below = np.zeros((tree.num_nodes, len(terminals)), dtype=bool)
+    for k, t in enumerate(terminals):
         below[list(tree.groups[t]), k] = True
     parents, depths = np.asarray(tree.parents), np.asarray(tree.depths)
     for depth in range(tree.depth, 0, -1):
@@ -551,16 +514,18 @@ def build_lp(
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
-    idx = VarIndex(m, te, instance.terminals)
+    # every f <= x row keeps its x term, so te * m bounds the live count
+    # from below; it is checked before any te x m array exists
+    if te * m > max_nonzeros:
+        raise SizeLimitError("model would be too large", te * m, max_nonzeros)
+    live = live_columns(instance, tree)
+    expected = live_nonzeros(instance, tree, live)
+    if expected > max_nonzeros:
+        raise SizeLimitError("model would be too large", expected, max_nonzeros)
 
-    projected = projected_nonzeros(instance, tree)
-    if projected > max_nonzeros:
-        raise SizeLimitError("model would be too large", projected, max_nonzeros)
-
-    live = live_columns(instance, tree, idx)
-    mask = live.mask()
+    idx = VarIndex(instance.terminals, live)
     gst, cong, div = range(len(FAMILIES))
-    blocks = _RowBlocks(mask)
+    blocks = _RowBlocks(idx)
     tree_edges = np.arange(te)
     xhat = idx.xhat(0) + tree_edges
 
@@ -610,11 +575,11 @@ def build_lp(
                 live.fhat[k])
 
     arrays = blocks.arrays()
-    objective = np.zeros(idx.total)
-    objective[:m] = g.costs
+    objective = np.zeros(len(idx.columns))
+    objective[:m] = g.costs  # the x block leads and is all live
     model = LpModel(var_index=idx, objective=objective, families=FAMILIES,
-                    beta=float(beta), live=mask, **arrays)
-    built, expected = model.nonzeros(), live_nonzeros(instance, tree, mask)
+                    beta=float(beta), **arrays)
+    built = model.nonzeros()
     if built != expected:
         raise ModelInconsistencyError(
             f"live nonzero count {expected} disagrees with built count {built}"
@@ -652,8 +617,10 @@ def _format_terms(cols, coefs, name_of) -> str:
 
 
 def export_lp(model: LpModel) -> str:
-    """Plain-text interchange form; byte-identical for identical models."""
-    name_of = model.var_index.name
+    """Plain-text interchange form over the model's columns, named by key;
+    byte-identical for identical models."""
+    idx = model.var_index
+    name_of = [idx.name(j) for j in idx.columns.tolist()].__getitem__
     counters: dict[str, int] = {}
     lines = [
         f"\\ variables: {model.num_vars}",
@@ -678,6 +645,5 @@ def export_lp(model: LpModel) -> str:
 
 
 def _objective_terms(model: LpModel):
-    cols = [j for j in range(model.num_vars) if model.objective[j] != 0.0]
-    return cols, [float(model.objective[j]) for j in cols]
-
+    cols = np.flatnonzero(model.objective).tolist()
+    return cols, model.objective[cols].tolist()

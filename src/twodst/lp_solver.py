@@ -3,15 +3,13 @@
 The heavy lifting is delegated to scipy's HiGHS backend, which is
 deterministic for a fixed model and configuration. HiGHS in process is the
 only source of an LP solution, so the reported objective is the optimum of
-the live relaxation. The model holds only the live part of the relaxation
-(see `lp_model`): a dead column (`LpModel.live` false) sits in no row, which
-`LpModel` checks at construction. HiGHS sees only the live columns, and the
-dead ones come back as exact zeros. Every optimal result is replayed against
-every row of the model before being returned; at a point whose dead columns
-are 0 this is the replay against the full relaxation, whose other rows 0
-satisfies. So a wrong answer from the backend cannot slip through silently.
-A wrong column mask would instead give a feasible, suboptimal point, which
-no replay sees; the tests catch it by comparing the model with a full
+the live relaxation. The model (see `lp_model`) holds only the live columns,
+and HiGHS gets it as it is. Every optimal result is replayed against every
+row of the model before being returned; with the dead columns at 0 this is
+the replay against the full relaxation, whose other rows 0 satisfies. So a
+wrong answer from the backend cannot slip through silently. A wrong
+live-column rule would instead give a feasible, suboptimal point, which no
+replay sees; the tests catch it by comparing the model with a full
 reference model, and the benchmark by checking that the LP value stays at
 most OPT. Infeasible models get a certificate: the smallest total
 relaxation (elastic slacks) that would make the rows consistent, reported
@@ -94,13 +92,9 @@ def _options(max_iterations: Optional[int]) -> dict:
 
 def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
     options = _options(max_iterations)
-    cols = np.flatnonzero(model.live)
     a_ub, b_ub, a_eq, b_eq = _split_rows(model)
-    a_ub, a_eq = (None if a is None else a[:, cols] for a in (a_ub, a_eq))
-    blocks = [a for a in (a_ub, a_eq) if a is not None]
-    shape = (sum(a.shape[0] for a in blocks), len(cols), sum(a.nnz for a in blocks))
     result = linprog(
-        model.objective[cols],
+        model.objective,
         A_ub=a_ub,
         b_ub=b_ub if a_ub is not None else None,
         A_eq=a_eq,
@@ -109,10 +103,9 @@ def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
         method="highs",
         options=options,
     )
-    run = {"model": model, "iterations": int(result.nit), "solved_shape": shape}
+    run = {"model": model, "iterations": int(result.nit)}
     if result.status == 0:
-        values = np.zeros(model.num_vars)
-        values[cols] = result.x
+        values = np.asarray(result.x, dtype=float)
         violation = replay_constraints(model, values)
         if violation > REPLAY_TOL:
             raise SolverError(
@@ -152,11 +145,9 @@ def _infeasibility_certificate(
     Every row gets one slack variable easing it in the violated
     direction (equalities may flex both ways). Rows given positive slack
     at the optimum form the repair set: relaxing each by its amount makes
-    the model feasible. As in `solve`, HiGHS sees only the live columns;
-    the dead ones sit in no row and would stay at 0.
+    the model feasible.
     """
-    cols = np.flatnonzero(model.live)
-    n = len(cols)
+    n = model.num_vars
     k = model.num_rows
     # equalities become two inequalities (sign +1, then -1) sharing one slack
     eq = model.sense == EQ
@@ -168,7 +159,7 @@ def _infeasibility_certificate(
     slack = csr_matrix(
         (-np.ones(len(rows)), (np.arange(len(rows)), rows)), shape=(len(rows), k)
     )
-    a_ub = hstack([signed[:, cols], slack], format="csr")
+    a_ub = hstack([signed, slack], format="csr")
     cost = np.concatenate([np.zeros(n), np.ones(k)])
     bounds = [(0.0, 1.0)] * n + [(0.0, None)] * k
     result = linprog(

@@ -125,7 +125,7 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     log.info(
         "LP solved: objective %.6f, congestion parameter %d, %s HiGHS iterations, "
         "solved shape (rows, columns, nonzeros) %s",
-        lp.objective, beta, lp.iterations, lp.solved_shape,
+        lp.objective, beta, lp.iterations, (model.num_rows, model.num_vars, model.nonzeros()),
     )
 
     t0 = clock()

@@ -251,7 +251,8 @@ class IterationSampler:
         samples: Optional[int] = None,
     ):
         self.tree = tree
-        self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
+        idx = lp.model.var_index
+        self.raw_xhat = lp.at(idx.xhat(np.arange(tree.num_edges)))
         self.clamped = monotone_clamp(tree, self.raw_xhat)
         self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
         self._thresholds = _marking_thresholds(tree, self.clamped)
@@ -264,10 +265,11 @@ class IterationSampler:
             raise ValueError("samples not set and the model carries no beta")
 
         g = instance.graph
+        edges = np.arange(g.num_edges)
         markable = np.flatnonzero(self.clamped > 0.0)
         self.distributions: dict[int, PathDistribution] = {}
         for ehat in markable.tolist():
-            flow = [lp.f(ehat, e) for e in range(g.num_edges)]
+            flow = lp.at(idx.f(ehat, edges)).tolist()
             self.distributions[ehat] = decompose_flow(g, tree, ehat, flow, self.raw_xhat[ehat])
         dists = list(self.distributions.values())
         self.paths: list[EdgePath] = [p for d in dists for p in d.paths]  # global id -> path

@@ -9,7 +9,9 @@ carries a label (a graph vertex); the set of nodes labeled t is terminal
 t's group.
 
 Node ids are breadth-first: the root is 0, children are generated in
-ascending label order with the first copy before the second. Every
+ascending label order with the first copy before the second, so the root's
+children list the first copy's depth-1 nodes, then the second's, and a
+node's copy is that of its depth-1 ancestor. Every
 non-root node's single incoming tree edge gets id (node id - 1), so tree
 edge ids are topologically sorted and the edge-to-child map is trivial.
 The edges of each depth form one contiguous id range (`edge_levels`),
@@ -19,7 +21,6 @@ which lets top-down passes run one numpy step per level.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -33,16 +34,15 @@ class ShallowTree:
     """Immutable tree; see module docstring for the id conventions."""
 
     __slots__ = (
-        "depth", "labels", "depths", "parents", "copies", "children", "groups",
+        "depth", "labels", "depths", "parents", "children", "groups",
         "edge_parents", "edge_levels",
     )
 
-    def __init__(self, depth, labels, depths, parents, copies, children, groups):
+    def __init__(self, depth, labels, depths, parents, children, groups):
         self.depth = depth
         self.labels = tuple(labels)
         self.depths = tuple(depths)
         self.parents = tuple(parents)
-        self.copies = tuple(copies)
         self.children = tuple(tuple(c) for c in children)
         self.groups = {t: frozenset(g) for t, g in groups.items()}
         # parent tree edge of every tree edge, -1 at the root
@@ -59,24 +59,6 @@ class ShallowTree:
     def num_edges(self) -> int:
         return len(self.labels) - 1
 
-    # tree edge id conventions: edge e connects parents[e+1] -> e+1
-    def edge_child(self, tree_edge: int) -> int:
-        return tree_edge + 1
-
-    def edge_parent_node(self, tree_edge: int) -> int:
-        return self.parents[tree_edge + 1]
-
-    def parent_edge(self, tree_edge: int) -> Optional[int]:
-        """The tree edge ending at this edge's parent node, if any."""
-        p = self.edge_parent_node(tree_edge)
-        return None if p == 0 else p - 1
-
-    def edge_depth(self, tree_edge: int) -> int:
-        return self.depths[tree_edge + 1]
-
-    def root_edges(self) -> list[int]:
-        return [c - 1 for c in self.children[0]]
-
     def edge_endpoints_labels(self, tree_edge: int):
         """Graph vertices labeling the edge's parent and child nodes."""
         child = tree_edge + 1
@@ -85,14 +67,6 @@ class ShallowTree:
     def group_in_edges(self, terminal) -> list[int]:
         """Tree edges whose child node is labeled with the terminal."""
         return sorted(node - 1 for node in self.groups[terminal])
-
-    def path_to_root(self, node: int) -> list[int]:
-        """Node ids from the given node up to and including the root."""
-        walk = [node]
-        while node != 0:
-            node = self.parents[node]
-            walk.append(node)
-        return walk
 
     def __repr__(self) -> str:
         return f"ShallowTree(depth={self.depth}, nodes={self.num_nodes})"
@@ -137,16 +111,15 @@ def build_shallow_tree(
     labels = [instance.root]
     depths = [0]
     parents = [-1]
-    copies = [0]
     children: list[list[int]] = [[]]
     # ancestor label sets let children be computed without rewalking paths;
     # index-aligned with node ids
     banned: list[frozenset] = [frozenset([instance.root])]
 
-    queue = [(0, 1), (0, 2)]  # (parent node, copy index): copy 1 first
+    queue = [0, 0]  # the root once per copy, copy 1 first
     head = 0
     while head < len(queue):
-        parent, copy = queue[head]
+        parent = queue[head]
         head += 1
         if depths[parent] == depth:
             continue
@@ -157,11 +130,10 @@ def build_shallow_tree(
             labels.append(v)
             depths.append(depths[parent] + 1)
             parents.append(parent)
-            copies.append(copy)
             children.append([])
             banned.append(banned[parent] | {v})
             children[parent].append(node)
-            queue.append((node, copy))
+            queue.append(node)
 
     groups: dict = {t: set() for t in instance.terminals}
     for node, label in enumerate(labels):
@@ -172,5 +144,5 @@ def build_shallow_tree(
             f"tree has {len(labels)} nodes but the closed form projects {projected}"
         )
 
-    return ShallowTree(depth, labels, depths, parents, copies, children, groups)
+    return ShallowTree(depth, labels, depths, parents, children, groups)
 

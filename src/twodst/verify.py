@@ -142,17 +142,11 @@ class GoodEdgeAnalysis:
 
 
 def _bad_and_reduced(tree: ShallowTree, lp: LpSolution, beta: float, e: int):
-    bad = set()
-    caps = []
-    for ehat in range(tree.num_edges):
-        xh = lp.xhat(ehat)
-        fe = lp.f(ehat, e)
-        if xh - fe < fe / (2.0 * beta):
-            bad.add(ehat)
-            caps.append(0.0)
-        else:
-            caps.append(xh - fe)
-    return frozenset(bad), caps
+    idx = lp.model.var_index
+    edges = np.arange(tree.num_edges)
+    xh, fe = lp.at(idx.xhat(edges)), lp.at(idx.f(edges, e))
+    bad = xh - fe < fe / (2.0 * beta)
+    return frozenset(np.flatnonzero(bad).tolist()), np.where(bad, 0.0, xh - fe).tolist()
 
 
 def residual_group_flow(tree: ShallowTree, lp: LpSolution, beta: float, e: int, t) -> float:
@@ -172,16 +166,15 @@ def flow_slack_violation(tree: ShallowTree, lp: LpSolution) -> float:
     idx = lp.model.var_index
     m = idx.num_edges
     te = idx.num_tree_edges
-    h = len(idx.terminals)
     if te == 0 or m == 0:
         return 0.0
-    v = lp.values
-    xhat = v[idx.xhat(0) : idx.xhat(0) + te]
-    fhat = v[idx.fhat(idx.terminals[0], 0) :][: h * te].reshape(h, te)
-    f = v[idx.f(0, 0) :][: te * m].reshape(te, m)
-    ft = v[idx.ft(idx.terminals[0], 0, 0) :][: h * te * m].reshape(h, te, m)
-    violation = (fhat[:, :, None] - ft) - (xhat[None, :, None] - f[None, :, :])
-    return float(np.max(violation))
+    edges = np.arange(te)
+    pairs = (edges[:, None], np.arange(m))  # (tree edge, graph edge)
+    slack = lp.at(idx.xhat(edges))[:, None] - lp.at(idx.f(*pairs))
+    return max(
+        float(np.max(lp.at(idx.fhat(t, edges))[:, None] - lp.at(idx.ft(t, *pairs)) - slack))
+        for t in idx.terminals
+    )
 
 
 class SurvivalEstimate(NamedTuple):

@@ -54,13 +54,11 @@ def parallel_pair():
     return DstInstance(g, "r", frozenset(["t"]))
 
 
-@pytest.fixture
-def multicover():
-    """Set 2-multicover over F_2^3: the root buys one unit-cost set per
-    nonzero a, the set {p != 0 : a.p = 1}, and each set reaches its four
-    point terminals for free. The LP is 3.5 (every set at 1/2), OPT is 4,
-    so rounding works on a fractional point."""
-    points = [p for p in itertools.product((0, 1), repeat=3) if any(p)]
+def _f2_multicover(k):
+    """Set 2-multicover over F_2^k: the root buys one unit-cost set per
+    nonzero a, the set {p != 0 : a.p = 1}, and each set reaches its
+    2^(k-1) point terminals for free."""
+    points = [p for p in itertools.product((0, 1), repeat=k) if any(p)]
     sets = [f"s{i}" for i in range(len(points))]
     terms = [f"p{j}" for j in range(len(points))]
     edges = []
@@ -70,6 +68,19 @@ def multicover():
             if sum(x * y for x, y in zip(a, p)) % 2 == 1:
                 edges.append((sets[i], terms[j], 0.0))
     return DstInstance(DirectedMultigraph(["r"] + sets + terms, edges), "r", frozenset(terms))
+
+
+@pytest.fixture
+def f2_multicover():
+    """The F_2^k multicover instance as a function of k."""
+    return _f2_multicover
+
+
+@pytest.fixture
+def multicover():
+    """The F_2^3 multicover (n=15, m=35, h=7). The LP is 3.5 (every set at
+    1/2), OPT is 4, so rounding works on a fractional point."""
+    return _f2_multicover(3)
 
 
 def _child_labeled(tree, node, label):
@@ -91,24 +102,22 @@ def diamond_embedding(diamond):
     model = build_lp(diamond, tree, beta)
     idx = model.var_index
 
-    n_a1 = next(
-        c for c in tree.children[0] if tree.labels[c] == "a" and tree.copies[c] == 1
-    )
-    n_b2 = next(
-        c for c in tree.children[0] if tree.labels[c] == "b" and tree.copies[c] == 2
-    )
+    # the root's children list copy 1's depth-1 nodes, then copy 2's
+    kids = tree.children[0]
+    copy1, copy2 = kids[: len(kids) // 2], kids[len(kids) // 2:]
+    n_a1 = next(c for c in copy1 if tree.labels[c] == "a")
+    n_b2 = next(c for c in copy2 if tree.labels[c] == "b")
     n_t1 = _child_labeled(tree, n_a1, "t")
     n_t2 = _child_labeled(tree, n_b2, "t")
 
-    values = np.zeros(model.num_vars)
-    for e in range(diamond.graph.num_edges):
-        values[idx.x(e)] = 1.0
+    keys = [idx.x(e) for e in range(diamond.graph.num_edges)]
     # (tree edge, graph edge) pairs of the embedding; diamond edge order is
     # 0: r->a, 1: a->t, 2: r->b, 3: b->t
     for node, e in ((n_a1, 0), (n_t1, 1), (n_b2, 2), (n_t2, 3)):
         ehat = node - 1
-        values[idx.xhat(ehat)] = 1.0
-        values[idx.fhat("t", ehat)] = 1.0
-        values[idx.f(ehat, e)] = 1.0
-        values[idx.ft("t", ehat, e)] = 1.0
+        keys += [idx.xhat(ehat), idx.fhat("t", ehat), idx.f(ehat, e), idx.ft("t", ehat, e)]
+    columns = idx.positions(keys)
+    assert (columns >= 0).all(), "the embedding uses only live columns"
+    values = np.zeros(model.num_vars)
+    values[columns] = 1.0
     return diamond, tree, model, values

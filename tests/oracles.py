@@ -4,10 +4,13 @@ The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
 or so) when calling them from tests. `reference_disjoint_pair_cost` tries
 every pair of simple paths, as a reference for the two shortest paths of
 `reductions._disjoint_pair_cost`. `reference_rows` builds the full
-relaxation one row at a time; `reference_live` marks its live columns one
-at a time, as a reference for `LpModel.live`; and `reference_live_rows`
-cuts the rows down to those columns, as a reference for the live model
-that `build_lp` emits. `group_flow_lp` is a linprog max flow, as a
+relaxation one row at a time, over every column of `full_index`, and
+`reference_model` makes it an `LpModel` (`model_from_rows`, the
+row-at-a-time constructor the tests use). `reference_live` marks its live
+columns one at a time, as a reference for `VarIndex.columns`; and
+`reference_live_rows` cuts the rows down to those columns, renumbered as
+the live model's, as a reference for the model that `build_lp` emits.
+`group_flow_lp` is a linprog max flow, as a
 reference for the tree-flow DP in `verify`. `reference_round` is the
 rounding loop one draw at a time, as a reference for the batched
 `round_solution`: same random stream, so the two must agree byte for byte.
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from twodst.graph import DirectedMultigraph, reachable_set
-from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
+from twodst.lp_model import _SENSE_DTYPE, EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
 from twodst.rounding import SUPPORT_TOL, decompose_flow, default_samples
 from twodst.solution import SolutionSubgraph
 
@@ -207,8 +210,51 @@ def enumerate_label_sequences(vertices, root, depth) -> list[tuple]:
     return out
 
 
+def full_index(instance, tree) -> VarIndex:
+    """A `VarIndex` that lists every column of the instance's full relaxation."""
+    return every_column(instance.graph.num_edges, tree.num_edges, instance.terminals)
+
+
+def every_column(num_edges, num_tree_edges, terminals) -> VarIndex:
+    """A `VarIndex` that lists every column of the layout."""
+    h, te, m = len(terminals), num_tree_edges, num_edges
+    every = LiveColumns(np.ones((h, te), dtype=bool), np.ones(te, dtype=bool),
+                        np.ones((te, m), dtype=bool))
+    return VarIndex(terminals, every)
+
+
+def model_from_rows(var_index, objective, rows, beta=None) -> LpModel:
+    """An `LpModel` over the index's columns from `LpRow`s whose cols are
+    model columns."""
+    rows = list(rows)
+    families = tuple(dict.fromkeys(r.family for r in rows))
+    code = {f: k for k, f in enumerate(families)}
+    lengths = [len(r.cols) for r in rows]
+    return LpModel(
+        var_index,
+        np.asarray(objective, dtype=float),
+        np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        np.array([j for r in rows for j in r.cols], dtype=np.int64),
+        np.array([c for r in rows for c in r.coefs], dtype=float),
+        np.array([r.sense for r in rows], dtype=_SENSE_DTYPE),
+        np.array([r.rhs for r in rows], dtype=float),
+        np.array([code[r.family] for r in rows], dtype=np.int32),
+        families,
+        beta,
+    )
+
+
+def reference_model(instance, tree, beta) -> LpModel:
+    """The full relaxation, every column live, from `reference_rows`."""
+    idx = full_index(instance, tree)
+    objective = np.zeros(len(idx.columns))
+    objective[: instance.graph.num_edges] = instance.graph.costs
+    return model_from_rows(idx, objective, reference_rows(instance, tree, beta), float(beta))
+
+
 def reference_rows(instance, tree, beta) -> list[LpRow]:
-    """The relaxation's rows, emitted one at a time in model order.
+    """The relaxation's rows, emitted one at a time in model order, over
+    the full column numbers.
 
     Reference for the vectorised `build_lp`: same families, same row
     order, same term order within each row; rows with no terms are skipped.
@@ -216,7 +262,7 @@ def reference_rows(instance, tree, beta) -> list[LpRow]:
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
-    idx = VarIndex(m, te, instance.terminals)
+    idx = full_index(instance, tree)
     rows: list[LpRow] = []
 
     def emit(cols, coefs, sense, rhs, family):
@@ -272,11 +318,13 @@ def reference_rows(instance, tree, beta) -> list[LpRow]:
 
 def reference_live_rows(instance, tree, beta) -> list[LpRow]:
     """`reference_rows` without the dead terms, and without the rows left
-    with no term; those must be rows that 0 satisfies."""
+    with no term; those must be rows that 0 satisfies. A live column is
+    numbered by its rank among the live columns."""
     live = reference_live(instance, tree)
+    rank = np.cumsum(live) - 1
     rows = []
     for row in reference_rows(instance, tree, beta):
-        kept = [(j, c) for j, c in zip(row.cols, row.coefs) if live[j]]
+        kept = [(int(rank[j]), c) for j, c in zip(row.cols, row.coefs) if live[j]]
         if kept:
             cols, coefs = zip(*kept)
             rows.append(LpRow(cols, coefs, row.sense, row.rhs, row.family))
@@ -286,12 +334,14 @@ def reference_live_rows(instance, tree, beta) -> list[LpRow]:
 
 
 def live_lp_text(text: str, dead: set) -> str:
-    """An `export_lp` text without the terms of the dead variables: rows
-    left with no term are dropped, the row labels of each family renumbered
-    and the row count in the header updated. Objective and bounds stay."""
+    """An `export_lp` text without the dead variables: their terms and
+    bounds are dropped, and so are the rows left with no term; the row
+    labels of each family are renumbered and both header counts updated.
+    The objective stays (it holds x columns only, which are never dead)."""
     lines = text.splitlines()
     head = lines.index("Subject To") + 1
     end = lines.index("Bounds")
+    bounds = [l for l in lines[end + 1:-1] if l.split(" ")[3] not in dead]
     rows, counters = [], {}
     for line in lines[head:end]:
         label, _, rest = line.partition(": ")
@@ -309,8 +359,10 @@ def live_lp_text(text: str, dead: set) -> str:
         k = counters.get(family, 0)
         counters[family] = k + 1
         rows.append(f" {family}_{k}: " + " ".join(" ".join(t) for t in kept + [relation]))
-    header = [f"\\ rows: {len(rows)}" if l.startswith("\\ rows:") else l for l in lines[:head]]
-    return "\n".join(header + rows + lines[end:]) + "\n"
+    counts = {"\\ variables:": len(bounds), "\\ rows:": len(rows)}
+    header = [next((f"{k} {n}" for k, n in counts.items() if l.startswith(k)), l)
+              for l in lines[:head]]
+    return "\n".join(header + rows + ["Bounds"] + bounds + ["End"]) + "\n"
 
 
 def scan_failures(instance, solution) -> list[tuple]:
@@ -402,13 +454,13 @@ def useless_pairs(instance, tree) -> set[tuple[int, int]]:
 def reference_live(instance, tree) -> np.ndarray:
     """The live-column mask, one column at a time, by rules (a)-(c)."""
     g = instance.graph
-    idx = VarIndex(g.num_edges, tree.num_edges, instance.terminals)
+    idx = full_index(instance, tree)
     useless = useless_pairs(instance, tree)
-    live = np.zeros(idx.total, dtype=bool)
+    live = np.zeros(len(idx.columns), dtype=bool)
     for e in range(g.num_edges):
         live[idx.x(e)] = True
     for ehat in range(tree.num_edges):
-        below = labels_below(tree, tree.edge_child(ehat))
+        below = labels_below(tree, ehat + 1)
         useful = [e for e in range(g.num_edges) if (ehat, e) not in useless]
         if below & instance.terminals:
             live[idx.xhat(ehat)] = True
@@ -422,11 +474,35 @@ def reference_live(instance, tree) -> np.ndarray:
     return live
 
 
+def parent_edge(tree, ehat):
+    """The tree edge ending at the tree edge's parent node, or None at the
+    root."""
+    parent = tree.parents[ehat + 1]
+    return None if parent == 0 else parent - 1
+
+
+def path_to_root(tree, node) -> list:
+    """Node ids from the given node up to and including the root."""
+    walk = [node]
+    while node != 0:
+        node = tree.parents[node]
+        walk.append(node)
+    return walk
+
+
+def copy_of(tree, node) -> int:
+    """The copy (1 or 2) of a non-root node: the root's children list copy
+    1's depth-1 nodes, then copy 2's, and a node shares its depth-1
+    ancestor's copy."""
+    first = path_to_root(tree, node)[-2]
+    return 1 if tree.children[0].index(first) < len(tree.children[0]) // 2 else 2
+
+
 def reference_clamp(tree, xhat) -> np.ndarray:
     """Cap each tree-edge value by its clamped parent's, one edge at a time."""
     out = np.array(xhat, dtype=float)
     for ehat in range(len(out)):
-        parent = tree.parent_edge(ehat)
+        parent = parent_edge(tree, ehat)
         if parent is not None and out[parent] < out[ehat]:
             out[ehat] = out[parent]
     return out
@@ -437,7 +513,7 @@ def reference_gkr_round(tree, xhat, rng) -> frozenset:
     draws = rng.random(tree.num_edges)
     marked = np.zeros(tree.num_edges, dtype=bool)
     for ehat in range(tree.num_edges):
-        parent = tree.parent_edge(ehat)
+        parent = parent_edge(tree, ehat)
         if parent is None:
             threshold = xhat[ehat]
         elif marked[parent]:

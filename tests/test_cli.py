@@ -6,6 +6,7 @@ import json
 import pytest
 
 import twodst.cli as cli
+import twodst.lp_model as lp_model
 from twodst.cli import (
     BENCH_COLUMNS,
     EXIT_ERROR,
@@ -96,6 +97,27 @@ def test_solve_size_cap(tmp_path, capsys):
     code = main(["solve", str(path), "--depth", "8"])
     assert code == EXIT_SIZE_CAP
     assert "size cap" in capsys.readouterr().err
+
+
+def test_solve_size_cap_on_the_model(tmp_path, capsys, monkeypatch):
+    # depth 3 over 12 vertices gives 2,222 tree edges; times 920 graph edges
+    # that is over the default nonzero cap, which refuses the model before
+    # its live columns are computed
+    vertices = ["r", "t"] + [f"m{i}" for i in range(10)]
+    edges = [("r", "t", 1.0)] * 900
+    for i in range(10):
+        edges += [("r", f"m{i}", 1.0), (f"m{i}", "t", 1.0)]
+    inst = DstInstance(DirectedMultigraph(vertices, edges), "r", frozenset(["t"]))
+    path = tmp_path / "parallel.json"
+    save_instance(inst, path)
+
+    def fail(*args):
+        raise AssertionError("live columns computed before the te * m cap")
+
+    monkeypatch.setattr(lp_model, "live_columns", fail)
+    code = main(["solve", str(path), "--depth", "3"])
+    assert code == EXIT_SIZE_CAP
+    assert "model would be too large (projected 2044240 > cap 2000000)" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path, capsys):

@@ -1,7 +1,6 @@
-"""The live-column mask: agreement with a loop oracle, and exactness of
-the live model against the full one."""
+"""The live columns: agreement with a loop oracle, exactness of the live
+model against the full one, and a solver that sees only the model's columns."""
 
-import dataclasses
 import logging
 
 import numpy as np
@@ -9,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_live, reference_rows, useless_pairs
-from twodst import lp_model
+from oracles import full_index, reference_live, reference_model, useless_pairs
+from twodst import lp_model, lp_solver
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
 from twodst.lp_model import (
@@ -18,8 +17,7 @@ from twodst.lp_model import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    LpModel,
-    LpRow,
+    LiveColumns,
     VarIndex,
     build_lp,
     congestion_parameter,
@@ -36,23 +34,12 @@ def _model(inst, depth, beta=None):
     return tree, build_lp(inst, tree, beta)
 
 
-def _full(inst, tree, model):
-    """The full model, every column live, from the row-at-a-time builder."""
-    rows = reference_rows(inst, tree, model.beta)
-    return LpModel.from_rows(model.var_index, model.objective, rows, model.beta)
-
-
 def _check(inst, depth, beta=None):
     tree, model = _model(inst, depth, beta)
-    assert np.array_equal(model.live, reference_live(inst, tree))
+    assert np.array_equal(model.var_index.columns, np.flatnonzero(reference_live(inst, tree)))
 
-    reduced, full = solve(model), solve(_full(inst, tree, model))
+    reduced, full = solve(model), solve(reference_model(inst, tree, model.beta))
     assert reduced.status == full.status
-    # HiGHS gets every row of the live model, over the live columns
-    assert reduced.solved_shape == (model.num_rows, int(model.live.sum()), model.nonzeros())
-    assert full.solved_shape[1] == model.num_vars
-    # dead columns come back as exact zeros
-    assert np.all(reduced.values[~model.live] == 0.0)
     if full.status == OPTIMAL:
         assert reduced.objective == pytest.approx(full.objective, abs=1e-7)
         assert reduced.max_violation <= 1e-8
@@ -75,9 +62,11 @@ def _check(inst, depth, beta=None):
     "fixture, depth, dead", [("parallel_pair", 1, False), ("diamond", 2, True)]
 )
 def test_fixtures(request, fixture, depth, dead):
-    model, sol = _check(request.getfixturevalue(fixture), depth)
+    inst = request.getfixturevalue(fixture)
+    model, sol = _check(inst, depth)
     assert sol.status == OPTIMAL
-    assert (not model.live.all()) == dead
+    full = full_index(inst, build_shallow_tree(inst, depth))
+    assert (model.num_vars < len(full.columns)) == dead
 
 
 def test_infeasible_chain(chain):
@@ -122,15 +111,18 @@ def test_heavy_tail_instance_solves():
 
 
 def _blocks(*rows):
-    """`build_lp`'s row collector over columns 0 (dead) and 1 (live)."""
-    blocks = lp_model._RowBlocks(np.array([False, True]))
+    """`build_lp`'s row collector over full columns 1 (xh_0, dead) and 2
+    (xh_1, live, model column 1) of a one-edge, two-tree-edge layout."""
+    live = LiveColumns(np.zeros((0, 2), dtype=bool), np.array([False, True]),
+                       np.zeros((2, 1), dtype=bool))
+    blocks = lp_model._RowBlocks(VarIndex((), live))
     for col, sense, rhs in rows:
         blocks.add([1], [col], [1.0], sense, rhs, 0)
     return blocks
 
 
 def test_rows_of_dead_columns_are_dropped_when_zero_satisfies_them():
-    arrays = _blocks((0, LE, 0.5), (1, GE, 0.25)).arrays()
+    arrays = _blocks((1, LE, 0.5), (2, GE, 0.25)).arrays()
     assert arrays["indptr"].tolist() == [0, 1]
     assert arrays["indices"].tolist() == [1]
     assert (arrays["sense"].tolist(), arrays["rhs"].tolist()) == ([GE], [0.25])
@@ -138,17 +130,33 @@ def test_rows_of_dead_columns_are_dropped_when_zero_satisfies_them():
 
 def test_rows_of_dead_columns_must_be_satisfied_by_zero():
     with pytest.raises(ModelInconsistencyError, match="only dead columns"):
-        _blocks((0, GE, 0.5), (1, GE, 0.25)).arrays()
+        _blocks((1, GE, 0.5), (2, GE, 0.25)).arrays()
 
 
-def test_row_with_dead_column_is_rejected():
-    # build_lp cuts dead terms itself (test_row_that_zero_breaks_keeps_a_live_column);
-    # a model whose row still holds a dead column is refused at construction
-    rows = [LpRow((0,), (1.0,), LE, 0.5, "test"), LpRow((1,), (1.0,), GE, 0.25, "test")]
-    model = LpModel.from_rows(VarIndex(2, 0, ()), np.ones(2), rows)
-    assert model.live.all()
-    with pytest.raises(ModelInconsistencyError, match="row 0 holds dead column x_0"):
-        dataclasses.replace(model, live=np.array([False, True]))
+def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypatch):
+    tree, model = _model(diamond, 2)
+    calls = []
+
+    def capture(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    real = lp_solver.linprog
+    monkeypatch.setattr(lp_solver, "linprog", capture)
+    sol = solve(model)
+    [(c, kwargs)] = calls
+    assert len(c) == kwargs["A_ub"].shape[1] == kwargs["A_eq"].shape[1] == model.num_vars
+    assert len(sol.values) == model.num_vars
+
+    idx = model.var_index
+    assert np.array_equal(sol.at(idx.columns), sol.values)
+    dead = np.setdiff1d(full_index(diamond, tree).columns, idx.columns)
+    assert len(dead) and np.all(sol.at(dead) == 0.0)
+    # a tree edge with no terminal below: every key of it is dead
+    ehat = next(e for e in range(tree.num_edges) if idx.positions(idx.xhat(e)) < 0)
+    assert (sol.xhat(ehat), sol.fhat("t", ehat), sol.f(ehat, 0), sol.ft("t", ehat, 0)) == (
+        0.0, 0.0, 0.0, 0.0)
+    assert [sol.x(e) for e in range(4)] == sol.values[:4].tolist()
 
 
 def test_pipeline_logs_solver_run(diamond, caplog):

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from oracles import drop_family, live_lp_text, reference_live, reference_live_rows, reference_rows
+from oracles import (
+    drop_family,
+    every_column,
+    full_index,
+    live_lp_text,
+    reference_live,
+    reference_live_rows,
+    reference_model,
+    reference_rows,
+)
 from twodst import lp_model
 from twodst.errors import ModelInconsistencyError, SizeLimitError
 from twodst.exact import random_instance
@@ -14,13 +23,11 @@ from twodst.lp_model import (
     EQ,
     GE,
     LE,
-    LpModel,
-    VarIndex,
     build_lp,
     congestion_parameter,
     export_lp,
+    live_columns,
     live_nonzeros,
-    projected_nonzeros,
     replay_constraints,
 )
 from twodst.lp_solver import _split_rows, solve
@@ -55,27 +62,35 @@ class TestCongestionParameter:
 class TestVarIndex:
     def test_counts_for_parallel_pair(self, parallel_pair):
         tree = build_shallow_tree(parallel_pair, 1)
-        idx = VarIndex(parallel_pair.graph.num_edges, tree.num_edges, parallel_pair.terminals)
+        idx = full_index(parallel_pair, tree)
         # m + |tree edges| + h*|tree| + |tree|*m + h*|tree|*m
-        assert idx.total == 2 + 2 + 2 + 4 + 4 == 14
+        assert len(idx.columns) == 2 + 2 + 2 + 4 + 4 == 14
 
     def test_bijection(self, parallel_pair):
         tree = build_shallow_tree(parallel_pair, 1)
-        idx = VarIndex(2, tree.num_edges, parallel_pair.terminals)
-        names = [idx.name(j) for j in range(idx.total)]
-        assert len(names) == len(set(names)) == idx.total
+        idx = full_index(parallel_pair, tree)
+        names = [idx.name(j) for j in idx.columns.tolist()]
+        assert len(names) == len(set(names)) == 14
 
     def test_block_layout(self):
-        idx = VarIndex(3, 2, ["t1", "t2"])
+        idx = every_column(3, 2, ["t1", "t2"])
         assert idx.x(2) == 2
         assert idx.xhat(0) == 3
         assert idx.fhat("t1", 0) == 5
         assert idx.fhat("t2", 1) == 8
         assert idx.f(1, 2) == 9 + 5
-        assert idx.ft("t2", 1, 2) == idx.total - 1
+        assert idx.ft("t2", 1, 2) == len(idx.columns) - 1
+
+    def test_live_columns_ascend_block_by_block(self, diamond):
+        tree = build_shallow_tree(diamond, 2)
+        idx = build_lp(diamond, tree, beta=4).var_index
+        assert np.array_equal(idx.columns, np.flatnonzero(reference_live(diamond, tree)))
+        assert idx.positions(idx.columns).tolist() == list(range(len(idx.columns)))
+        dead = np.setdiff1d(np.arange(idx.columns[-1] + 2), idx.columns)
+        assert len(dead) and (idx.positions(dead) == -1).all()
 
     def test_names_scheme(self):
-        idx = VarIndex(2, 2, ["t"])
+        idx = every_column(2, 2, ["t"])
         assert idx.name(idx.x(1)) == "x_1"
         assert idx.name(idx.xhat(0)) == "xh_0"
         assert idx.name(idx.fhat("t", 1)) == "fh_t_1"
@@ -105,10 +120,10 @@ class TestBuildLp:
         for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
             tree = build_shallow_tree(inst, depth)
             model = build_lp(inst, tree, beta=4)
-            assert model.nonzeros() == live_nonzeros(inst, tree, model.live)
-            full = LpModel.from_rows(model.var_index, model.objective, reference_rows(inst, tree, 4))
-            assert full.nonzeros() == projected_nonzeros(inst, tree)
-            assert model.nonzeros() <= projected_nonzeros(inst, tree)
+            assert model.nonzeros() == live_nonzeros(inst, tree, live_columns(inst, tree))
+            full = reference_model(inst, tree, 4)
+            # te * m, the first cap, bounds the live count from below
+            assert tree.num_edges * inst.graph.num_edges < model.nonzeros() <= full.nonzeros()
 
     def test_row_that_zero_breaks_keeps_a_live_column(self, diamond, monkeypatch):
         tree = build_shallow_tree(diamond, 2)
@@ -137,9 +152,34 @@ class TestBuildLp:
 
     def test_size_cap(self, diamond):
         tree = build_shallow_tree(diamond, 2)
+        live = build_lp(diamond, tree, beta=4).nonzeros()
+        assert tree.num_edges * diamond.graph.num_edges <= 100 < live
         with pytest.raises(SizeLimitError) as err:
             build_lp(diamond, tree, beta=4, max_nonzeros=100)
-        assert err.value.projected > 100
+        assert err.value.projected == live
+
+    def test_size_cap_on_tree_edges_times_graph_edges_comes_first(self, diamond, monkeypatch):
+        tree = build_shallow_tree(diamond, 2)
+
+        def fail(*args):
+            raise AssertionError("live columns computed before the te * m cap")
+
+        monkeypatch.setattr(lp_model, "live_columns", fail)
+        cap = tree.num_edges * diamond.graph.num_edges - 1
+        with pytest.raises(SizeLimitError) as err:
+            build_lp(diamond, tree, beta=4, max_nonzeros=cap)
+        assert err.value.projected == cap + 1
+
+    @pytest.mark.parametrize("k, depth, nonzeros, lp", [(3, 3, 221_102, 3.5), (4, 2, 307_230, 3.75)])
+    def test_multicover_fits_the_default_cap(self, f2_multicover, k, depth, nonzeros, lp):
+        # the full relaxations have 6.66M and 19.3M nonzeros, over the cap
+        inst = f2_multicover(k)
+        tree = build_shallow_tree(inst, depth)
+        model = build_lp(inst, tree, beta=congestion_parameter(depth, inst.num_terminals))
+        assert model.nonzeros() == nonzeros < lp_model.DEFAULT_MAX_NONZEROS
+        sol = solve(model)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(lp, abs=1e-7)
 
     def test_integral_embedding_is_feasible(self, diamond_embedding):
         _, _, model, values = diamond_embedding
@@ -191,14 +231,15 @@ class TestExport:
         inst = request.getfixturevalue(fixture)
         tree = build_shallow_tree(inst, depth)
         model = build_lp(inst, tree, beta=beta)
-        dead = {model.var_index.name(j) for j in np.flatnonzero(~reference_live(inst, tree))}
+        name = full_index(inst, tree).name
+        dead = {name(j) for j in np.flatnonzero(~reference_live(inst, tree))}
         expected = (DATA / golden).read_text()
         if dead:
             expected = live_lp_text(expected, dead)
         assert export_lp(model) == expected
 
     def test_parallel_pair_has_no_dead_columns(self, model):
-        assert model.live.all()
+        assert model.num_vars == 14
 
     def test_live_text_filter(self):
         text = (
@@ -208,9 +249,9 @@ class TestExport:
             "Bounds\n 0 <= a <= 1\n 0 <= b <= 1\n 0 <= c <= 1\nEnd\n"
         )
         assert live_lp_text(text, {"b"}) == (
-            "\\ variables: 3\n\\ rows: 3\nMinimize\n obj: 1.0 a\nSubject To\n"
+            "\\ variables: 2\n\\ rows: 3\nMinimize\n obj: 1.0 a\nSubject To\n"
             " gst_0: 1.0 a <= 0.0\n gst_1: - 1.0 c = 0.0\n cong_0: 1.0 c + 2.0 a >= 2.0\n"
-            "Bounds\n 0 <= a <= 1\n 0 <= b <= 1\n 0 <= c <= 1\nEnd\n"
+            "Bounds\n 0 <= a <= 1\n 0 <= c <= 1\nEnd\n"
         )
 
     def test_bounds_cover_all_variables(self, model):
@@ -248,7 +289,6 @@ def _check_against_reference(inst, depth, beta, seed):
     full = reference_rows(inst, tree, beta)
     ref = reference_live_rows(inst, tree, beta)
 
-    assert sum(len(r.cols) for r in full) == projected_nonzeros(inst, tree)
     # same rows, same order, same terms in the same order
     assert list(model.rows) == ref
     for r in model.rows:
@@ -271,9 +311,10 @@ def _check_against_reference(inst, depth, beta, seed):
             _replay_by_rows(ref, point), abs=1e-12
         )
         # where the dead columns are 0, the live rows replay the full model
-        point[~model.live] = 0.0
+        full_point = np.zeros(len(full_index(inst, tree).columns))
+        full_point[model.var_index.columns] = point
         assert replay_constraints(model, point) == pytest.approx(
-            _replay_by_rows(full, point), abs=1e-12
+            _replay_by_rows(full, full_point), abs=1e-12
         )
 
 

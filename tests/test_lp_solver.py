@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import every_column, model_from_rows
 from twodst.lp_model import (
     EQ,
     GE,
     LE,
-    LpModel,
     LpRow,
-    VarIndex,
     build_lp,
     congestion_parameter,
 )
@@ -16,9 +15,9 @@ from twodst.shallow_tree import build_shallow_tree
 
 
 def tiny_model(rows):
-    index = VarIndex(1 + max(i for r in rows for i in r[0]), 0, ())
-    objective = np.ones(index.total)
-    return LpModel.from_rows(
+    index = every_column(1 + max(i for r in rows for i in r[0]), 0, ())
+    objective = np.ones(len(index.columns))
+    return model_from_rows(
         index, objective, [LpRow(tuple(c), tuple(co), s, r, "test") for c, co, s, r in rows]
     )
 
@@ -111,7 +110,7 @@ class TestInfeasibility:
             else:
                 repaired.append(LpRow(row.cols, row.coefs, LE, row.rhs + give, row.family))
                 repaired.append(LpRow(row.cols, row.coefs, GE, row.rhs - give, row.family))
-        relaxed = LpModel.from_rows(
+        relaxed = model_from_rows(
             infeasible_model.var_index,
             infeasible_model.objective,
             repaired,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (
     ReferenceSampler,
+    parent_edge,
     reference_clamp,
     reference_gkr_round,
     reference_round,
@@ -66,7 +67,7 @@ def chain_tree():
         ["r", "a", "t"], [("r", "a", 1.0), ("a", "t", 1.0)], "r", ["t"]
     )
     tree = build_shallow_tree(inst, 2)
-    assert tree.parent_edge(4) == 0
+    assert tree.edge_parents[4] == 0
     return tree
 
 
@@ -157,7 +158,7 @@ def test_clamp_chain_example(chain_tree):
 def test_clamp_properties(chain_tree, values):
     out = monotone_clamp(chain_tree, np.array(values))
     for ehat in range(chain_tree.num_edges):
-        parent = chain_tree.parent_edge(ehat)
+        parent = parent_edge(chain_tree, ehat)
         assert out[ehat] <= values[ehat]
         if parent is not None:
             assert out[ehat] <= out[parent]

@@ -13,7 +13,7 @@ from twodst.shallow_tree import (
     usable_vertices,
 )
 
-from oracles import enumerate_label_sequences
+from oracles import copy_of, enumerate_label_sequences, parent_edge, path_to_root
 
 
 def complete_instance(n, terminals):
@@ -58,11 +58,10 @@ class TestStructure:
         assert tree.labels[0] == "r"
         assert tree.depths[0] == 0
         assert tree.parents[0] == -1
-        assert tree.copies[0] == 0
 
     def test_sequence_property(self, tree):
         for node in range(tree.num_nodes):
-            path_labels = [tree.labels[v] for v in tree.path_to_root(node)]
+            path_labels = [tree.labels[v] for v in path_to_root(tree, node)]
             assert len(path_labels) == len(set(path_labels))
             assert path_labels[-1] == "r"
 
@@ -70,25 +69,27 @@ class TestStructure:
         assert max(tree.depths) == tree.depth == 2
 
     def test_parent_edge_consistency(self, tree):
+        # tree edge e runs from node parents[e + 1] to node e + 1
         for e in range(tree.num_edges):
-            rho = tree.parent_edge(e)
+            rho = parent_edge(tree, e)
+            assert tree.edge_parents[e] == (-1 if rho is None else rho)
             if rho is None:
-                assert tree.edge_parent_node(e) == 0
+                assert tree.parents[e + 1] == 0
             else:
                 assert rho < e
-                assert tree.edge_child(rho) == tree.edge_parent_node(e)
-                assert tree.edge_depth(rho) == tree.edge_depth(e) - 1
+                assert rho + 1 == tree.parents[e + 1]
+                assert tree.depths[rho + 1] == tree.depths[e + 1] - 1
 
     def test_root_edges_are_depth_one(self, tree):
-        for e in tree.root_edges():
-            assert tree.edge_depth(e) == 1
-            assert tree.parent_edge(e) is None
+        for node in tree.children[0]:
+            assert tree.depths[node] == 1
+            assert parent_edge(tree, node - 1) is None
 
     def test_copies_are_isomorphic(self, tree):
         per_copy = {1: [], 2: []}
         for node in range(1, tree.num_nodes):
-            path = tree.path_to_root(node)
-            per_copy[tree.copies[node]].append(tuple(tree.labels[v] for v in path[:-1]))
+            path = path_to_root(tree, node)
+            per_copy[copy_of(tree, node)].append(tuple(tree.labels[v] for v in path[:-1]))
         assert Counter(per_copy[1]) == Counter(per_copy[2])
         assert len(per_copy[1]) == len(per_copy[2]) == (tree.num_nodes - 1) // 2
 
@@ -99,10 +100,10 @@ class TestStructure:
 
     def test_group_in_edges_end_at_group(self, tree):
         for e in tree.group_in_edges("t"):
-            assert tree.labels[tree.edge_child(e)] == "t"
+            assert tree.labels[e + 1] == "t"
 
     def test_edge_endpoints_labels(self, tree):
-        e = tree.root_edges()[0]
+        e = tree.children[0][0] - 1
         parent_label, child_label = tree.edge_endpoints_labels(e)
         assert parent_label == "r"
 

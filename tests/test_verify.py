@@ -187,11 +187,12 @@ def test_feasibility_matches_oracle(pair):
 def test_group_flow_dp_simple(diamond_solved):
     _, tree, _, _ = diamond_solved
     caps = [0.0] * tree.num_edges
-    for ehat in tree.root_edges():
+    root_edges = [node - 1 for node in tree.children[0]]
+    for ehat in root_edges:
         caps[ehat] = 0.75
     # only root edges whose child is already in the group contribute
     flow = _group_flow_dp(tree, caps, tree.groups["t"])
-    direct = [e for e in tree.root_edges() if e + 1 in tree.groups["t"]]
+    direct = [e for e in root_edges if e + 1 in tree.groups["t"]]
     assert flow == pytest.approx(0.75 * len(direct))
 
 
@@ -259,6 +260,26 @@ def test_flow_slack_violation_zero_point(diamond_solved):
     _, tree, _, lp = diamond_solved
     zero = LpSolution(lp.model, np.zeros(lp.model.num_vars), 0.0, "optimal")
     assert flow_slack_violation(tree, zero) <= 0.0
+
+
+def test_lp_diagnostics_match_key_by_key_loops(multicover):
+    # a random point over the model's columns; dead keys read 0
+    tree = build_shallow_tree(multicover, 1)
+    model = build_lp(multicover, tree, congestion_parameter(1, multicover.num_terminals))
+    lp = LpSolution(model, np.random.default_rng(3).random(model.num_vars), 0.0, "optimal")
+    m, beta = multicover.graph.num_edges, 2.0
+    slack = max(
+        (lp.fhat(t, eh) - lp.ft(t, eh, e)) - (lp.xhat(eh) - lp.f(eh, e))
+        for t in sorted(multicover.terminals)
+        for eh in range(tree.num_edges)
+        for e in range(m)
+    )
+    assert flow_slack_violation(tree, lp) == slack
+    for e in range(m):
+        room = [lp.xhat(eh) - lp.f(eh, e) for eh in range(tree.num_edges)]
+        bad = [eh for eh in range(tree.num_edges) if room[eh] < lp.f(eh, e) / (2.0 * beta)]
+        caps = [0.0 if eh in bad else room[eh] for eh in range(tree.num_edges)]
+        assert verify._bad_and_reduced(tree, lp, beta, e) == (frozenset(bad), caps)
 
 
 def test_flow_slack_violation_hand_built(diamond_embedding):
