@@ -52,7 +52,7 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
 
     def feasible(edge_ids) -> bool:
         return all(
-            max_flow_unit(g, instance.root, t, restrict_to=edge_ids)[0] >= 2
+            max_flow_unit(g, instance.root, t, restrict_to=edge_ids, limit=2)[0] >= 2
             for t in terminals
         )
 

@@ -151,13 +151,18 @@ def max_flow_unit(
     source: Vertex,
     sink: Vertex,
     restrict_to: Optional[Iterable[int]] = None,
-) -> tuple[int, frozenset]:
+    limit: Optional[int] = None,
+) -> tuple[int, Optional[frozenset]]:
     """Maximum number of edge-disjoint source-sink paths, with a min cut.
 
     Every edge has unit capacity. `restrict_to` limits the search to a
     subset of edge ids (useful for checking candidate solutions without
     re-indexing edges). Augmenting paths are found by BFS with edges scanned
-    in ascending id order, so the result is deterministic.
+    in ascending id order, so the result is deterministic. With `limit`
+    the search stops once the flow reaches it, for callers that only ask
+    "at least `limit`?": the value is then `limit` and the cut is None
+    (neither the last search nor the cut is run). A value below `limit`
+    is exact and comes with its cut.
     """
     _check_vertex(graph, source, "source")
     _check_vertex(graph, sink, "sink")
@@ -168,6 +173,8 @@ def max_flow_unit(
     flow = [0] * graph.num_edges
     value = 0
     while True:
+        if value == limit:
+            return value, None
         parent: dict = {source: None}  # vertex -> (edge id, direction)
         queue = deque([source])
         while queue and sink not in parent:

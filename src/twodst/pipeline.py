@@ -92,7 +92,7 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
 
     t0 = clock()
     for t in sorted(instance.terminals):
-        value, _ = max_flow_unit(g, instance.root, t)
+        value, _ = max_flow_unit(g, instance.root, t, limit=2)
         if value < 2:
             raise InfeasibleInstanceError(
                 f"terminal {t!r} admits only {value} disjoint paths from the root"

@@ -69,7 +69,7 @@ def _short_pair(graph: DirectedMultigraph, pairs: Iterable, restrict_to=None) ->
     """The first (s, t, value) of `pairs` with fewer than two edge-disjoint
     s -> t paths in `graph` (within `restrict_to`), or None."""
     for s, t in pairs:
-        value, _ = max_flow_unit(graph, s, t, restrict_to=restrict_to)
+        value, _ = max_flow_unit(graph, s, t, restrict_to=restrict_to, limit=2)
         if value < 2:
             return s, t, value
     return None

@@ -13,16 +13,24 @@ can be marked exactly when its clamped value is positive, so
 `IterationSampler` decomposes those edges, and only those, once when it is
 built.
 
-Random stream: iteration j of a run with seed s draws from
-`default_rng((s, j))`, first `tree.num_edges` uniforms for marking (one
-per tree edge, in id order), then L uniforms per marked tree edge, in
-ascending tree-edge order. A path is the first one whose running weight
-sum exceeds its uniform, or the last path. Each iteration is drawn as one
-batch (`IterationSampler.draw`): one threshold compare and one AND per
-tree level for marking, and one lookup in a table of cumulative weights
-for all L paths of every marked edge. The batch consumes the same
-uniforms as one draw at a time, so a seed fixes the solution byte for
-byte.
+Random stream: a run with seed s draws from one `default_rng(s)`. The
+run is a J x W matrix of uniforms, W = `tree.num_edges` + M * L, where M
+is the number of markable tree edges and L the samples per marked edge.
+Row j (counting from 1, as provenance does) is iteration j. Column
+e < `tree.num_edges` marks tree edge e; the k-th markable edge, in
+ascending order, owns the L columns from `tree.num_edges` + k * L, and
+an unmarked edge leaves its columns unused. A path is the first one
+whose running weight sum exceeds its uniform, or the last path.
+Iteration j thus depends on neither J nor how the rows are grouped: the
+union of J iterations is a prefix of the union of J + 1, and
+`verify.survival_estimate`'s trial j is iteration j of the same seed.
+
+The rows are drawn in blocks bounded in bytes (`BLOCK_BYTES`), not in J
+(`IterationSampler.draw_blocks`). A block is marked by one threshold
+compare and one AND per tree level over its rows, and all L paths of
+every marked (row, tree edge) pair are one lookup in a table of
+cumulative weights. Generator output does not depend on how it is split
+into calls, so a seed fixes the solution byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +52,8 @@ log = logging.getLogger(__name__)
 
 SUPPORT_TOL = 1e-9
 STRIP_TOL = 1e-12
+# transient bytes of one block of iterations; a block holds at least one row
+BLOCK_BYTES = 1 << 21
 
 
 def default_iterations(depth: int, num_vertices: int, multiplier: float = 1.0) -> int:
@@ -86,21 +96,22 @@ def _marking_thresholds(tree: ShallowTree, xhat) -> np.ndarray:
 
 
 def _mark(tree: ShallowTree, thresholds: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Marked tree-edge ids, ascending: an edge is marked when its draw falls
-    below its threshold and its parent edge is marked, level by level."""
+    """Per row of `draws` (rows, tree edges), which tree edges are marked: an
+    edge is marked when its draw falls below its threshold and its parent
+    edge is marked, level by level."""
     marked = draws < thresholds
     parents = tree.edge_parents
     for lo, hi in tree.edge_levels[1:]:
-        marked[lo:hi] &= marked[parents[lo:hi]]
-    return np.flatnonzero(marked)
+        marked[:, lo:hi] &= marked[:, parents[lo:hi]]
+    return marked
 
 
 def gkr_round(tree: ShallowTree, xhat, rng) -> frozenset:
     """Sample a marked subtree: root edges keep their own probability,
     deeper edges survive with probability xhat / parent's xhat given the
     parent was marked. Returns the marked tree-edge ids."""
-    draws = rng.random(tree.num_edges)
-    return frozenset(_mark(tree, _marking_thresholds(tree, xhat), draws).tolist())
+    draws = rng.random((1, tree.num_edges))
+    return frozenset(np.flatnonzero(_mark(tree, _marking_thresholds(tree, xhat), draws)).tolist())
 
 
 @dataclass(frozen=True)
@@ -230,6 +241,17 @@ def sample_path(dist: PathDistribution, rng) -> EdgePath:
     return dist.paths[int(_pick(dist.cdf[None, :], np.array([len(dist.paths)]), draw)[0, 0])]
 
 
+class Block(NamedTuple):
+    """Consecutive iterations drawn together. One entry per marked
+    (iteration, tree edge) pair, in draw order: by row, then by tree edge."""
+
+    first: int  # iteration index of the block's first row, from 0
+    size: int  # rows (iterations) in the block
+    row: np.ndarray  # row of each pair within the block, ascending
+    ehat: np.ndarray  # marked tree edge of each pair
+    paths: np.ndarray  # (pairs, samples): global ids of the paths drawn
+
+
 class IterationSampler:
     """Shared machinery for rounding iterations.
 
@@ -238,12 +260,12 @@ class IterationSampler:
     once here, in ascending edge order), so repeated iterations (rounding,
     Monte Carlo probes) never re-decompose a flow. The paths of all
     distributions get global ids (`paths`), and their cumulative weights
-    one row each of a padded table, so one iteration's draws are a single
-    lookup.
+    one row each of a padded table, so a block's draws are a single lookup.
 
-    Random stream of one iteration: `tree.num_edges` uniforms for marking,
-    then `samples` uniforms per marked tree edge, in ascending edge order.
-    `samples` defaults to `default_samples` of the model's beta.
+    Random stream: `width` uniforms per iteration, laid out as in the
+    module docstring; `draw_blocks` is the one draw, and `draw`,
+    `sample_draws` and `sample_edges` read its first row. `samples`
+    defaults to `default_samples` of the model's beta.
     """
 
     def __init__(
@@ -280,15 +302,39 @@ class IterationSampler:
         self._cdf = np.full((len(dists), self._counts.max(initial=0)), np.inf)
         for row, dist in enumerate(dists):
             self._cdf[row, : len(dist.paths)] = dist.cdf
+        # first uniform column of each markable edge's samples
+        self._col = np.full(tree.num_edges, -1)
+        self._col[markable] = tree.num_edges + self.samples * np.arange(len(dists))
+        self.width = tree.num_edges + self.samples * len(dists)
+
+    def block_rows(self) -> int:
+        """Rows per block: `BLOCK_BYTES` over a bound on a row's transient
+        bytes. A row draws `width` uniforms and at most `width` path
+        samples; each sample passes through about seven 8-byte arrays
+        (columns, draws, counts, picks, path ids, the union's sort) and
+        the pick's compare, one byte per path of the widest distribution."""
+        return max(1, BLOCK_BYTES // (self.width * (64 + self._cdf.shape[1])))
+
+    def draw_blocks(self, rng, iterations: int) -> Iterator[Block]:
+        """`iterations` rows of the stream, drawn and evaluated a block of
+        `block_rows()` rows at a time."""
+        te = self.tree.num_edges
+        ells = np.arange(self.samples)
+        step = self.block_rows()
+        for first in range(0, iterations, step):
+            size = min(step, iterations - first)
+            uniforms = rng.random((size, self.width))
+            row, ehat = np.nonzero(_mark(self.tree, self._thresholds, uniforms[:, :te]))
+            table = self._row[ehat]
+            draws = uniforms[row[:, None], self._col[ehat][:, None] + ells]
+            picks = _pick(self._cdf[table], self._counts[table], draws)
+            yield Block(first, size, row, ehat, self._starts[table][:, None] + picks)
 
     def draw(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """One iteration: the marked tree edges, ascending, and the global
         ids of the paths drawn for them, `samples` per edge in draw order."""
-        marked = _mark(self.tree, self._thresholds, rng.random(self.tree.num_edges))
-        rows = self._row[marked]
-        draws = rng.random(len(marked) * self.samples).reshape(len(marked), self.samples)
-        picks = _pick(self._cdf[rows], self._counts[rows], draws)
-        return marked, (self._starts[rows][:, None] + picks).ravel()
+        block = next(self.draw_blocks(rng, 1))
+        return block.ehat, block.paths.ravel()
 
     def sample_draws(self, rng) -> list[tuple[int, int, EdgePath]]:
         """One iteration as (tree edge, sample index, path) triples in draw order."""
@@ -299,10 +345,13 @@ class IterationSampler:
             for i, p in enumerate(path_ids.tolist())
         ]
 
+    def edges_of(self, path_ids: np.ndarray) -> frozenset:
+        """Graph edges on the given paths."""
+        return frozenset(e for p in np.unique(path_ids).tolist() for e in self.paths[p].edges)
+
     def sample_edges(self, rng) -> frozenset:
         """Graph edges realised by one iteration."""
-        _, path_ids = self.draw(rng)
-        return frozenset(e for p in np.unique(path_ids).tolist() for e in self.paths[p].edges)
+        return self.edges_of(self.draw(rng)[1])
 
 
 def round_solution(
@@ -318,9 +367,9 @@ def round_solution(
     on to `IterationSampler`. The union is neither pruned nor verified.
 
     An edge's provenance is the (iteration, tree edge, sample index) of the
-    first draw whose path contains it. Within an iteration only the first
-    draw of each path not seen before can add edges, so the union walks
-    those in draw order.
+    first draw whose path contains it. Within a block only the first draw
+    of each path not seen before can add edges, so the union walks those
+    in draw order.
     """
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
@@ -328,28 +377,30 @@ def round_solution(
 
     edges: set[int] = set()
     provenance: dict[int, tuple] = {}
-    seen: set[int] = set()
+    seen = np.zeros(len(sampler.paths), dtype=bool)
     drawn = 0
     last_new = 0
     samples = sampler.samples
-    for j in range(1, iterations + 1):
-        marked, path_ids = sampler.draw(np.random.default_rng((seed, j)))
+    for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
+        path_ids = block.paths.ravel()
         drawn += len(path_ids)
         ids, first = np.unique(path_ids, return_index=True)
+        new = ~seen[ids]
+        seen[ids] = True
+        ids, first = ids[new], first[new]
         order = np.argsort(first)
         for p, i in zip(ids[order].tolist(), first[order].tolist()):
-            if p in seen:
-                continue
-            seen.add(p)
+            pair = i // samples
+            j = block.first + int(block.row[pair]) + 1
             for e in sampler.paths[p].edges:
                 if e not in edges:
                     edges.add(e)
-                    provenance[e] = (j, int(marked[i // samples]), i % samples + 1)
+                    provenance[e] = (j, int(block.ehat[pair]), i % samples + 1)
                     last_new = j
     log.info(
         "rounding: %d iterations, %d paths drawn, %d distinct paths realised, "
         "last new edge in iteration %d",
-        iterations, drawn, len(seen), last_new,
+        iterations, drawn, int(seen.sum()), last_new,
     )
     meta = {
         "seed": seed,

@@ -88,7 +88,7 @@ def reverse_delete(instance: DstInstance, edges) -> frozenset:
     for e in order:
         trial = kept - {e}
         if all(
-            max_flow_unit(g, instance.root, t, restrict_to=trial)[0] >= 2
+            max_flow_unit(g, instance.root, t, restrict_to=trial, limit=2)[0] >= 2
             for t in terminals
         ):
             kept = trial
@@ -195,18 +195,20 @@ def survival_estimate(
     samples: Optional[int] = None,
 ) -> SurvivalEstimate:
     """Empirical probability that one rounding iteration connects the
-    root to terminal t without using graph edge e; trial j draws from
-    `default_rng((seed, j))`, as rounding iteration j does."""
+    root to terminal t without using graph edge e; the trials are drawn
+    as rounding draws its iterations from `default_rng(seed)`, so trial j
+    is rounding iteration j of the same seed."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sampler = IterationSampler(instance, tree, lp, samples)
     g = instance.graph
     successes = 0
-    for j in range(1, trials + 1):
-        rng = np.random.default_rng((seed, j))
-        edges = sampler.sample_edges(rng) - {e}
-        if t in reachable_set(g, instance.root, restrict_to=edges):
-            successes += 1
+    for block in sampler.draw_blocks(np.random.default_rng(seed), trials):
+        ends = np.searchsorted(block.row, np.arange(block.size), side="right")
+        for path_ids in np.split(block.paths, ends[:-1]):
+            edges = sampler.edges_of(path_ids) - {e}
+            if t in reachable_set(g, instance.root, restrict_to=edges):
+                successes += 1
     p = successes / trials
     radius = 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
     return SurvivalEstimate(p, radius, successes, trials)

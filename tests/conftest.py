@@ -76,10 +76,11 @@ def f2_multicover():
     return _f2_multicover
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def multicover():
     """The F_2^3 multicover (n=15, m=35, h=7). The LP is 3.5 (every set at
-    1/2), OPT is 4, so rounding works on a fractional point."""
+    1/2), OPT is 4, so rounding works on a fractional point. Instances are
+    immutable, so one serves the whole session."""
     return _f2_multicover(3)
 
 

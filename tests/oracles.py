@@ -12,12 +12,15 @@ columns one at a time, as a reference for `VarIndex.columns`; and
 the live model's, as a reference for the model that `build_lp` emits.
 `group_flow_lp` is a linprog max flow, as a
 reference for the tree-flow DP in `verify`. `reference_round` is the
-rounding loop one draw at a time, as a reference for the batched
-`round_solution`: same random stream, so the two must agree byte for byte.
+rounding loop one iteration and one draw at a time, as a reference for
+the blocked `round_solution`: it reads the same random stream (one
+generator per run, one row of uniforms per iteration) with none of
+`rounding`'s sampling code, so the two must agree byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import combinations
 
@@ -26,7 +29,7 @@ from scipy.optimize import linprog
 
 from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import _SENSE_DTYPE, EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
-from twodst.rounding import SUPPORT_TOL, decompose_flow, default_samples
+from twodst.rounding import decompose_flow
 from twodst.solution import SolutionSubgraph
 
 
@@ -508,9 +511,9 @@ def reference_clamp(tree, xhat) -> np.ndarray:
     return out
 
 
-def reference_gkr_round(tree, xhat, rng) -> frozenset:
-    """GKR marking one tree edge at a time, top down."""
-    draws = rng.random(tree.num_edges)
+def reference_mark(tree, xhat, draws) -> frozenset:
+    """GKR marking one tree edge at a time, top down: edge e is marked
+    when draws[e] falls below its conditional probability."""
     marked = np.zeros(tree.num_edges, dtype=bool)
     for ehat in range(tree.num_edges):
         parent = parent_edge(tree, ehat)
@@ -530,10 +533,14 @@ def reference_gkr_round(tree, xhat, rng) -> frozenset:
     return frozenset(int(i) for i in np.nonzero(marked)[0])
 
 
-def reference_sample_path(dist, rng):
-    """One path by a running sum of the weights; the last path if the draw
-    lies above the final sum."""
-    draw = rng.random()
+def reference_gkr_round(tree, xhat, rng) -> frozenset:
+    """`reference_mark` over one uniform per tree edge."""
+    return reference_mark(tree, xhat, rng.random(tree.num_edges))
+
+
+def reference_pick(dist, draw):
+    """The path whose running weight sum first exceeds the draw; the last
+    path if the draw lies above the final sum."""
     acc = 0.0
     for path, w in zip(dist.paths, dist.weights):
         acc += w
@@ -542,8 +549,18 @@ def reference_sample_path(dist, rng):
     return dist.paths[-1]
 
 
+def reference_sample_path(dist, rng):
+    """`reference_pick` of one uniform."""
+    return reference_pick(dist, rng.random())
+
+
 class ReferenceSampler:
-    """One rounding iteration, one scalar draw per sampled path."""
+    """One rounding iteration from one row of uniforms, a scalar at a time.
+
+    The row has `width` = te + M * L entries (te tree edges, M markable
+    ones, L samples): entry e marks tree edge e, and the k-th markable
+    edge in ascending order reads its L samples from te + k * L on.
+    """
 
     def __init__(self, instance, tree, lp, samples=None):
         self.instance = instance
@@ -551,8 +568,13 @@ class ReferenceSampler:
         self.lp = lp
         self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
         self.clamped = reference_clamp(tree, self.raw_xhat)
-        self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
-        self.samples = samples or default_samples(lp.model.beta, tree.depth)
+        self.clamped[self.clamped <= 1e-9] = 0.0
+        # L = ceil((4 beta + 2) ln D), at least 1
+        beta = lp.model.beta
+        self.samples = samples or max(1, math.ceil((4.0 * beta + 2.0) * math.log(tree.depth)))
+        markable = [eh for eh in range(tree.num_edges) if self.clamped[eh] > 0.0]
+        self.column = {eh: tree.num_edges + k * self.samples for k, eh in enumerate(markable)}
+        self.width = tree.num_edges + len(markable) * self.samples
         self._distributions = {}
 
     def distribution(self, ehat):
@@ -563,24 +585,29 @@ class ReferenceSampler:
             )
         return self._distributions[ehat]
 
-    def sample_draws(self, rng) -> list:
-        """(tree edge, sample index, path) triples in draw order."""
+    def iteration(self, row) -> list:
+        """(tree edge, sample index, path) triples of one row, in draw order."""
         draws = []
-        for ehat in sorted(reference_gkr_round(self.tree, self.clamped, rng)):
+        for ehat in sorted(reference_mark(self.tree, self.clamped, row)):
             dist = self.distribution(ehat)
             for ell in range(1, self.samples + 1):
-                draws.append((ehat, ell, reference_sample_path(dist, rng)))
+                draws.append((ehat, ell, reference_pick(dist, row[self.column[ehat] + ell - 1])))
         return draws
+
+    def sample_draws(self, rng) -> list:
+        """One iteration from the next `width` uniforms of the generator."""
+        return self.iteration(rng.random(self.width))
 
 
 def reference_round(instance, tree, lp, seed, iterations, samples=None) -> SolutionSubgraph:
-    """The rounding loop in draw order: each edge's provenance is the first
-    draw whose path contains it."""
+    """The rounding loop in draw order, one generator for the run and one
+    row per iteration: each edge's provenance is the first draw whose path
+    contains it."""
     sampler = ReferenceSampler(instance, tree, lp, samples)
+    rng = np.random.default_rng(seed)
     edges: set = set()
     provenance: dict = {}
     for j in range(1, iterations + 1):
-        rng = np.random.default_rng((seed, j))
         for ehat, ell, path in sampler.sample_draws(rng):
             for e in path.edges:
                 if e not in edges:

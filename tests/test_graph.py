@@ -193,6 +193,21 @@ class TestUnitFlow:
         value, _ = max_flow_unit(g, s, t)
         assert (value >= 2) == has_two_disjoint_paths(g, s, t)
 
+    def test_limit_stops_without_a_cut(self, parallel_pair):
+        assert max_flow_unit(parallel_pair.graph, "r", "t", limit=2) == (2, None)
+        assert max_flow_unit(parallel_pair.graph, "r", "t", limit=1) == (1, None)
+
+    @given(small_digraphs(), st.integers(min_value=1, max_value=3))
+    def test_limit_caps_the_value_and_keeps_short_flows_exact(self, gst, limit):
+        g, s, t = gst
+        full = max_flow_unit(g, s, t)
+        value, cut = max_flow_unit(g, s, t, limit=limit)
+        assert value == min(full[0], limit)
+        if full[0] < limit:
+            assert cut == full[1]
+        else:
+            assert cut is None
+
     @given(small_digraphs())
     def test_removing_an_edge_never_helps(self, gst):
         g, s, t = gst

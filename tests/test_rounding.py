@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -413,14 +414,16 @@ def _solved(instance, depth):
 
 
 class FixedDraws:
-    """Stands in for a Generator: hands out preset uniform arrays in order."""
+    """Stands in for a Generator: hands out preset uniforms in order, each
+    batch broadcast to the requested size, so one row of per-column values
+    fills every row of a 2-D block."""
 
     def __init__(self, *batches):
         self.batches = list(batches)
 
     def random(self, size=None):
         values = self.batches.pop(0)
-        return float(values) if size is None else np.full(size, values)
+        return float(values) if size is None else np.broadcast_to(values, size).copy()
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +440,9 @@ def depth3_tree():
 
 @pytest.mark.parametrize("name, seed", [("diamond", 11), ("multicover", 1)])
 def test_pipeline_matches_golden(request, name, seed):
-    # the goldens were written by the one-draw-at-a-time rounding loop
+    # the goldens hold the output of the one-draw-at-a-time reference loop
+    # (`oracles.reference_round`); the diamond's LP is integral, so its
+    # solution does not depend on the uniforms
     inst = request.getfixturevalue(name)
     result = run_pipeline(inst, PipelineConfig(depth=2, seed=seed))
     golden = (DATA / f"{name}_seed{seed}.solution.json").read_text()
@@ -452,6 +457,10 @@ def test_pipeline_matches_golden(request, name, seed):
         ("parallel_pair", 1, {"seed": 5}),
         ("multicover", 2, {"seed": 1}),
         ("multicover", 2, {"seed": 8, "iterations": 6, "samples": 3}),
+        ("multicover", 2, {"seed": 4, "iterations": 1}),
+        # at depth 1 each point's flow splits over two sets: two paths per
+        # distribution, so the path columns decide the draws
+        ("multicover", 1, {"seed": 2, "samples": 3}),
     ],
 )
 def test_round_matches_reference(request, name, depth, config):
@@ -553,6 +562,109 @@ def test_round_matches_reference_on_random_instances(n, extra, h, depth, seed, i
     assert got == reference_round(inst, tree, lp, seed, iterations).to_json(inst.graph)
 
 
+def _noisy(inst, noise):
+    """The instance with each edge cost scaled by 1 + its noise."""
+    g = inst.graph
+    edges = [(g.tails[e], g.heads[e], g.costs[e] * (1.0 + noise[e])) for e in range(g.num_edges)]
+    return DstInstance(DirectedMultigraph(g.vertices, edges), inst.root, inst.terminals)
+
+
+@settings(max_examples=12)
+@given(
+    noise=st.lists(st.floats(min_value=0.0, max_value=0.1), min_size=35, max_size=35),
+    depth=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    iterations=st.integers(min_value=1, max_value=12),
+)
+def test_round_matches_reference_on_noisy_multicover(multicover, noise, depth, seed, iterations):
+    # cost noise on F_2^3 keeps the LP fractional, so marking reads its
+    # uniforms; at depth 1 a point's flow splits over sets, so the path
+    # columns do too
+    inst = _noisy(multicover, noise)
+    tree, lp = _solved(inst, depth)
+    assume(lp.status == OPTIMAL)
+    want = reference_round(inst, tree, lp, seed, iterations, 3).to_json(inst.graph)
+    assert round_solution(inst, tree, lp, seed, iterations, 3).to_json(inst.graph) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rounding, "BLOCK_BYTES", 1)
+        assert round_solution(inst, tree, lp, seed, iterations, 3).to_json(inst.graph) == want
+
+
+@pytest.mark.parametrize("name", ["multicover", "crossing"])
+def test_one_row_blocks_match_the_default_blocks(request, monkeypatch, name):
+    # the run spans three default blocks, then J blocks of one row; the
+    # output must not depend on the block size
+    inst = request.getfixturevalue(name)
+    tree, lp = _solved(inst, 2)
+    sampler = IterationSampler(inst, tree, lp)
+    assert sampler.block_rows() > 1
+    iterations = 2 * sampler.block_rows() + 1
+    default = round_solution(inst, tree, lp, 5, iterations).to_json(inst.graph)
+    monkeypatch.setattr(rounding, "BLOCK_BYTES", 1)
+    assert sampler.block_rows() == 1
+    assert [b.size for b in sampler.draw_blocks(np.random.default_rng(5), 3)] == [1, 1, 1]
+    assert round_solution(inst, tree, lp, 5, iterations).to_json(inst.graph) == default
+    assert default == reference_round(inst, tree, lp, 5, iterations).to_json(inst.graph)
+
+
+def test_block_rows_are_bounded_in_bytes(multicover, monkeypatch):
+    tree, lp = _solved(multicover, 2)
+    sampler = IterationSampler(multicover, tree, lp)
+    row_bytes = sampler.width * (64 + sampler._cdf.shape[1])
+    monkeypatch.setattr(rounding, "BLOCK_BYTES", 3 * row_bytes + 1)
+    assert sampler.block_rows() == 3
+    blocks = list(sampler.draw_blocks(np.random.default_rng(2), 8))
+    assert [(b.first, b.size) for b in blocks] == [(0, 3), (3, 3), (6, 2)]
+    for b in blocks:
+        assert np.all(np.diff(b.row) >= 0) and np.all(b.row < b.size)
+        assert b.paths.shape == (len(b.ehat), sampler.samples)
+
+
+def _round_peak(instance, tree, lp, iterations):
+    """tracemalloc's peak over one `round_solution` call, in bytes."""
+    tracemalloc.start()
+    try:
+        round_solution(instance, tree, lp, 1, iterations)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transient_memory_is_capped_by_the_block_not_by_j(multicover, monkeypatch):
+    tree, lp = _solved(multicover, 2)
+    assert _round_peak(multicover, tree, lp, 2000) <= rounding.BLOCK_BYTES
+    monkeypatch.setattr(rounding, "BLOCK_BYTES", 1 << 16)
+    short = _round_peak(multicover, tree, lp, 20)
+    assert _round_peak(multicover, tree, lp, 2000) <= 1.5 * short
+
+
+def test_nothing_markable_gives_an_empty_union(multicover):
+    # an all-zero point marks nothing: the union is empty and no path is drawn
+    tree, lp = _solved(multicover, 2)
+    zero = LpSolution(lp.model, np.zeros(lp.model.num_vars), 0.0, OPTIMAL)
+    sampler = IterationSampler(multicover, tree, zero)
+    assert sampler.distributions == {} and sampler.width == tree.num_edges
+    sol = round_solution(multicover, tree, zero, 3, 25)
+    assert sol.edges == frozenset() and sol.provenance == {}
+    assert sol.to_json(multicover.graph) == reference_round(
+        multicover, tree, zero, 3, 25
+    ).to_json(multicover.graph)
+
+
+@pytest.mark.parametrize(
+    "name, iterations", [("multicover", 1), ("multicover", 7), ("crossing", 3)]
+)
+def test_shorter_run_is_a_prefix(request, name, iterations):
+    # iteration j reads row j whatever J is: every edge born by iteration J
+    # keeps its provenance in a run of J + 5 iterations
+    inst = request.getfixturevalue(name)
+    tree, lp = _solved(inst, 2)
+    short = round_solution(inst, tree, lp, 13, iterations)
+    long = round_solution(inst, tree, lp, 13, iterations + 5)
+    assert short.provenance
+    assert short.provenance == {e: p for e, p in long.provenance.items() if p[0] <= iterations}
+
+
 @given(
     values=st.lists(
         st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
@@ -583,15 +695,21 @@ def test_subnormal_parent_caps_the_ratio(depth3_tree):
     assert np.array_equal(_marking_thresholds(depth3_tree, xhat), want)
 
 
-@pytest.mark.parametrize("name, depth", [("diamond", 2), ("multicover", 2)])
-def test_sample_draws_match_reference(request, name, depth):
+@pytest.mark.parametrize(
+    "name, depth, samples",
+    [("diamond", 2, None), ("multicover", 2, None), ("multicover", 1, 3)],
+    ids=["diamond-2", "multicover-2", "multicover-1-3"],
+)
+def test_sample_draws_match_reference(request, name, depth, samples):
     inst = request.getfixturevalue(name)
     tree, lp = _solved(inst, depth)
-    sampler = IterationSampler(inst, tree, lp)
-    reference = ReferenceSampler(inst, tree, lp)
-    for j in range(1, 9):
-        got = sampler.sample_draws(np.random.default_rng((4, j)))
-        want = reference.sample_draws(np.random.default_rng((4, j)))
+    sampler = IterationSampler(inst, tree, lp, samples)
+    reference = ReferenceSampler(inst, tree, lp, samples)
+    assert sampler.width == reference.width
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(8):  # consecutive rows of one stream
+        got = sampler.sample_draws(got_rng)
+        want = reference.sample_draws(want_rng)
         assert [(e, ell, p.edges) for e, ell, p in got] == [
             (e, ell, p.edges) for e, ell, p in want
         ]
@@ -612,7 +730,9 @@ def test_draw_above_short_weight_sum_takes_last_path(parallel_pair, monkeypatch)
         rounding, "decompose_flow", lambda graph, tree, ehat, flow, value: short
     )
     sampler = IterationSampler(parallel_pair, tree, lp, samples=3)
-    draws = sampler.sample_draws(FixedDraws(0.0, high))  # mark every edge, then draw high
+    te = tree.num_edges
+    row = np.r_[np.zeros(te), np.full(sampler.width - te, high)]  # mark every edge, draw high
+    draws = sampler.sample_draws(FixedDraws(row))
     assert len(draws) == 3 * tree.num_edges
     assert all(p.edges == (1,) for _, _, p in draws)
 
@@ -651,7 +771,8 @@ def test_round_logs_summary(solved_diamond, caplog):
     (record,) = [r for r in caplog.records if r.name == "twodst.rounding"]
     numbers = [int(x) for x in re.findall(r"\d+", record.getMessage())]
     sampler = IterationSampler(inst, tree, lp)
-    draws = [sampler.sample_draws(np.random.default_rng((7, j))) for j in range(1, 13)]
+    rng = np.random.default_rng(7)
+    draws = [sampler.sample_draws(rng) for _ in range(12)]  # one row per iteration
     distinct = {(ehat, p.edges) for batch in draws for ehat, _, p in batch}
     last_new = max(j for j, _, _ in sol.provenance.values())
     assert numbers == [12, sum(map(len, draws)), len(distinct), last_new]

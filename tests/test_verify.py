@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import group_flow_lp, is_feasible_subset, scan_failures
+from oracles import ReferenceSampler, group_flow_lp, is_feasible_subset, scan_failures
 from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance, reachable_set
 from twodst.lp_model import LpSolution, build_lp, congestion_parameter
 from twodst.lp_solver import solve
 from twodst.shallow_tree import build_shallow_tree
 from twodst.solution import SolutionSubgraph
-from twodst import verify
+from twodst import rounding, verify
 from twodst.verify import (
     GoodEdgeAnalysis,
     _group_flow_dp,
@@ -131,9 +131,10 @@ def test_reverse_delete_checks_terminals_in_sorted_order(monkeypatch):
     seen = []  # (trial edge set, terminal) per max-flow call
     real = verify.max_flow_unit
 
-    def recording(graph, source, sink, restrict_to=None):
+    def recording(graph, source, sink, restrict_to=None, limit=None):
+        assert limit == 2  # reverse-delete only asks "at least two paths?"
         seen.append((frozenset(restrict_to), sink))
-        return real(graph, source, sink, restrict_to=restrict_to)
+        return real(graph, source, sink, restrict_to=restrict_to, limit=limit)
 
     monkeypatch.setattr(verify, "max_flow_unit", recording)
     kept = reverse_delete(inst, range(len(edges)))
@@ -306,6 +307,23 @@ def test_survival_diamond(diamond_solved):
     # the 1/(5 D) floor the analysis guarantees
     assert est.probability >= 1.0 / (5 * tree.depth) - est.radius
     assert est.radius > 0.0
+
+
+@pytest.mark.parametrize("block_bytes", [1, rounding.BLOCK_BYTES])
+def test_survival_trial_is_rounding_iteration(multicover, monkeypatch, block_bytes):
+    # trial j reads row j of the seed's one stream, as rounding iteration j
+    # does, whatever the block size
+    tree, _, lp = _solve_depth2(multicover)
+    monkeypatch.setattr(rounding, "BLOCK_BYTES", block_bytes)
+    reference = ReferenceSampler(multicover, tree, lp)
+    rng = np.random.default_rng(4)
+    want = 0
+    for _ in range(40):
+        edges = {e for _, _, p in reference.sample_draws(rng) for e in p.edges} - {0}
+        want += "p0" in reachable_set(multicover.graph, "r", restrict_to=edges)
+    est = survival_estimate(multicover, tree, lp, 4, 0, "p0", 40)
+    assert 0 < est.successes < 40
+    assert est.successes == want
 
 
 def test_survival_depends_on_seed(diamond_solved):
