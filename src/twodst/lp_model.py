@@ -19,13 +19,29 @@ All variables live in [0,1].
 `build_lp` builds only the live part of the relaxation. It computes the
 live columns first (rules (a)-(c) below), then emits only live terms:
 the model holds the full relaxation's rows restricted to the live columns,
-in the same row order and term order, and the rows left with no term are
-not built. Each of those has rhs 0 with sense <= or =, so 0 satisfies it;
-the builder checks this rather than assuming it, and it is the only code
-that decides which rows survive. The flow-conservation rows
-of a tree edge (u, v) are built over the graph edges rule (c) keeps for
-(u, v), only for tree edges whose xh (cong) or fh (div) column is live, and
-offset into the f columns (cong) and each terminal's ft columns (div).
+in the same row order and term order, less two kinds of row.
+
+* Rows left with no term. Each of those has rhs 0 with sense <= or =, so
+  0 satisfies it; the builder checks this rather than assuming it.
+* Rows that the box 0 <= x <= 1 implies: a row is built only where some
+  point of the box violates it. Restricted to the live columns, those are
+  the pair rows `fh <= xh`, `f <= x` and `ft <= f` whose bounded column
+  (fh, f, ft) is dead, which read `-xh <= 0`, `-x <= 0` or `-f <= 0`, and
+  the cap rows with no live flow term, which read `-beta * x_e <= 0` (cong)
+  or `-x_e <= 0` (div). The builder emits these pair rows only for live
+  bounded columns and these cap rows only for graph edges with a live f
+  (cong) or a live ft of the terminal (div), so it never builds them.
+
+Dropping a row that every point of the box satisfies leaves the feasible
+set, and so every optimum and the LP value, as they are (the classic
+presolve step of Andersen & Andersen, "Presolving in linear programming",
+Math. Program. 71, 1995); only the vertex a solver returns among several
+optima may move. The bounds stay on every column, so a replay of a point
+against the rows and the bounds still covers the dropped rows. The
+flow-conservation rows of a tree edge (u, v) are built over the graph edges
+rule (c) keeps for (u, v), only for tree edges whose xh (cong) or fh (div)
+column is live, and offset into the f columns (cong) and each terminal's ft
+columns (div).
 
 `VarIndex` numbers the columns of the full relaxation by key arithmetic
 only, and lists the live ones as ascending full numbers (`columns`): model
@@ -37,16 +53,17 @@ dead key.
 The model is stored as one CSR matrix (`indptr`, `indices`, `data`) over
 the model columns, with per-row `sense`, `rhs` and family-code arrays.
 `LpModel.rows` rebuilds Python row tuples from the arrays for export and
-inspection. `max_nonzeros` caps the live model before it is built, in two
-steps: te * m first, a lower bound on the live count (every f <= x row
-keeps its x term) checked before any te x m array exists; then
-`live_nonzeros`, which counts the live model from the live columns and the
-degree sums, separately from the builder. The built count must equal it
-exactly.
+inspection. `max_nonzeros` caps the model before it is built, in two
+steps. First te * m, the size of the dense te x m arrays that
+`live_columns` and `live_nonzeros` allocate, before any of them exists (it
+is no bound on the model: F2^3 at depth 3 has 38,038 nonzeros against
+te * m = 166,600). Then `live_nonzeros`, which counts the model from the
+live columns and the degree sums, separately from the builder. The built
+count must equal it exactly.
 
 A dead column is fixed to 0, which loses no optimum: at a point whose dead
-columns are 0, each row of the full relaxation is a row of the live model
-or a row that 0 satisfies. A column is dead by one of three rules (write
+columns are 0, each row of the full relaxation is a row of the live model,
+a row that 0 satisfies or a row that the box implies. A column is dead by one of three rules (write
 "below ê" for the subtree under ê's child node, and (u, v) for ê's
 endpoint labels):
 
@@ -294,17 +311,18 @@ def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -
 
     A live flow column sits in the conservation rows of its edge's tail and
     head, except at v, which has no row; the tree edge's value closes the
-    out(u) row. Every f <= x and cap row keeps its x column.
+    out(u) row. Each pair row holds its live bounded column and the column
+    bounding it. A cap row holds its edge's live flow columns and x_e, and
+    exists only where at least one of them is live.
     """
     g = instance.graph
-    m, te, h = g.num_edges, tree.num_edges, instance.num_terminals
     terminals = sorted(instance.terminals)
     flow = live.flow
     carriers = live.fhat.sum(axis=0)  # terminals with a live fh column, per tree edge
     nxh, nfh, nf = (int(np.count_nonzero(a)) for a in (live.xhat, live.fhat, flow))
     nft = int(carriers @ live.useful.sum(axis=1))  # ft live: fh live and (c) keeps the pair
 
-    count = h * nxh + nfh  # fh <= xh
+    count = 2 * nfh  # fh <= xh
     parent_node = np.asarray(tree.parents[1:])
     for k, t in enumerate(terminals):
         has_row = np.ones(tree.num_nodes, dtype=np.int64)  # node conservation rows
@@ -317,9 +335,11 @@ def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -
     ends = _ends(g, tree)
     at_v = (ends.tails == ends.v[:, None]).astype(np.int64) + (ends.heads == ends.v[:, None])
     weight = 2 - at_v  # (tree edge, graph edge)
-    count += te * m + nf + nxh + weight[flow].sum() + m + nf  # cong
+    capped_f = np.count_nonzero(flow.any(axis=0))  # graph edges with a live f
+    count += 2 * nf + nxh + weight[flow].sum() + capped_f + nf  # cong
     ft_weight = carriers @ (live.useful * weight).sum(axis=1)
-    count += h * nf + nft + nfh + ft_weight + h * m + nft  # div
+    capped_ft = np.count_nonzero(live.fhat @ live.useful)  # (terminal, graph edge) with a live ft
+    count += 2 * nft + nfh + ft_weight + capped_ft + nft  # div
     return int(count)
 
 
@@ -514,8 +534,8 @@ def build_lp(
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
-    # every f <= x row keeps its x term, so te * m bounds the live count
-    # from below; it is checked before any te x m array exists
+    # `live_columns` and `live_nonzeros` allocate dense te x m arrays, so
+    # te * m is capped before any of them exists
     if te * m > max_nonzeros:
         raise SizeLimitError("model would be too large", te * m, max_nonzeros)
     live = live_columns(instance, tree)
@@ -531,9 +551,9 @@ def build_lp(
 
     # tree flow per terminal
     node_lengths, node_cols, node_coefs = _tree_conservation(tree)
-    for t in idx.terminals:
+    for k, t in enumerate(idx.terminals):
         fhat = idx.fhat(t, 0) + tree_edges
-        blocks.add_pairs(fhat, xhat, [1.0, -1.0], gst)
+        blocks.add_pairs(fhat[live.fhat[k]], xhat[live.fhat[k]], [1.0, -1.0], gst)
         keep = np.ones(te, dtype=bool)  # group nodes have no conservation row
         keep[[node - 1 for node in tree.groups[t]]] = False
         entries = np.repeat(keep, node_lengths)
@@ -543,35 +563,43 @@ def build_lp(
 
     # graph flow realizing each tree edge, then the per-terminal copies; a
     # cap row per graph edge holds that edge's flow over all tree edges.
-    # The f <= x rows keep their x column for every (tree edge, graph edge)
-    # pair; past them only live pairs are visited, as every other row of a
-    # dead pair holds dead columns only.
+    # Only live pairs are visited: every other row of a dead pair holds dead
+    # columns only, or is a pair or cap row that the box implies.
     flow = live.flow
     pairs = np.flatnonzero(flow)  # tree-edge major
     by_edge = np.flatnonzero(flow.T)  # the same pairs, graph-edge major
     cap_lengths = flow.sum(axis=0) + 1
+    cap_edge = np.repeat(np.arange(m), cap_lengths)  # the graph edge of each cap entry
     is_x = np.zeros(len(pairs) + m, dtype=bool)
     is_x[np.cumsum(cap_lengths) - 1] = True  # x_e closes edge e's cap row
     cap = np.empty(len(is_x), dtype=np.int64)
-    cap[~is_x] = (by_edge % te) * m + by_edge // te
+    cap_tree = np.zeros(len(is_x), dtype=np.int64)  # the tree edge of each flow entry
+    cap_tree[~is_x] = by_edge % te
+    cap[~is_x] = cap_tree[~is_x] * m + by_edge // te
     cap[is_x] = np.arange(m)
     conservation = _graph_conservation(g, tree, live.useful, np.flatnonzero(live.xhat))
     own_value = conservation.cols >= te * m
 
-    def realize(flow0, pair_rows, bound_by, value0, cap_coef, family, carried):
-        blocks.add_pairs(flow0 + pair_rows, bound_by, [1.0, -1.0], family)
+    def realize(flow0, bound_by, value0, cap_coef, family, carried):
+        own = pairs[carried[pairs // m]]
+        blocks.add_pairs(flow0 + own, bound_by(own), [1.0, -1.0], family)
         rows = carried[conservation.row_edge]
         entries = np.repeat(rows, conservation.lengths)
         cols = np.where(own_value, value0 + conservation.cols - te * m, flow0 + conservation.cols)
         blocks.add(conservation.lengths[rows], cols[entries], conservation.coefs[entries],
                    EQ, 0.0, family)
-        blocks.add(cap_lengths, np.where(is_x, cap, flow0 + cap), np.where(is_x, cap_coef, 1.0),
+        # a cap row with no live flow term reads -coef * x_e <= 0: not built
+        term = ~is_x & carried[cap_tree]
+        capped = np.zeros(m, dtype=bool)
+        capped[cap_edge[term]] = True
+        take = term | (is_x & capped[cap_edge])
+        blocks.add(np.bincount(cap_edge[take], minlength=m)[capped],
+                   np.where(is_x, cap, flow0 + cap)[take], np.where(is_x, cap_coef, 1.0)[take],
                    LE, 0.0, family)
 
-    every = np.arange(te * m)
-    realize(idx.f(0, 0), every, every % m, idx.xhat(0), -float(beta), cong, live.xhat)
+    realize(idx.f(0, 0), lambda own: own % m, idx.xhat(0), -float(beta), cong, live.xhat)
     for k, t in enumerate(idx.terminals):
-        realize(idx.ft(t, 0, 0), pairs, idx.f(0, 0) + pairs, idx.fhat(t, 0), -1.0, div,
+        realize(idx.ft(t, 0, 0), lambda own: idx.f(0, 0) + own, idx.fhat(t, 0), -1.0, div,
                 live.fhat[k])
 
     arrays = blocks.arrays()

@@ -9,9 +9,11 @@ relaxation one row at a time, over every column of `full_index`, and
 row-at-a-time constructor the tests use). `reference_live` marks its live
 columns one at a time, as a reference for `VarIndex.columns`; and
 `reference_live_rows` cuts the rows down to those columns, renumbered as
-the live model's, as a reference for the model that `build_lp` emits.
-`group_flow_lp` is a linprog max flow, as a
-reference for the tree-flow DP in `verify`. `reference_round` is the
+the live model's, and drops the rows the box 0 <= x <= 1 implies
+(`box_implied`), as a reference for the model that `build_lp` emits.
+`group_flow_lp` is a linprog max flow, as a reference for the tree-flow
+DP in `verify`, and `reference_linprog` is scipy's own `linprog`, as a
+reference for `lp_solver`'s direct HiGHS call. `reference_round` is the
 rounding loop one iteration and one draw at a time, as a reference for
 the blocked `round_solution`: it reads the same random stream (one
 generator per run, one row of uniforms per iteration) with none of
@@ -319,28 +321,43 @@ def reference_rows(instance, tree, beta) -> list[LpRow]:
     return rows
 
 
+def box_implied(coefs, sense, rhs) -> bool:
+    """Does every point of the box 0 <= x <= 1 satisfy the row? Its
+    activity over the box ranges from the sum of its negative coefficients
+    to the sum of its positive ones."""
+    low = sum(c for c in coefs if c < 0)
+    high = sum(c for c in coefs if c > 0)
+    if sense == LE:
+        return high <= rhs
+    if sense == GE:
+        return low >= rhs
+    return low == high == rhs
+
+
 def reference_live_rows(instance, tree, beta) -> list[LpRow]:
     """`reference_rows` without the dead terms, and without the rows left
-    with no term; those must be rows that 0 satisfies. A live column is
-    numbered by its rank among the live columns."""
+    with no term (those must be rows that 0 satisfies) or implied by the
+    box. A live column is numbered by its rank among the live columns."""
     live = reference_live(instance, tree)
     rank = np.cumsum(live) - 1
     rows = []
     for row in reference_rows(instance, tree, beta):
         kept = [(int(rank[j]), c) for j, c in zip(row.cols, row.coefs) if live[j]]
-        if kept:
-            cols, coefs = zip(*kept)
-            rows.append(LpRow(cols, coefs, row.sense, row.rhs, row.family))
-        else:
+        if not kept:
             assert row.rhs == 0.0 and row.sense in (LE, EQ), row
+            continue
+        cols, coefs = zip(*kept)
+        if not box_implied(coefs, row.sense, row.rhs):
+            rows.append(LpRow(cols, coefs, row.sense, row.rhs, row.family))
     return rows
 
 
 def live_lp_text(text: str, dead: set) -> str:
     """An `export_lp` text without the dead variables: their terms and
-    bounds are dropped, and so are the rows left with no term; the row
-    labels of each family are renumbered and both header counts updated.
-    The objective stays (it holds x columns only, which are never dead)."""
+    bounds are dropped, and so are the rows left with no term and the rows
+    the box 0 <= x <= 1 implies (`box_implied`); the row labels of each
+    family are renumbered and both header counts updated. The objective
+    stays (it holds x columns only, which are never dead)."""
     lines = text.splitlines()
     head = lines.index("Subject To") + 1
     end = lines.index("Bounds")
@@ -355,7 +372,9 @@ def live_lp_text(text: str, dead: set) -> str:
             lhs = ["+"] + lhs
         terms = [lhs[i:i + 3] for i in range(0, len(lhs), 3)]
         kept = [t for t in terms if t[2] not in dead]
-        if not kept:
+        coefs = [float(sign + value) for sign, value, _ in kept]
+        sense = {"=": EQ}.get(relation[0], relation[0])
+        if not kept or box_implied(coefs, sense, float(relation[1])):
             continue
         if kept[0][0] == "+":
             kept[0] = kept[0][1:]
@@ -411,6 +430,24 @@ def group_flow_lp(tree, capacities, group) -> float:
     )
     assert result.status == 0, result.message
     return -float(result.fun) / scale
+
+
+def reference_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, 1.0),
+                      max_iterations=None):
+    """`scipy.optimize.linprog(method="highs")` on `lp_solver.linprog`'s
+    arguments, with the options `lp_solver` sets: a reference for its direct
+    HiGHS call, which must give the same x, fun and nit bit for bit."""
+    n = len(c)
+    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), n) for b in bounds)
+    options = {
+        "presolve": True,
+        "primal_feasibility_tolerance": 1e-9,
+        "dual_feasibility_tolerance": 1e-9,
+    }
+    if max_iterations is not None:
+        options["maxiter"] = max_iterations
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                   bounds=np.column_stack([lower, upper]), method="highs", options=options)
 
 
 def drop_family(model: LpModel, family: str) -> LpModel:

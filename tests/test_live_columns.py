@@ -69,6 +69,18 @@ def test_fixtures(request, fixture, depth, dead):
     assert (model.num_vars < len(full.columns)) == dead
 
 
+@pytest.mark.parametrize("fixture", ["diamond", "parallel_pair", "multicover"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_lp_value_equals_the_full_models(request, fixture, depth):
+    # the live model drops dead columns and the rows the box implies; the
+    # full reference model has every column and every row
+    inst = request.getfixturevalue(fixture)
+    tree, model = _model(inst, depth)
+    live, full = solve(model), solve(reference_model(inst, tree, model.beta))
+    assert live.status == full.status == OPTIMAL
+    assert live.objective == pytest.approx(full.objective, abs=1e-9)
+
+
 def test_infeasible_chain(chain):
     _, sol = _check(chain, 2, beta=100.0)
     assert sol.status == INFEASIBLE

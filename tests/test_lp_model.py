@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from oracles import (
+    box_implied,
     drop_family,
     every_column,
     full_index,
@@ -120,10 +121,11 @@ class TestBuildLp:
         for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
             tree = build_shallow_tree(inst, depth)
             model = build_lp(inst, tree, beta=4)
-            assert model.nonzeros() == live_nonzeros(inst, tree, live_columns(inst, tree))
+            live = live_columns(inst, tree)
+            assert model.nonzeros() == live_nonzeros(inst, tree, live)
             full = reference_model(inst, tree, 4)
-            # te * m, the first cap, bounds the live count from below
-            assert tree.num_edges * inst.graph.num_edges < model.nonzeros() <= full.nonzeros()
+            # each live f column sits in its f <= x row, with x
+            assert 2 * np.count_nonzero(live.flow) <= model.nonzeros() <= full.nonzeros()
 
     def test_row_that_zero_breaks_keeps_a_live_column(self, diamond, monkeypatch):
         tree = build_shallow_tree(diamond, 2)
@@ -170,7 +172,7 @@ class TestBuildLp:
             build_lp(diamond, tree, beta=4, max_nonzeros=cap)
         assert err.value.projected == cap + 1
 
-    @pytest.mark.parametrize("k, depth, nonzeros, lp", [(3, 3, 221_102, 3.5), (4, 2, 307_230, 3.75)])
+    @pytest.mark.parametrize("k, depth, nonzeros, lp", [(3, 3, 38_038, 3.5), (4, 2, 49_440, 3.75)])
     def test_multicover_fits_the_default_cap(self, f2_multicover, k, depth, nonzeros, lp):
         # the full relaxations have 6.66M and 19.3M nonzeros, over the cap
         inst = f2_multicover(k)
@@ -283,11 +285,17 @@ def _replay_by_rows(rows, values):
     return worst
 
 
+def _implied_rows(model):
+    """Rows of the model that every point of the box 0 <= x <= 1 satisfies."""
+    return [r for r in model.rows if box_implied(r.coefs, r.sense, r.rhs)]
+
+
 def _check_against_reference(inst, depth, beta, seed):
     tree = build_shallow_tree(inst, depth)
     model = build_lp(inst, tree, beta)
     full = reference_rows(inst, tree, beta)
     ref = reference_live_rows(inst, tree, beta)
+    assert _implied_rows(model) == []
 
     # same rows, same order, same terms in the same order
     assert list(model.rows) == ref
@@ -316,6 +324,25 @@ def _check_against_reference(inst, depth, beta, seed):
         assert replay_constraints(model, point) == pytest.approx(
             _replay_by_rows(full, full_point), abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "fixture, depth, beta",
+    [("parallel_pair", 1, 2), ("diamond", 2, 4), ("chain", 2, 100), ("multicover", 2, 6)],
+)
+def test_no_row_is_implied_by_the_box(request, fixture, depth, beta):
+    # every row of the full relaxation that some point of the box violates
+    # is built, with its live terms; no other row is
+    inst = request.getfixturevalue(fixture)
+    tree = build_shallow_tree(inst, depth)
+    model = build_lp(inst, tree, beta)
+    assert _implied_rows(model) == []
+    full = reference_model(inst, tree, beta)
+    live = reference_live(inst, tree)
+    binding = [r for r in full.rows
+               if any(live[j] for j in r.cols) and not box_implied(
+                   [c for j, c in zip(r.cols, r.coefs) if live[j]], r.sense, r.rhs)]
+    assert model.num_rows == len(binding)
 
 
 class TestAgainstReferenceBuilder:

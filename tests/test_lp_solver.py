@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import every_column, model_from_rows
+from oracles import every_column, model_from_rows, reference_linprog
+from twodst import lp_solver
+from twodst.exact import random_instance
 from twodst.lp_model import (
     EQ,
     GE,
@@ -124,3 +131,65 @@ class TestInfeasibility:
         assert sol.status == "infeasible"
         assert sol.certificate.total_relaxation == pytest.approx(0.6, abs=1e-6)
 
+
+
+class TestDirectHighsCall:
+    """`lp_solver.linprog` calls HiGHS through scipy's private bindings; it
+    must give what `scipy.optimize.linprog(method="highs")` gives, bit for
+    bit, on every call `solve` makes."""
+
+    @pytest.mark.parametrize(
+        "fixture, depth, beta, max_iterations, status",
+        [
+            ("diamond", 1, None, None, "optimal"),
+            ("diamond", 2, None, None, "optimal"),
+            ("parallel_pair", 1, None, None, "optimal"),
+            ("parallel_pair", 2, None, None, "optimal"),
+            ("multicover", 1, None, None, "optimal"),
+            ("multicover", 2, None, None, "optimal"),
+            ("planted", 2, None, None, "optimal"),
+            ("multicover", 2, None, 1, "limit"),
+            # the elastic LP of the certificate has uncapped slack columns
+            ("chain", 2, 100.0, None, "infeasible"),
+        ],
+    )
+    def test_direct_call_matches_linprog(self, request, monkeypatch, fixture, depth, beta,
+                                         max_iterations, status):
+        if fixture == "planted":
+            inst = random_instance(12, 40, 3, seed=6)
+        else:
+            inst = request.getfixturevalue(fixture)
+        tree = build_shallow_tree(inst, depth)
+        if beta is None:
+            beta = congestion_parameter(depth, inst.num_terminals)
+        calls = []
+        real = lp_solver.linprog
+
+        def capture(c, **kwargs):
+            calls.append((c, kwargs, real(c, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(lp_solver, "linprog", capture)
+        assert solve(build_lp(inst, tree, beta), max_iterations=max_iterations).status == status
+        assert len(calls) == (2 if status == "infeasible" else 1)
+        for c, kwargs, got in calls:
+            want = reference_linprog(c, **kwargs)
+            assert (got.status, got.nit) == (want.status, want.nit)
+            if want.x is None:
+                assert got.x is None and got.fun is None
+            else:
+                assert got.x.tobytes() == np.asarray(want.x).tobytes()
+                assert got.fun == want.fun
+
+    def test_missing_binding_fails_at_import_naming_it(self):
+        code = (
+            "import scipy.optimize._highspy._core as core\n"
+            "del core.HighsLp\n"
+            "import twodst.lp_solver\n"
+        )
+        src = str(Path(lp_solver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode != 0
+        assert "ImportError" in run.stderr and "'HighsLp'" in run.stderr
