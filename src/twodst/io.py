@@ -10,7 +10,8 @@ Two interchangeable formats:
   the rooted variant, and one ``t terminal`` line per terminal. Blank
   lines and ``c ...`` comment lines are ignored. Vertex names are
   whitespace-free tokens; n must match the number of distinct names
-  (isolated vertices are not representable).
+  (isolated vertices are not representable); they are read back as
+  strings, so `dump_instance_text` refuses any other vertex id.
 """
 
 from __future__ import annotations
@@ -146,6 +147,13 @@ def parse_instance_text(text: str) -> Instance:
 
 def dump_instance_text(instance: Instance) -> str:
     g = instance.graph
+    named = {*g.tails, *g.heads, *instance.terminals, getattr(instance, "root", None)}
+    for v in sorted(g.vertices, key=str):
+        why = ("is not a string" if not isinstance(v, str) else
+               "is not one whitespace-free token" if v.split() != [v] else
+               "is isolated" if v not in named else None)
+        if why:
+            raise ValueError(f"vertex {v!r} {why}, so a text file would not read back as it")
     kind = "2dst" if isinstance(instance, DstInstance) else "2dss"
     lines = [f"p {kind} {g.num_vertices} {g.num_edges}"]
     for e in range(g.num_edges):

@@ -21,8 +21,10 @@ live columns first (rules (a)-(c) below), then emits only live terms:
 the model holds the full relaxation's rows restricted to the live columns,
 in the same row order and term order, less two kinds of row.
 
-* Rows left with no term. Each of those has rhs 0 with sense <= or =, so
-  0 satisfies it; the builder checks this rather than assuming it.
+* Rows with no live term. By rule (a), t's gst row at a tree node with no
+  t below holds dead fh_t columns only (0 = 0), so t gets node n's row only
+  where t lies below n, outside t's group, and only with live fh_t terms
+  (a dead one is a column fixed at 0). Graph-flow rows cover live pairs only.
 * Rows that the box 0 <= x <= 1 implies: a row is built only where some
   point of the box violates it. Restricted to the live columns, those are
   the pair rows `fh <= xh`, `f <= x` and `ft <= f` whose bounded column
@@ -345,11 +347,11 @@ def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -
 
 class _RowBlocks:
     """Rows collected block by block over full column numbers, each block
-    with one sense, rhs and family, then cut down to the model's columns.
+    with one sense, rhs and family, then renumbered to the model's columns.
 
-    Dead terms are left out, and so are the rows left with no term. A row
-    that loses every term that way must be one that 0 satisfies; rows given
-    with no term at all are dropped, as in the full model."""
+    The builder emits only live terms and only rows that hold one, so the
+    model keeps every term and row it is given; a term on a dead column or
+    a row with no term is a builder fault and raises."""
 
     def __init__(self, var_index: VarIndex):
         self.var_index = var_index
@@ -370,46 +372,36 @@ class _RowBlocks:
         self.add(np.full(len(first), 2), cols, np.tile(coefs, len(first)), LE, 0.0, family)
 
     def arrays(self):
-        lengths, cols = np.concatenate(self.lengths), np.concatenate(self.cols)
+        lengths = np.concatenate(self.lengths)
+        pos = self.var_index.positions(np.concatenate(self.cols))
+        dead, empty = np.count_nonzero(pos < 0), np.count_nonzero(lengths == 0)
+        if dead or empty:
+            raise ModelInconsistencyError(
+                f"builder emitted {dead} term(s) on dead columns and {empty} row(s) with no term"
+            )
         counts = [len(block) for block in self.lengths]
         senses, rhss, families = zip(*self.blocks)
-        sense = np.repeat(np.array(senses, dtype=_SENSE_DTYPE), counts)
-        rhs = np.repeat(np.array(rhss, dtype=float), counts)
-        family = np.repeat(np.array(families, dtype=np.int32), counts)
-        pos = self.var_index.positions(cols)
-        keep = pos >= 0
-        row_end = np.cumsum(lengths)
-        kept = np.diff(np.concatenate(([0], np.cumsum(keep)))[row_end], prepend=0)
-        emptied = np.flatnonzero((kept == 0) & (lengths > 0))
-        s, r = sense[emptied], rhs[emptied]
-        broken = emptied[np.where(s == LE, r < 0.0, np.where(s == GE, r > 0.0, r != 0.0))]
-        if len(broken):
-            raise ModelInconsistencyError(
-                f"{len(broken)} row(s) that 0 violates have only dead columns, e.g. a "
-                f"{FAMILIES[family[broken[0]]]} row {sense[broken[0]]} {rhs[broken[0]]}"
-            )
-        rows = kept > 0
         return {
-            "indptr": np.concatenate(([0], np.cumsum(kept[rows]))),
-            "indices": pos[keep],
-            "data": np.concatenate(self.coefs)[keep],
-            "sense": sense[rows],
-            "rhs": rhs[rows],
-            "family": family[rows],
+            "indptr": np.concatenate(([0], np.cumsum(lengths))),
+            "indices": pos,
+            "data": np.concatenate(self.coefs),
+            "sense": np.repeat(np.array(senses, dtype=_SENSE_DTYPE), counts),
+            "rhs": np.repeat(np.array(rhss, dtype=float), counts),
+            "family": np.repeat(np.array(families, dtype=np.int32), counts),
         }
 
 
 def _tree_conservation(tree: ShallowTree):
-    """Per non-root node: in-edge minus child edges, over tree edge ids;
-    child edges in id order, as `tree.children` lists them."""
+    """Per non-root node, named by its in-edge: in-edge minus child edges,
+    over tree edge ids; child edges in id order, as `tree.children` lists them."""
     edges = np.arange(tree.num_edges)
-    parents = np.asarray(tree.parents[1:], dtype=np.int64)  # of each edge's child node
-    inner = parents > 0  # the root node has no row
-    row = np.concatenate([edges + 1, parents[inner]])
+    parents = tree.edge_parents
+    inner = parents >= 0  # the root node has no row
+    row = np.concatenate([edges, parents[inner]])
     cols = np.concatenate([edges, edges[inner]])
     coefs = np.concatenate([np.ones(len(edges)), -np.ones(int(inner.sum()))])
     order = np.lexsort((cols, coefs < 0, row))
-    return np.bincount(row, minlength=tree.num_nodes)[1:], cols[order], coefs[order]
+    return row[order], cols[order], coefs[order]
 
 
 class _Ends(NamedTuple):
@@ -550,16 +542,16 @@ def build_lp(
     xhat = idx.xhat(0) + tree_edges
 
     # tree flow per terminal
-    node_lengths, node_cols, node_coefs = _tree_conservation(tree)
+    node_row, node_cols, node_coefs = _tree_conservation(tree)
     for k, t in enumerate(idx.terminals):
-        fhat = idx.fhat(t, 0) + tree_edges
-        blocks.add_pairs(fhat[live.fhat[k]], xhat[live.fhat[k]], [1.0, -1.0], gst)
-        keep = np.ones(te, dtype=bool)  # group nodes have no conservation row
-        keep[[node - 1 for node in tree.groups[t]]] = False
-        entries = np.repeat(keep, node_lengths)
-        blocks.add(node_lengths[keep], fhat[node_cols[entries]], node_coefs[entries], EQ, 0.0, gst)
-        group = fhat[tree.group_in_edges(t)]
-        blocks.add([len(group)], group, np.ones(len(group)), GE, 2.0, gst)
+        fhat, live_fh, group = idx.fhat(t, 0) + tree_edges, live.fhat[k], tree.group_in_edges(t)
+        blocks.add_pairs(fhat[live_fh], xhat[live_fh], [1.0, -1.0], gst)
+        has_row = live_fh.copy()  # node rows where t lies below, outside t's group
+        has_row[group] = False
+        entries = has_row[node_row] & live_fh[node_cols]  # over the live fh only
+        blocks.add(np.bincount(node_row[entries], minlength=te)[has_row],
+                   fhat[node_cols[entries]], node_coefs[entries], EQ, 0.0, gst)
+        blocks.add([len(group)], fhat[group], np.ones(len(group)), GE, 2.0, gst)
 
     # graph flow realizing each tree edge, then the per-terminal copies; a
     # cap row per graph edge holds that edge's flow over all tree edges.

@@ -263,9 +263,9 @@ class IterationSampler:
     one row each of a padded table, so a block's draws are a single lookup.
 
     Random stream: `width` uniforms per iteration, laid out as in the
-    module docstring; `draw_blocks` is the one draw, and `draw`,
-    `sample_draws` and `sample_edges` read its first row. `samples`
-    defaults to `default_samples` of the model's beta.
+    module docstring; `draw_blocks` is the one draw, and `draw` and
+    `sample_draws` read its first row. `samples` defaults to
+    `default_samples` of the model's beta.
     """
 
     def __init__(
@@ -348,10 +348,6 @@ class IterationSampler:
     def edges_of(self, path_ids: np.ndarray) -> frozenset:
         """Graph edges on the given paths."""
         return frozenset(e for p in np.unique(path_ids).tolist() for e in self.paths[p].edges)
-
-    def sample_edges(self, rng) -> frozenset:
-        """Graph edges realised by one iteration."""
-        return self.edges_of(self.draw(rng)[1])
 
 
 def round_solution(

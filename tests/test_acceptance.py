@@ -262,7 +262,7 @@ def test_iteration_cost(solved5):
         rng = np.random.default_rng((1213, i))
         total = 0.0
         for _ in range(COST_TRIALS):
-            total += inst.graph.total_cost(sampler.sample_edges(rng))
+            total += inst.graph.total_cost(sampler.edges_of(sampler.draw(rng)[1]))
         mean = total / COST_TRIALS
         worst_ratio = max(worst_ratio, mean / budget)
     _report(

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from twodst.graph import DstInstance
+from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.io import (
     dump_instance_json,
     dump_instance_text,
@@ -137,6 +138,38 @@ class TestText:
         assert text.splitlines()[0] == "p 2dss 4 4"
         back = parse_instance_text(text)
         assert isinstance(back, DssInstance)
+
+    @pytest.mark.parametrize(
+        "vertices, edges, root, terminal, message",
+        [
+            (["r", "a b", "t"], [("r", "a b"), ("a b", "t"), ("r", "t")], "r", "t",
+             "'a b' is not one whitespace-free token"),
+            (["r", "", "t"], [("r", ""), ("", "t"), ("r", "t")], "r", "t",
+             "'' is not one whitespace-free token"),
+            (["r", "lone", "t"], [("r", "t"), ("r", "t")], "r", "t", "'lone' is isolated"),
+            ([0, 1, 10, 2], [(0, 2), (0, 10), (10, 2), (1, 2)], 0, 2, "vertex 0 is not a string"),
+        ],
+        ids=["whitespace", "empty", "isolated", "integer"],
+    )
+    def test_dump_refuses_what_cannot_be_read_back(self, vertices, edges, root, terminal,
+                                                   message):
+        # each of these once gave a file that failed to load, or that loaded
+        # as another instance (integer ids sort differently as strings)
+        g = DirectedMultigraph(vertices, [(a, b, 1.0) for a, b in edges])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dump_instance_text(DstInstance(g, root, frozenset([terminal])))
+
+    def test_pairwise_dump_refuses_an_isolated_vertex(self):
+        g = DirectedMultigraph(["a", "b", "z"], [("a", "b", 1.0), ("b", "a", 1.0)])
+        with pytest.raises(ValueError, match="'z' is isolated"):
+            dump_instance_text(DssInstance(g, frozenset(["a", "b"])))
+
+    def test_isolated_terminal_is_written_and_read_back(self):
+        # a terminal on no edge is still named by its t line
+        g = DirectedMultigraph(["r", "s", "t"], [("r", "t", 1.0), ("r", "t", 2.0)])
+        inst = DssInstance(g, frozenset(["s", "t"]))
+        back = parse_instance_text(dump_instance_text(inst))
+        assert back.graph.vertices == g.vertices and back.terminals == inst.terminals
 
     def test_vertex_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="declares 3 vertices"):

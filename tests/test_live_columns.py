@@ -124,25 +124,27 @@ def test_heavy_tail_instance_solves():
 
 def _blocks(*rows):
     """`build_lp`'s row collector over full columns 1 (xh_0, dead) and 2
-    (xh_1, live, model column 1) of a one-edge, two-tree-edge layout."""
+    (xh_1, live, model column 1) of a one-edge, two-tree-edge layout, with
+    one row per (cols, sense, rhs)."""
     live = LiveColumns(np.zeros((0, 2), dtype=bool), np.array([False, True]),
                        np.zeros((2, 1), dtype=bool))
     blocks = lp_model._RowBlocks(VarIndex((), live))
-    for col, sense, rhs in rows:
-        blocks.add([1], [col], [1.0], sense, rhs, 0)
+    for cols, sense, rhs in rows:
+        blocks.add([len(cols)], cols, np.ones(len(cols)), sense, rhs, 0)
     return blocks
 
 
-def test_rows_of_dead_columns_are_dropped_when_zero_satisfies_them():
-    arrays = _blocks((1, LE, 0.5), (2, GE, 0.25)).arrays()
-    assert arrays["indptr"].tolist() == [0, 1]
-    assert arrays["indices"].tolist() == [1]
-    assert (arrays["sense"].tolist(), arrays["rhs"].tolist()) == ([GE], [0.25])
+def test_emitted_term_on_a_dead_column_raises():
+    dead = r"1 term\(s\) on dead columns and 0 row\(s\)"
+    with pytest.raises(ModelInconsistencyError, match=dead):
+        _blocks(([2], GE, 0.25), ([2, 1], LE, 0.0)).arrays()
 
 
-def test_rows_of_dead_columns_must_be_satisfied_by_zero():
-    with pytest.raises(ModelInconsistencyError, match="only dead columns"):
-        _blocks((1, GE, 0.5), (2, GE, 0.25)).arrays()
+def test_emitted_row_with_no_term_raises():
+    # a row with no term is never one of the model's, even where 0 satisfies it
+    empty = r"0 term\(s\) on dead columns and 1 row\(s\) with no term"
+    with pytest.raises(ModelInconsistencyError, match=empty):
+        _blocks(([2], GE, 0.25), ([], LE, 0.0)).arrays()
 
 
 def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypatch):

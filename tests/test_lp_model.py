@@ -135,9 +135,11 @@ class TestBuildLp:
             live = real(*args)
             return live._replace(fhat=np.zeros_like(live.fhat))
 
-        # the >= 2 group row would lose every term
+        # the >= 2 group row is emitted over the group's in-edges, whose fh
+        # this rule calls dead
         monkeypatch.setattr(lp_model, "live_columns", no_fhat)
-        with pytest.raises(ModelInconsistencyError, match="only dead columns"):
+        dead = r"emitted [1-9]\d* term\(s\) on dead columns"
+        with pytest.raises(ModelInconsistencyError, match=dead):
             build_lp(diamond, tree, beta=4)
 
     def test_live_count_disagreeing_with_built_size_raises(self, diamond, monkeypatch):
@@ -343,6 +345,46 @@ def test_no_row_is_implied_by_the_box(request, fixture, depth, beta):
                if any(live[j] for j in r.cols) and not box_implied(
                    [c for j, c in zip(r.cols, r.coefs) if live[j]], r.sense, r.rhs)]
     assert model.num_rows == len(binding)
+
+
+def _check_emits_only_kept_terms(inst, depth):
+    emitted = np.zeros(len(lp_model.FAMILIES), dtype=np.int64)
+    real = lp_model._RowBlocks.add
+
+    def counting(self, lengths, cols, coefs, sense, rhs, family):
+        emitted[family] += len(cols)
+        real(self, lengths, cols, coefs, sense, rhs, family)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_model._RowBlocks, "add", counting)
+        model = build_lp(inst, build_shallow_tree(inst, depth),
+                         congestion_parameter(depth, inst.num_terminals))
+    kept = np.bincount(np.repeat(model.family, np.diff(model.indptr)),
+                       minlength=len(lp_model.FAMILIES))
+    assert emitted.tolist() == kept.tolist()
+    assert int(emitted.sum()) == model.nonzeros()
+
+
+@pytest.mark.parametrize(
+    "fixture, depth",
+    [("parallel_pair", 1), ("diamond", 2), ("chain", 2), ("multicover", 1), ("multicover", 2)],
+)
+def test_builder_emits_exactly_the_kept_terms(request, fixture, depth):
+    # every family, the gst node rows included, is emitted over live
+    # columns only, so nothing is cut after the builder
+    _check_emits_only_kept_terms(request.getfixturevalue(fixture), depth)
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(min_value=3, max_value=6),
+    extra=st.integers(min_value=0, max_value=6),
+    h=st.integers(min_value=1, max_value=2),
+    depth=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_builder_emits_exactly_the_kept_terms_on_random_instances(n, extra, h, depth, seed):
+    _check_emits_only_kept_terms(random_instance(n, 2 * h + extra, h, seed=seed), depth)
 
 
 class TestAgainstReferenceBuilder:

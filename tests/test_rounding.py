@@ -293,15 +293,15 @@ def test_sampler_edges_within_flow_support(solved_diamond):
         if any(lp.f(eh, e) > 1e-12 for eh in range(tree.num_edges))
     }
     for j in range(1, 6):
-        edges = sampler.sample_edges(np.random.default_rng((2, j)))
+        edges = sampler.edges_of(sampler.draw(np.random.default_rng((2, j)))[1])
         assert edges <= support
 
 
 def test_sampler_is_deterministic(solved_diamond):
     inst, tree, lp = solved_diamond
     sampler = IterationSampler(inst, tree, lp)
-    a = sampler.sample_edges(np.random.default_rng((9, 1)))
-    b = sampler.sample_edges(np.random.default_rng((9, 1)))
+    a = sampler.edges_of(sampler.draw(np.random.default_rng((9, 1)))[1])
+    b = sampler.edges_of(sampler.draw(np.random.default_rng((9, 1)))[1])
     assert a == b
 
 
