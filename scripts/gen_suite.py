@@ -3,7 +3,8 @@
 Every instance gets two edge-disjoint root-to-terminal branches planted
 per terminal, so the rooted problem is always solvable. Shapes are drawn
 uniformly from the requested ranges with a deterministic per-index seed,
-so the same arguments always reproduce the same suite.
+so the same arguments always reproduce the same suite. Each instance is
+one JSON file that `twodst solve` and `twodst bench` read.
 
     python3 scripts/gen_suite.py out_dir --count 20 --n 6 9 --h-max 3
 """
@@ -29,14 +30,12 @@ def build_parser():
     p.add_argument("--cost", type=float, nargs=2, default=(1.0, 10.0),
                    metavar=("LO", "HI"), help="uniform edge cost range")
     p.add_argument("--seed", type=int, default=0, help="suite seed")
-    p.add_argument("--fmt", choices=("json", "text"), default="json")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
-    ext = "json" if args.fmt == "json" else "txt"
     width = len(str(args.count - 1))
     for k in range(args.count):
         rng = np.random.default_rng((args.seed, k))
@@ -46,8 +45,8 @@ def main(argv=None) -> int:
         inst = random_instance(
             n, m, h, cost_range=tuple(args.cost), seed=args.seed * 100_003 + k
         )
-        path = args.out / f"rand_{k:0{width}d}_n{n}_m{m}_h{h}.{ext}"
-        save_instance(inst, path, fmt=args.fmt)
+        path = args.out / f"rand_{k:0{width}d}_n{n}_m{m}_h{h}.json"
+        save_instance(inst, path)
         print(f"wrote {path}")
     return 0
 

@@ -17,7 +17,7 @@ congestion cap beta * x_e), and div (per-terminal copies capped by x_e).
 All variables live in [0,1].
 
 `build_lp` builds only the live part of the relaxation. It computes the
-live columns first (rules (a)-(c) below), then emits only live terms:
+live columns first (rules (a) and (c) below), then emits only live terms:
 the model holds the full relaxation's rows restricted to the live columns,
 in the same row order and term order, less two kinds of row.
 
@@ -39,11 +39,7 @@ set, and so every optimum and the LP value, as they are (the classic
 presolve step of Andersen & Andersen, "Presolving in linear programming",
 Math. Program. 71, 1995); only the vertex a solver returns among several
 optima may move. The bounds stay on every column, so a replay of a point
-against the rows and the bounds still covers the dropped rows. The
-flow-conservation rows of a tree edge (u, v) are built over the graph edges
-rule (c) keeps for (u, v), only for tree edges whose xh (cong) or fh (div)
-column is live, and offset into the f columns (cong) and each terminal's ft
-columns (div).
+against the rows and the bounds still covers the dropped rows.
 
 `VarIndex` numbers the columns of the full relaxation by key arithmetic
 only, and lists the live ones as ascending full numbers (`columns`): model
@@ -56,26 +52,24 @@ The model is stored as one CSR matrix (`indptr`, `indices`, `data`) over
 the model columns, with per-row `sense`, `rhs` and family-code arrays.
 `LpModel.rows` rebuilds Python row tuples from the arrays for export and
 inspection. `max_nonzeros` caps the model before it is built, in two
-steps. First te * m, the size of the dense te x m arrays that
-`live_columns` and `live_nonzeros` allocate, before any of them exists (it
-is no bound on the model: F2^3 at depth 3 has 38,038 nonzeros against
-te * m = 166,600). Then `live_nonzeros`, which counts the model from the
-live columns and the degree sums, separately from the builder. The built
-count must equal it exactly.
+steps: first te * m, the size of the dense te x m arrays that
+`live_columns` and `live_nonzeros` allocate (no bound on the model: F2^3
+at depth 3 has 38,038 nonzeros against te * m = 90,160), then
+`live_nonzeros`, a count from the live columns and the degree sums that
+the built count must equal.
 
 A dead column is fixed to 0, which loses no optimum: at a point whose dead
 columns are 0, each row of the full relaxation is a row of the live model,
-a row that 0 satisfies or a row that the box implies. A column is dead by one of three rules (write
-"below ê" for the subtree under ê's child node, and (u, v) for ê's
-endpoint labels):
+a row that 0 satisfies or a row that the box implies. Every xh column is
+live, since the tree holds only edges with a terminal below them (see
+`shallow_tree`). Another column is dead by one of two rules (write "below
+ê" for the subtree under ê's child node, and (u, v) for ê's endpoint
+labels):
 
 (a) fh_(t,ê) and ft_(t,ê,·) when no node labelled t lies below ê. Every
     node below ê then has a gst conservation row, so fh_(t,ê) = 0 in every
     feasible point, ft_(t,ê,·) is a circulation, and zeroing it keeps
     every row satisfied.
-(b) xh_ê and f_(ê,·) when no terminal-labelled node lies below ê. By (a)
-    no fh or ft column of ê stays, so zeroing them keeps every row
-    satisfied and leaves x unchanged.
 (c) f_(ê,e) and ft_(·,ê,e) for e = (a, b) when a is not reachable from u,
     v is not reachable from b, or b = u. Cutting the conservation rows
     around the vertices u cannot reach (or that cannot reach v) shows the
@@ -134,7 +128,7 @@ class VarIndex:
     then tree-edge). Terminals are taken in sorted order, so numbers are
     stable for a fixed instance + tree. `columns` lists the live columns
     as ascending full numbers, block by block; model column j is full
-    column `columns[j]`.
+    column `columns[j]`. The x and xh blocks are all live.
     """
 
     def __init__(self, terminals: Sequence, live: LiveColumns):
@@ -150,10 +144,9 @@ class VarIndex:
         self._ft0 = self._f0 + te * m
         pairs = np.flatnonzero(live.useful)  # tree-edge major
         self.columns = np.concatenate([
-            np.arange(m),
-            self._xhat0 + np.flatnonzero(live.xhat),
+            np.arange(m + te),
             self._fhat0 + np.flatnonzero(live.fhat),
-            self._f0 + np.flatnonzero(live.flow),
+            self._f0 + pairs,
             *(self.ft(t, 0, 0) + pairs[live.fhat[k, pairs // m]]
               for k, t in enumerate(self.terminals)),
         ])
@@ -319,10 +312,10 @@ def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -
     """
     g = instance.graph
     terminals = sorted(instance.terminals)
-    flow = live.flow
+    flow = live.useful  # the live f columns
     carriers = live.fhat.sum(axis=0)  # terminals with a live fh column, per tree edge
-    nxh, nfh, nf = (int(np.count_nonzero(a)) for a in (live.xhat, live.fhat, flow))
-    nft = int(carriers @ live.useful.sum(axis=1))  # ft live: fh live and (c) keeps the pair
+    nfh, nf = (int(np.count_nonzero(a)) for a in (live.fhat, flow))
+    nft = int(carriers @ flow.sum(axis=1))  # ft live: fh live and (c) keeps the pair
 
     count = 2 * nfh  # fh <= xh
     parent_node = np.asarray(tree.parents[1:])
@@ -338,9 +331,9 @@ def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -
     at_v = (ends.tails == ends.v[:, None]).astype(np.int64) + (ends.heads == ends.v[:, None])
     weight = 2 - at_v  # (tree edge, graph edge)
     capped_f = np.count_nonzero(flow.any(axis=0))  # graph edges with a live f
-    count += 2 * nf + nxh + weight[flow].sum() + capped_f + nf  # cong
-    ft_weight = carriers @ (live.useful * weight).sum(axis=1)
-    capped_ft = np.count_nonzero(live.fhat @ live.useful)  # (terminal, graph edge) with a live ft
+    count += 2 * nf + tree.num_edges + weight[flow].sum() + capped_f + nf  # cong
+    ft_weight = carriers @ (flow * weight).sum(axis=1)
+    capped_ft = np.count_nonzero(live.fhat @ flow)  # (terminal, graph edge) with a live ft
     count += 2 * nft + nfh + ft_weight + capped_ft + nft  # div
     return int(count)
 
@@ -429,21 +422,14 @@ def _ends(g, tree: ShallowTree) -> _Ends:
 
 
 class LiveColumns(NamedTuple):
-    """The live columns by rules (a)-(c) of the module docstring, per block;
-    an ft column is live when its fh column is and (c) keeps its pair."""
+    """Live fh by rule (a), f by (c), ft by both; x and xh are all live."""
 
     fhat: np.ndarray  # (terminal, tree edge)
-    xhat: np.ndarray  # (tree edge,)
     useful: np.ndarray  # (tree edge, graph edge): rule (c) keeps the pair
-
-    @property
-    def flow(self) -> np.ndarray:
-        """Live f columns, (tree edge, graph edge)."""
-        return self.xhat[:, None] & self.useful
 
 
 def live_columns(instance: DstInstance, tree: ShallowTree) -> LiveColumns:
-    """The columns rules (a)-(c) of the module docstring keep."""
+    """The columns rules (a) and (c) of the module docstring keep."""
     g = instance.graph
     terminals = sorted(instance.terminals)
     # below[node, k]: a node labelled terminal k lies in the node's subtree
@@ -455,7 +441,6 @@ def live_columns(instance: DstInstance, tree: ShallowTree) -> LiveColumns:
         nodes = np.flatnonzero(depths == depth)
         np.logical_or.at(below, parents[nodes], below[nodes])
     fhat = below[1:].T  # (terminal, tree edge); tree edge ê ends at node ê + 1
-    xhat = fhat.any(axis=0)
 
     # (c): reach[i, j] when vertex j is reachable from vertex i, one forward
     # search per vertex; column j holds the vertices that reach j
@@ -466,7 +451,7 @@ def live_columns(instance: DstInstance, tree: ShallowTree) -> LiveColumns:
         reach[k, [pos[x] for x in reachable_set(g, w, "forward")]] = True
     u, v = ends.u[:, None], ends.v[:, None]
     useful = reach[u, ends.tails] & reach[ends.heads, v] & (ends.heads != u)
-    return LiveColumns(fhat, xhat, useful)
+    return LiveColumns(fhat, useful)
 
 
 class _FlowRows(NamedTuple):
@@ -476,9 +461,9 @@ class _FlowRows(NamedTuple):
     row_edge: np.ndarray  # the tree edge of each row
 
 
-def _graph_conservation(g, tree: ShallowTree, useful: np.ndarray, carried: np.ndarray) -> _FlowRows:
-    """Rows realizing each tree edge in `carried` as a unit u -> v graph flow
-    over its useful graph edges.
+def _graph_conservation(g, tree: ShallowTree, useful: np.ndarray) -> _FlowRows:
+    """Rows realizing each tree edge as a unit u -> v graph flow over its
+    useful graph edges.
 
     Per tree edge in order: out(u) minus the tree edge's own value, in(u),
     then in(w) minus out(w) for every other w except v, by str(w), each over
@@ -494,26 +479,26 @@ def _graph_conservation(g, tree: ShallowTree, useful: np.ndarray, carried: np.nd
     vertex = np.repeat(np.arange(len(ends.order)),
                        [len(g.in_edges(w)) + len(g.out_edges(w)) for w in ends.order])
     out = ends.tails[edge] == vertex
-    k = len(carried)
-    u, v = ends.u[carried, None], ends.v[carried, None]
+    tree_edges = np.arange(te)[:, None]
+    u, v = ends.u[:, None], ends.v[:, None]
     at_u = vertex == u
     # per tree edge, one row per rank: out(u), in(u), then 2 + w's position;
     # the value is one more slot, last in the out(u) row
-    take = np.hstack([useful[carried][:, edge] & (vertex != v), np.ones((k, 1), dtype=bool)])
-    rank = np.hstack([np.where(at_u, np.where(out, 0, 1), vertex + 2), np.zeros((k, 1), dtype=int)])
-    coefs = np.hstack([np.where(out & ~at_u, -1.0, 1.0), np.full((k, 1), -1.0)])
-    cols = np.hstack([carried[:, None] * m + edge, te * m + carried[:, None]])
+    take = np.hstack([useful[:, edge] & (vertex != v), np.ones((te, 1), dtype=bool)])
+    rank = np.hstack([np.where(at_u, np.where(out, 0, 1), vertex + 2), np.zeros((te, 1), dtype=int)])
+    coefs = np.hstack([np.where(out & ~at_u, -1.0, 1.0), np.full((te, 1), -1.0)])
+    cols = np.hstack([tree_edges * m + edge, te * m + tree_edges])
     slots = take.shape[1]
     order = np.argsort(rank * slots + np.arange(slots), axis=1)
     take, rank, coefs, cols = (np.take_along_axis(a, order, axis=1)
                                for a in (take, rank, coefs, cols))
-    row = (np.arange(k)[:, None] * (len(ends.order) + 2) + rank)[take]
+    row = (tree_edges * (len(ends.order) + 2) + rank)[take]
     starts = np.flatnonzero(np.diff(row, prepend=-1))
     return _FlowRows(
         np.diff(np.append(starts, len(row))),
         cols[take],
         coefs[take],
-        carried[row[starts] // (len(ends.order) + 2)],
+        row[starts] // (len(ends.order) + 2),
     )
 
 
@@ -557,10 +542,9 @@ def build_lp(
     # cap row per graph edge holds that edge's flow over all tree edges.
     # Only live pairs are visited: every other row of a dead pair holds dead
     # columns only, or is a pair or cap row that the box implies.
-    flow = live.flow
-    pairs = np.flatnonzero(flow)  # tree-edge major
-    by_edge = np.flatnonzero(flow.T)  # the same pairs, graph-edge major
-    cap_lengths = flow.sum(axis=0) + 1
+    pairs = np.flatnonzero(live.useful)  # the live f columns, tree-edge major
+    by_edge = np.flatnonzero(live.useful.T)  # the same pairs, graph-edge major
+    cap_lengths = live.useful.sum(axis=0) + 1
     cap_edge = np.repeat(np.arange(m), cap_lengths)  # the graph edge of each cap entry
     is_x = np.zeros(len(pairs) + m, dtype=bool)
     is_x[np.cumsum(cap_lengths) - 1] = True  # x_e closes edge e's cap row
@@ -569,7 +553,7 @@ def build_lp(
     cap_tree[~is_x] = by_edge % te
     cap[~is_x] = cap_tree[~is_x] * m + by_edge // te
     cap[is_x] = np.arange(m)
-    conservation = _graph_conservation(g, tree, live.useful, np.flatnonzero(live.xhat))
+    conservation = _graph_conservation(g, tree, live.useful)
     own_value = conservation.cols >= te * m
 
     def realize(flow0, bound_by, value0, cap_coef, family, carried):
@@ -589,7 +573,8 @@ def build_lp(
                    np.where(is_x, cap, flow0 + cap)[take], np.where(is_x, cap_coef, 1.0)[take],
                    LE, 0.0, family)
 
-    realize(idx.f(0, 0), lambda own: own % m, idx.xhat(0), -float(beta), cong, live.xhat)
+    realize(idx.f(0, 0), lambda own: own % m, idx.xhat(0), -float(beta), cong,
+            np.ones(te, dtype=bool))
     for k, t in enumerate(idx.terminals):
         realize(idx.ft(t, 0, 0), lambda own: idx.f(0, 0) + own, idx.fhat(t, 0), -1.0, div,
                 live.fhat[k])

@@ -15,7 +15,8 @@ built.
 
 Random stream: a run with seed s draws from one `default_rng(s)`. The
 run is a J x W matrix of uniforms, W = `tree.num_edges` + M * L, where M
-is the number of markable tree edges and L the samples per marked edge.
+is the number of markable tree edges and L the samples per marked edge
+(the tree holds only edges with a terminal below them, so W counts those).
 Row j (counting from 1, as provenance does) is iteration j. Column
 e < `tree.num_edges` marks tree edge e; the k-th markable edge, in
 ascending order, owns the L columns from `tree.num_edges` + k * L, and

@@ -1,21 +1,30 @@
-"""Depth-bounded prefix tree over vertex sequences.
+"""Depth-bounded prefix tree over the vertex sequences that reach a terminal.
 
-The tree enumerates all sequences of at most D+1 distinct usable vertices
+The tree enumerates the sequences of at most D+1 distinct usable vertices
 (those on some root-to-terminal walk) that start at the root, listed twice
-as two isomorphic subtrees hanging from a shared root node. Adjacency in
-the input graph is not required: the tree indexes candidate embeddings,
-and the LP decides which tree edges map to which graph paths. Each node
-carries a label (a graph vertex); the set of nodes labeled t is terminal
-t's group.
+as two isomorphic subtrees hanging from a shared root node. It keeps a
+sequence only if it ends at a terminal, or is shorter than D+1 and misses
+a terminal that could then follow it. Adjacency in the input graph is not
+required: the tree indexes candidate embeddings, and the LP decides which
+tree edges map to which graph paths. Each node carries a label (a graph
+vertex); the set of nodes labeled t is terminal t's group.
+
+Dropping the other sequences loses nothing. Over the full prefix tree,
+the `lp_model` relaxation gives their nodes (which lie in no group) a gst
+conservation row for every terminal, so from the leaves up fh = 0 into
+them in every feasible point. Zeroing their xh, f and ft keeps every row
+satisfied and x unchanged and leaves a feasible point over this tree,
+while a point over this tree padded with zeros is feasible over the full
+one: the two relaxations have the same value.
 
 Node ids are breadth-first: the root is 0, children are generated in
 ascending label order with the first copy before the second, so the root's
 children list the first copy's depth-1 nodes, then the second's, and a
-node's copy is that of its depth-1 ancestor. Every
-non-root node's single incoming tree edge gets id (node id - 1), so tree
-edge ids are topologically sorted and the edge-to-child map is trivial.
-The edges of each depth form one contiguous id range (`edge_levels`),
-which lets top-down passes run one numpy step per level.
+node's copy is that of its depth-1 ancestor. Every non-root node's single
+incoming tree edge gets id (node id - 1), so tree edge ids are
+topologically sorted and the edge-to-child map is trivial. The edges of
+each depth form one contiguous id range (`edge_levels`), which lets
+top-down passes run one numpy step per level.
 """
 
 from __future__ import annotations
@@ -72,11 +81,16 @@ class ShallowTree:
         return f"ShallowTree(depth={self.depth}, nodes={self.num_nodes})"
 
 
-def projected_node_count(num_usable: int, depth: int) -> int:
-    """Closed-form size of the tree over n' usable vertices (root included):
-    1 + 2 * sum_i P(n'-1, i) for i = 1..D."""
-    pool = num_usable - 1
-    return 1 + 2 * sum(math.perm(pool, i) for i in range(1, depth + 1))
+def projected_node_count(num_usable: int, depth: int, num_terminals: int) -> int:
+    """Closed-form size of the tree over n' = p + 1 usable vertices and h
+    terminals: per copy, h * P(p-1, D-1) nodes at depth D, and at each k < D
+    the P(p, k) sequences less those ending at a non-terminal after all h."""
+    p, h = num_usable - 1, num_terminals
+    per_copy = h * math.perm(p - 1, depth - 1) + sum(math.perm(p, k) for k in range(1, depth))
+    if p > h:
+        per_copy -= sum((p - h) * math.comb(k - 1, h) * math.factorial(h)
+                        * math.perm(p - h - 1, k - 1 - h) for k in range(h + 1, depth))
+    return 1 + 2 * per_copy
 
 
 def usable_vertices(instance: DstInstance) -> frozenset:
@@ -103,7 +117,7 @@ def build_shallow_tree(
             f"terminals unreachable from root: {sorted(lost, key=str)}"
         )
 
-    projected = projected_node_count(len(keep), depth)
+    projected = projected_node_count(len(keep), depth, instance.num_terminals)
     if projected > max_nodes:
         raise SizeLimitError("tree would be too large", projected, max_nodes)
 
@@ -116,29 +130,27 @@ def build_shallow_tree(
     # index-aligned with node ids
     banned: list[frozenset] = [frozenset([instance.root])]
 
-    queue = [0, 0]  # the root once per copy, copy 1 first
-    head = 0
-    while head < len(queue):
-        parent = queue[head]
-        head += 1
-        if depths[parent] == depth:
-            continue
-        for v in pool:
-            if v in banned[parent]:
-                continue
-            node = len(labels)
-            labels.append(v)
-            depths.append(depths[parent] + 1)
-            parents.append(parent)
-            children.append([])
-            banned.append(banned[parent] | {v})
-            children[parent].append(node)
-            queue.append(node)
+    level = [0, 0]  # the root once per copy, copy 1 first
+    for k in range(1, depth + 1):
+        below = []
+        for parent in level:
+            # a non-terminal child needs a terminal that can still follow it
+            open_end = k < depth and not instance.terminals <= banned[parent]
+            for v in pool:
+                if v in banned[parent] or not (open_end or v in instance.terminals):
+                    continue
+                node = len(labels)
+                labels.append(v)
+                depths.append(k)
+                parents.append(parent)
+                children.append([])
+                banned.append(banned[parent] | {v})
+                children[parent].append(node)
+                below.append(node)
+        level = below
 
-    groups: dict = {t: set() for t in instance.terminals}
-    for node, label in enumerate(labels):
-        if label in groups:
-            groups[label].add(node)
+    groups = {t: {node for node, label in enumerate(labels) if label == t}
+              for t in instance.terminals}
     if len(labels) != projected:
         raise ModelInconsistencyError(
             f"tree has {len(labels)} nodes but the closed form projects {projected}"

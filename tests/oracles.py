@@ -3,8 +3,11 @@
 The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
 or so) when calling them from tests. `reference_disjoint_pair_cost` tries
 every pair of simple paths, as a reference for the two shortest paths of
-`reductions._disjoint_pair_cost`. `reference_rows` builds the full
-relaxation one row at a time, over every column of `full_index`, and
+`reductions._disjoint_pair_cost`. `unpruned_tree` builds the full prefix
+tree from `enumerate_label_sequences`, nodes with no terminal below
+included, as a reference for the pruned `build_shallow_tree`: the
+relaxation over either tree has the same value. `reference_rows` builds
+the full relaxation one row at a time, over every column of `full_index`, and
 `reference_model` makes it an `LpModel` (`model_from_rows`, the
 row-at-a-time constructor the tests use). `reference_live` marks its live
 columns one at a time, as a reference for `VarIndex.columns`; and
@@ -32,6 +35,7 @@ from scipy.optimize import linprog
 from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import _SENSE_DTYPE, EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
 from twodst.rounding import decompose_flow
+from twodst.shallow_tree import ShallowTree
 from twodst.solution import SolutionSubgraph
 
 
@@ -215,6 +219,33 @@ def enumerate_label_sequences(vertices, root, depth) -> list[tuple]:
     return out
 
 
+def unpruned_tree(instance, depth) -> ShallowTree:
+    """The full prefix tree over the usable vertices: every sequence of
+    `enumerate_label_sequences`, terminal below or not, twice, with
+    breadth-first ids (by length, then copy, then labels). Reference for
+    the pruned `build_shallow_tree`, whose relaxation must have the same
+    value."""
+    g = instance.graph
+    forward = reachable_set(g, instance.root, "forward")
+    backward = set().union(*(reachable_set(g, t, "backward") for t in instance.terminals))
+    seqs = enumerate_label_sequences(forward & backward, instance.root, depth)[1:]
+    order = sorted((len(s), copy, s) for s in seqs for copy in (1, 2))
+    node_of = {(copy, (instance.root,)): 0 for copy in (1, 2)}
+    labels, depths, parents = [instance.root], [0], [-1]
+    children: list[list[int]] = [[]]
+    for length, copy, seq in order:
+        node = len(labels)
+        parent = node_of[(copy, seq[:-1])]
+        node_of[(copy, seq)] = node
+        labels.append(seq[-1])
+        depths.append(length - 1)
+        parents.append(parent)
+        children.append([])
+        children[parent].append(node)
+    groups = {t: {n for n, label in enumerate(labels) if label == t} for t in instance.terminals}
+    return ShallowTree(depth, labels, depths, parents, children, groups)
+
+
 def full_index(instance, tree) -> VarIndex:
     """A `VarIndex` that lists every column of the instance's full relaxation."""
     return every_column(instance.graph.num_edges, tree.num_edges, instance.terminals)
@@ -223,8 +254,7 @@ def full_index(instance, tree) -> VarIndex:
 def every_column(num_edges, num_tree_edges, terminals) -> VarIndex:
     """A `VarIndex` that lists every column of the layout."""
     h, te, m = len(terminals), num_tree_edges, num_edges
-    every = LiveColumns(np.ones((h, te), dtype=bool), np.ones(te, dtype=bool),
-                        np.ones((te, m), dtype=bool))
+    every = LiveColumns(np.ones((h, te), dtype=bool), np.ones((te, m), dtype=bool))
     return VarIndex(terminals, every)
 
 
@@ -492,7 +522,7 @@ def useless_pairs(instance, tree) -> set[tuple[int, int]]:
 
 
 def reference_live(instance, tree) -> np.ndarray:
-    """The live-column mask, one column at a time, by rules (a)-(c)."""
+    """The live-column mask, one column at a time, by rules (a) and (c)."""
     g = instance.graph
     idx = full_index(instance, tree)
     useless = useless_pairs(instance, tree)
@@ -502,10 +532,9 @@ def reference_live(instance, tree) -> np.ndarray:
     for ehat in range(tree.num_edges):
         below = labels_below(tree, ehat + 1)
         useful = [e for e in range(g.num_edges) if (ehat, e) not in useless]
-        if below & instance.terminals:
-            live[idx.xhat(ehat)] = True
-            for e in useful:
-                live[idx.f(ehat, e)] = True
+        live[idx.xhat(ehat)] = True
+        for e in useful:
+            live[idx.f(ehat, e)] = True
         for t in idx.terminals:
             if t in below:
                 live[idx.fhat(t, ehat)] = True

@@ -100,7 +100,7 @@ def test_solve_size_cap(tmp_path, capsys):
 
 
 def test_solve_size_cap_on_the_model(tmp_path, capsys, monkeypatch):
-    # depth 3 over 12 vertices gives 2,222 tree edges; times 920 graph edges
+    # depth 4 over 12 vertices gives 3,282 tree edges; times 920 graph edges
     # that is over the default nonzero cap, which refuses the model before
     # its live columns are computed
     vertices = ["r", "t"] + [f"m{i}" for i in range(10)]
@@ -115,9 +115,9 @@ def test_solve_size_cap_on_the_model(tmp_path, capsys, monkeypatch):
         raise AssertionError("live columns computed before the te * m cap")
 
     monkeypatch.setattr(lp_model, "live_columns", fail)
-    code = main(["solve", str(path), "--depth", "3"])
+    code = main(["solve", str(path), "--depth", "4"])
     assert code == EXIT_SIZE_CAP
-    assert "model would be too large (projected 2044240 > cap 2000000)" in capsys.readouterr().err
+    assert "model would be too large (projected 3019440 > cap 2000000)" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path, capsys):

@@ -5,10 +5,10 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_index, reference_live, reference_model, useless_pairs
+from oracles import full_index, reference_live, reference_model, unpruned_tree, useless_pairs
 from twodst import lp_model, lp_solver
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
@@ -81,6 +81,58 @@ def test_lp_value_equals_the_full_models(request, fixture, depth):
     assert live.objective == pytest.approx(full.objective, abs=1e-9)
 
 
+def _pipeline_lp_equals_the_unpruned_trees(inst, depth):
+    # the relaxation over the full prefix tree, nodes with no terminal below
+    # included, every column and every row, at the pipeline's beta
+    result = run_pipeline(inst, PipelineConfig(depth=depth, seed=0))
+    full = solve(reference_model(inst, unpruned_tree(inst, depth), result.beta))
+    assert full.status == OPTIMAL
+    assert result.lp_objective == pytest.approx(full.objective, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "fixture, depth",
+    [("parallel_pair", 1), ("diamond", 2), ("diamond", 3), ("multicover", 1), ("multicover", 2)],
+)
+def test_pipeline_lp_equals_the_unpruned_trees_on_fixtures(request, fixture, depth):
+    _pipeline_lp_equals_the_unpruned_trees(request.getfixturevalue(fixture), depth)
+
+
+@settings(max_examples=20)
+@given(
+    n=st.integers(min_value=3, max_value=6),
+    extra=st.integers(min_value=0, max_value=5),
+    h=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@example(n=6, extra=3, h=1, depth=3, seed=7)  # h < D - 1
+def test_pipeline_lp_equals_the_unpruned_trees(n, extra, h, depth, seed):
+    h = min(h, n - 1)
+    _pipeline_lp_equals_the_unpruned_trees(random_instance(n, 2 * h + extra, h, seed=seed), depth)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(min_value=3, max_value=6),
+    extra=st.integers(min_value=0, max_value=5),
+    h=st.integers(min_value=2, max_value=3),
+    depth=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+    beta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_lp_equals_the_unpruned_trees_under_small_beta(n, extra, h, depth, seed, beta):
+    # a tight congestion cap makes the value depend on which tree edges the
+    # terminals can share, so a tree that holds too little shows here
+    h = min(h, n - 1)
+    inst = random_instance(n, 2 * h + extra, h, seed=seed)
+    pruned = solve(_model(inst, depth, beta)[1])
+    full = solve(reference_model(inst, unpruned_tree(inst, depth), beta))
+    assert pruned.status == full.status
+    if full.status == OPTIMAL:
+        assert pruned.objective == pytest.approx(full.objective, abs=1e-7)
+
+
 def test_infeasible_chain(chain):
     _, sol = _check(chain, 2, beta=100.0)
     assert sol.status == INFEASIBLE
@@ -123,12 +175,11 @@ def test_heavy_tail_instance_solves():
 
 
 def _blocks(*rows):
-    """`build_lp`'s row collector over full columns 1 (xh_0, dead) and 2
-    (xh_1, live, model column 1) of a one-edge, two-tree-edge layout, with
-    one row per (cols, sense, rhs)."""
-    live = LiveColumns(np.zeros((0, 2), dtype=bool), np.array([False, True]),
-                       np.zeros((2, 1), dtype=bool))
-    blocks = lp_model._RowBlocks(VarIndex((), live))
+    """`build_lp`'s row collector over full columns 2 (fh_t_0, dead) and 3
+    (f_0_0, live, model column 2) of a one-edge, one-tree-edge,
+    one-terminal layout, with one row per (cols, sense, rhs)."""
+    live = LiveColumns(np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool))
+    blocks = lp_model._RowBlocks(VarIndex(("t",), live))
     for cols, sense, rhs in rows:
         blocks.add([len(cols)], cols, np.ones(len(cols)), sense, rhs, 0)
     return blocks
@@ -137,14 +188,14 @@ def _blocks(*rows):
 def test_emitted_term_on_a_dead_column_raises():
     dead = r"1 term\(s\) on dead columns and 0 row\(s\)"
     with pytest.raises(ModelInconsistencyError, match=dead):
-        _blocks(([2], GE, 0.25), ([2, 1], LE, 0.0)).arrays()
+        _blocks(([3], GE, 0.25), ([3, 2], LE, 0.0)).arrays()
 
 
 def test_emitted_row_with_no_term_raises():
     # a row with no term is never one of the model's, even where 0 satisfies it
     empty = r"0 term\(s\) on dead columns and 1 row\(s\) with no term"
     with pytest.raises(ModelInconsistencyError, match=empty):
-        _blocks(([2], GE, 0.25), ([], LE, 0.0)).arrays()
+        _blocks(([3], GE, 0.25), ([], LE, 0.0)).arrays()
 
 
 def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypatch):
@@ -166,10 +217,13 @@ def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypat
     assert np.array_equal(sol.at(idx.columns), sol.values)
     dead = np.setdiff1d(full_index(diamond, tree).columns, idx.columns)
     assert len(dead) and np.all(sol.at(dead) == 0.0)
-    # a tree edge with no terminal below: every key of it is dead
-    ehat = next(e for e in range(tree.num_edges) if idx.positions(idx.xhat(e)) < 0)
-    assert (sol.xhat(ehat), sol.fhat("t", ehat), sol.f(ehat, 0), sol.ft("t", ehat, 0)) == (
-        0.0, 0.0, 0.0, 0.0)
+    # the tree holds no edge without a terminal below it, so every xh is a
+    # model column
+    assert np.all(idx.positions(idx.xhat(np.arange(tree.num_edges))) >= 0)
+    # a pair that rule (c) drops: its f and ft keys are dead and read 0
+    ehat, e = min(useless_pairs(diamond, tree))
+    assert idx.positions(idx.f(ehat, e)) < 0 and idx.positions(idx.ft("t", ehat, e)) < 0
+    assert (sol.f(ehat, e), sol.ft("t", ehat, e)) == (0.0, 0.0)
     assert [sol.x(e) for e in range(4)] == sol.values[:4].tolist()
 
 

@@ -125,7 +125,7 @@ class TestBuildLp:
             assert model.nonzeros() == live_nonzeros(inst, tree, live)
             full = reference_model(inst, tree, 4)
             # each live f column sits in its f <= x row, with x
-            assert 2 * np.count_nonzero(live.flow) <= model.nonzeros() <= full.nonzeros()
+            assert 2 * np.count_nonzero(live.useful) <= model.nonzeros() <= full.nonzeros()
 
     def test_row_that_zero_breaks_keeps_a_live_column(self, diamond, monkeypatch):
         tree = build_shallow_tree(diamond, 2)

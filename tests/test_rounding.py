@@ -428,7 +428,7 @@ class FixedDraws:
 
 @pytest.fixture(scope="module")
 def depth3_tree():
-    """Depth-3 tree over r, a, b, t: 30 tree edges on three levels."""
+    """Depth-3 tree over r, a, b, t: 18 tree edges on three levels."""
     inst = _instance(
         ["r", "a", "b", "t"],
         [("r", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("r", "t", 1.0)],
@@ -665,17 +665,15 @@ def test_shorter_run_is_a_prefix(request, name, iterations):
     assert short.provenance == {e: p for e, p in long.provenance.items() if p[0] <= iterations}
 
 
-@given(
-    values=st.lists(
-        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
-        min_size=30,
-        max_size=30,
-    ),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_gkr_round_matches_reference(depth3_tree, values, seed):
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_gkr_round_matches_reference(depth3_tree, data, seed):
     # unclamped input: zero parents, children above their parents, values > 1
-    xhat = np.array(values)
+    size = depth3_tree.num_edges
+    xhat = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+        min_size=size,
+        max_size=size,
+    )))
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
         assert gkr_round(depth3_tree, xhat, a) == reference_gkr_round(depth3_tree, xhat, b)

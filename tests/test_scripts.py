@@ -1,15 +1,19 @@
-"""Every script under scripts/ still imports what it needs and parses its flags.
+"""Every script under scripts/ still imports what it needs and parses its
+flags, and `gen_suite` writes instances that load.
 
 Nothing else runs the scripts, so a removed or renamed name in `src/` that a
 script imports would otherwise go unnoticed.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from twodst.io import load_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -31,3 +35,16 @@ def test_script_help_exits_cleanly(script):
     )
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+def test_gen_suite_writes_loadable_instances(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("gen_suite", ROOT / "scripts" / "gen_suite.py")
+    gen_suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_suite)
+    assert gen_suite.main([str(tmp_path), "--count", "12", "--seed", "1"]) == 0
+    capsys.readouterr()
+    written = sorted(tmp_path.iterdir())
+    assert len(written) == 12 and all(p.suffix == ".json" for p in written)
+    for path in written:
+        inst = load_instance(path)
+        assert f"_h{inst.num_terminals}." in path.name

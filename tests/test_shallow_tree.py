@@ -1,11 +1,13 @@
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twodst.shallow_tree as shallow_tree
 from twodst.errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitError
+from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.shallow_tree import (
     build_shallow_tree,
@@ -13,7 +15,7 @@ from twodst.shallow_tree import (
     usable_vertices,
 )
 
-from oracles import copy_of, enumerate_label_sequences, parent_edge, path_to_root
+from oracles import copy_of, enumerate_label_sequences, parent_edge, path_to_root, unpruned_tree
 
 
 def complete_instance(n, terminals):
@@ -25,15 +27,17 @@ def complete_instance(n, terminals):
 
 class TestFrozenSizes:
     def test_four_vertices_depth_two(self, diamond):
+        # per copy: a, b, t at depth 1, then a-t and b-t; r-a-b, r-t-a and
+        # the like can reach no terminal and are not built
         tree = build_shallow_tree(diamond, 2)
-        assert (tree.num_nodes, tree.num_edges) == (19, 18)
+        assert (tree.num_nodes, tree.num_edges) == (11, 10)
         assert {t: len(nodes) for t, nodes in tree.groups.items()} == {"t": 6}
 
     def test_pruning_is_a_noop_when_all_vertices_usable(self, diamond):
         assert usable_vertices(diamond) == diamond.graph.vertices
         pruned = build_shallow_tree(diamond, 2)
         assert set(pruned.labels) == diamond.graph.vertices
-        assert pruned.num_nodes == projected_node_count(diamond.graph.num_vertices, 2)
+        assert pruned.num_nodes == projected_node_count(diamond.graph.num_vertices, 2, 1)
 
     def test_two_vertices_depth_one(self, parallel_pair):
         tree = build_shallow_tree(parallel_pair, 1)
@@ -111,15 +115,22 @@ class TestStructure:
 class TestAgainstEnumeration:
     @given(
         n=st.integers(min_value=2, max_value=6),
-        depth=st.integers(min_value=1, max_value=3),
+        depth=st.integers(min_value=1, max_value=4),
+        data=st.data(),
     )
-    def test_node_count_matches_sequence_count(self, n, depth):
-        inst = complete_instance(n, [f"v{n-1}"])
+    def test_node_count_matches_sequence_count(self, n, depth, data):
+        h = data.draw(st.integers(min_value=1, max_value=n - 1))
+        terminals = {f"v{i}" for i in range(n - h, n)}
+        inst = complete_instance(n, terminals)
         tree = build_shallow_tree(inst, depth)
         seqs = enumerate_label_sequences([f"v{i}" for i in range(n)], "v0", depth)
-        expected = 1 + 2 * (len(seqs) - 1)
+        # built: sequences that end at a terminal, or are short enough to
+        # append one that is not on them yet
+        built = [s for s in seqs[1:]
+                 if s[-1] in terminals or (len(s) <= depth and not terminals <= set(s))]
+        expected = 1 + 2 * len(built)
         assert tree.num_nodes == expected
-        assert projected_node_count(n, depth) == expected
+        assert projected_node_count(n, depth, h) == expected
 
     @given(
         n=st.integers(min_value=2, max_value=5),
@@ -132,6 +143,57 @@ class TestAgainstEnumeration:
         seqs = enumerate_label_sequences([f"v{i}" for i in range(n)], "v0", depth)
         ending_at_t = sum(1 for s in seqs if len(s) > 1 and s[-1] == t)
         assert len(tree.groups[t]) == 2 * ending_at_t
+
+
+def _terminal_below(tree, terminals) -> list[bool]:
+    """Per node, whether a terminal-labelled node lies in its subtree."""
+    below = [label in terminals for label in tree.labels]
+    for node in range(tree.num_nodes - 1, 0, -1):
+        below[tree.parents[node]] |= below[node]
+    return below
+
+
+class TestOnlyWhatReachesATerminal:
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(min_value=3, max_value=7),
+        extra=st.integers(min_value=0, max_value=6),
+        depth=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10**6),
+        data=st.data(),
+    )
+    def test_projection_and_a_terminal_below_every_edge(self, n, extra, depth, seed, data):
+        h = data.draw(st.integers(min_value=1, max_value=n - 1))
+        inst = random_instance(n, 2 * h + extra, h, seed=seed)
+        tree = build_shallow_tree(inst, depth)
+        assert tree.num_nodes == projected_node_count(len(usable_vertices(inst)), depth, h)
+        assert all(_terminal_below(tree, inst.terminals))
+
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(min_value=3, max_value=6),
+        extra=st.integers(min_value=0, max_value=5),
+        depth=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10**6),
+        data=st.data(),
+    )
+    def test_the_full_tree_less_the_nodes_with_no_terminal_below(self, n, extra, depth, seed,
+                                                                  data):
+        # same breadth-first order, so the ids of what is built keep their
+        # relative order
+        h = data.draw(st.integers(min_value=1, max_value=n - 1))
+        inst = random_instance(n, 2 * h + extra, h, seed=seed)
+        full, tree = unpruned_tree(inst, depth), build_shallow_tree(inst, depth)
+        below = _terminal_below(full, inst.terminals)
+
+        def sequences(t, nodes):
+            return [(copy_of(t, v), tuple(t.labels[w] for w in reversed(path_to_root(t, v))))
+                    for v in nodes]
+
+        kept = [v for v in range(1, full.num_nodes) if below[v]]
+        assert sequences(tree, range(1, tree.num_nodes)) == sequences(full, kept)
+        p = len(usable_vertices(inst)) - 1
+        assert full.num_nodes == 1 + 2 * sum(math.perm(p, k) for k in range(1, depth + 1))
 
 
 class TestPruning:
@@ -161,13 +223,13 @@ class TestPruning:
 class TestLimitsAndDump:
     def test_size_cap(self, diamond):
         with pytest.raises(SizeLimitError) as err:
-            build_shallow_tree(diamond, 2, max_nodes=18)
-        assert err.value.projected == 19
-        assert err.value.cap == 18
+            build_shallow_tree(diamond, 2, max_nodes=10)
+        assert err.value.projected == 11
+        assert err.value.cap == 10
 
     def test_node_count_disagreeing_with_projection_raises(self, diamond, monkeypatch):
-        monkeypatch.setattr(shallow_tree, "projected_node_count", lambda n, depth: 20)
-        with pytest.raises(ModelInconsistencyError, match="19 nodes .* projects 20"):
+        monkeypatch.setattr(shallow_tree, "projected_node_count", lambda n, depth, h: 20)
+        with pytest.raises(ModelInconsistencyError, match="11 nodes .* projects 20"):
             build_shallow_tree(diamond, 2)
 
     def test_depth_zero_rejected(self, diamond):

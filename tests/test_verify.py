@@ -199,11 +199,11 @@ def test_group_flow_dp_simple(diamond_solved):
 
 @pytest.fixture(scope="module")
 def group_flow_trees(diamond_solved):
-    """The 18-edge diamond tree (D=2) and a three-level tree (D=3)."""
+    """The 10-edge diamond tree (D=2) and a three-level tree (D=3)."""
     _, diamond_tree, _, _ = diamond_solved
-    assert diamond_tree.num_edges == 18
+    assert diamond_tree.num_edges == 10
     deep = build_shallow_tree(random_instance(6, 14, 2, seed=1), 3)
-    assert deep.depth == 3 and deep.num_edges == 170
+    assert deep.depth == 3 and deep.num_edges == 98
     return diamond_tree, deep
 
 
