@@ -63,7 +63,6 @@ _KEYS = {
     "beta_mult": ("beta_multiplier", float),
     "iters": ("iterations", int),
     "samples": ("samples", int),
-    "iter_mult": ("iteration_multiplier", float),
     "prune": ("prune", bool),
 }
 _JSON_TYPE = {bool: "boolean", int: "integer", float: "number"}
@@ -296,11 +295,6 @@ def _add_pipeline_flags(sub) -> None:
     )
     sub.add_argument("--iters", type=int, default=None, help="override rounding iteration count")
     sub.add_argument("--samples", type=int, default=None, help="override per-tree-edge sample count")
-    sub.add_argument(
-        "--iter-mult", dest="iter_mult", type=float, default=None,
-        help=f"multiplier on the default iteration count "
-        f"(default {defaults['iteration_multiplier']})",
-    )
     sub.add_argument("--prune", action="store_true", default=None, help="reverse-delete the result")
     sub.add_argument("--config", default=None, help="JSON file holding defaults for these flags")
 

@@ -8,6 +8,7 @@ so the edge count is capped rather than allowed to explode.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -30,8 +31,8 @@ class ExactConfig:
     def __post_init__(self):
         if self.max_edges < 1:
             raise ValueError(f"max_edges must be >= 1, got {self.max_edges}")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError(f"time_budget must be positive, got {self.time_budget}")
+        if self.time_budget is not None and not (0 < self.time_budget < math.inf):
+            raise ValueError(f"time_budget must be positive and finite, got {self.time_budget}")
 
 
 class ExactResult(NamedTuple):

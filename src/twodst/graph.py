@@ -137,9 +137,6 @@ class EdgePath:
     def target(self) -> Vertex:
         return self.graph.heads[self.edges[-1]]
 
-    def cost(self) -> float:
-        return self.graph.total_cost(self.edges)
-
 
 def _check_vertex(graph: DirectedMultigraph, v: Vertex, role: str) -> None:
     if v not in graph.vertices:

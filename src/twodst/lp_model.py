@@ -113,8 +113,8 @@ def congestion_parameter(depth: int, num_terminals: int, multiplier: float = 1.0
         raise ValueError(f"depth must be >= 1, got {depth}")
     if num_terminals < 1:
         raise ValueError(f"terminal count must be >= 1, got {num_terminals}")
-    if multiplier <= 0:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
+    if not (0 < multiplier < math.inf):
+        raise ValueError(f"multiplier must be positive and finite, got {multiplier}")
     value = multiplier * 2.0 * depth * num_terminals ** (1.0 / depth)
     return math.ceil(value - 1e-9)
 
@@ -283,22 +283,6 @@ class LpSolution:
         pos = self.model.var_index.positions(keys)
         return np.where(pos >= 0, self.values[pos], 0.0)
 
-    # structured accessors by key
-    def x(self, e: int) -> float:
-        return float(self.at(self.model.var_index.x(e)))
-
-    def xhat(self, tree_edge: int) -> float:
-        return float(self.at(self.model.var_index.xhat(tree_edge)))
-
-    def fhat(self, terminal, tree_edge: int) -> float:
-        return float(self.at(self.model.var_index.fhat(terminal, tree_edge)))
-
-    def f(self, tree_edge: int, e: int) -> float:
-        return float(self.at(self.model.var_index.f(tree_edge, e)))
-
-    def ft(self, terminal, tree_edge: int, e: int) -> float:
-        return float(self.at(self.model.var_index.ft(terminal, tree_edge, e)))
-
 
 def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -> int:
     """Exact nonzero count of the live model, from the live columns and the
@@ -386,7 +370,7 @@ class _RowBlocks:
 
 def _tree_conservation(tree: ShallowTree):
     """Per non-root node, named by its in-edge: in-edge minus child edges,
-    over tree edge ids; child edges in id order, as `tree.children` lists them."""
+    over tree edge ids; child edges in ascending id order."""
     edges = np.arange(tree.num_edges)
     parents = tree.edge_parents
     inner = parents >= 0  # the root node has no row

@@ -18,6 +18,7 @@ edges; it then runs the solve's one max-flow verification and records
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -40,14 +41,14 @@ BETA_RETRIES = 4
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every run setting with its one default and its one check; iterations
-    and samples of None mean the analytic J and L."""
+    and samples of None mean the analytic J (`rounding.default_iterations`)
+    and L."""
 
     depth: int = 2
     seed: int = 0
     beta_multiplier: float = 1.0
     iterations: Optional[int] = None
     samples: Optional[int] = None
-    iteration_multiplier: float = 2.0
     prune: bool = False
 
     def __post_init__(self):
@@ -59,10 +60,8 @@ class PipelineConfig:
             raise ValueError("iterations must be >= 1")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.beta_multiplier <= 0:
-            raise ValueError("beta_multiplier must be positive")
-        if self.iteration_multiplier <= 0:
-            raise ValueError("iteration_multiplier must be positive")
+        if not (0 < self.beta_multiplier < math.inf):
+            raise ValueError("beta_multiplier must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
     t0 = clock()
     iterations = config.iterations
     if iterations is None:
-        iterations = default_iterations(config.depth, g.num_vertices, config.iteration_multiplier)
+        iterations = default_iterations(config.depth, g.num_vertices)
     union = round_solution(instance, tree, lp, config.seed, iterations, config.samples)
     edges, provenance = union.edges, union.provenance
     if config.prune:

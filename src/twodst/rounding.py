@@ -8,10 +8,9 @@ each edge came from; pruning the union and the feasibility verdict belong
 to the caller (`pipeline.run_pipeline`).
 
 Marking uses monotonically clamped tree values so parent ratios stay in
-[0,1]; decompositions and diagnostics use the raw LP values. A tree edge
-can be marked exactly when its clamped value is positive, so
-`IterationSampler` decomposes those edges, and only those, once when it is
-built.
+[0,1]; decompositions use the raw LP values. A tree edge can be marked
+exactly when its clamped value is positive, so `IterationSampler`
+decomposes those edges, and only those, once when it is built.
 
 Random stream: a run with seed s draws from one `default_rng(s)`. The
 run is a J x W matrix of uniforms, W = `tree.num_edges` + M * L, where M
@@ -23,8 +22,7 @@ ascending order, owns the L columns from `tree.num_edges` + k * L, and
 an unmarked edge leaves its columns unused. A path is the first one
 whose running weight sum exceeds its uniform, or the last path.
 Iteration j thus depends on neither J nor how the rows are grouped: the
-union of J iterations is a prefix of the union of J + 1, and
-`verify.survival_estimate`'s trial j is iteration j of the same seed.
+union of J iterations is a prefix of the union of J + 1.
 
 The rows are drawn in blocks bounded in bytes (`BLOCK_BYTES`), not in J
 (`IterationSampler.draw_blocks`). A block is marked by one threshold
@@ -57,9 +55,9 @@ STRIP_TOL = 1e-12
 BLOCK_BYTES = 1 << 21
 
 
-def default_iterations(depth: int, num_vertices: int, multiplier: float = 1.0) -> int:
-    """Outer loop count: ceil(multiplier * 20 * D * ln n), floored at 1."""
-    return max(1, math.ceil(multiplier * 20.0 * depth * math.log(num_vertices)))
+def default_iterations(depth: int, num_vertices: int) -> int:
+    """Outer loop count J: ceil(40 * D * ln n), floored at 1."""
+    return max(1, math.ceil(40.0 * depth * math.log(num_vertices)))
 
 
 def default_samples(beta: float, depth: int) -> int:
@@ -139,13 +137,6 @@ class PathDistribution:
             if p.source != src or p.target != dst:
                 raise ValueError("support paths must share endpoints")
         object.__setattr__(self, "cdf", np.cumsum(self.weights))
-
-    @property
-    def is_cycle_free(self) -> bool:
-        return self.discarded <= 1e-7
-
-    def edge_marginal(self, e: int) -> float:
-        return sum(w for p, w in zip(self.paths, self.weights) if e in p.edges)
 
 
 def decompose_flow(
@@ -234,12 +225,6 @@ def _pick(cdf: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """
     above = (draws[:, :, None] >= cdf[:, None, :]).sum(axis=2)
     return np.minimum(above, counts[:, None] - 1)
-
-
-def sample_path(dist: PathDistribution, rng) -> EdgePath:
-    """One path, drawn with probability its weight (one uniform)."""
-    draw = np.array([[rng.random()]])
-    return dist.paths[int(_pick(dist.cdf[None, :], np.array([len(dist.paths)]), draw)[0, 0])]
 
 
 class Block(NamedTuple):
@@ -345,10 +330,6 @@ class IterationSampler:
             (ehats[i // self.samples], i % self.samples + 1, self.paths[p])
             for i, p in enumerate(path_ids.tolist())
         ]
-
-    def edges_of(self, path_ids: np.ndarray) -> frozenset:
-        """Graph edges on the given paths."""
-        return frozenset(e for p in np.unique(path_ids).tolist() for e in self.paths[p].edges)
 
 
 def round_solution(

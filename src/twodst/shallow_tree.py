@@ -17,12 +17,12 @@ satisfied and x unchanged and leaves a feasible point over this tree,
 while a point over this tree padded with zeros is feasible over the full
 one: the two relaxations have the same value.
 
-Node ids are breadth-first: the root is 0, children are generated in
-ascending label order with the first copy before the second, so the root's
-children list the first copy's depth-1 nodes, then the second's, and a
-node's copy is that of its depth-1 ancestor. Every non-root node's single
-incoming tree edge gets id (node id - 1), so tree edge ids are
-topologically sorted and the edge-to-child map is trivial. The edges of
+Node ids are breadth-first: the root is 0, a node's child nodes are made
+in ascending label order with the first copy before the second, so the
+first copy's depth-1 nodes come before the second's, and a node's copy is
+that of its depth-1 ancestor. Every non-root node's single incoming tree
+edge gets id (node id - 1), so tree edge ids are topologically sorted and
+the edge-to-child map is trivial. The edges of
 each depth form one contiguous id range (`edge_levels`), which lets
 top-down passes run one numpy step per level.
 """
@@ -43,16 +43,14 @@ class ShallowTree:
     """Immutable tree; see module docstring for the id conventions."""
 
     __slots__ = (
-        "depth", "labels", "depths", "parents", "children", "groups",
-        "edge_parents", "edge_levels",
+        "depth", "labels", "depths", "parents", "groups", "edge_parents", "edge_levels",
     )
 
-    def __init__(self, depth, labels, depths, parents, children, groups):
+    def __init__(self, depth, labels, depths, parents, groups):
         self.depth = depth
         self.labels = tuple(labels)
         self.depths = tuple(depths)
         self.parents = tuple(parents)
-        self.children = tuple(tuple(c) for c in children)
         self.groups = {t: frozenset(g) for t, g in groups.items()}
         # parent tree edge of every tree edge, -1 at the root
         self.edge_parents = np.asarray(self.parents[1:], dtype=np.intp) - 1
@@ -125,8 +123,7 @@ def build_shallow_tree(
     labels = [instance.root]
     depths = [0]
     parents = [-1]
-    children: list[list[int]] = [[]]
-    # ancestor label sets let children be computed without rewalking paths;
+    # ancestor label sets give a node's child labels without rewalking paths;
     # index-aligned with node ids
     banned: list[frozenset] = [frozenset([instance.root])]
 
@@ -139,14 +136,11 @@ def build_shallow_tree(
             for v in pool:
                 if v in banned[parent] or not (open_end or v in instance.terminals):
                     continue
-                node = len(labels)
+                below.append(len(labels))
                 labels.append(v)
                 depths.append(k)
                 parents.append(parent)
-                children.append([])
                 banned.append(banned[parent] | {v})
-                children[parent].append(node)
-                below.append(node)
         level = below
 
     groups = {t: {node for node, label in enumerate(labels) if label == t}
@@ -156,5 +150,5 @@ def build_shallow_tree(
             f"tree has {len(labels)} nodes but the closed form projects {projected}"
         )
 
-    return ShallowTree(depth, labels, depths, parents, children, groups)
+    return ShallowTree(depth, labels, depths, parents, groups)
 

@@ -85,10 +85,7 @@ def multicover():
 
 
 def _child_labeled(tree, node, label):
-    for c in tree.children[node]:
-        if tree.labels[c] == label:
-            return c
-    raise KeyError(label)
+    return next(c for c, p in enumerate(tree.parents) if p == node and tree.labels[c] == label)
 
 
 @pytest.fixture
@@ -103,8 +100,8 @@ def diamond_embedding(diamond):
     model = build_lp(diamond, tree, beta)
     idx = model.var_index
 
-    # the root's children list copy 1's depth-1 nodes, then copy 2's
-    kids = tree.children[0]
+    # the root's children, in id order, are copy 1's depth-1 nodes, then copy 2's
+    kids = [c for c, p in enumerate(tree.parents) if p == 0]
     copy1, copy2 = kids[: len(kids) // 2], kids[len(kids) // 2:]
     n_a1 = next(c for c in copy1 if tree.labels[c] == "a")
     n_b2 = next(c for c in copy2 if tree.labels[c] == "b")

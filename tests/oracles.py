@@ -15,26 +15,37 @@ columns one at a time, as a reference for `VarIndex.columns`; and
 the live model's, and drops the rows the box 0 <= x <= 1 implies
 (`box_implied`), as a reference for the model that `build_lp` emits.
 `group_flow_lp` is a linprog max flow, as a reference for the tree-flow
-DP in `verify`, and `reference_linprog` is scipy's own `linprog`, as a
+DP `_group_flow_dp`, and `reference_linprog` is scipy's own `linprog`, as a
 reference for `lp_solver`'s direct HiGHS call. `reference_round` is the
 rounding loop one iteration and one draw at a time, as a reference for
 the blocked `round_solution`: it reads the same random stream (one
 generator per run, one row of uniforms per iteration) with none of
 `rounding`'s sampling code, so the two must agree byte for byte.
+
+The probes of the paper's lemmas on an LP point live here too, since only
+the tests run them: `GoodEdgeAnalysis` and `residual_group_flow` (the
+tree flow that survives the loss of a graph edge once the tree edges that
+lean on it are cut), `flow_slack_violation` (per-terminal slack never
+exceeds total slack) and `survival_estimate` (a Monte Carlo estimate of
+how often one rounding iteration survives an edge loss, drawn through
+`rounding.IterationSampler`, so trial j is rounding iteration j of the
+same seed). They read the raw LP values, not the clamped ones marking
+uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
 from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import _SENSE_DTYPE, EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
-from twodst.rounding import decompose_flow
+from twodst.rounding import IterationSampler, decompose_flow
 from twodst.shallow_tree import ShallowTree
 from twodst.solution import SolutionSubgraph
 
@@ -232,18 +243,21 @@ def unpruned_tree(instance, depth) -> ShallowTree:
     order = sorted((len(s), copy, s) for s in seqs for copy in (1, 2))
     node_of = {(copy, (instance.root,)): 0 for copy in (1, 2)}
     labels, depths, parents = [instance.root], [0], [-1]
-    children: list[list[int]] = [[]]
     for length, copy, seq in order:
-        node = len(labels)
-        parent = node_of[(copy, seq[:-1])]
-        node_of[(copy, seq)] = node
+        node_of[(copy, seq)] = len(labels)
         labels.append(seq[-1])
         depths.append(length - 1)
-        parents.append(parent)
-        children.append([])
-        children[parent].append(node)
+        parents.append(node_of[(copy, seq[:-1])])
     groups = {t: {n for n, label in enumerate(labels) if label == t} for t in instance.terminals}
-    return ShallowTree(depth, labels, depths, parents, children, groups)
+    return ShallowTree(depth, labels, depths, parents, groups)
+
+
+def children(tree) -> list[list[int]]:
+    """Each node's child node ids, ascending: the order the builder makes them in."""
+    kids: list[list[int]] = [[] for _ in range(tree.num_nodes)]
+    for node, parent in enumerate(tree.parents[1:], 1):
+        kids[parent].append(node)
+    return kids
 
 
 def full_index(instance, tree) -> VarIndex:
@@ -298,6 +312,7 @@ def reference_rows(instance, tree, beta) -> list[LpRow]:
     m = g.num_edges
     te = tree.num_edges
     idx = full_index(instance, tree)
+    kids = children(tree)
     rows: list[LpRow] = []
 
     def emit(cols, coefs, sense, rhs, family):
@@ -327,7 +342,7 @@ def reference_rows(instance, tree, beta) -> list[LpRow]:
         for node in range(1, tree.num_nodes):
             if node in group:
                 continue
-            cols = [idx.fhat(t, node - 1)] + [idx.fhat(t, c - 1) for c in tree.children[node]]
+            cols = [idx.fhat(t, node - 1)] + [idx.fhat(t, c - 1) for c in kids[node]]
             emit(cols, [1.0] + [-1.0] * (len(cols) - 1), EQ, 0.0, "gst")
         in_edges = tree.group_in_edges(t)
         emit([idx.fhat(t, ehat) for ehat in in_edges], [1.0] * len(in_edges), GE, 2.0, "gst")
@@ -462,6 +477,123 @@ def group_flow_lp(tree, capacities, group) -> float:
     return -float(result.fun) / scale
 
 
+# ------------------------------------------------------ probes of the lemmas
+
+def _group_flow_dp(tree, capacities, group: frozenset) -> float:
+    """Max root-to-group flow in the tree under per-edge capacities.
+
+    Bottom-up: a group node absorbs unboundedly; any other node forwards
+    at most sum over children of min(edge capacity, child's intake).
+    """
+    kids = children(tree)
+    intake = [0.0] * tree.num_nodes
+    for node in range(tree.num_nodes - 1, -1, -1):
+        if node in group:
+            intake[node] = math.inf
+            continue
+        total = 0.0
+        for child in kids[node]:
+            total += min(capacities[child - 1], intake[child])
+        intake[node] = total
+    return intake[0]
+
+
+def _bad_and_reduced(tree, lp, beta: float, e: int):
+    """The tree edges that lean on graph edge e (xh - f < f / (2 beta)),
+    and every tree edge's capacity once they are cut: 0 on a bad edge,
+    xh - f on the others."""
+    idx = lp.model.var_index
+    edges = np.arange(tree.num_edges)
+    xh, fe = lp.at(idx.xhat(edges)), lp.at(idx.f(edges, e))
+    bad = xh - fe < fe / (2.0 * beta)
+    return frozenset(np.flatnonzero(bad).tolist()), np.where(bad, 0.0, xh - fe).tolist()
+
+
+@dataclass(frozen=True)
+class GoodEdgeAnalysis:
+    """Effect of one graph edge on the tree solution.
+
+    A tree edge is bad for e when buying e contributes nearly all of its
+    value: xh - f < f / (2 beta). Residual flows are computed with bad
+    edges removed and capacities reduced to xh - f.
+    """
+
+    graph_edge: int
+    beta: float
+    bad_edges: frozenset
+    reduced_capacities: tuple[float, ...]
+    residual_flow: dict  # terminal -> surviving root-to-group flow
+    mu: dict  # terminal -> total tree flow into the group
+
+    @classmethod
+    def from_lp(cls, tree, lp, beta: float, e: int) -> "GoodEdgeAnalysis":
+        bad, caps = _bad_and_reduced(tree, lp, beta, e)
+        idx = lp.model.var_index
+        residual = {}
+        mu = {}
+        for t in sorted(tree.groups, key=str):
+            residual[t] = _group_flow_dp(tree, caps, tree.groups[t])
+            mu[t] = sum(float(lp.at(idx.fhat(t, eh))) for eh in tree.group_in_edges(t))
+        return cls(e, float(beta), bad, tuple(caps), residual, mu)
+
+
+def residual_group_flow(tree, lp, beta: float, e: int, t) -> float:
+    """Root-to-group flow surviving the loss of graph edge e.
+
+    Removes the tree edges that lean on e and reduces the rest by their
+    use of e; the analysis promises the result stays >= 1/2.
+    """
+    _, caps = _bad_and_reduced(tree, lp, beta, e)
+    return _group_flow_dp(tree, caps, tree.groups[t])
+
+
+def flow_slack_violation(tree, lp) -> float:
+    """Max over (t, tree edge, graph edge) of (fh - ft) - (xh - f): the
+    per-terminal slack on a tree edge never exceeds the total slack, and a
+    positive value flags a violation."""
+    idx = lp.model.var_index
+    m = idx.num_edges
+    te = idx.num_tree_edges
+    if te == 0 or m == 0:
+        return 0.0
+    edges = np.arange(te)
+    pairs = (edges[:, None], np.arange(m))  # (tree edge, graph edge)
+    slack = lp.at(idx.xhat(edges))[:, None] - lp.at(idx.f(*pairs))
+    return max(
+        float(np.max(lp.at(idx.fhat(t, edges))[:, None] - lp.at(idx.ft(t, *pairs)) - slack))
+        for t in idx.terminals
+    )
+
+
+class SurvivalEstimate(NamedTuple):
+    probability: float
+    radius: float  # three-sigma binomial confidence radius
+    successes: int
+    trials: int
+
+
+def survival_estimate(instance, tree, lp, seed: int, e: int, t, trials: int,
+                      samples: Optional[int] = None) -> SurvivalEstimate:
+    """Empirical probability that one rounding iteration connects the
+    root to terminal t without using graph edge e; the trials are drawn
+    as rounding draws its iterations from `default_rng(seed)`, so trial j
+    is rounding iteration j of the same seed."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    sampler = IterationSampler(instance, tree, lp, samples)
+    g = instance.graph
+    successes = 0
+    for block in sampler.draw_blocks(np.random.default_rng(seed), trials):
+        ends = np.searchsorted(block.row, np.arange(block.size), side="right")
+        for path_ids in np.split(block.paths, ends[:-1]):
+            edges = {edge for p in np.unique(path_ids).tolist() for edge in sampler.paths[p].edges}
+            if t in reachable_set(g, instance.root, restrict_to=edges - {e}):
+                successes += 1
+    p = successes / trials
+    radius = 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
+    return SurvivalEstimate(p, radius, successes, trials)
+
+
 def reference_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, 1.0),
                       max_iterations=None):
     """`scipy.optimize.linprog(method="highs")` on `lp_solver.linprog`'s
@@ -497,11 +629,13 @@ def drop_family(model: LpModel, family: str) -> LpModel:
 
 
 def labels_below(tree, node) -> set:
-    """Labels of the node and of every node in its subtree."""
-    out = {tree.labels[node]}
-    for child in tree.children[node]:
-        out |= labels_below(tree, child)
-    return out
+    """Labels of the node and of every node in its subtree (ids are
+    breadth-first, so a node's subtree lies above its id)."""
+    inside = {node}
+    for v in range(node + 1, tree.num_nodes):
+        if tree.parents[v] in inside:
+            inside.add(v)
+    return {tree.labels[v] for v in inside}
 
 
 def useless_pairs(instance, tree) -> set[tuple[int, int]]:
@@ -560,11 +694,12 @@ def path_to_root(tree, node) -> list:
 
 
 def copy_of(tree, node) -> int:
-    """The copy (1 or 2) of a non-root node: the root's children list copy
+    """The copy (1 or 2) of a non-root node: the root's children are copy
     1's depth-1 nodes, then copy 2's, and a node shares its depth-1
     ancestor's copy."""
     first = path_to_root(tree, node)[-2]
-    return 1 if tree.children[0].index(first) < len(tree.children[0]) // 2 else 2
+    roots = children(tree)[0]
+    return 1 if roots.index(first) < len(roots) // 2 else 2
 
 
 def reference_clamp(tree, xhat) -> np.ndarray:
@@ -604,6 +739,11 @@ def reference_gkr_round(tree, xhat, rng) -> frozenset:
     return reference_mark(tree, xhat, rng.random(tree.num_edges))
 
 
+def edge_marginal(dist, e) -> float:
+    """Probability that a path drawn from the distribution uses edge e."""
+    return sum(w for p, w in zip(dist.paths, dist.weights) if e in p.edges)
+
+
 def reference_pick(dist, draw):
     """The path whose running weight sum first exceeds the draw; the last
     path if the draw lies above the final sum."""
@@ -632,7 +772,8 @@ class ReferenceSampler:
         self.instance = instance
         self.tree = tree
         self.lp = lp
-        self.raw_xhat = np.array([lp.xhat(eh) for eh in range(tree.num_edges)])
+        idx = lp.model.var_index
+        self.raw_xhat = np.array([float(lp.at(idx.xhat(eh))) for eh in range(tree.num_edges)])
         self.clamped = reference_clamp(tree, self.raw_xhat)
         self.clamped[self.clamped <= 1e-9] = 0.0
         # L = ceil((4 beta + 2) ln D), at least 1
@@ -645,7 +786,8 @@ class ReferenceSampler:
 
     def distribution(self, ehat):
         if ehat not in self._distributions:
-            flow = [self.lp.f(ehat, e) for e in range(self.instance.graph.num_edges)]
+            idx, m = self.lp.model.var_index, self.instance.graph.num_edges
+            flow = [float(self.lp.at(idx.f(ehat, e))) for e in range(m)]
             self._distributions[ehat] = decompose_flow(
                 self.instance.graph, self.tree, ehat, flow, self.raw_xhat[ehat]
             )

@@ -17,7 +17,13 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import group_flow_lp, is_feasible_subset
+from oracles import (
+    flow_slack_violation,
+    group_flow_lp,
+    is_feasible_subset,
+    reference_sample_path,
+    residual_group_flow,
+)
 from twodst.cli import EXIT_OK, main
 from twodst.errors import InfeasibleInstanceError
 from twodst.exact import ExactConfig, exact_2dst, random_instance
@@ -26,14 +32,10 @@ from twodst.lp_model import build_lp, congestion_parameter
 from twodst.lp_solver import solve
 from twodst.pipeline import PipelineConfig, run_pipeline
 from twodst.reductions import DssInstance, dss_via_dst, solve_vertex_2dst
-from twodst.rounding import IterationSampler, decompose_flow, gkr_round, sample_path
+from twodst.rounding import IterationSampler, decompose_flow, gkr_round
 from twodst.shallow_tree import build_shallow_tree
 from twodst.solution import SolutionSubgraph
-from twodst.verify import (
-    feasibility_report,
-    flow_slack_violation,
-    residual_group_flow,
-)
+from twodst.verify import feasibility_report
 from twodst.io import save_instance
 
 DEPTH = 2
@@ -204,17 +206,17 @@ def test_path_marginals(marking_stats):
             if xh < 0.05:
                 continue
             # decomposed directly: edges whose clamped value is 0 count too
-            flow = [lp.f(ehat, e) for e in range(m)]
-            dist = decompose_flow(inst.graph, tree, ehat, flow, xh)
+            flow = lp.at(lp.model.var_index.f(ehat, np.arange(m)))
+            dist = decompose_flow(inst.graph, tree, ehat, flow.tolist(), xh)
             rng = np.random.default_rng((905, i, ehat))
             counts = np.zeros(m)
             for _ in range(PATH_SAMPLES):
-                for e in sample_path(dist, rng).edges:
+                for e in reference_sample_path(dist, rng).edges:
                     counts[e] += 1
             freq = counts / PATH_SAMPLES
-            target = np.array([lp.f(ehat, e) for e in range(m)]) / xh
+            target = flow / xh
             worst_over = max(worst_over, float(np.max(freq - target)))
-            if dist.is_cycle_free:
+            if dist.discarded <= 1e-7:  # no circulation left behind
                 worst_two_sided = max(worst_two_sided, float(np.max(np.abs(freq - target))))
             checked += 1
     _report(
@@ -262,7 +264,8 @@ def test_iteration_cost(solved5):
         rng = np.random.default_rng((1213, i))
         total = 0.0
         for _ in range(COST_TRIALS):
-            total += inst.graph.total_cost(sampler.edges_of(sampler.draw(rng)[1]))
+            draws = sampler.sample_draws(rng)
+            total += inst.graph.total_cost({e for _, _, path in draws for e in path.edges})
         mean = total / COST_TRIALS
         worst_ratio = max(worst_ratio, mean / budget)
     _report(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -152,13 +153,13 @@ def test_solve_rejects_unrooted(tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(diamond_file, tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"depth": 2, "seed": 5, "iter_mult": 1.0}))
+    config.write_text(json.dumps({"depth": 2, "seed": 5, "iters": 56}))
     code = main(["solve", str(diamond_file), "--config", str(config), "--seed", "11"])
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert "seed=11" in text  # flag beats file
     assert "depth=2" in text  # file beats built-in default
-    assert "iterations=56" in text  # iter_mult 1.0 from file: 20 * 2 * ln 4 -> 56
+    assert "iterations=56" in text  # from the file, not the default 40 * 2 * ln 4 -> 111
     # no flags and no file: the PipelineConfig defaults
     assert _pipeline_config(build_parser().parse_args(["solve", "x.json"])) == PipelineConfig()
 
@@ -173,7 +174,7 @@ def test_config_file_unknown_key(diamond_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("prune", "no"), ("prune", 1), ("seed", 1.7), ("depth", True), ("iters", "56"),
-     ("samples", None), ("beta_mult", False), ("iter_mult", "2")],
+     ("samples", None), ("beta_mult", False)],
 )
 def test_config_file_wrong_type(diamond_file, tmp_path, capsys, key, value):
     config = tmp_path / "run.json"
@@ -183,7 +184,7 @@ def test_config_file_wrong_type(diamond_file, tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "field", ["depth", "iterations", "samples", "beta_multiplier", "iteration_multiplier"]
+    "field", ["depth", "iterations", "samples", "beta_multiplier"]
 )
 def test_pipeline_config_rejects(field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -215,6 +216,39 @@ def test_solve_rejects_zero_iterations(diamond_file, tmp_path, capsys, how):
     assert "error: iterations must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_pipeline_config_rejects_non_finite_beta_multiplier(value):
+    with pytest.raises(ValueError, match="^beta_multiplier must be positive and finite"):
+        PipelineConfig(beta_multiplier=value)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_solve_rejects_non_finite_beta_multiplier(diamond_file, tmp_path, capsys, monkeypatch,
+                                                  value, how):
+    # json.loads accepts Infinity and NaN; both are rejected while the config
+    # is built, before preflight, tree or LP
+    def no_work(*args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_work)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"beta_mult": float(value)}))
+    extra = ["--beta-mult", value] if how == "flag" else ["--config", str(config)]
+    assert main(["solve", str(diamond_file), *extra]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta_multiplier must be positive and finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_exact_rejects_non_finite_time_budget(diamond_file, capsys, value):
+    assert main(["exact", str(diamond_file), "--time-budget", value]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: time_budget must be positive and finite")
+    assert "Traceback" not in err
+
+
 def test_config_file_not_an_object(diamond_file, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(["seed"]))
@@ -225,10 +259,10 @@ def test_config_file_not_an_object(diamond_file, tmp_path, capsys):
 def test_config_file_typed_values(tmp_path):
     # integers pass for the float keys, and a bool for prune
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"beta_mult": 2, "iter_mult": 1, "prune": True, "seed": 3}))
+    config.write_text(json.dumps({"beta_mult": 2, "prune": True, "seed": 3}))
     args = build_parser().parse_args(["solve", "x.json", "--config", str(config)])
     assert _pipeline_config(args) == PipelineConfig(
-        depth=2, seed=3, beta_multiplier=2.0, iteration_multiplier=1.0, prune=True
+        depth=2, seed=3, beta_multiplier=2.0, prune=True
     )
 
 

@@ -1,5 +1,7 @@
 """Exhaustive-search oracle and the random instance generator."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +91,11 @@ def test_config_validation():
         ExactConfig(max_edges=0)
     with pytest.raises(ValueError):
         ExactConfig(time_budget=0.0)
+    # NaN compares false with everything, so it would silently turn the
+    # budget off
+    for budget in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExactConfig(time_budget=budget)
 
 
 @st.composite

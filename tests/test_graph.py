@@ -103,7 +103,7 @@ class TestEdgePath:
         p = EdgePath(diamond.graph, (0, 1))
         assert p.source == "r"
         assert p.target == "t"
-        assert p.cost() == pytest.approx(2.0)
+        assert diamond.graph.total_cost(p.edges) == pytest.approx(2.0)
 
     def test_mismatched_edges_rejected(self, diamond):
         with pytest.raises(ValueError):

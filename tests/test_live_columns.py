@@ -44,10 +44,11 @@ def _check(inst, depth, beta=None):
         assert reduced.objective == pytest.approx(full.objective, abs=1e-7)
         assert reduced.max_violation <= 1e-8
         # rule (c) columns carry no flow in the all-live optimum
+        idx = full.model.var_index
         for ehat, e in useless_pairs(inst, tree):
-            assert full.f(ehat, e) <= 1e-9
+            assert full.at(idx.f(ehat, e)) <= 1e-9
             for t in inst.terminals:
-                assert full.ft(t, ehat, e) <= 1e-9
+                assert full.at(idx.ft(t, ehat, e)) <= 1e-9
     else:
         # row positions differ between the models: compare the amounts
         got, want = reduced.certificate, full.certificate
@@ -223,8 +224,8 @@ def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypat
     # a pair that rule (c) drops: its f and ft keys are dead and read 0
     ehat, e = min(useless_pairs(diamond, tree))
     assert idx.positions(idx.f(ehat, e)) < 0 and idx.positions(idx.ft("t", ehat, e)) < 0
-    assert (sol.f(ehat, e), sol.ft("t", ehat, e)) == (0.0, 0.0)
-    assert [sol.x(e) for e in range(4)] == sol.values[:4].tolist()
+    assert sol.at(np.array([idx.f(ehat, e), idx.ft("t", ehat, e)])).tolist() == [0.0, 0.0]
+    assert sol.at(idx.x(np.arange(4))).tolist() == sol.values[:4].tolist()
 
 
 def test_pipeline_logs_solver_run(diamond, caplog):

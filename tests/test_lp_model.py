@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,10 @@ class TestCongestionParameter:
     def test_fractional_result_rounds_up(self):
         assert congestion_parameter(2, 2) == 6  # 4*sqrt(2) = 5.66
 
-    @pytest.mark.parametrize("args", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (1, 1, -2.0)])
+    @pytest.mark.parametrize(
+        "args",
+        [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (1, 1, -2.0), (1, 1, math.inf), (1, 1, math.nan)],
+    )
     def test_bad_arguments(self, args):
         with pytest.raises(ValueError):
             congestion_parameter(*args)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import every_column, model_from_rows, reference_linprog
-from twodst import lp_solver
+from twodst import lp_solver, pipeline
+from twodst.errors import SolverError
 from twodst.exact import random_instance
+from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.lp_model import (
     EQ,
     GE,
@@ -18,6 +20,7 @@ from twodst.lp_model import (
     congestion_parameter,
 )
 from twodst.lp_solver import solve
+from twodst.pipeline import PipelineConfig, run_pipeline
 from twodst.shallow_tree import build_shallow_tree
 
 
@@ -130,6 +133,36 @@ class TestInfeasibility:
         sol = solve(model)
         assert sol.status == "infeasible"
         assert sol.certificate.total_relaxation == pytest.approx(0.6, abs=1e-6)
+
+
+class TestBetaRetries:
+    """The pipeline doubles beta after an infeasible LP, at most
+    `pipeline.BETA_RETRIES` times."""
+
+    @pytest.fixture
+    def binary_tree(self):
+        """A complete binary tree three levels below r, every arc doubled at
+        cost 1 (15 vertices, 28 edges), with the 8 leaves as terminals. OPT
+        is the whole graph. At depth 1 the 16 units of tree flow leave r
+        over its 4 edges, so the LP needs beta >= 4."""
+        name = ["r"] + [f"v{k}" for k in range(1, 15)]  # node k's children: 2k+1, 2k+2
+        arcs = [(name[k], name[c], 1.0) for k in range(7) for c in (2 * k + 1, 2 * k + 2)]
+        graph = DirectedMultigraph(name, [arc for arc in arcs for _ in range(2)])
+        return DstInstance(graph, "r", frozenset(name[7:]))
+
+    def test_infeasible_beta_doubles(self, binary_tree):
+        # beta starts at ceil(0.1 * 2 * 1 * 8) = 2, whose LP is infeasible
+        assert congestion_parameter(1, 8, 0.1) == 2
+        result = run_pipeline(binary_tree, PipelineConfig(depth=1, beta_multiplier=0.1))
+        assert result.beta == 4
+        assert result.lp_objective == pytest.approx(28.0)
+        assert result.solution.cost == 28.0
+        assert result.feasible
+
+    def test_no_retries_left_raises(self, binary_tree, monkeypatch):
+        monkeypatch.setattr(pipeline, "BETA_RETRIES", 0)
+        with pytest.raises(SolverError, match="irreducible rows in families"):
+            run_pipeline(binary_tree, PipelineConfig(depth=1, beta_multiplier=0.1))
 
 
 

@@ -47,7 +47,7 @@ class TestFrozenSizes:
     def test_depth_one_groups_are_root_children(self):
         inst = complete_instance(5, ["v3", "v4"])
         tree = build_shallow_tree(inst, 1)
-        root_children = set(tree.children[0])
+        root_children = {node for node, parent in enumerate(tree.parents) if parent == 0}
         for t in inst.terminals:
             assert len(tree.groups[t]) == 2
             assert tree.groups[t] <= root_children
@@ -85,9 +85,10 @@ class TestStructure:
                 assert tree.depths[rho + 1] == tree.depths[e + 1] - 1
 
     def test_root_edges_are_depth_one(self, tree):
-        for node in tree.children[0]:
-            assert tree.depths[node] == 1
-            assert parent_edge(tree, node - 1) is None
+        for node in range(1, tree.num_nodes):
+            if tree.parents[node] == 0:
+                assert tree.depths[node] == 1
+                assert parent_edge(tree, node - 1) is None
 
     def test_copies_are_isomorphic(self, tree):
         per_copy = {1: [], 2: []}
@@ -107,7 +108,7 @@ class TestStructure:
             assert tree.labels[e + 1] == "t"
 
     def test_edge_endpoints_labels(self, tree):
-        e = tree.children[0][0] - 1
+        e = tree.parents.index(0) - 1  # the root's first child
         parent_label, child_label = tree.edge_endpoints_labels(e)
         assert parent_label == "r"
 

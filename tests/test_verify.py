@@ -1,4 +1,6 @@
-"""Feasibility certification and LP diagnostics."""
+"""Feasibility certification (`twodst.verify`), and the probes of the
+paper's lemmas on LP points (`oracles`), checked against `group_flow_lp`
+and `ReferenceSampler`."""
 
 import json
 
@@ -7,7 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import ReferenceSampler, group_flow_lp, is_feasible_subset, scan_failures
+from oracles import (
+    GoodEdgeAnalysis,
+    ReferenceSampler,
+    _bad_and_reduced,
+    _group_flow_dp,
+    children,
+    flow_slack_violation,
+    group_flow_lp,
+    is_feasible_subset,
+    residual_group_flow,
+    scan_failures,
+    survival_estimate,
+)
 from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance, reachable_set
 from twodst.lp_model import LpSolution, build_lp, congestion_parameter
@@ -15,15 +29,7 @@ from twodst.lp_solver import solve
 from twodst.shallow_tree import build_shallow_tree
 from twodst.solution import SolutionSubgraph
 from twodst import rounding, verify
-from twodst.verify import (
-    GoodEdgeAnalysis,
-    _group_flow_dp,
-    feasibility_report,
-    flow_slack_violation,
-    residual_group_flow,
-    reverse_delete,
-    survival_estimate,
-)
+from twodst.verify import feasibility_report, reverse_delete
 
 
 def _instance(vertices, edges, root, terminals):
@@ -188,7 +194,7 @@ def test_feasibility_matches_oracle(pair):
 def test_group_flow_dp_simple(diamond_solved):
     _, tree, _, _ = diamond_solved
     caps = [0.0] * tree.num_edges
-    root_edges = [node - 1 for node in tree.children[0]]
+    root_edges = [node - 1 for node in children(tree)[0]]
     for ehat in root_edges:
         caps[ehat] = 0.75
     # only root edges whose child is already in the group contribute
@@ -234,7 +240,7 @@ def test_residual_group_flow_solved(diamond_solved):
 
 def test_residual_group_flow_unused_edge(theta_solved):
     inst, tree, beta, lp = theta_solved
-    assert lp.x(4) <= 1e-7  # the expensive shortcut stays out of the LP
+    assert lp.at(lp.model.var_index.x(4)) <= 1e-7  # the expensive shortcut stays out of the LP
     assert residual_group_flow(tree, lp, beta, 4, "t") >= 2.0 - 1e-6
     for e in range(inst.graph.num_edges):
         assert residual_group_flow(tree, lp, beta, e, "t") >= 0.5 - 1e-6
@@ -269,18 +275,23 @@ def test_lp_diagnostics_match_key_by_key_loops(multicover):
     model = build_lp(multicover, tree, congestion_parameter(1, multicover.num_terminals))
     lp = LpSolution(model, np.random.default_rng(3).random(model.num_vars), 0.0, "optimal")
     m, beta = multicover.graph.num_edges, 2.0
+    idx = model.var_index
+
+    def at(key):
+        return float(lp.at(key))
+
     slack = max(
-        (lp.fhat(t, eh) - lp.ft(t, eh, e)) - (lp.xhat(eh) - lp.f(eh, e))
+        (at(idx.fhat(t, eh)) - at(idx.ft(t, eh, e))) - (at(idx.xhat(eh)) - at(idx.f(eh, e)))
         for t in sorted(multicover.terminals)
         for eh in range(tree.num_edges)
         for e in range(m)
     )
     assert flow_slack_violation(tree, lp) == slack
     for e in range(m):
-        room = [lp.xhat(eh) - lp.f(eh, e) for eh in range(tree.num_edges)]
-        bad = [eh for eh in range(tree.num_edges) if room[eh] < lp.f(eh, e) / (2.0 * beta)]
+        room = [at(idx.xhat(eh)) - at(idx.f(eh, e)) for eh in range(tree.num_edges)]
+        bad = [eh for eh in range(tree.num_edges) if room[eh] < at(idx.f(eh, e)) / (2.0 * beta)]
         caps = [0.0 if eh in bad else room[eh] for eh in range(tree.num_edges)]
-        assert verify._bad_and_reduced(tree, lp, beta, e) == (frozenset(bad), caps)
+        assert _bad_and_reduced(tree, lp, beta, e) == (frozenset(bad), caps)
 
 
 def test_flow_slack_violation_hand_built(diamond_embedding):
