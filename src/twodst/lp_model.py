@@ -104,7 +104,9 @@ LIMIT = "limit"
 
 
 def congestion_parameter(depth: int, num_terminals: int, multiplier: float = 1.0) -> int:
-    """Per-graph-edge cap on total tree-edge flow: ceil(mult * 2 * D * h^(1/D)).
+    """Per-graph-edge cap on total tree-edge flow: ceil(mult * 2 * D * h^(1/D)),
+    floored at 1 (a tiny multiplier would otherwise give 0, which doubling
+    never raises).
 
     The tiny downward nudge keeps exact powers (e.g. 8^(1/3)) from being
     pushed to the next integer by float noise.
@@ -116,7 +118,7 @@ def congestion_parameter(depth: int, num_terminals: int, multiplier: float = 1.0
     if not (0 < multiplier < math.inf):
         raise ValueError(f"multiplier must be positive and finite, got {multiplier}")
     value = multiplier * 2.0 * depth * num_terminals ** (1.0 / depth)
-    return math.ceil(value - 1e-9)
+    return max(1, math.ceil(value - 1e-9))
 
 
 class VarIndex:

@@ -16,34 +16,44 @@ relaxation (elastic slacks) that would make the rows consistent, reported
 per offending row.
 
 `linprog` calls HiGHS directly through scipy's bindings
-(`scipy.optimize._highspy._core`), with exactly the arrays and options that
-`scipy.optimize.linprog(method="highs")` would pass: the <= rows, then the
-equality rows, as one column-wise matrix with row bounds (-inf, b_ub] and
-[b_eq, b_eq]; presolve on, dual simplex, no debug checks, no output, both
-feasibility tolerances at 1e-9, and the iteration limit on both the simplex
-and the IPM. It reads back only the model status (mapped to scipy's status
-codes), the objective, the column values and the simplex iteration count,
-and skips what scipy's wrapper adds: input cleaning, option checks one
-option at a time, and duals. scipy's own post-check of the point at 1e-9 is
-replaced by the replay at `REPLAY_TOL`. The bindings are private API, so
-the module checks at import that every name it uses exists, and raises
-ImportError naming the missing one; `tests/test_lp_solver.py` pins the call
-against `scipy.optimize.linprog` itself.
+(`scipy.optimize._highspy._core`), on the model that
+`scipy.optimize.linprog(method="highs")` would build: the <= rows (>= rows
+negated), then the equality rows, as one column-wise matrix with row
+bounds (-inf, b_ub] and [b_eq, b_eq]; presolve on, dual simplex, no debug
+checks, no output, both feasibility tolerances at 1e-9, and the iteration
+limit on both the simplex and the IPM. `_split_rows` gathers that matrix
+from the model's CSR in one pass, as numpy arrays of the dtypes HiGHS
+stores (int32 starts and indices, float64 values and bounds), and
+`linprog` hands them to the pointer overload of `_Highs.passModel`, so
+HiGHS reads them in place. That overload also takes an integrality array,
+which must hold one 0 (continuous) per column: an empty one makes
+`passModel` reject the model. HiGHS cannot see the arrays' lengths through
+the pointers, so `linprog` checks that they fit together. Both a misfit
+and a model HiGHS rejects raise `SolverError`; they are faults in the
+handoff, not an infeasible LP. `linprog` reads back only the model status
+(mapped to scipy's status codes), the objective, the column values and the
+simplex iteration count, and skips what scipy's wrapper adds: input
+cleaning, option checks one option at a time, and duals. scipy's own
+post-check of the point at 1e-9 is replaced by the replay at `REPLAY_TOL`.
+The bindings are private API, so the module checks at import that every
+name it uses exists, and raises ImportError naming the missing one;
+`tests/test_lp_solver.py` pins the arrays against scipy's own sparse
+stacking and the call against `scipy.optimize.linprog` itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix, hstack, vstack
 
 from .errors import SolverError
 from .lp_model import (
     EQ,
     GE,
     INFEASIBLE,
+    LE,
     LIMIT,
     OPTIMAL,
     LpModel,
@@ -72,8 +82,8 @@ except ImportError as err:  # pragma: no cover - depends on the installed scipy
     ) from err
 
 _highs = _require(_core, (
-    "_Highs", "HighsLp", "HighsOptions", "HighsStatus", "HighsModelStatus",
-    "MatrixFormat", "kHighsInf",
+    "_Highs", "HighsOptions", "HighsStatus", "HighsModelStatus", "MatrixFormat",
+    "ObjSense", "kHighsInf",
 ))
 
 # HiGHS primal and dual feasibility tolerances
@@ -84,13 +94,13 @@ OPT_TOL = 1e-9
 REPLAY_TOL = 1e-8
 
 # HiGHS model status -> scipy's linprog status: 0 optimal, 1 limit,
-# 2 infeasible, 3 unbounded, 4 anything else
+# 2 infeasible, 3 unbounded, 4 anything else; unlike scipy, a model error
+# is 4, a fault and not an infeasible LP
 _STATUS = {
     _highs.HighsModelStatus.kOptimal: 0,
     _highs.HighsModelStatus.kTimeLimit: 1,
     _highs.HighsModelStatus.kIterationLimit: 1,
     _highs.HighsModelStatus.kInfeasible: 2,
-    _highs.HighsModelStatus.kModelError: 2,
     _highs.HighsModelStatus.kUnbounded: 3,
 }
 
@@ -109,21 +119,35 @@ class InfeasibilityCertificate:
         return out
 
 
-def _signed_rows(model: LpModel, rows: np.ndarray, sign: np.ndarray):
-    """The given rows of the model (repeats allowed), each times its sign."""
-    lengths = np.diff(model.indptr)
-    sub = model.matrix()[rows]
-    sub.data *= np.repeat(sign, lengths[rows])
-    return sub, sign * model.rhs[rows]
+def _row_entries(indptr: np.ndarray, rows: np.ndarray):
+    """Positions in a CSR's entry arrays of the given rows' entries, row
+    after row (repeats allowed), and the length of each row."""
+    lengths = np.diff(indptr)[rows]
+    offsets = np.cumsum(lengths) - lengths  # each row's first position in the result
+    return np.arange(int(lengths.sum())) + np.repeat(indptr[rows] - offsets, lengths), lengths
 
 
 def _split_rows(model: LpModel):
-    """Rows as sparse inequality/equality blocks (GE rows negated)."""
+    """The model's rows as HiGHS's column-wise arrays, gathered from its CSR
+    in one pass: the <= and >= rows, each >= row negated, then the = rows,
+    each part in model order; within a column, entries by row. Returns
+    (start, index, value, row_lower, row_upper), with int32 `start` and
+    `index`, one column per entry of `model.objective`, and row bounds
+    (-inf, b] for the first part and [b, b] for the second."""
     eq = model.sense == EQ
-    ub = np.flatnonzero(~eq)
-    a_ub, b_ub = _signed_rows(model, ub, np.where(model.sense[ub] == GE, -1.0, 1.0))
-    a_eq, b_eq = _signed_rows(model, np.flatnonzero(eq), np.ones(int(eq.sum())))
-    return (a_ub if len(ub) else None), b_ub, (a_eq if len(b_eq) else None), b_eq
+    order = np.argsort(eq, kind="stable")
+    sign = np.where(model.sense[order] == GE, -1.0, 1.0)
+    entries, lengths = _row_entries(model.indptr, order)
+    cols = model.indices[entries]
+    by_col = np.argsort(cols, kind="stable")
+    n = len(model.objective)
+    start = np.zeros(n + 1, dtype=np.int32)
+    start[1:] = np.cumsum(np.bincount(cols, minlength=n))
+    index = np.repeat(np.arange(len(order), dtype=np.int32), lengths)[by_col]
+    value = (model.data[entries] * np.repeat(sign, lengths))[by_col]
+    row_upper = sign * model.rhs[order]
+    row_lower = np.where(eq[order], row_upper, -_highs.kHighsInf)
+    return start, index, value, row_lower, row_upper
 
 
 class HighsResult(NamedTuple):
@@ -151,44 +175,39 @@ def _highs_options(max_iterations: Optional[int]):
     return options
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, 1.0),
-            max_iterations: Optional[int] = None) -> HighsResult:
-    """min c.x over A_ub x <= b_ub, A_eq x = b_eq and lower <= x <= upper,
-    by one HiGHS run; `bounds` is (lower, upper), each a scalar or one value
-    per column, and an upper bound of `kHighsInf` (inf) means none."""
+def linprog(c, rows, bounds=(0.0, 1.0), max_iterations: Optional[int] = None) -> HighsResult:
+    """min c.x over row_lower <= A x <= row_upper and lower <= x <= upper,
+    by one HiGHS run. `rows` is `_split_rows`' (start, index, value,
+    row_lower, row_upper); `bounds` is (lower, upper), each a scalar or one
+    value per column, and an upper bound of `kHighsInf` (inf) means none.
+    Raises SolverError when the arrays' lengths do not fit together, which
+    HiGHS cannot see through the pointers, or when HiGHS rejects the model."""
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    start, index, value, row_lower, row_upper = rows
     n = len(c)
-    blocks = [(a, b) for a, b in ((A_ub, b_ub), (A_eq, b_eq)) if a is not None]
-    blocks = blocks or [(csr_matrix((0, n)), np.zeros(0))]
-    a = vstack([a for a, _ in blocks], format="csc")
-    rhs = np.concatenate([np.asarray(b, dtype=float) for _, b in blocks])
-    num_ub = 0 if A_ub is None else len(b_ub)
-    lhs = rhs.copy()
-    lhs[:num_ub] = -_highs.kHighsInf
-    lower, upper = bounds
-
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.col_cost_ = np.asarray(c, dtype=float)
-    lp.col_lower_ = np.broadcast_to(np.asarray(lower, dtype=float), n).copy()
-    lp.col_upper_ = np.broadcast_to(np.asarray(upper, dtype=float), n).copy()
-    lp.row_lower_ = lhs
-    lp.row_upper_ = rhs
-    # the bindings copy an int array element by element, a list about 2x faster
-    lp.a_matrix_.start_ = a.indptr.tolist()
-    lp.a_matrix_.index_ = a.indices.tolist()
-    lp.a_matrix_.value_ = a.data
+    if len(start) != n + 1 or len(index) != len(value) or len(row_lower) != len(row_upper):
+        raise SolverError(
+            f"malformed rows for HiGHS: {len(start)} column starts for {n} columns, "
+            f"{len(index)} row indices for {len(value)} values, "
+            f"{len(row_lower)} row lower bounds for {len(row_upper)} upper"
+        )
+    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), n).copy() for b in bounds)
 
     highs = _highs._Highs()
     highs.passOptions(_highs_options(max_iterations))
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        status = _highs.HighsModelStatus.kModelError
-    else:
-        highs.run()
-        status = highs.getModelStatus()
+    passed = highs.passModel(
+        n, len(row_upper), len(value), int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, np.asarray(c, dtype=float), lower, upper,
+        row_lower, row_upper, start, index, value, np.zeros(n, dtype=np.int32),
+    )
+    if passed == _highs.HighsStatus.kError:
+        raise SolverError(
+            f"HiGHS rejected the model ({n} columns, {len(row_upper)} rows, "
+            f"{len(value)} nonzeros): passModel returned kError"
+        )
+    highs.run()
+    status = highs.getModelStatus()
     code = _STATUS.get(status, 4)
     info = highs.getInfo()
     nit = int(info.simplex_iteration_count)
@@ -200,16 +219,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, 1.0),
 
 
 def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
-    a_ub, b_ub, a_eq, b_eq = _split_rows(model)
-    result = linprog(
-        model.objective,
-        A_ub=a_ub,
-        b_ub=b_ub if a_ub is not None else None,
-        A_eq=a_eq,
-        b_eq=b_eq if a_eq is not None else None,
-        bounds=(0.0, 1.0),
-        max_iterations=max_iterations,
-    )
+    result = linprog(model.objective, _split_rows(model), (0.0, 1.0), max_iterations)
     run = {"model": model, "iterations": int(result.nit)}
     if result.status == 0:
         values = np.asarray(result.x, dtype=float)
@@ -244,33 +254,54 @@ def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
     raise SolverError(f"backend failure: {result.message}")
 
 
+def _elastic_model(model: LpModel) -> LpModel:
+    """The model's elastic LP, as a model over its n columns and then one
+    slack column per row: every row as <= rows (a >= row negated, an = row
+    once as is and once negated), each followed by its row's slack with
+    coefficient -1. Only the rows and the objective (zero on the model's
+    columns, one on the slacks) are the elastic LP's; `var_index` is the
+    model's."""
+    n = model.num_vars
+    k = model.num_rows
+    eq = model.sense == EQ
+    rows = np.repeat(np.arange(k), np.where(eq, 2, 1))
+    second = np.zeros(len(rows), dtype=bool)
+    second[1:] = rows[1:] == rows[:-1]
+    sign = np.where(second | (model.sense[rows] == GE), -1.0, 1.0)
+    entries, lengths = _row_entries(model.indptr, rows)
+    indptr = np.concatenate(([0], np.cumsum(lengths + 1)))
+    slack = indptr[1:] - 1
+    term = np.ones(indptr[-1], dtype=bool)
+    term[slack] = False
+    indices = np.empty(indptr[-1], dtype=model.indices.dtype)
+    indices[term] = model.indices[entries]
+    indices[slack] = n + rows
+    data = np.empty(indptr[-1])
+    data[term] = model.data[entries] * np.repeat(sign, lengths)
+    data[slack] = -1.0
+    return replace(
+        model,
+        objective=np.concatenate([np.zeros(n), np.ones(k)]),
+        indptr=indptr, indices=indices, data=data,
+        sense=np.full(len(rows), LE), rhs=sign * model.rhs[rows], family=model.family[rows],
+    )
+
+
 def _infeasibility_certificate(
     model: LpModel, max_iterations: Optional[int]
 ) -> InfeasibilityCertificate:
     """Minimize the total elastic slack needed to satisfy all rows.
 
     Every row gets one slack variable easing it in the violated
-    direction (equalities may flex both ways). Rows given positive slack
-    at the optimum form the repair set: relaxing each by its amount makes
-    the model feasible.
+    direction (equalities may flex both ways; see `_elastic_model`). Rows
+    given positive slack at the optimum form the repair set: relaxing each
+    by its amount makes the model feasible.
     """
     n = model.num_vars
     k = model.num_rows
-    # equalities become two inequalities (sign +1, then -1) sharing one slack
-    eq = model.sense == EQ
-    rows = np.repeat(np.arange(k), np.where(eq, 2, 1))
-    second = np.zeros(len(rows), dtype=bool)
-    second[1:] = rows[1:] == rows[:-1]
-    sign = np.where(second | (model.sense[rows] == GE), -1.0, 1.0)
-    signed, rhs_ub = _signed_rows(model, rows, sign)
-    slack = csr_matrix(
-        (-np.ones(len(rows)), (np.arange(len(rows)), rows)), shape=(len(rows), k)
-    )
-    a_ub = hstack([signed, slack], format="csr")
-    cost = np.concatenate([np.zeros(n), np.ones(k)])
+    elastic = _elastic_model(model)
     upper = np.concatenate([np.ones(n), np.full(k, _highs.kHighsInf)])  # slacks uncapped
-    result = linprog(cost, A_ub=a_ub, b_ub=rhs_ub, bounds=(0.0, upper),
-                     max_iterations=max_iterations)
+    result = linprog(elastic.objective, _split_rows(elastic), (0.0, upper), max_iterations)
     if result.status != 0:
         raise SolverError(f"elastic relaxation failed: {result.message}")
     slacks = np.asarray(result.x[n:])

@@ -26,9 +26,11 @@ union of J iterations is a prefix of the union of J + 1.
 
 The rows are drawn in blocks bounded in bytes (`BLOCK_BYTES`), not in J
 (`IterationSampler.draw_blocks`). A block is marked by one threshold
-compare and one AND per tree level over its rows, and all L paths of
-every marked (row, tree edge) pair are one lookup in a table of
-cumulative weights. Generator output does not depend on how it is split
+compare and one AND per tree level over its rows. A marked (row, tree
+edge) pair whose distribution has one path takes that path L times
+without reading its uniforms; the L paths of every other marked pair are
+one lookup in a table of cumulative weights. Either way the stream is
+drawn in full, and generator output does not depend on how it is split
 into calls, so a seed fixes the solution byte for byte.
 """
 
@@ -236,6 +238,7 @@ class Block(NamedTuple):
     row: np.ndarray  # row of each pair within the block, ascending
     ehat: np.ndarray  # marked tree edge of each pair
     paths: np.ndarray  # (pairs, samples): global ids of the paths drawn
+    multi: np.ndarray  # whether each pair's distribution has two or more paths
 
 
 class IterationSampler:
@@ -246,7 +249,8 @@ class IterationSampler:
     once here, in ascending edge order), so repeated iterations (rounding,
     Monte Carlo probes) never re-decompose a flow. The paths of all
     distributions get global ids (`paths`), and their cumulative weights
-    one row each of a padded table, so a block's draws are a single lookup.
+    one row each of a padded table, so the draws of a block's pairs with
+    two or more paths are a single lookup.
 
     Random stream: `width` uniforms per iteration, laid out as in the
     module docstring; `draw_blocks` is the one draw, and `draw` and
@@ -312,9 +316,12 @@ class IterationSampler:
             uniforms = rng.random((size, self.width))
             row, ehat = np.nonzero(_mark(self.tree, self._thresholds, uniforms[:, :te]))
             table = self._row[ehat]
-            draws = uniforms[row[:, None], self._col[ehat][:, None] + ells]
-            picks = _pick(self._cdf[table], self._counts[table], draws)
-            yield Block(first, size, row, ehat, self._starts[table][:, None] + picks)
+            multi = self._counts[table] > 1
+            paths = np.repeat(self._starts[table][:, None], self.samples, axis=1)
+            at = np.flatnonzero(multi)
+            draws = uniforms[row[at, None], self._col[ehat[at]][:, None] + ells]
+            paths[at] += _pick(self._cdf[table[at]], self._counts[table[at]], draws)
+            yield Block(first, size, row, ehat, paths, multi)
 
     def draw(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """One iteration: the marked tree edges, ascending, and the global
@@ -347,7 +354,10 @@ def round_solution(
     An edge's provenance is the (iteration, tree edge, sample index) of the
     first draw whose path contains it. Within a block only the first draw
     of each path not seen before can add edges, so the union walks those
-    in draw order.
+    in draw order. All L draws of a pair whose distribution has one path
+    are that path, so such a pair counts once, by its first draw (sample
+    index 1); the other pairs count draw by draw. No path belongs to both
+    kinds of distribution, so each kind finds its paths' first draws alone.
     """
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
@@ -359,13 +369,17 @@ def round_solution(
     drawn = 0
     last_new = 0
     samples = sampler.samples
+    ells = np.arange(samples)
     for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
-        path_ids = block.paths.ravel()
-        drawn += len(path_ids)
+        drawn += block.paths.size
+        single, multi = np.flatnonzero(~block.multi), np.flatnonzero(block.multi)
+        # each candidate draw: its path and its index in the block's draw order
+        path_ids = np.concatenate([block.paths[single, 0], block.paths[multi].ravel()])
+        draw_at = np.concatenate([single * samples, (multi[:, None] * samples + ells).ravel()])
         ids, first = np.unique(path_ids, return_index=True)
         new = ~seen[ids]
         seen[ids] = True
-        ids, first = ids[new], first[new]
+        ids, first = ids[new], draw_at[first[new]]
         order = np.argsort(first)
         for p, i in zip(ids[order].tolist(), first[order].tolist()):
             pair = i // samples

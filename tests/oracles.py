@@ -15,12 +15,15 @@ columns one at a time, as a reference for `VarIndex.columns`; and
 the live model's, and drops the rows the box 0 <= x <= 1 implies
 (`box_implied`), as a reference for the model that `build_lp` emits.
 `group_flow_lp` is a linprog max flow, as a reference for the tree-flow
-DP `_group_flow_dp`, and `reference_linprog` is scipy's own `linprog`, as a
-reference for `lp_solver`'s direct HiGHS call. `reference_round` is the
-rounding loop one iteration and one draw at a time, as a reference for
-the blocked `round_solution`: it reads the same random stream (one
-generator per run, one row of uniforms per iteration) with none of
-`rounding`'s sampling code, so the two must agree byte for byte.
+DP `_group_flow_dp`. `reference_highs_rows` and `reference_elastic_rows`
+stack the rows HiGHS gets with scipy's sparse `vstack`, as a reference for
+the one gather of `lp_solver._split_rows`, and `reference_linprog` is
+scipy's own `linprog`, as a reference for `lp_solver`'s direct HiGHS
+call. `reference_round` is the rounding loop one iteration and one draw
+at a time, as a reference for the blocked `round_solution`: it reads the
+same random stream (one generator per run, one row of uniforms per
+iteration) with none of `rounding`'s sampling code, so the two must agree
+byte for byte.
 
 The probes of the paper's lemmas on an LP point live here too, since only
 the tests run them: `GoodEdgeAnalysis` and `residual_group_flow` (the
@@ -42,6 +45,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_matrix, csr_matrix, hstack, vstack
 
 from twodst.graph import DirectedMultigraph, reachable_set
 from twodst.lp_model import _SENSE_DTYPE, EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
@@ -594,12 +598,68 @@ def survival_estimate(instance, tree, lp, seed: int, e: int, t, trials: int,
     return SurvivalEstimate(p, radius, successes, trials)
 
 
-def reference_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, 1.0),
-                      max_iterations=None):
+def _reference_colwise(n, a_ub, b_ub, a_eq, b_eq):
+    """HiGHS's column-wise arrays of the blocks, as `lp_solver` built them
+    with scipy's sparse stacking before it gathered them itself."""
+    blocks = [(a, b) for a, b in ((a_ub, b_ub), (a_eq, b_eq)) if a is not None]
+    blocks = blocks or [(csr_matrix((0, n)), np.zeros(0))]
+    a = vstack([a for a, _ in blocks], format="csc")
+    upper = np.concatenate([np.asarray(b, dtype=float) for _, b in blocks])
+    lower = upper.copy()
+    lower[: 0 if a_ub is None else len(b_ub)] = -np.inf
+    return (a.indptr.astype(np.int32), a.indices.astype(np.int32), a.data, lower, upper)
+
+
+def _reference_signed_rows(model: LpModel, rows, sign):
+    """The given rows of the model (repeats allowed), each times its sign."""
+    sub = model.matrix()[rows]
+    sub.data *= np.repeat(sign, np.diff(model.indptr)[rows])
+    return sub, sign * model.rhs[rows]
+
+
+def reference_highs_rows(model: LpModel):
+    """(start, index, value, row_lower, row_upper) of the model as HiGHS
+    gets it: the <= rows (>= rows negated), then the = rows, stacked by
+    scipy into one CSC matrix. A reference for `lp_solver._split_rows`."""
+    eq = model.sense == EQ
+    ub = np.flatnonzero(~eq)
+    a_ub, b_ub = _reference_signed_rows(model, ub, np.where(model.sense[ub] == GE, -1.0, 1.0))
+    a_eq, b_eq = _reference_signed_rows(model, np.flatnonzero(eq), np.ones(int(eq.sum())))
+    return _reference_colwise(model.num_vars, a_ub if len(ub) else None, b_ub,
+                              a_eq if len(b_eq) else None, b_eq)
+
+
+def reference_elastic_rows(model: LpModel):
+    """The same arrays for the elastic LP of `lp_solver`'s infeasibility
+    certificate: every row as <= rows (a >= row negated, an = row once as
+    is and once negated), each with -1 times its own slack column after
+    the model's columns, stacked by scipy."""
+    k = model.num_rows
+    eq = model.sense == EQ
+    rows = np.repeat(np.arange(k), np.where(eq, 2, 1))
+    second = np.zeros(len(rows), dtype=bool)
+    second[1:] = rows[1:] == rows[:-1]
+    sign = np.where(second | (model.sense[rows] == GE), -1.0, 1.0)
+    signed, b_ub = _reference_signed_rows(model, rows, sign)
+    slack = csr_matrix((-np.ones(len(rows)), (np.arange(len(rows)), rows)),
+                       shape=(len(rows), k))
+    a_ub = hstack([signed, slack], format="csr")
+    return _reference_colwise(model.num_vars + k, a_ub, b_ub, None, None)
+
+
+def reference_linprog(c, rows, bounds=(0.0, 1.0), max_iterations=None):
     """`scipy.optimize.linprog(method="highs")` on `lp_solver.linprog`'s
     arguments, with the options `lp_solver` sets: a reference for its direct
-    HiGHS call, which must give the same x, fun and nit bit for bit."""
+    HiGHS call, which must give the same x, fun and nit bit for bit. The
+    column-wise `rows` go back to scipy as its A_ub (the rows unbounded
+    below) and A_eq blocks."""
     n = len(c)
+    start, index, value, row_lower, row_upper = rows
+    a = csc_matrix((value, index, start), shape=(len(row_upper), n)).tocsr()
+    k = int(np.sum(row_lower == -np.inf))
+    assert np.array_equal(row_lower[k:], row_upper[k:])
+    ub = {"A_ub": a[:k], "b_ub": row_upper[:k]} if k else {}
+    eq = {"A_eq": a[k:], "b_eq": row_upper[k:]} if k < len(row_upper) else {}
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), n) for b in bounds)
     options = {
         "presolve": True,
@@ -608,8 +668,8 @@ def reference_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0
     }
     if max_iterations is not None:
         options["maxiter"] = max_iterations
-    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                   bounds=np.column_stack([lower, upper]), method="highs", options=options)
+    return linprog(c, **ub, **eq, bounds=np.column_stack([lower, upper]), method="highs",
+                   options=options)
 
 
 def drop_family(model: LpModel, family: str) -> LpModel:

@@ -78,6 +78,17 @@ def test_solve_is_deterministic(diamond_file, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_solve_tiny_beta_multiplier_reaches_a_feasible_beta(multicover, tmp_path, capsys):
+    # the multiplier alone gives beta 0; the floor starts the LP at beta 1
+    path = tmp_path / "mc.json"
+    save_instance(multicover, path)
+    code = main(["solve", str(path), "--beta-mult", "1e-12", "--out", str(tmp_path / "sol.json")])
+    assert code == EXIT_OK
+    text = capsys.readouterr().out
+    assert "depth=2 seed=0 beta=1 " in text
+    assert "feasible: yes" in text
+
+
 def test_solve_infeasible_writes_nothing(infeasible_file, tmp_path, capsys):
     out = tmp_path / "sol.json"
     code = main(["solve", str(infeasible_file), "--depth", "2", "--out", str(out)])

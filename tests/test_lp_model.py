@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from oracles import (
     box_implied,
@@ -54,6 +54,10 @@ class TestCongestionParameter:
 
     def test_fractional_result_rounds_up(self):
         assert congestion_parameter(2, 2) == 6  # 4*sqrt(2) = 5.66
+
+    def test_tiny_multiplier_floors_at_one(self):
+        # ceil(1e-12 * 8 - 1e-9) is 0, and doubling 0 never makes a feasible LP
+        assert congestion_parameter(2, 4, 1e-12) == 1
 
     @pytest.mark.parametrize(
         "args",
@@ -309,14 +313,14 @@ def _check_against_reference(inst, depth, beta, seed):
         assert all(type(j) is int for j in r.cols) and all(type(c) is float for c in r.coefs)
         assert type(r.rhs) is float
 
-    a_ub, b_ub, a_eq, b_eq = _split_rows(model)
+    start, index, value, lower, upper = _split_rows(model)
     blocks = _reference_blocks(ref, model.num_vars)
-    for got, b_got, (want, b_want) in ((a_ub, b_ub, blocks[False]), (a_eq, b_eq, blocks[True])):
-        got, want = got.tocsc(), want.tocsc()
-        assert got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        assert np.array_equal(b_got, b_want)
+    (a_ub, b_ub), (a_eq, b_eq) = blocks[False], blocks[True]
+    want = vstack([a_ub, a_eq], format="csc")
+    for got, attr in ((start, "indptr"), (index, "indices"), (value, "data")):
+        assert np.array_equal(got, getattr(want, attr))
+    assert np.array_equal(upper, np.concatenate([b_ub, b_eq]))
+    assert np.array_equal(lower, np.concatenate([np.full(len(b_ub), -np.inf), b_eq]))
 
     rng = np.random.default_rng(seed)
     for _ in range(3):

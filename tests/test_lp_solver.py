@@ -5,8 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import every_column, model_from_rows, reference_linprog
+from oracles import (
+    every_column,
+    model_from_rows,
+    reference_elastic_rows,
+    reference_highs_rows,
+    reference_linprog,
+)
 from twodst import lp_solver, pipeline
 from twodst.errors import SolverError
 from twodst.exact import random_instance
@@ -166,47 +174,63 @@ class TestBetaRetries:
 
 
 
+# the solves `TestDirectHighsCall` and `TestHighsArrays` pin: instance,
+# depth, beta (None for the analytic one), iteration limit and the status
+# solve reports
+SOLVES = [
+    ("diamond", 1, None, None, "optimal"),
+    ("diamond", 2, None, None, "optimal"),
+    ("parallel_pair", 1, None, None, "optimal"),
+    ("parallel_pair", 2, None, None, "optimal"),
+    ("multicover", 1, None, None, "optimal"),
+    ("multicover", 2, None, None, "optimal"),
+    ("planted", 2, None, None, "optimal"),
+    ("multicover", 2, None, 1, "limit"),
+    # the elastic LP of the certificate has uncapped slack columns
+    ("chain", 2, 100.0, None, "infeasible"),
+]
+
+
+def _solve_model(request, fixture, depth, beta):
+    if fixture == "planted":
+        inst = random_instance(12, 40, 3, seed=6)
+    else:
+        inst = request.getfixturevalue(fixture)
+    tree = build_shallow_tree(inst, depth)
+    if beta is None:
+        beta = congestion_parameter(depth, inst.num_terminals)
+    return build_lp(inst, tree, beta)
+
+
+def _assert_same_arrays(got, want):
+    """Equal bit for bit: dtype, shape and bytes, so sign bits of zeros too."""
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
 class TestDirectHighsCall:
     """`lp_solver.linprog` calls HiGHS through scipy's private bindings; it
     must give what `scipy.optimize.linprog(method="highs")` gives, bit for
     bit, on every call `solve` makes."""
 
-    @pytest.mark.parametrize(
-        "fixture, depth, beta, max_iterations, status",
-        [
-            ("diamond", 1, None, None, "optimal"),
-            ("diamond", 2, None, None, "optimal"),
-            ("parallel_pair", 1, None, None, "optimal"),
-            ("parallel_pair", 2, None, None, "optimal"),
-            ("multicover", 1, None, None, "optimal"),
-            ("multicover", 2, None, None, "optimal"),
-            ("planted", 2, None, None, "optimal"),
-            ("multicover", 2, None, 1, "limit"),
-            # the elastic LP of the certificate has uncapped slack columns
-            ("chain", 2, 100.0, None, "infeasible"),
-        ],
-    )
+    @pytest.mark.parametrize("fixture, depth, beta, max_iterations, status", SOLVES)
     def test_direct_call_matches_linprog(self, request, monkeypatch, fixture, depth, beta,
                                          max_iterations, status):
-        if fixture == "planted":
-            inst = random_instance(12, 40, 3, seed=6)
-        else:
-            inst = request.getfixturevalue(fixture)
-        tree = build_shallow_tree(inst, depth)
-        if beta is None:
-            beta = congestion_parameter(depth, inst.num_terminals)
+        model = _solve_model(request, fixture, depth, beta)
         calls = []
         real = lp_solver.linprog
 
-        def capture(c, **kwargs):
-            calls.append((c, kwargs, real(c, **kwargs)))
-            return calls[-1][2]
+        def capture(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
 
         monkeypatch.setattr(lp_solver, "linprog", capture)
-        assert solve(build_lp(inst, tree, beta), max_iterations=max_iterations).status == status
+        assert solve(model, max_iterations=max_iterations).status == status
         assert len(calls) == (2 if status == "infeasible" else 1)
-        for c, kwargs, got in calls:
-            want = reference_linprog(c, **kwargs)
+        for args, got in calls:
+            want = reference_linprog(*args)
             assert (got.status, got.nit) == (want.status, want.nit)
             if want.x is None:
                 assert got.x is None and got.fun is None
@@ -217,7 +241,7 @@ class TestDirectHighsCall:
     def test_missing_binding_fails_at_import_naming_it(self):
         code = (
             "import scipy.optimize._highspy._core as core\n"
-            "del core.HighsLp\n"
+            "del core.MatrixFormat\n"
             "import twodst.lp_solver\n"
         )
         src = str(Path(lp_solver.__file__).resolve().parents[1])
@@ -225,4 +249,94 @@ class TestDirectHighsCall:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=120)
         assert run.returncode != 0
-        assert "ImportError" in run.stderr and "'HighsLp'" in run.stderr
+        assert "ImportError" in run.stderr and "'MatrixFormat'" in run.stderr
+
+
+class TestHighsArrays:
+    """`_split_rows` gathers HiGHS's column-wise arrays itself; they must be
+    the arrays scipy's sparse stacking gave, bit for bit and with the
+    dtypes HiGHS stores, for the model and for the certificate's elastic
+    LP."""
+
+    @pytest.mark.parametrize("fixture, depth, beta, max_iterations, status", SOLVES)
+    def test_split_rows_matches_sparse_stacking(self, request, monkeypatch, fixture, depth,
+                                                beta, max_iterations, status):
+        model = _solve_model(request, fixture, depth, beta)
+        # the gst rows are >= rows, so their negated coefficients are checked too
+        assert (model.sense == GE).any()
+        models = []
+        real = lp_solver._split_rows
+
+        def capture(m):
+            models.append(m)
+            return real(m)
+
+        monkeypatch.setattr(lp_solver, "_split_rows", capture)
+        assert solve(model, max_iterations=max_iterations).status == status
+        assert models[0] is model
+        _assert_same_arrays(real(model), reference_highs_rows(model))
+        if status == "infeasible":
+            [_, elastic] = models
+            _assert_same_arrays(real(elastic), reference_elastic_rows(model))
+        else:
+            assert len(models) == 1
+
+    @given(st.data())
+    def test_split_rows_matches_sparse_stacking_on_any_rows(self, data):
+        n = data.draw(st.integers(1, 6))
+        rows = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            cols = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+            coefs = data.draw(st.lists(st.floats(allow_nan=False), min_size=len(cols),
+                                       max_size=len(cols)))
+            sense = data.draw(st.sampled_from([LE, GE, EQ]))
+            rhs = data.draw(st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0]))
+            rows.append(LpRow(tuple(cols), tuple(coefs), sense, rhs, "test"))
+        model = model_from_rows(every_column(n, 0, ()), np.ones(n), rows)
+        _assert_same_arrays(lp_solver._split_rows(model), reference_highs_rows(model))
+        _assert_same_arrays(lp_solver._split_rows(lp_solver._elastic_model(model)),
+                            reference_elastic_rows(model))
+
+
+class TestRejectedModel:
+    """A model HiGHS will not take is a fault, not an infeasible LP."""
+
+    @pytest.fixture
+    def model(self):
+        return tiny_model([((0,), (1.0,), GE, 0.5)])
+
+    @pytest.mark.parametrize("break_rows", [
+        lambda start, index, value, lower, upper: (start, index + 5, value, lower, upper),
+        lambda start, index, value, lower, upper: (start, index - 1, value, lower, upper),
+        lambda start, index, value, lower, upper: (start, index, value * np.inf, lower, upper),
+    ], ids=["index-out-of-range", "negative-index", "infinite-coefficient"])
+    def test_rejection_raises_naming_it(self, model, break_rows):
+        rows = break_rows(*lp_solver._split_rows(model))
+        with pytest.raises(SolverError, match="HiGHS rejected the model"):
+            lp_solver.linprog(model.objective, rows)
+
+    @pytest.mark.parametrize("break_rows", [
+        lambda start, index, value, lower, upper: (start[:-1], index, value, lower, upper),
+        lambda start, index, value, lower, upper: (start, index[:0], value, lower, upper),
+        lambda start, index, value, lower, upper: (start, index, value, lower[:0], upper),
+    ], ids=["short-starts", "short-indices", "short-row-bounds"])
+    def test_lengths_that_do_not_fit_are_refused_before_highs(self, model, break_rows):
+        # HiGHS reads the arrays by pointer and would not notice a short one
+        rows = break_rows(*lp_solver._split_rows(model))
+        with pytest.raises(SolverError, match="malformed rows for HiGHS"):
+            lp_solver.linprog(model.objective, rows)
+
+    def test_solve_raises_instead_of_certifying(self, model, monkeypatch):
+        real = lp_solver._split_rows
+
+        def malformed(m):
+            start, index, value, lower, upper = real(m)
+            return start, index + m.num_vars + m.num_rows, value, lower, upper
+
+        def no_certificate(*args):
+            raise AssertionError("a rejected model is not infeasible")
+
+        monkeypatch.setattr(lp_solver, "_split_rows", malformed)
+        monkeypatch.setattr(lp_solver, "_infeasibility_certificate", no_certificate)
+        with pytest.raises(SolverError, match="passModel returned kError"):
+            solve(model)

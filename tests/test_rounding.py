@@ -507,6 +507,21 @@ def _crossing_paths(g, ehat):
     return [(0, 1), (2, 3, 1), (2, 4), (5,)]
 
 
+def _rotated_candidates(g, candidates):
+    """A stand-in for `decompose_flow`: tree edge ehat gets 1 + ehat % 4 of
+    its candidate paths, rotated by ehat % 4, with weights 1, 2, ..."""
+
+    def fake(graph, tree, ehat, flow, value):
+        paths = candidates(g, ehat)
+        paths = (paths[ehat % 4 :] + paths[: ehat % 4])[: 1 + ehat % 4]
+        weights = np.arange(1.0, len(paths) + 1)
+        return PathDistribution(
+            ehat, tuple(EdgePath(g, p) for p in paths), tuple(weights / weights.sum()), 0.0
+        )
+
+    return fake
+
+
 @pytest.fixture
 def crossing():
     g = DirectedMultigraph(
@@ -527,20 +542,41 @@ def test_round_matches_reference_on_overlapping_paths(request, monkeypatch, name
     inst = request.getfixturevalue(name)
     g = inst.graph
     tree, lp = _solved(inst, 2)
-
-    def fake(graph, tree, ehat, flow, value):
-        paths = candidates(g, ehat)
-        paths = (paths[ehat % 4 :] + paths[: ehat % 4])[: 1 + ehat % 4]
-        weights = np.arange(1.0, len(paths) + 1)
-        return PathDistribution(
-            ehat, tuple(EdgePath(g, p) for p in paths), tuple(weights / weights.sum()), 0.0
-        )
-
+    fake = _rotated_candidates(g, candidates)
     monkeypatch.setattr(rounding, "decompose_flow", fake)
     monkeypatch.setattr(oracles, "decompose_flow", fake)
     for seed, iterations in ((2, 40), (9, 5)):
         got = round_solution(inst, tree, lp, seed, iterations).to_json(g)
         assert got == reference_round(inst, tree, lp, seed, iterations).to_json(g)
+
+
+@pytest.mark.parametrize("block_bytes", [rounding.BLOCK_BYTES, 1])
+@pytest.mark.parametrize(
+    "name, candidates", [("multicover", _multicover_paths), ("crossing", _crossing_paths)]
+)
+def test_draw_blocks_paths_are_pick_over_every_pair(request, monkeypatch, name, candidates,
+                                                    block_bytes):
+    # draw_blocks looks up only the pairs with two or more paths; every pair
+    # must still get what _pick over its own uniforms gives
+    inst = request.getfixturevalue(name)
+    tree, lp = _solved(inst, 2)
+    monkeypatch.setattr(rounding, "decompose_flow", _rotated_candidates(inst.graph, candidates))
+    monkeypatch.setattr(rounding, "BLOCK_BYTES", block_bytes)
+    sampler = IterationSampler(inst, tree, lp)
+    counts = sorted({len(d.paths) for d in sampler.distributions.values()})
+    assert counts[0] == 1 and counts[-1] > 1
+    seed, iterations = 4, 30
+    uniforms = np.random.default_rng(seed).random((iterations, sampler.width))
+    ells = np.arange(sampler.samples)
+    pairs = 0
+    for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
+        table = sampler._row[block.ehat]
+        draws = uniforms[block.first + block.row[:, None], sampler._col[block.ehat][:, None] + ells]
+        picks = rounding._pick(sampler._cdf[table], sampler._counts[table], draws)
+        assert np.array_equal(block.paths, sampler._starts[table][:, None] + picks)
+        assert np.array_equal(block.multi, sampler._counts[table] > 1)
+        pairs += len(block.row)
+    assert pairs > 0
 
 
 @settings(max_examples=30)
