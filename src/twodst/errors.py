@@ -8,7 +8,9 @@ class TwoDstError(Exception):
 class SizeLimitError(TwoDstError):
     """A construction would exceed a configured size cap.
 
-    `projected` carries the analytically computed size that tripped the cap.
+    `projected` carries the size that tripped the cap. A check made before
+    building reports the exact size; a builder that checks its cap as it
+    grows reports the size it had reached, so cap < projected <= full size.
     """
 
     def __init__(self, message: str, projected: int, cap: int):

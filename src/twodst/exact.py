@@ -70,34 +70,31 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
     best_cost = g.total_cost(kept)
     best_set = kept
 
+    # depth-first over (next position, included edges, their cost), with an
+    # explicit stack so the depth is not bounded by Python's recursion limit;
+    # the exclude branch is pushed last, so it is searched first
+    stack = [(0, frozenset(), 0.0)]
     nodes = 0
-
-    def tick():
-        nonlocal nodes
+    while stack:
+        i, included, cost_so_far = stack.pop()
         if config.time_budget is not None and nodes % 256 == 0:
             if time.monotonic() - start > config.time_budget:
                 raise ExactTimeoutError(
                     f"exact search exceeded {config.time_budget}s after {nodes} nodes"
                 )
         nodes += 1
-
-    def search(i: int, included: frozenset, cost_so_far: float):
-        nonlocal best_cost, best_set
-        tick()
         if cost_so_far >= best_cost - COST_EPS:
-            return
+            continue
         current = base | included
         if feasible(current):
             best_cost = cost_so_far
             best_set = current
-            return  # supersets only cost more
+            continue  # supersets only cost more
         if i == len(order) or not feasible(current | suffix[i]):
-            return
+            continue
         e = order[i]
-        search(i + 1, included, cost_so_far)
-        search(i + 1, included | {e}, cost_so_far + g.costs[e])
-
-    search(0, frozenset(), 0.0)
+        stack.append((i + 1, included | {e}, cost_so_far + g.costs[e]))
+        stack.append((i + 1, included, cost_so_far))
 
     # drop the free edges the optimum does not need: on an optimum no edge
     # costing more than COST_EPS can go, so reverse-delete only drops those

@@ -51,12 +51,12 @@ dead key.
 The model is stored as one CSR matrix (`indptr`, `indices`, `data`) over
 the model columns, with per-row `sense`, `rhs` and family-code arrays.
 `LpModel.rows` rebuilds Python row tuples from the arrays for export and
-inspection. `max_nonzeros` caps the model before it is built, in two
-steps: first te * m, the size of the dense te x m arrays that
-`live_columns` and `live_nonzeros` allocate (no bound on the model: F2^3
-at depth 3 has 38,038 nonzeros against te * m = 90,160), then
-`live_nonzeros`, a count from the live columns and the degree sums that
-the built count must equal.
+inspection. `max_nonzeros` caps the model in two places: first te * m,
+the size of the dense te x m arrays that `live_columns` and
+`_graph_conservation` allocate, before any of them exists (no bound on the
+model: F2^3 at depth 3 has 38,038 nonzeros against te * m = 90,160); then
+the terms themselves, counted as the builder emits them, so the build
+stops at the first block that takes the count past the cap.
 
 A dead column is fixed to 0, which loses no optimum: at a point whose dead
 columns are 0, each row of the full relaxation is a row of the live model,
@@ -286,60 +286,28 @@ class LpSolution:
         return np.where(pos >= 0, self.values[pos], 0.0)
 
 
-def live_nonzeros(instance: DstInstance, tree: ShallowTree, live: LiveColumns) -> int:
-    """Exact nonzero count of the live model, from the live columns and the
-    degree sums, independent of how `build_lp` emits the rows.
-
-    A live flow column sits in the conservation rows of its edge's tail and
-    head, except at v, which has no row; the tree edge's value closes the
-    out(u) row. Each pair row holds its live bounded column and the column
-    bounding it. A cap row holds its edge's live flow columns and x_e, and
-    exists only where at least one of them is live.
-    """
-    g = instance.graph
-    terminals = sorted(instance.terminals)
-    flow = live.useful  # the live f columns
-    carriers = live.fhat.sum(axis=0)  # terminals with a live fh column, per tree edge
-    nfh, nf = (int(np.count_nonzero(a)) for a in (live.fhat, flow))
-    nft = int(carriers @ flow.sum(axis=1))  # ft live: fh live and (c) keeps the pair
-
-    count = 2 * nfh  # fh <= xh
-    parent_node = np.asarray(tree.parents[1:])
-    for k, t in enumerate(terminals):
-        has_row = np.ones(tree.num_nodes, dtype=np.int64)  # node conservation rows
-        has_row[0] = 0
-        has_row[list(tree.groups[t])] = 0
-        # fh_(t, ê) sits in the rows of ê's child node and of its parent node
-        count += (live.fhat[k] * (has_row[1:] + has_row[parent_node])).sum()
-        count += live.fhat[k, tree.group_in_edges(t)].sum()  # the >= 2 row
-
-    ends = _ends(g, tree)
-    at_v = (ends.tails == ends.v[:, None]).astype(np.int64) + (ends.heads == ends.v[:, None])
-    weight = 2 - at_v  # (tree edge, graph edge)
-    capped_f = np.count_nonzero(flow.any(axis=0))  # graph edges with a live f
-    count += 2 * nf + tree.num_edges + weight[flow].sum() + capped_f + nf  # cong
-    ft_weight = carriers @ (flow * weight).sum(axis=1)
-    capped_ft = np.count_nonzero(live.fhat @ flow)  # (terminal, graph edge) with a live ft
-    count += 2 * nft + nfh + ft_weight + capped_ft + nft  # div
-    return int(count)
-
-
 class _RowBlocks:
     """Rows collected block by block over full column numbers, each block
     with one sense, rhs and family, then renumbered to the model's columns.
 
     The builder emits only live terms and only rows that hold one, so the
     model keeps every term and row it is given; a term on a dead column or
-    a row with no term is a builder fault and raises."""
+    a row with no term is a builder fault and raises. A block that takes
+    the term count past `max_nonzeros` raises before it is kept."""
 
-    def __init__(self, var_index: VarIndex):
+    def __init__(self, var_index: VarIndex, max_nonzeros: int):
         self.var_index = var_index
+        self.max_nonzeros = max_nonzeros
+        self.nonzeros = 0
         self.lengths: list = []
         self.cols: list = []
         self.coefs: list = []
         self.blocks: list = []  # (sense, rhs, family) of each block
 
     def add(self, lengths, cols, coefs, sense: str, rhs: float, family: int) -> None:
+        self.nonzeros += len(cols)
+        if self.nonzeros > self.max_nonzeros:
+            raise SizeLimitError("model would be too large", self.nonzeros, self.max_nonzeros)
         self.lengths.append(np.asarray(lengths, dtype=np.int64))
         self.cols.append(np.asarray(cols, dtype=np.int64))
         self.coefs.append(np.asarray(coefs, dtype=float))
@@ -497,18 +465,15 @@ def build_lp(
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
-    # `live_columns` and `live_nonzeros` allocate dense te x m arrays, so
-    # te * m is capped before any of them exists
+    # `live_columns` and `_graph_conservation` allocate dense te x m arrays,
+    # so te * m is capped before any of them exists; `blocks` caps the terms
     if te * m > max_nonzeros:
         raise SizeLimitError("model would be too large", te * m, max_nonzeros)
     live = live_columns(instance, tree)
-    expected = live_nonzeros(instance, tree, live)
-    if expected > max_nonzeros:
-        raise SizeLimitError("model would be too large", expected, max_nonzeros)
 
     idx = VarIndex(instance.terminals, live)
     gst, cong, div = range(len(FAMILIES))
-    blocks = _RowBlocks(idx)
+    blocks = _RowBlocks(idx, max_nonzeros)
     tree_edges = np.arange(te)
     xhat = idx.xhat(0) + tree_edges
 
@@ -568,14 +533,8 @@ def build_lp(
     arrays = blocks.arrays()
     objective = np.zeros(len(idx.columns))
     objective[:m] = g.costs  # the x block leads and is all live
-    model = LpModel(var_index=idx, objective=objective, families=FAMILIES,
-                    beta=float(beta), **arrays)
-    built = model.nonzeros()
-    if built != expected:
-        raise ModelInconsistencyError(
-            f"live nonzero count {expected} disagrees with built count {built}"
-        )
-    return model
+    return LpModel(var_index=idx, objective=objective, families=FAMILIES,
+                   beta=float(beta), **arrays)
 
 
 def replay_constraints(model: LpModel, values: np.ndarray) -> float:

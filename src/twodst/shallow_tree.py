@@ -25,15 +25,17 @@ edge gets id (node id - 1), so tree edge ids are topologically sorted and
 the edge-to-child map is trivial. The edges of
 each depth form one contiguous id range (`edge_levels`), which lets
 top-down passes run one numpy step per level.
+
+`max_nodes` caps the tree while it grows: the builder raises
+`SizeLimitError` once a parent's children take the node count past the
+cap, so it holds at most the cap plus one parent's children.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitError
+from .errors import InfeasibleInstanceError, SizeLimitError
 from .graph import DstInstance, reachable_set
 
 DEFAULT_MAX_NODES = 200_000
@@ -79,18 +81,6 @@ class ShallowTree:
         return f"ShallowTree(depth={self.depth}, nodes={self.num_nodes})"
 
 
-def projected_node_count(num_usable: int, depth: int, num_terminals: int) -> int:
-    """Closed-form size of the tree over n' = p + 1 usable vertices and h
-    terminals: per copy, h * P(p-1, D-1) nodes at depth D, and at each k < D
-    the P(p, k) sequences less those ending at a non-terminal after all h."""
-    p, h = num_usable - 1, num_terminals
-    per_copy = h * math.perm(p - 1, depth - 1) + sum(math.perm(p, k) for k in range(1, depth))
-    if p > h:
-        per_copy -= sum((p - h) * math.comb(k - 1, h) * math.factorial(h)
-                        * math.perm(p - h - 1, k - 1 - h) for k in range(h + 1, depth))
-    return 1 + 2 * per_copy
-
-
 def usable_vertices(instance: DstInstance) -> frozenset:
     """Vertices lying on some root-to-terminal directed walk."""
     g = instance.graph
@@ -115,10 +105,6 @@ def build_shallow_tree(
             f"terminals unreachable from root: {sorted(lost, key=str)}"
         )
 
-    projected = projected_node_count(len(keep), depth, instance.num_terminals)
-    if projected > max_nodes:
-        raise SizeLimitError("tree would be too large", projected, max_nodes)
-
     pool = sorted(keep - {instance.root})
     labels = [instance.root]
     depths = [0]
@@ -141,14 +127,11 @@ def build_shallow_tree(
                 depths.append(k)
                 parents.append(parent)
                 banned.append(banned[parent] | {v})
+            if len(labels) > max_nodes:
+                raise SizeLimitError("tree would be too large", len(labels), max_nodes)
         level = below
 
     groups = {t: {node for node, label in enumerate(labels) if label == t}
               for t in instance.terminals}
-    if len(labels) != projected:
-        raise ModelInconsistencyError(
-            f"tree has {len(labels)} nodes but the closed form projects {projected}"
-        )
-
     return ShallowTree(depth, labels, depths, parents, groups)
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, files, determinism."""
 
 import csv
+import itertools
 import json
 import math
 
@@ -19,10 +20,11 @@ from twodst.cli import (
     build_parser,
     main,
 )
+from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance, max_flow_unit
 from twodst.io import load_instance, save_instance
 from twodst.pipeline import PipelineConfig
-from twodst.reductions import DssInstance
+from twodst.reductions import DssInstance, vertex_split
 
 
 def _diamond_instance():
@@ -303,6 +305,29 @@ def test_exact_size_cap(diamond_file, capsys):
     capsys.readouterr()
 
 
+def test_exact_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    edges = [("r", "t", 10.0)] * 1200 + [("r", "t", 1.0)] * 2
+    path = tmp_path / "parallel.json"
+    save_instance(DstInstance(DirectedMultigraph(["r", "t"], edges), "r", frozenset(["t"])), path)
+    assert main(["exact", str(path), "--max-edges", "2000"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "cost: 2\n" in text
+    assert "edges: 1200 1201\n" in text
+
+
+def test_exact_out_is_accepted_by_verify(tmp_path, capsys):
+    path, out = tmp_path / "inst.json", tmp_path / "opt.json"
+    save_instance(random_instance(6, 14, 2, seed=3), path)
+    assert main(["exact", str(path), "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert f"cost: {doc['cost']:.9g}\n" in printed
+    assert f"edges: {' '.join(map(str, doc['edges']))}\n" in printed
+    assert doc["meta"] == {"exact": True}
+    assert main(["verify", str(path), str(out)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_good_solution(diamond_file, tmp_path, capsys):
@@ -371,6 +396,24 @@ def test_reduce_vertex_mode(diamond_file, tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     assert sorted(json.loads(out.read_text())["edges"]) == [0, 1, 2, 3]
+
+
+def test_reduce_dss_vertex_mode(tmp_path, capsys):
+    # a bidirected K4 with three terminals: the gadget pair x, y and one more
+    arcs = [("x", "y"), ("x", "z"), ("x", "w"), ("y", "z"), ("y", "w"), ("z", "w")]
+    g = DirectedMultigraph(["w", "x", "y", "z"],
+                           [e for a, b in arcs for e in ((a, b, 1.0), (b, a, 1.0))])
+    inst_path, merged = tmp_path / "k4.json", tmp_path / "merged.json"
+    save_instance(DssInstance(g, frozenset(["x", "y", "w"])), inst_path)
+    code = main(["reduce", str(inst_path), "--mode", "dss-vertex", "--depth", "2",
+                 "--out", str(merged)])
+    assert code == EXIT_OK
+    assert f"merged solution written to {merged}" in capsys.readouterr().out
+
+    split = vertex_split(g)
+    keep = set(json.loads(merged.read_text())["edges"]) | set(range(g.num_edges, split.num_edges))
+    for s, t in itertools.permutations(["w", "x", "y"], 2):
+        assert max_flow_unit(split, (s, "out"), (t, "in"), restrict_to=keep)[0] >= 2
 
 
 def test_reduce_mode_mismatch(diamond_file, capsys):

@@ -145,6 +145,22 @@ def test_determinism(diamond):
     assert exact_2dst(diamond) == exact_2dst(diamond)
 
 
+def test_search_deeper_than_the_recursion_limit():
+    # the search excludes the 1,200 costly edges one level at a time before
+    # it reaches the two cheap ones
+    inst = _instance(["r", "t"], [("r", "t", 10.0)] * 1200 + [("r", "t", 1.0)] * 2, "r", ["t"])
+    result = exact_2dst(inst, ExactConfig(max_edges=2000))
+    assert result == ExactResult(True, 2.0, frozenset({1200, 1201}))
+
+
+@pytest.mark.parametrize("seed, edges", [(6, {2, 3, 4, 10}), (7, {0, 2, 6, 12})])
+def test_tied_optimum_is_the_first_in_search_order(seed, edges):
+    # unit costs tie many optima; the exclude branch is searched before the
+    # include branch, and the first optimum found is the one returned
+    inst = random_instance(6, 14, 2, cost_range=(1.0, 1.0), seed=seed)
+    assert exact_2dst(inst) == ExactResult(True, 4.0, frozenset(edges))
+
+
 # ------------------------------------------------------------- generator
 
 def test_random_instance_shape():

@@ -180,7 +180,7 @@ def _blocks(*rows):
     (f_0_0, live, model column 2) of a one-edge, one-tree-edge,
     one-terminal layout, with one row per (cols, sense, rhs)."""
     live = LiveColumns(np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool))
-    blocks = lp_model._RowBlocks(VarIndex(("t",), live))
+    blocks = lp_model._RowBlocks(VarIndex(("t",), live), lp_model.DEFAULT_MAX_NONZEROS)
     for cols, sense, rhs in rows:
         blocks.add([len(cols)], cols, np.ones(len(cols)), sense, rhs, 0)
     return blocks

@@ -29,7 +29,6 @@ from twodst.lp_model import (
     congestion_parameter,
     export_lp,
     live_columns,
-    live_nonzeros,
     replay_constraints,
 )
 from twodst.lp_solver import _split_rows, solve
@@ -125,12 +124,12 @@ class TestBuildLp:
         model = build_lp(diamond, tree, beta=4)
         assert {r.family for r in model.rows} == {"gst", "cong", "div"}
 
-    def test_projection_matches_built_size(self, parallel_pair, diamond, multicover):
+    def test_built_size_between_flow_pairs_and_full_model(self, parallel_pair, diamond,
+                                                          multicover):
         for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
             tree = build_shallow_tree(inst, depth)
             model = build_lp(inst, tree, beta=4)
             live = live_columns(inst, tree)
-            assert model.nonzeros() == live_nonzeros(inst, tree, live)
             full = reference_model(inst, tree, 4)
             # each live f column sits in its f <= x row, with x
             assert 2 * np.count_nonzero(live.useful) <= model.nonzeros() <= full.nonzeros()
@@ -150,12 +149,6 @@ class TestBuildLp:
         with pytest.raises(ModelInconsistencyError, match=dead):
             build_lp(diamond, tree, beta=4)
 
-    def test_live_count_disagreeing_with_built_size_raises(self, diamond, monkeypatch):
-        tree = build_shallow_tree(diamond, 2)
-        monkeypatch.setattr(lp_model, "live_nonzeros", lambda *args: 0)
-        with pytest.raises(ModelInconsistencyError, match="live nonzero count"):
-            build_lp(diamond, tree, beta=4)
-
     def test_objective_is_edge_costs(self, diamond):
         tree = build_shallow_tree(diamond, 2)
         model = build_lp(diamond, tree, beta=4)
@@ -168,7 +161,40 @@ class TestBuildLp:
         assert tree.num_edges * diamond.graph.num_edges <= 100 < live
         with pytest.raises(SizeLimitError) as err:
             build_lp(diamond, tree, beta=4, max_nonzeros=100)
-        assert err.value.projected == live
+        assert 100 < err.value.projected <= live
+
+    @pytest.mark.parametrize("fixture, depth",
+                             [("parallel_pair", 1), ("diamond", 2), ("chain", 2), ("multicover", 1)])
+    def test_cap_at_the_size_builds_the_same_model(self, request, fixture, depth):
+        inst = request.getfixturevalue(fixture)
+        tree = build_shallow_tree(inst, depth)
+        model = build_lp(inst, tree, beta=4)
+        nnz = model.nonzeros()
+        assert tree.num_edges * inst.graph.num_edges < nnz  # the te * m cap passes
+        same = build_lp(inst, tree, beta=4, max_nonzeros=nnz)
+        for name in ("indptr", "indices", "data", "sense", "rhs", "family", "objective"):
+            assert np.array_equal(getattr(same, name), getattr(model, name)), name
+        with pytest.raises(SizeLimitError) as err:
+            build_lp(inst, tree, beta=4, max_nonzeros=nnz - 1)
+        assert err.value.projected == nnz  # the last block passes the cap
+
+    def test_cap_trips_while_the_rows_are_emitted(self, monkeypatch):
+        inst = random_instance(8, 24, 3, seed=3)
+        tree = build_shallow_tree(inst, 2)
+        nnz = build_lp(inst, tree, beta=4).nonzeros()
+
+        def fail(self):
+            raise AssertionError("the rows were assembled before the cap tripped")
+
+        monkeypatch.setattr(lp_model._RowBlocks, "arrays", fail)
+        with pytest.raises(SizeLimitError) as err:
+            build_lp(inst, tree, beta=4, max_nonzeros=nnz - 1)
+        assert err.value.projected == nnz
+        # a cap of te * m (1,200 of 10,446) stops at an early block
+        cap = tree.num_edges * inst.graph.num_edges
+        with pytest.raises(SizeLimitError) as err:
+            build_lp(inst, tree, beta=4, max_nonzeros=cap)
+        assert cap < err.value.projected < nnz
 
     def test_size_cap_on_tree_edges_times_graph_edges_comes_first(self, diamond, monkeypatch):
         tree = build_shallow_tree(diamond, 2)

@@ -92,6 +92,35 @@ class TestOnRealModels:
         assert np.isnan(sol.objective)
 
 
+class TestBackendResultsThatAreRefused:
+    """`solve` raises on what HiGHS reports rather than passing it on."""
+
+    @pytest.fixture
+    def diamond_model(self, diamond):
+        return build_lp(diamond, build_shallow_tree(diamond, 2), beta=congestion_parameter(2, 1))
+
+    def test_optimal_point_that_fails_the_replay_raises(self, diamond_model, monkeypatch):
+        real = lp_solver.linprog
+
+        def perturbed(*args):
+            result = real(*args)
+            x = result.x.copy()
+            x[0] -= 1e-3  # x_0 short of an f <= x row it bounds
+            return result._replace(x=x)
+
+        monkeypatch.setattr(lp_solver, "linprog", perturbed)
+        with pytest.raises(SolverError, match="reported optimal but replay finds violation"):
+            solve(diamond_model)
+
+    def test_unknown_backend_status_raises(self, diamond_model, monkeypatch):
+        def unbounded(*args):
+            return lp_solver.HighsResult(None, None, 3, 0, "Unbounded")
+
+        monkeypatch.setattr(lp_solver, "linprog", unbounded)
+        with pytest.raises(SolverError, match="backend failure: Unbounded"):
+            solve(diamond_model)
+
+
 class TestInfeasibility:
     @pytest.fixture
     def infeasible_model(self, chain):

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_disjoint_pair_cost
-from twodst.errors import InfeasibleInstanceError
+from twodst import reductions
+from twodst.errors import InfeasibleInstanceError, ModelInconsistencyError
 from twodst.exact import ExactConfig, exact_2dst
 from twodst.graph import DirectedMultigraph, DstInstance, max_flow_unit
 from twodst.reductions import (
@@ -28,6 +29,18 @@ def exact_solver(max_edges=32):
         if not result.feasible:
             raise InfeasibleInstanceError("no feasible subgraph exists")
         return SolutionSubgraph.from_edges(inst.graph, result.edges)
+
+    return run
+
+
+def short_solver():
+    """The exact solver's optimum less its lowest edge id: a rooted solver
+    that returns too few edges."""
+    exact = exact_solver()
+
+    def run(inst):
+        sol = exact(inst)
+        return SolutionSubgraph.from_edges(inst.graph, sol.edges - {min(sol.edges)})
 
     return run
 
@@ -247,6 +260,13 @@ def test_dss_union_on_bidirected_cycle():
     assert sol.cost <= sol.meta["out_rooted_cost"] + sol.meta["in_rooted_cost"]
 
 
+def test_dss_union_short_of_two_paths_raises():
+    g = _bidirected(["r", "a", "t", "b"], [("r", "a"), ("a", "t"), ("t", "b"), ("b", "r")])
+    inst = DssInstance(g, frozenset(["r", "t"]))
+    with pytest.raises(ModelInconsistencyError, match="union solution carries only 1 disjoint"):
+        dss_via_dst(inst, short_solver())
+
+
 def test_dss_infeasible_propagates():
     g = DirectedMultigraph(["a", "b"], [("a", "b", 1.0)])
     inst = DssInstance(g, frozenset(["a", "b"]))
@@ -261,6 +281,11 @@ def test_vertex_2dst_diamond(diamond):
     assert sol.edges == frozenset({0, 1, 2, 3})
     assert sol.cost == pytest.approx(4.0)
     assert sol.meta["split_cost"] == pytest.approx(4.0)
+
+
+def test_vertex_2dst_split_solution_short_of_two_paths_raises(diamond):
+    with pytest.raises(ModelInconsistencyError, match="split solution carries only 1 disjoint"):
+        solve_vertex_2dst(diamond, short_solver())
 
 
 def test_vertex_2dst_shared_midpoint_infeasible():
@@ -329,6 +354,20 @@ def test_dss_vertex_with_extra_terminal():
             if s != t:
                 flow, _ = max_flow_unit(split, (s, "out"), (t, "in"), restrict_to=keep)
                 assert flow >= 2
+
+
+def test_dss_vertex_union_short_of_two_paths_raises(monkeypatch):
+    # a gadget "pair" that is a single path in each direction
+    g = _bidirected(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
+
+    def one_path(graph, s, t):
+        e = next(e for e in graph.out_edges(s) if graph.heads[e] == t)
+        return graph.costs[e], frozenset([e])
+
+    monkeypatch.setattr(reductions, "_disjoint_pair_cost", one_path)
+    inst = DssInstance(g, frozenset(["x", "y"]))
+    with pytest.raises(ModelInconsistencyError, match="union carries only 1 vertex-disjoint"):
+        dss_vertex_via_dst(inst, exact_solver())
 
 
 def test_dss_vertex_infeasible():

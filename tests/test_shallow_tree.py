@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import twodst.shallow_tree as shallow_tree
-from twodst.errors import InfeasibleInstanceError, ModelInconsistencyError, SizeLimitError
+from twodst.errors import InfeasibleInstanceError, SizeLimitError
 from twodst.exact import random_instance
 from twodst.graph import DirectedMultigraph, DstInstance
-from twodst.shallow_tree import (
-    build_shallow_tree,
-    projected_node_count,
-    usable_vertices,
-)
+from twodst.shallow_tree import build_shallow_tree, usable_vertices
 
 from oracles import copy_of, enumerate_label_sequences, parent_edge, path_to_root, unpruned_tree
 
@@ -37,7 +32,6 @@ class TestFrozenSizes:
         assert usable_vertices(diamond) == diamond.graph.vertices
         pruned = build_shallow_tree(diamond, 2)
         assert set(pruned.labels) == diamond.graph.vertices
-        assert pruned.num_nodes == projected_node_count(diamond.graph.num_vertices, 2, 1)
 
     def test_two_vertices_depth_one(self, parallel_pair):
         tree = build_shallow_tree(parallel_pair, 1)
@@ -131,7 +125,6 @@ class TestAgainstEnumeration:
                  if s[-1] in terminals or (len(s) <= depth and not terminals <= set(s))]
         expected = 1 + 2 * len(built)
         assert tree.num_nodes == expected
-        assert projected_node_count(n, depth, h) == expected
 
     @given(
         n=st.integers(min_value=2, max_value=5),
@@ -163,11 +156,10 @@ class TestOnlyWhatReachesATerminal:
         seed=st.integers(min_value=0, max_value=10**6),
         data=st.data(),
     )
-    def test_projection_and_a_terminal_below_every_edge(self, n, extra, depth, seed, data):
+    def test_a_terminal_below_every_edge(self, n, extra, depth, seed, data):
         h = data.draw(st.integers(min_value=1, max_value=n - 1))
         inst = random_instance(n, 2 * h + extra, h, seed=seed)
         tree = build_shallow_tree(inst, depth)
-        assert tree.num_nodes == projected_node_count(len(usable_vertices(inst)), depth, h)
         assert all(_terminal_below(tree, inst.terminals))
 
     @settings(max_examples=30)
@@ -228,10 +220,28 @@ class TestLimitsAndDump:
         assert err.value.projected == 11
         assert err.value.cap == 10
 
-    def test_node_count_disagreeing_with_projection_raises(self, diamond, monkeypatch):
-        monkeypatch.setattr(shallow_tree, "projected_node_count", lambda n, depth, h: 20)
-        with pytest.raises(ModelInconsistencyError, match="11 nodes .* projects 20"):
-            build_shallow_tree(diamond, 2)
+    @pytest.mark.parametrize("n, terminals, depth", [(4, ["v3"], 2), (5, ["v3", "v4"], 3),
+                                                     (6, ["v5"], 4)])
+    def test_cap_at_the_size_builds_the_same_tree(self, n, terminals, depth):
+        inst = complete_instance(n, terminals)
+        tree = build_shallow_tree(inst, depth)
+        same = build_shallow_tree(inst, depth, max_nodes=tree.num_nodes)
+        assert (same.labels, same.depths, same.parents, same.groups) == (
+            tree.labels, tree.depths, tree.parents, tree.groups)
+        cap = tree.num_nodes - 1
+        with pytest.raises(SizeLimitError) as err:
+            build_shallow_tree(inst, depth, max_nodes=cap)
+        assert err.value.projected == tree.num_nodes  # the last parent's children pass the cap
+
+    @pytest.mark.parametrize("cap", [1, 5, 40, 300])
+    def test_cap_trips_while_the_tree_grows(self, cap):
+        # the full tree has 1 + 2 * (6 + 25 + 80 + 60) = 343 nodes; the
+        # builder stops at the first parent whose children pass the cap
+        inst = complete_instance(7, ["v6"])
+        assert build_shallow_tree(inst, 4).num_nodes == 343
+        with pytest.raises(SizeLimitError) as err:
+            build_shallow_tree(inst, 4, max_nodes=cap)
+        assert cap < err.value.projected <= cap + 6
 
     def test_depth_zero_rejected(self, diamond):
         with pytest.raises(ValueError, match="depth must be >= 1"):
