@@ -64,7 +64,6 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
     # zero-cost edges are free to keep, so fix them in and search over the rest
     base = frozenset(e for e in range(g.num_edges) if g.costs[e] <= 0.0)
     order = sorted(all_edges - base, key=lambda e: (-g.costs[e], -e))
-    suffix = [frozenset(order[i:]) for i in range(len(order) + 1)]
 
     kept = reverse_delete(instance, all_edges)
     best_cost = g.total_cost(kept)
@@ -90,7 +89,9 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
             best_cost = cost_so_far
             best_set = current
             continue  # supersets only cost more
-        if i == len(order) or not feasible(current | suffix[i]):
+        # the undecided edges are built only here, so memory stays linear
+        # in the edge count
+        if i == len(order) or not feasible(current.union(order[i:])):
             continue
         e = order[i]
         stack.append((i + 1, included | {e}, cost_so_far + g.costs[e]))

@@ -1,5 +1,5 @@
 """Directed multigraph with explicit edge identities, plus unit-capacity max
-flow and reachability.
+flow and reachability (from one vertex, or from every vertex at once).
 
 Edge-disjointness is per edge instance, so edges are identified by dense
 integer ids (0..m-1) rather than by vertex pairs; parallel and antiparallel
@@ -224,3 +224,10 @@ def reachable_set(
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
+
+
+def reachable_sets(graph: DirectedMultigraph) -> dict:
+    """Every vertex's forward reachable set, the vertex itself included:
+    one search per vertex, shared by the tree builder and the live-column
+    rules."""
+    return {v: reachable_set(graph, v) for v in graph.vertices}

@@ -54,7 +54,7 @@ the model columns, with per-row `sense`, `rhs` and family-code arrays.
 inspection. `max_nonzeros` caps the model in two places: first te * m,
 the size of the dense te x m arrays that `live_columns` and
 `_graph_conservation` allocate, before any of them exists (no bound on the
-model: F2^3 at depth 3 has 38,038 nonzeros against te * m = 90,160); then
+model: F2^5 at depth 2 has 41,819 nonzeros against te * m = 588,132); then
 the terms themselves, counted as the builder emits them, so the build
 stops at the first block that takes the count past the cap.
 
@@ -62,7 +62,10 @@ A dead column is fixed to 0, which loses no optimum: at a point whose dead
 columns are 0, each row of the full relaxation is a row of the live model,
 a row that 0 satisfies or a row that the box implies. Every xh column is
 live, since the tree holds only edges with a terminal below them (see
-`shallow_tree`). Another column is dead by one of two rules (write "below
+`shallow_tree`). Every tree edge also has at least one live f column: the
+tree holds an edge from u to v only where v is reachable from u, and the
+first edge of a u -> v path is kept by rule (c) below. Another column is
+dead by one of two rules (write "below
 ê" for the subtree under ê's child node, and (u, v) for ê's endpoint
 labels):
 
@@ -89,7 +92,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ModelInconsistencyError, SizeLimitError
-from .graph import DstInstance, reachable_set
+from .graph import DstInstance, reachable_sets
 from .shallow_tree import ShallowTree
 
 DEFAULT_MAX_NONZEROS = 2_000_000
@@ -396,13 +399,13 @@ def live_columns(instance: DstInstance, tree: ShallowTree) -> LiveColumns:
         np.logical_or.at(below, parents[nodes], below[nodes])
     fhat = below[1:].T  # (terminal, tree edge); tree edge ê ends at node ê + 1
 
-    # (c): reach[i, j] when vertex j is reachable from vertex i, one forward
-    # search per vertex; column j holds the vertices that reach j
+    # (c): reach[i, j] when vertex j is reachable from vertex i; column j
+    # holds the vertices that reach j
     ends = _ends(g, tree)
     pos = {w: k for k, w in enumerate(ends.order)}
     reach = np.zeros((len(pos), len(pos)), dtype=bool)
-    for k, w in enumerate(ends.order):
-        reach[k, [pos[x] for x in reachable_set(g, w, "forward")]] = True
+    for w, seen in reachable_sets(g).items():
+        reach[pos[w], [pos[x] for x in seen]] = True
     u, v = ends.u[:, None], ends.v[:, None]
     useful = reach[u, ends.tails] & reach[ends.heads, v] & (ends.heads != u)
     return LiveColumns(fhat, useful)

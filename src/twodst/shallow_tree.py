@@ -1,21 +1,45 @@
-"""Depth-bounded prefix tree over the vertex sequences that reach a terminal.
+"""Depth-bounded prefix tree over the vertex sequences a graph walk can
+take to a terminal.
 
-The tree enumerates the sequences of at most D+1 distinct usable vertices
-(those on some root-to-terminal walk) that start at the root, listed twice
-as two isomorphic subtrees hanging from a shared root node. It keeps a
-sequence only if it ends at a terminal, or is shorter than D+1 and misses
-a terminal that could then follow it. Adjacency in the input graph is not
-required: the tree indexes candidate embeddings, and the LP decides which
-tree edges map to which graph paths. Each node carries a label (a graph
+The tree enumerates sequences of at most D+1 distinct vertices that start
+at the root, listed twice as two isomorphic subtrees hanging from a shared
+root node. It keeps a sequence only if each of its vertices is reachable
+in the graph from the one before, and it ends at a terminal, or is shorter
+than D+1 and some terminal reachable from its last vertex is not on it yet
+(that terminal can then follow it). So a tree edge from label u to label
+v exists only where some graph path takes u to v, and the LP decides
+which of those paths realize it. Each node carries a label (a graph
 vertex); the set of nodes labeled t is terminal t's group.
 
-Dropping the other sequences loses nothing. Over the full prefix tree,
-the `lp_model` relaxation gives their nodes (which lie in no group) a gst
-conservation row for every terminal, so from the leaves up fh = 0 into
-them in every feasible point. Zeroing their xh, f and ft keeps every row
-satisfied and x unchanged and leaves a feasible point over this tree,
-while a point over this tree padded with zeros is feasible over the full
-one: the two relaxations have the same value.
+Dropping the other sequences loses nothing. Take the full prefix tree,
+every sequence of distinct vertices on root-to-terminal walks, and the
+`lp_model` relaxation over it. Two kinds of subtree are not built here,
+and in every feasible point of that relaxation fh is 0 on all their edges:
+
+* Under a tree edge ê from u to a v that u cannot reach. Let R be the
+  vertices reachable from u. v is not in R, so every vertex of R has one
+  of ê's graph-flow conservation rows (out(u) = xh_ê, in(u) = 0, and
+  in(w) = out(w) for the others). Their sum reads xh_ê = out(R) - in(R),
+  the flow on edges leaving R less the flow on edges entering it. No edge
+  leaves R, so xh_ê <= 0, and xh_ê = 0. Then fh <= xh gives fh_ê = 0 for
+  every terminal t, and t's tree flow below ê is 0 too. A node outside
+  t's group passes on exactly what enters it. Below a node of t's group
+  no node is labeled t (the labels on a path are distinct), so every node
+  there has a gst conservation row of t, and from the leaves up fh_t = 0
+  into them.
+* Under a node from which every way down to a terminal's node crosses a
+  tree edge of the first kind, such as a node with no terminal below it.
+  Every node there, but those under edges of the first kind, is labeled
+  by no terminal, so it has a gst conservation row of every terminal;
+  with fh = 0 on the edges of the first kind, from the leaves up fh = 0
+  into them.
+
+Zeroing such a subtree's xh, f and ft keeps every row satisfied and x
+unchanged: its pair rows read 0 <= 0, its graph-flow conservation rows
+hold zeros only, the cap rows only lose terms, and no gst row changes. What
+is left is a feasible point over this tree of the same cost, while a
+point over this tree padded with zeros is feasible over the full one: the
+two relaxations have the same value.
 
 Node ids are breadth-first: the root is 0, a node's child nodes are made
 in ascending label order with the first copy before the second, so the
@@ -36,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InfeasibleInstanceError, SizeLimitError
-from .graph import DstInstance, reachable_set
+from .graph import DstInstance, reachable_sets
 
 DEFAULT_MAX_NODES = 200_000
 
@@ -81,14 +105,10 @@ class ShallowTree:
         return f"ShallowTree(depth={self.depth}, nodes={self.num_nodes})"
 
 
-def usable_vertices(instance: DstInstance) -> frozenset:
-    """Vertices lying on some root-to-terminal directed walk."""
-    g = instance.graph
-    forward = reachable_set(g, instance.root, "forward")
-    backward = set()
-    for t in instance.terminals:
-        backward |= reachable_set(g, t, "backward")
-    return frozenset(forward & backward)
+def usable_vertices(instance: DstInstance, reach: dict) -> frozenset:
+    """Vertices lying on some root-to-terminal directed walk, from every
+    vertex's reachable set (`graph.reachable_sets`)."""
+    return frozenset(v for v in reach[instance.root] if reach[v] & instance.terminals)
 
 
 def build_shallow_tree(
@@ -96,7 +116,8 @@ def build_shallow_tree(
 ) -> ShallowTree:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    keep = usable_vertices(instance)
+    reach = reachable_sets(instance.graph)
+    keep = usable_vertices(instance, reach)
     if instance.root not in keep:
         raise InfeasibleInstanceError("root cannot reach any terminal")
     lost = instance.terminals - keep
@@ -105,7 +126,11 @@ def build_shallow_tree(
             f"terminals unreachable from root: {sorted(lost, key=str)}"
         )
 
-    pool = sorted(keep - {instance.root})
+    terminals = instance.terminals
+    # the child labels a node labeled u may have, ascending: the usable
+    # vertices u reaches, and the terminals each of them reaches
+    follow = {u: sorted((reach[u] & keep) - {instance.root}) for u in keep}
+    ahead = {v: reach[v] & terminals for v in keep}
     labels = [instance.root]
     depths = [0]
     parents = [-1]
@@ -117,21 +142,22 @@ def build_shallow_tree(
     for k in range(1, depth + 1):
         below = []
         for parent in level:
-            # a non-terminal child needs a terminal that can still follow it
-            open_end = k < depth and not instance.terminals <= banned[parent]
-            for v in pool:
-                if v in banned[parent] or not (open_end or v in instance.terminals):
+            on_path = banned[parent]
+            for v in follow[labels[parent]]:
+                # a non-terminal child needs a terminal it reaches that can
+                # still follow it
+                if v in on_path or (v not in terminals
+                                    and (k == depth or ahead[v] <= on_path)):
                     continue
                 below.append(len(labels))
                 labels.append(v)
                 depths.append(k)
                 parents.append(parent)
-                banned.append(banned[parent] | {v})
+                banned.append(on_path | {v})
             if len(labels) > max_nodes:
                 raise SizeLimitError("tree would be too large", len(labels), max_nodes)
         level = below
 
     groups = {t: {node for node, label in enumerate(labels) if label == t}
-              for t in instance.terminals}
+              for t in terminals}
     return ShallowTree(depth, labels, depths, parents, groups)
-

@@ -99,12 +99,20 @@ def test_solve_infeasible_writes_nothing(infeasible_file, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def _middles(count):
+    """r -> m_i -> t for each of `count` middle vertices, which also reach
+    each other, so every label sequence r, m.., t is one a graph path
+    realizes."""
+    middles = [f"m{i}" for i in range(count)]
+    edges = [(a, b, 1.0) for a in middles for b in middles if a != b]
+    for m in middles:
+        edges += [("r", m, 1.0), (m, "t", 1.0)]
+    return ["r", "t"] + middles, edges
+
+
 def test_solve_size_cap(tmp_path, capsys):
-    vertices = ["r", "t"] + [f"m{i}" for i in range(8)]
-    edges = []
-    for i in range(8):
-        edges.append(("r", f"m{i}", 1.0))
-        edges.append((f"m{i}", "t", 1.0))
+    # at depth 8 the tree would have 277,123 nodes, over the default cap
+    vertices, edges = _middles(8)
     inst = DstInstance(DirectedMultigraph(vertices, edges), "r", frozenset(["t"]))
     path = tmp_path / "wide.json"
     save_instance(inst, path)
@@ -117,10 +125,8 @@ def test_solve_size_cap_on_the_model(tmp_path, capsys, monkeypatch):
     # depth 4 over 12 vertices gives 3,282 tree edges; times 920 graph edges
     # that is over the default nonzero cap, which refuses the model before
     # its live columns are computed
-    vertices = ["r", "t"] + [f"m{i}" for i in range(10)]
-    edges = [("r", "t", 1.0)] * 900
-    for i in range(10):
-        edges += [("r", f"m{i}", 1.0), (f"m{i}", "t", 1.0)]
+    vertices, edges = _middles(10)
+    edges += [("r", "t", 1.0)] * 810
     inst = DstInstance(DirectedMultigraph(vertices, edges), "r", frozenset(["t"]))
     path = tmp_path / "parallel.json"
     save_instance(inst, path)

@@ -1,6 +1,7 @@
 """Exhaustive-search oracle and the random instance generator."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,22 @@ def test_search_deeper_than_the_recursion_limit():
     inst = _instance(["r", "t"], [("r", "t", 10.0)] * 1200 + [("r", "t", 1.0)] * 2, "r", ["t"])
     result = exact_2dst(inst, ExactConfig(max_edges=2000))
     assert result == ExactResult(True, 2.0, frozenset({1200, 1201}))
+
+
+def test_memory_is_linear_in_the_edge_count():
+    # each search node checks the pool of its undecided edges; with one
+    # pool kept per search depth the peak here was 12.1 MB, quadratic in
+    # the edge count, against about 0.25 MB when each is built as it is
+    # checked
+    inst = _instance(["r", "t"], [("r", "t", 10.0)] * 600 + [("r", "t", 1.0)] * 2, "r", ["t"])
+    tracemalloc.start()
+    try:
+        result = exact_2dst(inst, ExactConfig(max_edges=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ExactResult(True, 2.0, frozenset({600, 601}))
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("seed, edges", [(6, {2, 3, 4, 10}), (7, {0, 2, 6, 12})])

@@ -37,6 +37,8 @@ def _model(inst, depth, beta=None):
 def _check(inst, depth, beta=None):
     tree, model = _model(inst, depth, beta)
     assert np.array_equal(model.var_index.columns, np.flatnonzero(reference_live(inst, tree)))
+    # the tree holds an edge only where a graph path realizes it
+    assert lp_model.live_columns(inst, tree).useful.any(axis=1).all()
 
     reduced, full = solve(model), solve(reference_model(inst, tree, model.beta))
     assert reduced.status == full.status
@@ -113,25 +115,42 @@ def test_pipeline_lp_equals_the_unpruned_trees(n, extra, h, depth, seed):
     _pipeline_lp_equals_the_unpruned_trees(random_instance(n, 2 * h + extra, h, seed=seed), depth)
 
 
-@settings(max_examples=30)
-@given(
-    n=st.integers(min_value=3, max_value=6),
-    extra=st.integers(min_value=0, max_value=5),
-    h=st.integers(min_value=2, max_value=3),
-    depth=st.integers(min_value=2, max_value=3),
-    seed=st.integers(min_value=0, max_value=10**6),
-    beta=st.sampled_from([0.5, 1.0, 2.0]),
-)
-def test_lp_equals_the_unpruned_trees_under_small_beta(n, extra, h, depth, seed, beta):
+def _lp_equals_the_unpruned_trees(inst, depth, beta):
     # a tight congestion cap makes the value depend on which tree edges the
-    # terminals can share, so a tree that holds too little shows here
-    h = min(h, n - 1)
-    inst = random_instance(n, 2 * h + extra, h, seed=seed)
+    # terminals can share, so a tree that holds too little shows here even
+    # where the analytic beta hides it
     pruned = solve(_model(inst, depth, beta)[1])
     full = solve(reference_model(inst, unpruned_tree(inst, depth), beta))
     assert pruned.status == full.status
     if full.status == OPTIMAL:
         assert pruned.objective == pytest.approx(full.objective, abs=1e-7)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize(
+    "fixture, depth",
+    [("parallel_pair", 1), ("diamond", 2), ("diamond", 3), ("multicover", 1), ("multicover", 2)],
+)
+def test_lp_equals_the_unpruned_trees_on_fixtures_under_small_beta(request, fixture, depth,
+                                                                    beta):
+    _lp_equals_the_unpruned_trees(request.getfixturevalue(fixture), depth, beta)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(min_value=3, max_value=6),
+    extra=st.integers(min_value=0, max_value=5),
+    h=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+    beta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+# LP 36.464609 over the unpruned tree; a tree that holds a child only where
+# its label is adjacent to its parent's, not merely reachable, gives 43.560603
+@example(n=6, extra=3, h=2, depth=2, seed=10, beta=1.0)
+def test_lp_equals_the_unpruned_trees_under_small_beta(n, extra, h, depth, seed, beta):
+    h = min(h, n - 1)
+    _lp_equals_the_unpruned_trees(random_instance(n, 2 * h + extra, h, seed=seed), depth, beta)
 
 
 def test_infeasible_chain(chain):

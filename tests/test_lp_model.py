@@ -208,9 +208,15 @@ class TestBuildLp:
             build_lp(diamond, tree, beta=4, max_nonzeros=cap)
         assert err.value.projected == cap + 1
 
-    @pytest.mark.parametrize("k, depth, nonzeros, lp", [(3, 3, 38_038, 3.5), (4, 2, 49_440, 3.75)])
+    @pytest.mark.parametrize("k, depth, nonzeros, lp",
+                             [(3, 3, 2_471, 3.5), (4, 2, 10_275, 3.75), (5, 2, 41_819, 3.875)])
     def test_multicover_fits_the_default_cap(self, f2_multicover, k, depth, nonzeros, lp):
-        # the full relaxations have 6.66M and 19.3M nonzeros, over the cap
+        # the full relaxations of the first two have 6.66M and 19.3M
+        # nonzeros, over the cap; F2^5 at depth 2 (1,116 tree edges times
+        # 527 graph edges) is under the te * m guard only because the tree
+        # holds no edge that no graph path realizes: with every label
+        # sequence that reaches a terminal it has 3,906 tree edges, and te *
+        # m = 2,058,462 is over the cap
         inst = f2_multicover(k)
         tree = build_shallow_tree(inst, depth)
         model = build_lp(inst, tree, beta=congestion_parameter(depth, inst.num_terminals))

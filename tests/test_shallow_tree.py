@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from twodst.errors import InfeasibleInstanceError, SizeLimitError
 from twodst.exact import random_instance
-from twodst.graph import DirectedMultigraph, DstInstance
+from twodst.graph import DirectedMultigraph, DstInstance, reachable_set, reachable_sets
 from twodst.shallow_tree import build_shallow_tree, usable_vertices
 
 from oracles import copy_of, enumerate_label_sequences, parent_edge, path_to_root, unpruned_tree
@@ -29,7 +29,7 @@ class TestFrozenSizes:
         assert {t: len(nodes) for t, nodes in tree.groups.items()} == {"t": 6}
 
     def test_pruning_is_a_noop_when_all_vertices_usable(self, diamond):
-        assert usable_vertices(diamond) == diamond.graph.vertices
+        assert usable_vertices(diamond, reachable_sets(diamond.graph)) == diamond.graph.vertices
         pruned = build_shallow_tree(diamond, 2)
         assert set(pruned.labels) == diamond.graph.vertices
 
@@ -45,6 +45,17 @@ class TestFrozenSizes:
         for t in inst.terminals:
             assert len(tree.groups[t]) == 2
             assert tree.groups[t] <= root_children
+
+    def test_multicover_keeps_the_edges_a_graph_path_realizes(self, multicover):
+        # per copy: 7 sets and 7 points at depth 1, each set's 4 points at
+        # depth 2; a point reaches nothing and a set no other set, so the
+        # 392-edge tree over every label sequence shrinks to 84 edges, and
+        # with no 3-hop path in the graph depth 3 builds the same tree
+        tree = build_shallow_tree(multicover, 2)
+        assert tree.num_edges == 84
+        deeper = build_shallow_tree(multicover, 3)
+        assert (deeper.labels, deeper.depths, deeper.parents, deeper.groups) == (
+            tree.labels, tree.depths, tree.parents, tree.groups)
 
 
 class TestStructure:
@@ -139,9 +150,21 @@ class TestAgainstEnumeration:
         assert len(tree.groups[t]) == 2 * ending_at_t
 
 
-def _terminal_below(tree, terminals) -> list[bool]:
-    """Per node, whether a terminal-labelled node lies in its subtree."""
-    below = [label in terminals for label in tree.labels]
+def _realizable(tree, graph) -> list[bool]:
+    """Per node, whether a graph path takes each label on its root path
+    to the next."""
+    ok = [True] * tree.num_nodes
+    for node in range(1, tree.num_nodes):
+        parent = tree.parents[node]
+        ok[node] = ok[parent] and tree.labels[node] in reachable_set(graph, tree.labels[parent])
+    return ok
+
+
+def _terminal_below(tree, terminals, among=None) -> list[bool]:
+    """Per node, whether a terminal-labelled node lies in its subtree,
+    counting only the nodes of the mask `among` (every node by default)."""
+    among = among or [True] * tree.num_nodes
+    below = [ok and label in terminals for ok, label in zip(among, tree.labels)]
     for node in range(tree.num_nodes - 1, 0, -1):
         below[tree.parents[node]] |= below[node]
     return below
@@ -161,6 +184,7 @@ class TestOnlyWhatReachesATerminal:
         inst = random_instance(n, 2 * h + extra, h, seed=seed)
         tree = build_shallow_tree(inst, depth)
         assert all(_terminal_below(tree, inst.terminals))
+        assert all(_realizable(tree, inst.graph))
 
     @settings(max_examples=30)
     @given(
@@ -172,12 +196,14 @@ class TestOnlyWhatReachesATerminal:
     )
     def test_the_full_tree_less_the_nodes_with_no_terminal_below(self, n, extra, depth, seed,
                                                                   data):
-        # same breadth-first order, so the ids of what is built keep their
+        # the full tree less the nodes under a step no graph path realizes,
+        # and then less the nodes with no terminal below among the rest; same
+        # breadth-first order, so the ids of what is built keep their
         # relative order
         h = data.draw(st.integers(min_value=1, max_value=n - 1))
         inst = random_instance(n, 2 * h + extra, h, seed=seed)
         full, tree = unpruned_tree(inst, depth), build_shallow_tree(inst, depth)
-        below = _terminal_below(full, inst.terminals)
+        below = _terminal_below(full, inst.terminals, _realizable(full, inst.graph))
 
         def sequences(t, nodes):
             return [(copy_of(t, v), tuple(t.labels[w] for w in reversed(path_to_root(t, v))))
@@ -185,7 +211,7 @@ class TestOnlyWhatReachesATerminal:
 
         kept = [v for v in range(1, full.num_nodes) if below[v]]
         assert sequences(tree, range(1, tree.num_nodes)) == sequences(full, kept)
-        p = len(usable_vertices(inst)) - 1
+        p = len(usable_vertices(inst, reachable_sets(inst.graph))) - 1
         assert full.num_nodes == 1 + 2 * sum(math.perm(p, k) for k in range(1, depth + 1))
 
 
@@ -196,7 +222,7 @@ class TestPruning:
             [("r", "a", 1.0), ("a", "t", 1.0), ("r", "t", 1.0), ("r", "z", 1.0)],
         )
         inst = DstInstance(g, "r", frozenset(["t"]))
-        assert usable_vertices(inst) == frozenset(["r", "a", "t"])
+        assert usable_vertices(inst, reachable_sets(g)) == frozenset(["r", "a", "t"])
         tree = build_shallow_tree(inst, 2)
         assert "z" not in set(tree.labels)
 
