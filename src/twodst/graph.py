@@ -203,23 +203,20 @@ def max_flow_unit(
 def reachable_set(
     graph: DirectedMultigraph,
     source: Vertex,
-    direction: str = "forward",
     restrict_to: Optional[Iterable[int]] = None,
 ) -> frozenset:
-    """Vertices reachable from `source` along (forward|backward) edges."""
+    """Vertices reachable from `source` along directed edges (the vertices
+    that reach it: `reachable_set(graph.reversed(), source)`)."""
     _check_vertex(graph, source, "source")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
     allowed = None if restrict_to is None else set(restrict_to)
     seen = {source}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        edges = graph.out_edges(u) if direction == "forward" else graph.in_edges(u)
-        for e in edges:
+        for e in graph.out_edges(u):
             if allowed is not None and e not in allowed:
                 continue
-            w = graph.heads[e] if direction == "forward" else graph.tails[e]
+            w = graph.heads[e]
             if w not in seen:
                 seen.add(w)
                 queue.append(w)

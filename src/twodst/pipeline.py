@@ -4,10 +4,28 @@ The LP stage always solves the live relaxation with HiGHS (`lp_solver.solve`),
 so `PipelineResult.lp_objective` is HiGHS's optimum of that relaxation, the
 value the CLI reports as the lower bound.
 
-The congestion parameter starts at its analytic value and doubles on LP
-infeasibility, at most BETA_RETRIES times; that keeps the pipeline
-alive on instances where the initial bound is numerically too tight,
-and the final value is reported so runs stay attributable.
+The congestion parameter beta starts at its analytic value and doubles on
+LP infeasibility, at most BETA_RETRIES times, and the final value is
+reported so runs stay attributable. Once the preflight has passed, the LP
+is feasible at every beta >= h, the number of terminals. Take x = 1 on
+every graph edge and, for each terminal t, two edge-disjoint simple
+root -> t paths P1 and P2. The tree has a depth-1 edge root -> t in each
+copy, since t is reachable from the root. Set xh = fh_t = 1 on the two,
+and f = ft_t = 1 along P1 on the first and along P2 on the second; every
+other column is 0. Each tree edge's graph flow is then a unit root -> t
+path that never re-enters the root, t's group row gets 2 and its other
+gst rows hold zeros only, and no bounded column exceeds the one bounding
+it (fh <= xh, f <= x, ft <= f). A graph edge lies on at most one of a
+terminal's two paths, so it carries at most one unit per terminal: at
+most h <= beta of tree-edge flow (cong) and at most 1 = x_e of each
+terminal's (div). Every column used is live: fh_t by rule (a), as t's
+node is the tree edge's own child, and f and ft by rule (c), as a path
+edge (a, b) has a reachable from the root, t reachable from b, and b not
+the root (see `lp_model`). So the retry serves only a start below h:
+a `beta_multiplier` below 1, or an analytic value ceil(2 D h^(1/D))
+below h, which first happens at h = 17 (h = 18 at depth 2, never at
+depth 1). Below h, feasibility rests on the height reduction (Zelikovsky,
+Algorithmica 18, 1997), and the retry doubles beta toward h.
 
 Rounding only samples (`rounding.round_solution`). With `prune` the
 pipeline reverse-deletes the union and keeps the provenance of the kept

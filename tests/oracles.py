@@ -15,15 +15,18 @@ columns one at a time, as a reference for `VarIndex.columns`; and
 the live model's, and drops the rows the box 0 <= x <= 1 implies
 (`box_implied`), as a reference for the model that `build_lp` emits.
 `group_flow_lp` is a linprog max flow, as a reference for the tree-flow
-DP `_group_flow_dp`. `reference_highs_rows` and `reference_elastic_rows`
-stack the rows HiGHS gets with scipy's sparse `vstack`, as a reference for
-the one gather of `lp_solver._split_rows`, and `reference_linprog` is
-scipy's own `linprog`, as a reference for `lp_solver`'s direct HiGHS
-call. `reference_round` is the rounding loop one iteration and one draw
-at a time, as a reference for the blocked `round_solution`: it reads the
-same random stream (one generator per run, one row of uniforms per
-iteration) with none of `rounding`'s sampling code, so the two must agree
-byte for byte.
+DP `_group_flow_dp`. `reference_highs_rows` stacks the rows HiGHS gets
+with scipy's sparse `vstack`, as a reference for the one gather of
+`lp_solver._split_rows`, and `reference_linprog` is scipy's own `linprog`,
+as a reference for `lp_solver`'s direct HiGHS call.
+`reference_elastic_total` solves the model's elastic LP
+(`reference_elastic_rows`, one slack per row) with scipy's `linprog`, as
+a reference for the total of the infeasibility certificate that HiGHS's
+feasibility relaxation gives. `reference_round` is the rounding loop one
+iteration and one draw at a time, as a reference for the blocked
+`round_solution`: it reads the same random stream (one generator per run,
+one row of uniforms per iteration) with none of `rounding`'s sampling
+code, so the two must agree byte for byte.
 
 The probes of the paper's lemmas on an LP point live here too, since only
 the tests run them: `GoodEdgeAnalysis` and `residual_group_flow` (the
@@ -241,8 +244,9 @@ def unpruned_tree(instance, depth) -> ShallowTree:
     the pruned `build_shallow_tree`, whose relaxation must have the same
     value."""
     g = instance.graph
-    forward = reachable_set(g, instance.root, "forward")
-    backward = set().union(*(reachable_set(g, t, "backward") for t in instance.terminals))
+    forward = reachable_set(g, instance.root)
+    back = g.reversed()
+    backward = set().union(*(reachable_set(back, t) for t in instance.terminals))
     seqs = enumerate_label_sequences(forward & backward, instance.root, depth)[1:]
     order = sorted((len(s), copy, s) for s in seqs for copy in (1, 2))
     node_of = {(copy, (instance.root,)): 0 for copy in (1, 2)}
@@ -630,10 +634,10 @@ def reference_highs_rows(model: LpModel):
 
 
 def reference_elastic_rows(model: LpModel):
-    """The same arrays for the elastic LP of `lp_solver`'s infeasibility
-    certificate: every row as <= rows (a >= row negated, an = row once as
-    is and once negated), each with -1 times its own slack column after
-    the model's columns, stacked by scipy."""
+    """The same arrays for the model's elastic LP: every row as <= rows (a
+    >= row negated, an = row once as is and once negated), each with -1
+    times its own slack column after the model's columns, stacked by
+    scipy."""
     k = model.num_rows
     eq = model.sense == EQ
     rows = np.repeat(np.arange(k), np.where(eq, 2, 1))
@@ -647,7 +651,21 @@ def reference_elastic_rows(model: LpModel):
     return _reference_colwise(model.num_vars + k, a_ub, b_ub, None, None)
 
 
-def reference_linprog(c, rows, bounds=(0.0, 1.0), max_iterations=None):
+def reference_elastic_total(model: LpModel) -> float:
+    """The least total slack of the model's elastic LP
+    (`reference_elastic_rows`), with the model's columns in [0, 1] and the
+    slacks >= 0, by scipy's `linprog`: a reference for the total of
+    `lp_solver`'s infeasibility certificate."""
+    n, k = model.num_vars, model.num_rows
+    start, index, value, _, b_ub = reference_elastic_rows(model)
+    a_ub = csc_matrix((value, index, start), shape=(len(b_ub), n + k))
+    result = linprog(np.concatenate([np.zeros(n), np.ones(k)]), A_ub=a_ub, b_ub=b_ub,
+                     bounds=[(0.0, 1.0)] * n + [(0.0, None)] * k, method="highs")
+    assert result.status == 0, result.message
+    return float(result.fun)
+
+
+def reference_linprog(c, rows, max_iterations=None):
     """`scipy.optimize.linprog(method="highs")` on `lp_solver.linprog`'s
     arguments, with the options `lp_solver` sets: a reference for its direct
     HiGHS call, which must give the same x, fun and nit bit for bit. The
@@ -660,7 +678,6 @@ def reference_linprog(c, rows, bounds=(0.0, 1.0), max_iterations=None):
     assert np.array_equal(row_lower[k:], row_upper[k:])
     ub = {"A_ub": a[:k], "b_ub": row_upper[:k]} if k else {}
     eq = {"A_eq": a[k:], "b_eq": row_upper[k:]} if k < len(row_upper) else {}
-    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), n) for b in bounds)
     options = {
         "presolve": True,
         "primal_feasibility_tolerance": 1e-9,
@@ -668,8 +685,7 @@ def reference_linprog(c, rows, bounds=(0.0, 1.0), max_iterations=None):
     }
     if max_iterations is not None:
         options["maxiter"] = max_iterations
-    return linprog(c, **ub, **eq, bounds=np.column_stack([lower, upper]), method="highs",
-                   options=options)
+    return linprog(c, **ub, **eq, bounds=(0.0, 1.0), method="highs", options=options)
 
 
 def drop_family(model: LpModel, family: str) -> LpModel:
@@ -703,11 +719,12 @@ def useless_pairs(instance, tree) -> set[tuple[int, int]]:
     tree edge labels (u, v) and e = (a, b), a is not reachable from u, v is
     not reachable from b, or b = u."""
     g = instance.graph
+    back = g.reversed()
     out = set()
     for ehat in range(tree.num_edges):
         u, v = tree.edge_endpoints_labels(ehat)
-        from_u = reachable_set(g, u, "forward")
-        to_v = reachable_set(g, v, "backward")
+        from_u = reachable_set(g, u)
+        to_v = reachable_set(back, v)
         for e in range(g.num_edges):
             a, b = g.tails[e], g.heads[e]
             if a not in from_u or b not in to_v or b == u:

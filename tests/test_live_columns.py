@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_index, reference_live, reference_model, unpruned_tree, useless_pairs
+from oracles import (
+    full_index,
+    reference_elastic_total,
+    reference_live,
+    reference_model,
+    unpruned_tree,
+    useless_pairs,
+)
 from twodst import lp_model, lp_solver
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
@@ -55,6 +62,7 @@ def _check(inst, depth, beta=None):
         # row positions differ between the models: compare the amounts
         got, want = reduced.certificate, full.certificate
         assert got.total_relaxation == pytest.approx(want.total_relaxation, abs=1e-7)
+        assert got.total_relaxation == pytest.approx(reference_elastic_total(model), abs=1e-7)
         assert got.families().keys() == want.families().keys()
         for family, amount in want.families().items():
             assert got.families()[family] == pytest.approx(amount, abs=1e-7)

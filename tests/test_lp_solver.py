@@ -5,20 +5,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     every_column,
     model_from_rows,
-    reference_elastic_rows,
+    reference_elastic_total,
     reference_highs_rows,
     reference_linprog,
 )
 from twodst import lp_solver, pipeline
 from twodst.errors import SolverError
 from twodst.exact import random_instance
-from twodst.graph import DirectedMultigraph, DstInstance
+from twodst.graph import DirectedMultigraph, DstInstance, max_flow_unit
 from twodst.lp_model import (
     EQ,
     GE,
@@ -114,7 +114,7 @@ class TestBackendResultsThatAreRefused:
 
     def test_unknown_backend_status_raises(self, diamond_model, monkeypatch):
         def unbounded(*args):
-            return lp_solver.HighsResult(None, None, 3, 0, "Unbounded")
+            return lp_solver.HighsResult(None, None, None, 0, "Unbounded")
 
         monkeypatch.setattr(lp_solver, "linprog", unbounded)
         with pytest.raises(SolverError, match="backend failure: Unbounded"):
@@ -133,6 +133,14 @@ class TestInfeasibility:
         assert sol.certificate is not None
         assert sol.certificate.total_relaxation > 1e-6
         assert len(sol.certificate.rows) >= 1
+        assert sol.certificate.total_relaxation == pytest.approx(
+            reference_elastic_total(infeasible_model), abs=1e-7)
+
+    def test_relaxation_cut_short_raises(self, infeasible_model):
+        # 5 iterations find the model infeasible but do not finish its
+        # feasibility relaxation: no certificate, and no partial one
+        with pytest.raises(SolverError, match="feasibility relaxation failed: .*kWarning"):
+            solve(infeasible_model, max_iterations=5)
 
     def test_certificate_names_families(self, infeasible_model):
         sol = solve(infeasible_model)
@@ -170,6 +178,27 @@ class TestInfeasibility:
         sol = solve(model)
         assert sol.status == "infeasible"
         assert sol.certificate.total_relaxation == pytest.approx(0.6, abs=1e-6)
+        assert sol.certificate.total_relaxation == pytest.approx(
+            reference_elastic_total(model), abs=1e-7)
+
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(min_value=3, max_value=6),
+        extra=st.integers(min_value=0, max_value=5),
+        h=st.integers(min_value=1, max_value=2),
+        depth=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=10**6),
+        beta=st.sampled_from([0.25, 0.5]),
+    )
+    def test_total_is_the_elastic_optimum_on_random_models(self, n, extra, h, depth, seed,
+                                                            beta):
+        h = min(h, n - 1)
+        inst = random_instance(n, 2 * h + extra, h, seed=seed)
+        model = build_lp(inst, build_shallow_tree(inst, depth), beta)
+        sol = solve(model)
+        assume(sol.status == "infeasible")  # a cap below 1 leaves most of these infeasible
+        assert sol.certificate.total_relaxation == pytest.approx(
+            reference_elastic_total(model), abs=1e-7)
 
 
 class TestBetaRetries:
@@ -202,6 +231,37 @@ class TestBetaRetries:
             run_pipeline(binary_tree, PipelineConfig(depth=1, beta_multiplier=0.1))
 
 
+class TestFeasibleAtCapH:
+    """At beta = h the LP is feasible on every instance the preflight
+    accepts: two edge-disjoint root -> t paths per terminal t, each on a
+    depth-1 tree edge root -> t of its own copy, make a point of it (see
+    `pipeline`)."""
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(min_value=3, max_value=7),
+        extra=st.integers(min_value=0, max_value=8),
+        h=st.integers(min_value=1, max_value=3),
+        depth=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10**6),
+        planted=st.booleans(),
+    )
+    def test_random_instances(self, n, extra, h, depth, seed, planted):
+        h = min(h, n - 1)
+        inst = random_instance(n, 2 * h + extra, h, seed=seed, guarantee_feasible=planted)
+        assume(all(max_flow_unit(inst.graph, inst.root, t, limit=2)[0] == 2
+                   for t in inst.terminals))
+        assert solve(build_lp(inst, build_shallow_tree(inst, depth), h)).status == "optimal"
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_multicover(self, multicover, depth):
+        model = build_lp(multicover, build_shallow_tree(multicover, depth),
+                         multicover.num_terminals)
+        assert solve(model).status == "optimal"
+
+
+# scipy's linprog status codes, as `lp_solver.linprog` reports them
+SCIPY_STATUS = {0: "optimal", 1: "limit", 2: "infeasible"}
 
 # the solves `TestDirectHighsCall` and `TestHighsArrays` pin: instance,
 # depth, beta (None for the analytic one), iteration limit and the status
@@ -215,7 +275,7 @@ SOLVES = [
     ("multicover", 2, None, None, "optimal"),
     ("planted", 2, None, None, "optimal"),
     ("multicover", 2, None, 1, "limit"),
-    # the elastic LP of the certificate has uncapped slack columns
+    # the certificate is HiGHS's feasibility relaxation, not a second linprog
     ("chain", 2, 100.0, None, "infeasible"),
 ]
 
@@ -257,35 +317,36 @@ class TestDirectHighsCall:
 
         monkeypatch.setattr(lp_solver, "linprog", capture)
         assert solve(model, max_iterations=max_iterations).status == status
-        assert len(calls) == (2 if status == "infeasible" else 1)
-        for args, got in calls:
-            want = reference_linprog(*args)
-            assert (got.status, got.nit) == (want.status, want.nit)
-            if want.x is None:
-                assert got.x is None and got.fun is None
-            else:
-                assert got.x.tobytes() == np.asarray(want.x).tobytes()
-                assert got.fun == want.fun
+        [(args, got)] = calls
+        want = reference_linprog(*args)
+        assert (got.status, got.nit) == (SCIPY_STATUS[want.status], want.nit)
+        if want.x is None:
+            assert got.x is None and got.fun is None
+        else:
+            assert got.x.tobytes() == np.asarray(want.x).tobytes()
+            assert got.fun == want.fun
 
     def test_missing_binding_fails_at_import_naming_it(self):
-        code = (
-            "import scipy.optimize._highspy._core as core\n"
-            "del core.MatrixFormat\n"
-            "import twodst.lp_solver\n"
-        )
         src = str(Path(lp_solver.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert run.returncode != 0
-        assert "ImportError" in run.stderr and "'MatrixFormat'" in run.stderr
+        # a name of the module, and a method of the HiGHS class
+        for name, attribute in [("MatrixFormat", "core.MatrixFormat"),
+                                ("feasibilityRelaxation", "core._Highs.feasibilityRelaxation")]:
+            code = (
+                "import scipy.optimize._highspy._core as core\n"
+                f"del {attribute}\n"
+                "import twodst.lp_solver\n"
+            )
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, timeout=120)
+            assert run.returncode != 0
+            assert "ImportError" in run.stderr and f"'{name}'" in run.stderr
 
 
 class TestHighsArrays:
     """`_split_rows` gathers HiGHS's column-wise arrays itself; they must be
     the arrays scipy's sparse stacking gave, bit for bit and with the
-    dtypes HiGHS stores, for the model and for the certificate's elastic
-    LP."""
+    dtypes HiGHS stores."""
 
     @pytest.mark.parametrize("fixture, depth, beta, max_iterations, status", SOLVES)
     def test_split_rows_matches_sparse_stacking(self, request, monkeypatch, fixture, depth,
@@ -302,13 +363,9 @@ class TestHighsArrays:
 
         monkeypatch.setattr(lp_solver, "_split_rows", capture)
         assert solve(model, max_iterations=max_iterations).status == status
-        assert models[0] is model
+        # the certificate gathers the same model's arrays once more
+        assert models == [model] * (2 if status == "infeasible" else 1)
         _assert_same_arrays(real(model), reference_highs_rows(model))
-        if status == "infeasible":
-            [_, elastic] = models
-            _assert_same_arrays(real(elastic), reference_elastic_rows(model))
-        else:
-            assert len(models) == 1
 
     @given(st.data())
     def test_split_rows_matches_sparse_stacking_on_any_rows(self, data):
@@ -323,8 +380,6 @@ class TestHighsArrays:
             rows.append(LpRow(tuple(cols), tuple(coefs), sense, rhs, "test"))
         model = model_from_rows(every_column(n, 0, ()), np.ones(n), rows)
         _assert_same_arrays(lp_solver._split_rows(model), reference_highs_rows(model))
-        _assert_same_arrays(lp_solver._split_rows(lp_solver._elastic_model(model)),
-                            reference_elastic_rows(model))
 
 
 class TestRejectedModel:
