@@ -65,16 +65,19 @@ _KEYS = {
     "samples": ("samples", int),
     "prune": ("prune", bool),
 }
-_JSON_TYPE = {bool: "boolean", int: "integer", float: "number"}
+_JSON_TYPE = {bool: "boolean", int: "integer", float: "number within float range"}
 
 
 def _file_value(key: str, value, kind: type):
     """A config-file value of the key's type: a JSON bool for a bool key,
-    an integer for an int key, any number for a float key; a bool passes
-    only as a bool."""
+    an integer for an int key, any number a float holds for a float key; a
+    bool passes only as a bool."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # an integer past the float range
+            pass
     raise ValueError(f"config file key {key!r} needs a JSON {_JSON_TYPE[kind]}, got {value!r}")
 
 
@@ -280,22 +283,20 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_pipeline_flags(sub) -> None:
+def _add_pipeline_flags(sub, keys=tuple(_KEYS)) -> None:
+    """The flags of the given `_KEYS` keys, and --config."""
     defaults = {f.name: f.default for f in fields(PipelineConfig)}
-    sub.add_argument(
-        "--depth", type=int, default=None, help=f"tree depth D (default {defaults['depth']})"
-    )
-    sub.add_argument(
-        "--seed", type=int, default=None, help=f"rounding seed (default {defaults['seed']})"
-    )
-    sub.add_argument(
-        "--beta-mult", dest="beta_mult", type=float, default=None,
-        help=f"multiplier on the congestion parameter "
-        f"(default {defaults['beta_multiplier']})",
-    )
-    sub.add_argument("--iters", type=int, default=None, help="override rounding iteration count")
-    sub.add_argument("--samples", type=int, default=None, help="override per-tree-edge sample count")
-    sub.add_argument("--prune", action="store_true", default=None, help="reverse-delete the result")
+    flags = {
+        "depth": {"type": int, "help": f"tree depth D (default {defaults['depth']})"},
+        "seed": {"type": int, "help": f"rounding seed (default {defaults['seed']})"},
+        "beta_mult": {"type": float, "help": "multiplier on the congestion parameter "
+                      f"(default {defaults['beta_multiplier']})"},
+        "iters": {"type": int, "help": "override rounding iteration count"},
+        "samples": {"type": int, "help": "override per-tree-edge sample count"},
+        "prune": {"action": "store_true", "help": "reverse-delete the result"},
+    }
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flags[key])
     sub.add_argument("--config", default=None, help="JSON file holding defaults for these flags")
 
 
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("lp-export", help="write the live relaxation in LP text format")
     s.add_argument("instance")
-    _add_pipeline_flags(s)
+    _add_pipeline_flags(s, ("depth", "beta_mult"))
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_lp_export)
 

@@ -58,6 +58,14 @@ model: F2^5 at depth 2 has 41,819 nonzeros against te * m = 588,132); then
 the terms themselves, counted as the builder emits them, so the build
 stops at the first block that takes the count past the cap.
 
+Rows are in HiGHS's order: the builder emits them family by family in
+blocks of one sense, and `_RowBlocks.arrays` puts the = blocks after all
+the others, stably. scipy's `linprog(method="highs")` stacks its A_ub over
+A_eq in the same way, and HiGHS reads the model's CSR as it is (see
+`lp_solver`). HiGHS's point and iteration count depend on the row order:
+in build order, the point moved on all 14 planted-mid benchmark instances
+at seed 1, and the iterations by -20% to +91%.
+
 A dead column is fixed to 0, which loses no optimum: at a point whose dead
 columns are 0, each row of the full relaxation is a row of the live model,
 a row that 0 satisfies or a row that the box implies. Every xh column is
@@ -92,7 +100,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ModelInconsistencyError, SizeLimitError
-from .graph import DstInstance, reachable_sets
+from .graph import DstInstance
 from .shallow_tree import ShallowTree
 
 DEFAULT_MAX_NONZEROS = 2_000_000
@@ -213,7 +221,8 @@ class LpModel:
     The columns are the model's columns (`var_index.columns`). Row r has
     the terms `indices[indptr[r]:indptr[r+1]]` with coefficients
     `data[...]`, in the order the builder emitted them (not sorted), so the
-    text export is stable. `sense` holds LE/EQ/GE strings and `family`
+    text export is stable; the rows are in HiGHS's order (module
+    docstring). `sense` holds LE/EQ/GE strings and `family`
     indexes into `families`.
     """
 
@@ -302,19 +311,14 @@ class _RowBlocks:
         self.var_index = var_index
         self.max_nonzeros = max_nonzeros
         self.nonzeros = 0
-        self.lengths: list = []
-        self.cols: list = []
-        self.coefs: list = []
-        self.blocks: list = []  # (sense, rhs, family) of each block
+        self.blocks: list = []  # (sense, rhs, family, lengths, cols, coefs) of each block
 
     def add(self, lengths, cols, coefs, sense: str, rhs: float, family: int) -> None:
         self.nonzeros += len(cols)
         if self.nonzeros > self.max_nonzeros:
             raise SizeLimitError("model would be too large", self.nonzeros, self.max_nonzeros)
-        self.lengths.append(np.asarray(lengths, dtype=np.int64))
-        self.cols.append(np.asarray(cols, dtype=np.int64))
-        self.coefs.append(np.asarray(coefs, dtype=float))
-        self.blocks.append((sense, rhs, family))
+        self.blocks.append((sense, rhs, family, np.asarray(lengths, dtype=np.int64),
+                            np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=float)))
 
     def add_pairs(self, first, second, coefs, family: int) -> None:
         """One `first[i] * coefs[0] + second[i] * coefs[1] <= 0` row per i."""
@@ -322,19 +326,21 @@ class _RowBlocks:
         self.add(np.full(len(first), 2), cols, np.tile(coefs, len(first)), LE, 0.0, family)
 
     def arrays(self):
-        lengths = np.concatenate(self.lengths)
-        pos = self.var_index.positions(np.concatenate(self.cols))
+        # the = blocks after all the others: HiGHS's row order (module docstring)
+        senses, rhss, families, block_lengths, cols, coefs = zip(
+            *sorted(self.blocks, key=lambda block: block[0] == EQ))
+        lengths = np.concatenate(block_lengths)
+        pos = self.var_index.positions(np.concatenate(cols))
         dead, empty = np.count_nonzero(pos < 0), np.count_nonzero(lengths == 0)
         if dead or empty:
             raise ModelInconsistencyError(
                 f"builder emitted {dead} term(s) on dead columns and {empty} row(s) with no term"
             )
-        counts = [len(block) for block in self.lengths]
-        senses, rhss, families = zip(*self.blocks)
+        counts = [len(block) for block in block_lengths]
         return {
             "indptr": np.concatenate(([0], np.cumsum(lengths))),
             "indices": pos,
-            "data": np.concatenate(self.coefs),
+            "data": np.concatenate(coefs),
             "sense": np.repeat(np.array(senses, dtype=_SENSE_DTYPE), counts),
             "rhs": np.repeat(np.array(rhss, dtype=float), counts),
             "family": np.repeat(np.array(families, dtype=np.int32), counts),
@@ -385,10 +391,10 @@ class LiveColumns(NamedTuple):
     useful: np.ndarray  # (tree edge, graph edge): rule (c) keeps the pair
 
 
-def live_columns(instance: DstInstance, tree: ShallowTree) -> LiveColumns:
-    """The columns rules (a) and (c) of the module docstring keep."""
-    g = instance.graph
-    terminals = sorted(instance.terminals)
+def live_columns(tree: ShallowTree, ends: _Ends) -> LiveColumns:
+    """The columns rules (a) and (c) of the module docstring keep, from the
+    tree's reachable sets (`ShallowTree.reach`) and its ends in the graph."""
+    terminals = sorted(tree.groups)
     # below[node, k]: a node labelled terminal k lies in the node's subtree
     below = np.zeros((tree.num_nodes, len(terminals)), dtype=bool)
     for k, t in enumerate(terminals):
@@ -401,10 +407,9 @@ def live_columns(instance: DstInstance, tree: ShallowTree) -> LiveColumns:
 
     # (c): reach[i, j] when vertex j is reachable from vertex i; column j
     # holds the vertices that reach j
-    ends = _ends(g, tree)
     pos = {w: k for k, w in enumerate(ends.order)}
     reach = np.zeros((len(pos), len(pos)), dtype=bool)
-    for w, seen in reachable_sets(g).items():
+    for w, seen in tree.reach.items():
         reach[pos[w], [pos[x] for x in seen]] = True
     u, v = ends.u[:, None], ends.v[:, None]
     useful = reach[u, ends.tails] & reach[ends.heads, v] & (ends.heads != u)
@@ -418,7 +423,7 @@ class _FlowRows(NamedTuple):
     row_edge: np.ndarray  # the tree edge of each row
 
 
-def _graph_conservation(g, tree: ShallowTree, useful: np.ndarray) -> _FlowRows:
+def _graph_conservation(g, ends: _Ends, useful: np.ndarray) -> _FlowRows:
     """Rows realizing each tree edge as a unit u -> v graph flow over its
     useful graph edges.
 
@@ -429,7 +434,6 @@ def _graph_conservation(g, tree: ShallowTree, useful: np.ndarray) -> _FlowRows:
     ehat` for the tree edge's value.
     """
     te, m = useful.shape
-    ends = _ends(g, tree)
     # one slot per (vertex, incident edge): in(w), then out(w), w in order
     edge = np.array([e for w in ends.order for e in g.in_edges(w) + g.out_edges(w)],
                     dtype=np.int64)
@@ -472,7 +476,8 @@ def build_lp(
     # so te * m is capped before any of them exists; `blocks` caps the terms
     if te * m > max_nonzeros:
         raise SizeLimitError("model would be too large", te * m, max_nonzeros)
-    live = live_columns(instance, tree)
+    ends = _ends(g, tree)
+    live = live_columns(tree, ends)
 
     idx = VarIndex(instance.terminals, live)
     gst, cong, div = range(len(FAMILIES))
@@ -507,7 +512,7 @@ def build_lp(
     cap_tree[~is_x] = by_edge % te
     cap[~is_x] = cap_tree[~is_x] * m + by_edge // te
     cap[is_x] = np.arange(m)
-    conservation = _graph_conservation(g, tree, live.useful)
+    conservation = _graph_conservation(g, ends, live.useful)
     own_value = conservation.cols >= te * m
 
     def realize(flow0, bound_by, value0, cap_coef, family, carried):

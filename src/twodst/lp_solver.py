@@ -19,17 +19,19 @@ each unit of row violation by 1 and never relaxes a bound; this is the
 elastic LP with one slack per row (an = row may flex both ways).
 
 `linprog(c, rows, max_iterations)` calls HiGHS directly through scipy's
-bindings (`scipy.optimize._highspy._core`), on the model that
-`scipy.optimize.linprog(method="highs")` would build: the <= rows (>= rows
-negated), then the equality rows, as one column-wise matrix with row
-bounds (-inf, b_ub] and [b_eq, b_eq], and the bounds 0 <= x <= 1;
-presolve on, dual simplex, no debug checks, no output, both feasibility
-tolerances at 1e-9, and the iteration limit on both the simplex and the
-IPM. `_split_rows` gathers that matrix from the model's CSR in one pass,
-as numpy arrays of the dtypes HiGHS stores (int32 starts and indices,
-float64 values and bounds), and `_highs_model` hands them to the pointer
-overload of `_Highs.passModel`, so HiGHS reads them in place. That
-overload also takes an integrality array, which must hold one 0
+bindings (`scipy.optimize._highspy._core`) on the model as `lp_model`
+built it: its CSR matrix row-wise, each row as a range [row_lower,
+row_upper] ((-inf, b] for a <= row, [b, inf) for a >= row, [b, b] for an
+= row), and the bounds 0 <= x <= 1; presolve on, dual simplex, no debug
+checks, no output, both feasibility tolerances at 1e-9, and the iteration
+limit on both the simplex and the IPM. The model's rows are already in the
+order `scipy.optimize.linprog(method="highs")` would give them (the
+inequality rows, then the = rows), so HiGHS gets the LP that scipy's
+wrapper would build, row for row. `_split_rows` only casts the
+CSR's starts and indices to the int32 HiGHS stores and derives the row
+bounds from `sense` and `rhs`, and `_highs_model` hands the arrays to the
+pointer overload of `_Highs.passModel`, so HiGHS reads them in place.
+That overload also takes an integrality array, which must hold one 0
 (continuous) per column: an empty one makes `passModel` reject the model.
 HiGHS cannot see the arrays' lengths through the pointers, so
 `_highs_model` checks that they fit together. Both a misfit and a model
@@ -38,11 +40,13 @@ infeasible LP. `linprog` reads back only the model status (mapped to
 `lp_model`'s statuses), the objective, the column values and the simplex
 iteration count, and skips what scipy's wrapper adds: input cleaning,
 option checks one option at a time, and duals. scipy's own post-check of
-the point at 1e-9 is replaced by the replay at `REPLAY_TOL`. The bindings
+the point at 1e-9 is replaced by the replay at `REPLAY_TOL`. The
+certificate's rows are the model's rows, in its order. The bindings
 are private API, so the module checks at import that every name and
 method it uses exists, and raises ImportError naming the missing one;
-`tests/test_lp_solver.py` pins the arrays against scipy's own sparse
-stacking, the call against `scipy.optimize.linprog` itself, and the
+`tests/test_lp_solver.py` pins the call against `scipy.optimize.linprog`
+itself, whose wrapper hands HiGHS the same rows column-wise with each >=
+row negated (x, objective and iterations bit for bit), and the
 certificate against an elastic LP solved by `scipy.optimize.linprog`.
 """
 
@@ -55,9 +59,9 @@ import numpy as np
 
 from .errors import SolverError
 from .lp_model import (
-    EQ,
     GE,
     INFEASIBLE,
+    LE,
     LIMIT,
     OPTIMAL,
     LpModel,
@@ -126,28 +130,14 @@ class InfeasibilityCertificate:
 
 
 def _split_rows(model: LpModel):
-    """The model's rows as HiGHS's column-wise arrays, gathered from its CSR
-    in one pass: the <= and >= rows, each >= row negated, then the = rows,
-    each part in model order; within a column, entries by row. Returns
-    (start, index, value, row_lower, row_upper), with int32 `start` and
-    `index`, one column per entry of `model.objective`, and row bounds
-    (-inf, b] for the first part and [b, b] for the second."""
-    order = np.argsort(model.sense == EQ, kind="stable")
-    eq = model.sense[order] == EQ
-    sign = np.where(model.sense[order] == GE, -1.0, 1.0)
-    lengths = np.diff(model.indptr)[order]
-    offsets = np.cumsum(lengths) - lengths  # each row's first position in the gather
-    entries = np.arange(int(lengths.sum())) + np.repeat(model.indptr[order] - offsets, lengths)
-    cols = model.indices[entries]
-    by_col = np.argsort(cols, kind="stable")
-    n = len(model.objective)
-    start = np.zeros(n + 1, dtype=np.int32)
-    start[1:] = np.cumsum(np.bincount(cols, minlength=n))
-    index = np.repeat(np.arange(len(order), dtype=np.int32), lengths)[by_col]
-    value = (model.data[entries] * np.repeat(sign, lengths))[by_col]
-    row_upper = sign * model.rhs[order]
-    row_lower = np.where(eq, row_upper, -_highs.kHighsInf)
-    return start, index, value, row_lower, row_upper
+    """The model's rows as HiGHS's row-wise arrays: its CSR as it is, with
+    int32 starts and indices, and each row as a range [row_lower,
+    row_upper], (-inf, b] for a <= row, [b, inf) for a >= row and [b, b]
+    for an = row. Returns (start, index, value, row_lower, row_upper)."""
+    inf = _highs.kHighsInf
+    return (model.indptr.astype(np.int32), model.indices.astype(np.int32), model.data,
+            np.where(model.sense == LE, -inf, model.rhs),
+            np.where(model.sense == GE, inf, model.rhs))
 
 
 class HighsResult(NamedTuple):
@@ -169,12 +159,12 @@ def _highs_model(c, rows, max_iterations: Optional[int]):
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     start, index, value, row_lower, row_upper = rows
-    n = len(c)
-    if len(start) != n + 1 or len(index) != len(value) or len(row_lower) != len(row_upper):
+    n, k = len(c), len(row_upper)
+    if len(start) != k + 1 or len(index) != len(value) or len(row_lower) != k:
         raise SolverError(
-            f"malformed rows for HiGHS: {len(start)} column starts for {n} columns, "
-            f"{len(index)} row indices for {len(value)} values, "
-            f"{len(row_lower)} row lower bounds for {len(row_upper)} upper"
+            f"malformed rows for HiGHS: {len(start)} row starts for {k} rows, "
+            f"{len(index)} column indices for {len(value)} values, "
+            f"{len(row_lower)} row lower bounds for {k} upper"
         )
     options = _highs.HighsOptions()
     options.presolve = "on"
@@ -190,13 +180,13 @@ def _highs_model(c, rows, max_iterations: Optional[int]):
     highs = _highs._Highs()
     highs.passOptions(options)
     passed = highs.passModel(
-        n, len(row_upper), len(value), int(_highs.MatrixFormat.kColwise),
+        n, k, len(value), int(_highs.MatrixFormat.kRowwise),
         int(_highs.ObjSense.kMinimize), 0.0, np.asarray(c, dtype=float), np.zeros(n),
         np.ones(n), row_lower, row_upper, start, index, value, np.zeros(n, dtype=np.int32),
     )
     if passed == _highs.HighsStatus.kError:
         raise SolverError(
-            f"HiGHS rejected the model ({n} columns, {len(row_upper)} rows, "
+            f"HiGHS rejected the model ({n} columns, {k} rows, "
             f"{len(value)} nonzeros): passModel returned kError"
         )
     return highs
@@ -254,9 +244,7 @@ def _infeasibility_certificate(
         raise SolverError(f"feasibility relaxation failed: HiGHS returned {relaxed.name}")
     activity = np.array(highs.getSolution().row_value)
     _, _, _, row_lower, row_upper = rows
-    violation = np.maximum(row_lower - activity, 0.0) + np.maximum(activity - row_upper, 0.0)
-    amounts = np.empty(model.num_rows)
-    amounts[np.argsort(model.sense == EQ, kind="stable")] = violation  # `_split_rows`' order
+    amounts = np.maximum(row_lower - activity, 0.0) + np.maximum(activity - row_upper, 0.0)
     offenders = tuple(
         (pos, model.families[model.family[pos]], float(amounts[pos]))
         for pos in np.flatnonzero(amounts > REPLAY_TOL).tolist()

@@ -88,7 +88,6 @@ class PipelineResult:
     report: FeasibilityReport
     lp_objective: float
     beta: int
-    tree_nodes: int
     timings: Mapping[str, float]
 
     @property
@@ -168,7 +167,6 @@ def run_pipeline(instance: DstInstance, config: PipelineConfig) -> PipelineResul
         report=report,
         lp_objective=lp.objective,
         beta=beta,
-        tree_nodes=tree.num_nodes,
         timings=timings,
     )
 

@@ -53,6 +53,9 @@ top-down passes run one numpy step per level.
 `max_nodes` caps the tree while it grows: the builder raises
 `SizeLimitError` once a parent's children take the node count past the
 cap, so it holds at most the cap plus one parent's children.
+
+The tree keeps the reachable sets it is built from (`reach`), which
+`lp_model`'s rule (c) reads: a solve searches the graph once.
 """
 
 from __future__ import annotations
@@ -68,16 +71,16 @@ DEFAULT_MAX_NODES = 200_000
 class ShallowTree:
     """Immutable tree; see module docstring for the id conventions."""
 
-    __slots__ = (
-        "depth", "labels", "depths", "parents", "groups", "edge_parents", "edge_levels",
-    )
+    __slots__ = ("depth", "labels", "depths", "parents", "groups", "reach", "edge_parents",
+                 "edge_levels")
 
-    def __init__(self, depth, labels, depths, parents, groups):
+    def __init__(self, depth, labels, depths, parents, groups, reach):
         self.depth = depth
         self.labels = tuple(labels)
         self.depths = tuple(depths)
         self.parents = tuple(parents)
         self.groups = {t: frozenset(g) for t, g in groups.items()}
+        self.reach = reach  # every graph vertex's reachable set
         # parent tree edge of every tree edge, -1 at the root
         self.edge_parents = np.asarray(self.parents[1:], dtype=np.intp) - 1
         # (first, end) tree-edge ids of each edge depth 1..D
@@ -160,4 +163,4 @@ def build_shallow_tree(
 
     groups = {t: {node for node, label in enumerate(labels) if label == t}
               for t in terminals}
-    return ShallowTree(depth, labels, depths, parents, groups)
+    return ShallowTree(depth, labels, depths, parents, groups, reach)

@@ -15,10 +15,13 @@ columns one at a time, as a reference for `VarIndex.columns`; and
 the live model's, and drops the rows the box 0 <= x <= 1 implies
 (`box_implied`), as a reference for the model that `build_lp` emits.
 `group_flow_lp` is a linprog max flow, as a reference for the tree-flow
-DP `_group_flow_dp`. `reference_highs_rows` stacks the rows HiGHS gets
-with scipy's sparse `vstack`, as a reference for the one gather of
-`lp_solver._split_rows`, and `reference_linprog` is scipy's own `linprog`,
-as a reference for `lp_solver`'s direct HiGHS call.
+DP `_group_flow_dp`. `reference_highs_rows` stacks the rows into
+column-wise arrays (>= rows negated, = rows last) with scipy's sparse
+`vstack`, and `reference_colwise_linprog` solves them, as a reference for
+the row-wise handoff of `lp_solver._split_rows`; `reference_linprog` is
+scipy's own `linprog` on the row-wise arrays, as a reference for
+`lp_solver`'s direct HiGHS call. `equalities_last` puts rows in the
+model's order, HiGHS's: `reference_rows` and `live_lp_text` apply it.
 `reference_elastic_total` solves the model's elastic LP
 (`reference_elastic_rows`, one slack per row) with scipy's `linprog`, as
 a reference for the total of the infeasibility certificate that HiGHS's
@@ -50,7 +53,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix, csr_matrix, hstack, vstack
 
-from twodst.graph import DirectedMultigraph, reachable_set
+from twodst.graph import DirectedMultigraph, reachable_set, reachable_sets
 from twodst.lp_model import _SENSE_DTYPE, EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
 from twodst.rounding import IterationSampler, decompose_flow
 from twodst.shallow_tree import ShallowTree
@@ -257,7 +260,7 @@ def unpruned_tree(instance, depth) -> ShallowTree:
         depths.append(length - 1)
         parents.append(node_of[(copy, seq[:-1])])
     groups = {t: {n for n, label in enumerate(labels) if label == t} for t in instance.terminals}
-    return ShallowTree(depth, labels, depths, parents, groups)
+    return ShallowTree(depth, labels, depths, parents, groups, reachable_sets(g))
 
 
 def children(tree) -> list[list[int]]:
@@ -309,9 +312,15 @@ def reference_model(instance, tree, beta) -> LpModel:
     return model_from_rows(idx, objective, reference_rows(instance, tree, beta), float(beta))
 
 
+def equalities_last(rows) -> list:
+    """The rows with every = row after the others, each part in its own
+    order: the row order of `lp_model`, which is HiGHS's."""
+    return sorted(rows, key=lambda row: row.sense == EQ)
+
+
 def reference_rows(instance, tree, beta) -> list[LpRow]:
-    """The relaxation's rows, emitted one at a time in model order, over
-    the full column numbers.
+    """The relaxation's rows, emitted one at a time family by family, then
+    put in model order (`equalities_last`), over the full column numbers.
 
     Reference for the vectorised `build_lp`: same families, same row
     order, same term order within each row; rows with no terms are skipped.
@@ -371,7 +380,7 @@ def reference_rows(instance, tree, beta) -> list[LpRow]:
         for e in range(m):
             cols = [idx.ft(t, ehat, e) for ehat in range(te)] + [idx.x(e)]
             emit(cols, [1.0] * te + [-1.0], LE, 0.0, "div")
-    return rows
+    return equalities_last(rows)
 
 
 def box_implied(coefs, sense, rhs) -> bool:
@@ -406,16 +415,18 @@ def reference_live_rows(instance, tree, beta) -> list[LpRow]:
 
 
 def live_lp_text(text: str, dead: set) -> str:
-    """An `export_lp` text without the dead variables: their terms and
-    bounds are dropped, and so are the rows left with no term and the rows
-    the box 0 <= x <= 1 implies (`box_implied`); the row labels of each
-    family are renumbered and both header counts updated. The objective
-    stays (it holds x columns only, which are never dead)."""
+    """An `export_lp` text without the dead variables, in the model's row
+    order: the dead terms and bounds are dropped, and so are the rows left
+    with no term and the rows the box 0 <= x <= 1 implies (`box_implied`);
+    the = rows move after the others (`equalities_last`), the row labels
+    of each family are renumbered in the new order and both header counts
+    updated. The objective stays (it holds x columns only, which are never
+    dead)."""
     lines = text.splitlines()
     head = lines.index("Subject To") + 1
     end = lines.index("Bounds")
     bounds = [l for l in lines[end + 1:-1] if l.split(" ")[3] not in dead]
-    rows, counters = [], {}
+    kept_rows = []
     for line in lines[head:end]:
         label, _, rest = line.partition(": ")
         family = label.strip().rsplit("_", 1)[0]
@@ -431,9 +442,12 @@ def live_lp_text(text: str, dead: set) -> str:
             continue
         if kept[0][0] == "+":
             kept[0] = kept[0][1:]
+        kept_rows.append((sense, family, " ".join(" ".join(t) for t in kept + [relation])))
+    rows, counters = [], {}
+    for _, family, body in sorted(kept_rows, key=lambda row: row[0] == EQ):  # `equalities_last`
         k = counters.get(family, 0)
         counters[family] = k + 1
-        rows.append(f" {family}_{k}: " + " ".join(" ".join(t) for t in kept + [relation]))
+        rows.append(f" {family}_{k}: {body}")
     counts = {"\\ variables:": len(bounds), "\\ rows:": len(rows)}
     header = [next((f"{k} {n}" for k, n in counts.items() if l.startswith(k)), l)
               for l in lines[:head]]
@@ -622,9 +636,10 @@ def _reference_signed_rows(model: LpModel, rows, sign):
 
 
 def reference_highs_rows(model: LpModel):
-    """(start, index, value, row_lower, row_upper) of the model as HiGHS
-    gets it: the <= rows (>= rows negated), then the = rows, stacked by
-    scipy into one CSC matrix. A reference for `lp_solver._split_rows`."""
+    """(start, index, value, row_lower, row_upper) of the model as scipy's
+    `linprog` hands it to HiGHS column-wise: the <= rows (>= rows negated),
+    then the = rows, stacked by scipy into one CSC matrix. A reference for
+    the row-wise `lp_solver._split_rows`: the two are one LP."""
     eq = model.sense == EQ
     ub = np.flatnonzero(~eq)
     a_ub, b_ub = _reference_signed_rows(model, ub, np.where(model.sense[ub] == GE, -1.0, 1.0))
@@ -667,16 +682,34 @@ def reference_elastic_total(model: LpModel) -> float:
 
 def reference_linprog(c, rows, max_iterations=None):
     """`scipy.optimize.linprog(method="highs")` on `lp_solver.linprog`'s
-    arguments, with the options `lp_solver` sets: a reference for its direct
-    HiGHS call, which must give the same x, fun and nit bit for bit. The
-    column-wise `rows` go back to scipy as its A_ub (the rows unbounded
-    below) and A_eq blocks."""
-    n = len(c)
+    arguments, the row-wise `rows` of `lp_solver._split_rows`, with the
+    options `lp_solver` sets: a reference for its direct HiGHS call, which
+    must give the same x, fun and nit bit for bit."""
     start, index, value, row_lower, row_upper = rows
-    a = csc_matrix((value, index, start), shape=(len(row_upper), n)).tocsr()
-    k = int(np.sum(row_lower == -np.inf))
-    assert np.array_equal(row_lower[k:], row_upper[k:])
-    ub = {"A_ub": a[:k], "b_ub": row_upper[:k]} if k else {}
+    a = csr_matrix((value, index, start), shape=(len(row_upper), len(c)))
+    return _scipy_highs(c, a, row_lower, row_upper, max_iterations)
+
+
+def reference_colwise_linprog(c, rows, max_iterations=None):
+    """`reference_linprog` on column-wise `rows`, as `reference_highs_rows`
+    gives them."""
+    start, index, value, row_lower, row_upper = rows
+    a = csc_matrix((value, index, start), shape=(len(row_upper), len(c)))
+    return _scipy_highs(c, a, row_lower, row_upper, max_iterations)
+
+
+def _scipy_highs(c, a, row_lower, row_upper, max_iterations):
+    """scipy's `linprog` on the rows of the sparse `a`, each a range
+    [row_lower, row_upper]: (-inf, b], [b, inf) or [b, b], the = rows
+    last. The other rows go to scipy as its A_ub, a [b, inf) row negated,
+    and the = rows as its A_eq; scipy hands HiGHS them column-wise."""
+    is_eq = row_lower == row_upper
+    k = int(np.count_nonzero(~is_eq))
+    assert not is_eq[:k].any(), "the = rows come last"
+    ge = row_upper == np.inf
+    a = csr_matrix(a, copy=True)
+    a.data *= np.repeat(np.where(ge, -1.0, 1.0), np.diff(a.indptr))
+    ub = {"A_ub": a[:k], "b_ub": np.where(ge, -row_lower, row_upper)[:k]} if k else {}
     eq = {"A_eq": a[k:], "b_eq": row_upper[k:]} if k < len(row_upper) else {}
     options = {
         "presolve": True,

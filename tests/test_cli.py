@@ -193,7 +193,8 @@ def test_config_file_unknown_key(diamond_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("prune", "no"), ("prune", 1), ("seed", 1.7), ("depth", True), ("iters", "56"),
-     ("samples", None), ("beta_mult", False)],
+     ("samples", None), ("beta_mult", False), ("beta_mult", 10**400)],
+    ids=lambda value: "int401" if value == 10**400 else None,
 )
 def test_config_file_wrong_type(diamond_file, tmp_path, capsys, key, value):
     config = tmp_path / "run.json"
@@ -441,6 +442,16 @@ def test_lp_export(diamond_file, tmp_path, capsys):
 def test_lp_export_stdout(diamond_file, capsys):
     assert main(["lp-export", str(diamond_file), "--depth", "1"]) == EXIT_OK
     assert "Subject To" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--iters", "5"], ["--samples", "2"],
+                                  ["--prune"]], ids=lambda flag: flag[0][2:])
+def test_lp_export_refuses_flags_it_does_not_read(diamond_file, capsys, flag):
+    # the export reads only the depth and the congestion multiplier
+    with pytest.raises(SystemExit) as exit_:
+        main(["lp-export", str(diamond_file), "--depth", "1", *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ bench

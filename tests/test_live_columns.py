@@ -16,7 +16,7 @@ from oracles import (
     unpruned_tree,
     useless_pairs,
 )
-from twodst import lp_model, lp_solver
+from twodst import graph, lp_model, lp_solver, pipeline
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
 from twodst.lp_model import (
@@ -45,7 +45,7 @@ def _check(inst, depth, beta=None):
     tree, model = _model(inst, depth, beta)
     assert np.array_equal(model.var_index.columns, np.flatnonzero(reference_live(inst, tree)))
     # the tree holds an edge only where a graph path realizes it
-    assert lp_model.live_columns(inst, tree).useful.any(axis=1).all()
+    assert lp_model.live_columns(tree, lp_model._ends(inst.graph, tree)).useful.any(axis=1).all()
 
     reduced, full = solve(model), solve(reference_model(inst, tree, model.beta))
     assert reduced.status == full.status
@@ -237,8 +237,9 @@ def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypat
     real = lp_solver.linprog
     monkeypatch.setattr(lp_solver, "linprog", capture)
     sol = solve(model)
-    [(c, (start, *_))] = calls
-    assert len(c) == len(start) - 1 == model.num_vars
+    [(c, (start, index, *_))] = calls
+    assert len(c) == model.num_vars and int(index.max()) == model.num_vars - 1
+    assert len(start) - 1 == model.num_rows  # row-wise
     assert len(sol.values) == model.num_vars
 
     idx = model.var_index
@@ -261,3 +262,18 @@ def test_pipeline_logs_solver_run(diamond, caplog):
     solved = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LP solved")]
     assert len(solved) == 1
     assert "HiGHS iterations" in solved[0] and "solved shape" in solved[0]
+
+
+def test_a_solve_searches_the_graph_once(multicover, monkeypatch):
+    # beta starts at 1 here and is doubled once: two models, and still one
+    # search per vertex for the whole solve, with one `_ends` per model
+    searches, ends, models = [], [], []
+    for module, name, calls in ((graph, "reachable_set", searches), (lp_model, "_ends", ends),
+                                (pipeline, "build_lp", models)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, calls=calls: calls.append(1) or real(*args))
+    result = run_pipeline(multicover, PipelineConfig(depth=1, beta_multiplier=0.05))
+    assert result.beta == 2 and len(models) == 2
+    assert len(searches) == multicover.graph.num_vertices
+    assert len(ends) == len(models)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix, vstack
 
 from oracles import (
     box_implied,
@@ -129,7 +128,7 @@ class TestBuildLp:
         for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
             tree = build_shallow_tree(inst, depth)
             model = build_lp(inst, tree, beta=4)
-            live = live_columns(inst, tree)
+            live = live_columns(tree, lp_model._ends(inst.graph, tree))
             full = reference_model(inst, tree, 4)
             # each live f column sits in its f <= x row, with x
             assert 2 * np.count_nonzero(live.useful) <= model.nonzeros() <= full.nonzeros()
@@ -271,15 +270,14 @@ class TestExport:
         [("parallel_pair", 1, 2, "parallel_pair_d1_beta2.lp"), ("diamond", 2, 4, "diamond_d2_beta4.lp")],
     )
     def test_matches_golden_text(self, request, fixture, depth, beta, golden):
-        # the goldens hold the full model; the export is its live part
+        # the goldens hold the full model, family by family; the export is
+        # its live part, the = rows last
         inst = request.getfixturevalue(fixture)
         tree = build_shallow_tree(inst, depth)
         model = build_lp(inst, tree, beta=beta)
         name = full_index(inst, tree).name
         dead = {name(j) for j in np.flatnonzero(~reference_live(inst, tree))}
-        expected = (DATA / golden).read_text()
-        if dead:
-            expected = live_lp_text(expected, dead)
+        expected = live_lp_text((DATA / golden).read_text(), dead)
         assert export_lp(model) == expected
 
     def test_parallel_pair_has_no_dead_columns(self, model):
@@ -287,14 +285,16 @@ class TestExport:
 
     def test_live_text_filter(self):
         text = (
-            "\\ variables: 3\n\\ rows: 4\nMinimize\n obj: 1.0 a\nSubject To\n"
+            "\\ variables: 3\n\\ rows: 5\nMinimize\n obj: 1.0 a\nSubject To\n"
             " gst_0: 1.0 a - 1.0 b <= 0.0\n gst_1: 1.0 b - 1.0 c = 0.0\n"
-            " gst_2: 1.0 b = 0.0\n cong_0: 1.0 c + 2.0 a >= 2.0\n"
+            " gst_2: 1.0 b = 0.0\n gst_3: 1.0 c <= 0.0\n cong_0: 1.0 c + 2.0 a >= 2.0\n"
             "Bounds\n 0 <= a <= 1\n 0 <= b <= 1\n 0 <= c <= 1\nEnd\n"
         )
+        # the = row moves after the others, and gst's labels follow it
         assert live_lp_text(text, {"b"}) == (
-            "\\ variables: 2\n\\ rows: 3\nMinimize\n obj: 1.0 a\nSubject To\n"
-            " gst_0: 1.0 a <= 0.0\n gst_1: - 1.0 c = 0.0\n cong_0: 1.0 c + 2.0 a >= 2.0\n"
+            "\\ variables: 2\n\\ rows: 4\nMinimize\n obj: 1.0 a\nSubject To\n"
+            " gst_0: 1.0 a <= 0.0\n gst_1: 1.0 c <= 0.0\n cong_0: 1.0 c + 2.0 a >= 2.0\n"
+            " gst_2: - 1.0 c = 0.0\n"
             "Bounds\n 0 <= a <= 1\n 0 <= c <= 1\nEnd\n"
         )
 
@@ -302,20 +302,6 @@ class TestExport:
         text = export_lp(model)
         bounds = [l for l in text.splitlines() if l.startswith(" 0 <= ")]
         assert len(bounds) == model.num_vars
-
-
-def _reference_blocks(rows, num_vars):
-    """Inequality and equality blocks from a row walk (GE rows negated)."""
-    blocks = {}
-    for eq in (False, True):
-        picked = [r for r in rows if (r.sense == EQ) == eq]
-        sign = [1.0 if eq or r.sense == LE else -1.0 for r in picked]
-        data = [s * c for r, s in zip(picked, sign) for c in r.coefs]
-        rws = [k for k, r in enumerate(picked) for _ in r.cols]
-        cols = [j for r in picked for j in r.cols]
-        a = csr_matrix((data, (rws, cols)), shape=(len(picked), num_vars))
-        blocks[eq] = (a, np.array([s * r.rhs for r, s in zip(picked, sign)]))
-    return blocks
 
 
 def _replay_by_rows(rows, values):
@@ -339,20 +325,21 @@ def _check_against_reference(inst, depth, beta, seed):
     ref = reference_live_rows(inst, tree, beta)
     assert _implied_rows(model) == []
 
-    # same rows, same order, same terms in the same order
+    # same rows, same order (the = rows last), same terms in the same order
+    eq = model.sense == EQ
+    assert np.array_equal(np.sort(eq), eq)
     assert list(model.rows) == ref
     for r in model.rows:
         assert all(type(j) is int for j in r.cols) and all(type(c) is float for c in r.coefs)
         assert type(r.rhs) is float
 
+    # HiGHS reads the reference rows as they are, each as a range
     start, index, value, lower, upper = _split_rows(model)
-    blocks = _reference_blocks(ref, model.num_vars)
-    (a_ub, b_ub), (a_eq, b_eq) = blocks[False], blocks[True]
-    want = vstack([a_ub, a_eq], format="csc")
-    for got, attr in ((start, "indptr"), (index, "indices"), (value, "data")):
-        assert np.array_equal(got, getattr(want, attr))
-    assert np.array_equal(upper, np.concatenate([b_ub, b_eq]))
-    assert np.array_equal(lower, np.concatenate([np.full(len(b_ub), -np.inf), b_eq]))
+    assert start.tolist() == np.cumsum([0] + [len(r.cols) for r in ref]).tolist()
+    assert index.tolist() == [j for r in ref for j in r.cols]
+    assert value.tolist() == [c for r in ref for c in r.coefs]
+    assert lower.tolist() == [-math.inf if r.sense == LE else r.rhs for r in ref]
+    assert upper.tolist() == [math.inf if r.sense == GE else r.rhs for r in ref]
 
     rng = np.random.default_rng(seed)
     for _ in range(3):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from oracles import (
+    equalities_last,
     every_column,
     model_from_rows,
+    reference_colwise_linprog,
     reference_elastic_total,
     reference_highs_rows,
     reference_linprog,
@@ -299,6 +302,27 @@ def _assert_same_arrays(got, want):
         assert g.tobytes() == w.tobytes()
 
 
+def _assert_same_answer(got, want):
+    """`lp_solver.linprog`'s result is scipy's `linprog` result, bit for bit."""
+    assert (got.status, got.nit) == (SCIPY_STATUS[want.status], want.nit)
+    if want.x is None:
+        assert got.x is None and got.fun is None
+    else:
+        assert got.x.tobytes() == np.asarray(want.x).tobytes()
+        assert got.fun == want.fun
+
+
+def _as_colwise(rows, n):
+    """`_split_rows`' row-wise arrays as column-wise ones, each [b, inf)
+    row negated to (-inf, -b], by scipy's sparse conversion."""
+    start, index, value, lower, upper = rows
+    ge = upper == np.inf
+    value = value * np.repeat(np.where(ge, -1.0, 1.0), np.diff(start))
+    a = csr_matrix((value, index, start), shape=(len(upper), n)).tocsc()
+    return (a.indptr.astype(np.int32), a.indices.astype(np.int32), a.data,
+            np.where(ge, -upper, lower), np.where(ge, -lower, upper))
+
+
 class TestDirectHighsCall:
     """`lp_solver.linprog` calls HiGHS through scipy's private bindings; it
     must give what `scipy.optimize.linprog(method="highs")` gives, bit for
@@ -318,13 +342,7 @@ class TestDirectHighsCall:
         monkeypatch.setattr(lp_solver, "linprog", capture)
         assert solve(model, max_iterations=max_iterations).status == status
         [(args, got)] = calls
-        want = reference_linprog(*args)
-        assert (got.status, got.nit) == (SCIPY_STATUS[want.status], want.nit)
-        if want.x is None:
-            assert got.x is None and got.fun is None
-        else:
-            assert got.x.tobytes() == np.asarray(want.x).tobytes()
-            assert got.fun == want.fun
+        _assert_same_answer(got, reference_linprog(*args))
 
     def test_missing_binding_fails_at_import_naming_it(self):
         src = str(Path(lp_solver.__file__).resolve().parents[1])
@@ -344,15 +362,17 @@ class TestDirectHighsCall:
 
 
 class TestHighsArrays:
-    """`_split_rows` gathers HiGHS's column-wise arrays itself; they must be
-    the arrays scipy's sparse stacking gave, bit for bit and with the
-    dtypes HiGHS stores."""
+    """`_split_rows` hands HiGHS the model's CSR row-wise, a >= row as the
+    range [b, inf); it must be the LP of the column-wise arrays scipy's
+    `linprog` builds (`reference_highs_rows`: >= rows negated, = rows last,
+    stacked by scipy), and HiGHS must give the same x, fun and nit on both,
+    bit for bit."""
 
     @pytest.mark.parametrize("fixture, depth, beta, max_iterations, status", SOLVES)
     def test_split_rows_matches_sparse_stacking(self, request, monkeypatch, fixture, depth,
                                                 beta, max_iterations, status):
         model = _solve_model(request, fixture, depth, beta)
-        # the gst rows are >= rows, so their negated coefficients are checked too
+        # the gst rows are >= rows, so their ranges are checked too
         assert (model.sense == GE).any()
         models = []
         real = lp_solver._split_rows
@@ -363,9 +383,12 @@ class TestHighsArrays:
 
         monkeypatch.setattr(lp_solver, "_split_rows", capture)
         assert solve(model, max_iterations=max_iterations).status == status
-        # the certificate gathers the same model's arrays once more
+        # the certificate hands HiGHS the same model's arrays once more
         assert models == [model] * (2 if status == "infeasible" else 1)
-        _assert_same_arrays(real(model), reference_highs_rows(model))
+        rows, colwise = real(model), reference_highs_rows(model)
+        _assert_same_arrays(_as_colwise(rows, model.num_vars), colwise)
+        _assert_same_answer(lp_solver.linprog(model.objective, rows, max_iterations),
+                            reference_colwise_linprog(model.objective, colwise, max_iterations))
 
     @given(st.data())
     def test_split_rows_matches_sparse_stacking_on_any_rows(self, data):
@@ -378,8 +401,14 @@ class TestHighsArrays:
             sense = data.draw(st.sampled_from([LE, GE, EQ]))
             rhs = data.draw(st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0]))
             rows.append(LpRow(tuple(cols), tuple(coefs), sense, rhs, "test"))
-        model = model_from_rows(every_column(n, 0, ()), np.ones(n), rows)
-        _assert_same_arrays(lp_solver._split_rows(model), reference_highs_rows(model))
+        model = model_from_rows(every_column(n, 0, ()), np.ones(n), equalities_last(rows))
+        start, index, value, lower, upper = got = lp_solver._split_rows(model)
+        # the model's CSR as it is, in the dtypes HiGHS stores
+        assert (start.dtype, index.dtype, value.dtype) == (np.int32, np.int32, np.float64)
+        assert start.tolist() == model.indptr.tolist()
+        assert index.tolist() == model.indices.tolist()
+        assert value.tobytes() == model.data.tobytes()
+        _assert_same_arrays(_as_colwise(got, n), reference_highs_rows(model))
 
 
 class TestRejectedModel:
