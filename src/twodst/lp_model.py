@@ -48,21 +48,24 @@ vectors and the LP text export cover only those columns, and nothing of
 the full relaxation's length is allocated; `LpSolution` reads 0.0 for a
 dead key.
 
-The model is stored as one CSR matrix (`indptr`, `indices`, `data`) over
-the model columns, with per-row `sense`, `rhs` and family-code arrays.
-`LpModel.rows` rebuilds Python row tuples from the arrays for export and
-inspection. `max_nonzeros` caps the model in two places: first te * m,
-the size of the dense te x m arrays that `live_columns` and
-`_graph_conservation` allocate, before any of them exists (no bound on the
-model: F2^5 at depth 2 has 41,819 nonzeros against te * m = 588,132); then
-the terms themselves, counted as the builder emits them, so the build
-stops at the first block that takes the count past the cap.
+The model is stored as HiGHS's row-wise LP: one CSR matrix (`indptr`,
+`indices`, `data`) over the model columns, with per-row `row_lower`,
+`row_upper` and family-code arrays. Each row is the range of its activity,
+(-inf, b] for a <= row, [b, inf) for a >= row and [b, b] for an = row.
+`LpModel.rows` rebuilds Python row tuples, with their sense and rhs, from
+the arrays for export and inspection. `max_nonzeros` caps the model in two
+places: first te * m, the size of the dense te x m arrays that
+`live_columns` and `_graph_conservation` allocate, before any of them
+exists (no bound on the model: F2^5 at depth 2 has 41,819 nonzeros against
+te * m = 588,132); then the terms themselves, counted as the builder emits
+them, so the build stops at the first block that takes the count past the
+cap.
 
 Rows are in HiGHS's order: the builder emits them family by family in
-blocks of one sense, and `_RowBlocks.arrays` puts the = blocks after all
-the others, stably. scipy's `linprog(method="highs")` stacks its A_ub over
-A_eq in the same way, and HiGHS reads the model's CSR as it is (see
-`lp_solver`). HiGHS's point and iteration count depend on the row order:
+blocks of one range, and `_RowBlocks.arrays` puts the = blocks (lower ==
+upper) after all the others, stably. scipy's `linprog(method="highs")`
+stacks its A_ub over A_eq in the same way, and HiGHS reads the model's
+arrays as they are (see `lp_solver`). HiGHS's point and iteration count depend on the row order:
 in build order, the point moved on all 14 planted-mid benchmark instances
 at seed 1, and the iterations by -20% to +91%.
 
@@ -86,8 +89,9 @@ labels):
     around the vertices u cannot reach (or that cannot reach v) shows the
     edges crossing the cut carry 0 in every feasible point and the rest
     carry a circulation on dead edges only; edges into u carry 0 by the
-    in(u) row. Zeroing them keeps every row satisfied. Edges leaving v stay
-    live: v has no conservation row, so cycles through v may carry ft flow.
+    full relaxation's in(u) row. Zeroing them keeps every row satisfied.
+    Edges leaving v stay live: v has no conservation row, so cycles through
+    v may carry ft flow.
 """
 
 from __future__ import annotations
@@ -106,7 +110,6 @@ from .shallow_tree import ShallowTree
 DEFAULT_MAX_NONZEROS = 2_000_000
 
 LE, EQ, GE = "<=", "=", ">="
-_SENSE_DTYPE = "<U2"
 FAMILIES = ("gst", "cong", "div")
 
 OPTIMAL = "optimal"
@@ -216,14 +219,14 @@ class LpRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class LpModel:
-    """Constraint rows as one CSR matrix plus per-row sense, rhs and family.
+    """Constraint rows as one CSR matrix plus per-row range and family.
 
     The columns are the model's columns (`var_index.columns`). Row r has
     the terms `indices[indptr[r]:indptr[r+1]]` with coefficients
     `data[...]`, in the order the builder emitted them (not sorted), so the
     text export is stable; the rows are in HiGHS's order (module
-    docstring). `sense` holds LE/EQ/GE strings and `family`
-    indexes into `families`.
+    docstring). Row r reads `row_lower[r] <= activity <= row_upper[r]`, and
+    `family` indexes into `families`.
     """
 
     var_index: VarIndex
@@ -231,8 +234,8 @@ class LpModel:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    sense: np.ndarray
-    rhs: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     family: np.ndarray
     families: tuple[str, ...]
     beta: Optional[float]
@@ -243,7 +246,7 @@ class LpModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rhs)
+        return len(self.row_upper)
 
     def nonzeros(self) -> int:
         return int(self.indptr[-1])
@@ -261,7 +264,9 @@ class LpModel:
 class RowView:
     """Read-only view of a model's rows as `LpRow`s of Python ints and floats.
 
-    `len` reads the arrays; iteration builds one row at a time.
+    `len` reads the arrays; iteration builds one row at a time, with the
+    sense and rhs of its range: LE, b for (-inf, b], GE, b for [b, inf) and
+    EQ, b for [b, b].
     """
 
     def __init__(self, model: LpModel):
@@ -274,12 +279,11 @@ class RowView:
         m = self._model
         cols, coefs = tuple(m.indices.tolist()), tuple(m.data.tolist())
         ptr = m.indptr.tolist()
-        return (
-            LpRow(cols[a:b], coefs[a:b], sense, rhs, m.families[f])
-            for a, b, sense, rhs, f in zip(
-                ptr, ptr[1:], m.sense.tolist(), m.rhs.tolist(), m.family.tolist()
-            )
-        )
+        for a, b, lower, upper, f in zip(ptr, ptr[1:], m.row_lower.tolist(),
+                                         m.row_upper.tolist(), m.family.tolist()):
+            sense = LE if lower == -math.inf else GE if upper == math.inf else EQ
+            yield LpRow(cols[a:b], coefs[a:b], sense, lower if sense == GE else upper,
+                        m.families[f])
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,8 @@ class LpSolution:
 
 class _RowBlocks:
     """Rows collected block by block over full column numbers, each block
-    with one sense, rhs and family, then renumbered to the model's columns.
+    with one range [lower, upper] and family, then renumbered to the
+    model's columns.
 
     The builder emits only live terms and only rows that hold one, so the
     model keeps every term and row it is given; a term on a dead column or
@@ -311,24 +316,24 @@ class _RowBlocks:
         self.var_index = var_index
         self.max_nonzeros = max_nonzeros
         self.nonzeros = 0
-        self.blocks: list = []  # (sense, rhs, family, lengths, cols, coefs) of each block
+        self.blocks: list = []  # (lower, upper, family, lengths, cols, coefs) of each block
 
-    def add(self, lengths, cols, coefs, sense: str, rhs: float, family: int) -> None:
+    def add(self, lengths, cols, coefs, lower: float, upper: float, family: int) -> None:
         self.nonzeros += len(cols)
         if self.nonzeros > self.max_nonzeros:
             raise SizeLimitError("model would be too large", self.nonzeros, self.max_nonzeros)
-        self.blocks.append((sense, rhs, family, np.asarray(lengths, dtype=np.int64),
+        self.blocks.append((lower, upper, family, np.asarray(lengths, dtype=np.int64),
                             np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=float)))
 
     def add_pairs(self, first, second, coefs, family: int) -> None:
         """One `first[i] * coefs[0] + second[i] * coefs[1] <= 0` row per i."""
         cols = np.stack([first, second], axis=1).ravel()
-        self.add(np.full(len(first), 2), cols, np.tile(coefs, len(first)), LE, 0.0, family)
+        self.add(np.full(len(first), 2), cols, np.tile(coefs, len(first)), -math.inf, 0.0, family)
 
     def arrays(self):
         # the = blocks after all the others: HiGHS's row order (module docstring)
-        senses, rhss, families, block_lengths, cols, coefs = zip(
-            *sorted(self.blocks, key=lambda block: block[0] == EQ))
+        lowers, uppers, families, block_lengths, cols, coefs = zip(
+            *sorted(self.blocks, key=lambda block: block[0] == block[1]))
         lengths = np.concatenate(block_lengths)
         pos = self.var_index.positions(np.concatenate(cols))
         dead, empty = np.count_nonzero(pos < 0), np.count_nonzero(lengths == 0)
@@ -341,8 +346,8 @@ class _RowBlocks:
             "indptr": np.concatenate(([0], np.cumsum(lengths))),
             "indices": pos,
             "data": np.concatenate(coefs),
-            "sense": np.repeat(np.array(senses, dtype=_SENSE_DTYPE), counts),
-            "rhs": np.repeat(np.array(rhss, dtype=float), counts),
+            "row_lower": np.repeat(np.array(lowers, dtype=float), counts),
+            "row_upper": np.repeat(np.array(uppers, dtype=float), counts),
             "family": np.repeat(np.array(families, dtype=np.int32), counts),
         }
 
@@ -399,11 +404,10 @@ def live_columns(tree: ShallowTree, ends: _Ends) -> LiveColumns:
     below = np.zeros((tree.num_nodes, len(terminals)), dtype=bool)
     for k, t in enumerate(terminals):
         below[list(tree.groups[t]), k] = True
-    parents, depths = np.asarray(tree.parents), np.asarray(tree.depths)
-    for depth in range(tree.depth, 0, -1):
-        nodes = np.flatnonzero(depths == depth)
-        np.logical_or.at(below, parents[nodes], below[nodes])
-    fhat = below[1:].T  # (terminal, tree edge); tree edge ê ends at node ê + 1
+    # tree edge ê runs from node edge_parents[ê] + 1 to node ê + 1
+    for lo, hi in reversed(tree.edge_levels):
+        np.logical_or.at(below, tree.edge_parents[lo:hi] + 1, below[lo + 1:hi + 1])
+    fhat = below[1:].T  # (terminal, tree edge)
 
     # (c): reach[i, j] when vertex j is reachable from vertex i; column j
     # holds the vertices that reach j
@@ -427,8 +431,8 @@ def _graph_conservation(g, ends: _Ends, useful: np.ndarray) -> _FlowRows:
     """Rows realizing each tree edge as a unit u -> v graph flow over its
     useful graph edges.
 
-    Per tree edge in order: out(u) minus the tree edge's own value, in(u),
-    then in(w) minus out(w) for every other w except v, by str(w), each over
+    Per tree edge in order: out(u) minus the tree edge's own value, then
+    in(w) minus out(w) for every other w except v, by str(w), each over
     the useful edges in edge-list order; rows left with no term are not
     built. Columns are local: `ehat * m + e` for graph edge e, `te * m +
     ehat` for the tree edge's value.
@@ -443,23 +447,23 @@ def _graph_conservation(g, ends: _Ends, useful: np.ndarray) -> _FlowRows:
     tree_edges = np.arange(te)[:, None]
     u, v = ends.u[:, None], ends.v[:, None]
     at_u = vertex == u
-    # per tree edge, one row per rank: out(u), in(u), then 2 + w's position;
-    # the value is one more slot, last in the out(u) row
+    # per tree edge, one row per rank: out(u), then 1 + w's position (no
+    # edge into u is useful); the value is one more slot, last in out(u)
     take = np.hstack([useful[:, edge] & (vertex != v), np.ones((te, 1), dtype=bool)])
-    rank = np.hstack([np.where(at_u, np.where(out, 0, 1), vertex + 2), np.zeros((te, 1), dtype=int)])
+    rank = np.hstack([np.where(at_u, 0, vertex + 1), np.zeros((te, 1), dtype=int)])
     coefs = np.hstack([np.where(out & ~at_u, -1.0, 1.0), np.full((te, 1), -1.0)])
     cols = np.hstack([tree_edges * m + edge, te * m + tree_edges])
     slots = take.shape[1]
     order = np.argsort(rank * slots + np.arange(slots), axis=1)
     take, rank, coefs, cols = (np.take_along_axis(a, order, axis=1)
                                for a in (take, rank, coefs, cols))
-    row = (tree_edges * (len(ends.order) + 2) + rank)[take]
+    row = (tree_edges * (len(ends.order) + 1) + rank)[take]
     starts = np.flatnonzero(np.diff(row, prepend=-1))
     return _FlowRows(
         np.diff(np.append(starts, len(row))),
         cols[take],
         coefs[take],
-        row[starts] // (len(ends.order) + 2),
+        row[starts] // (len(ends.order) + 1),
     )
 
 
@@ -494,24 +498,15 @@ def build_lp(
         has_row[group] = False
         entries = has_row[node_row] & live_fh[node_cols]  # over the live fh only
         blocks.add(np.bincount(node_row[entries], minlength=te)[has_row],
-                   fhat[node_cols[entries]], node_coefs[entries], EQ, 0.0, gst)
-        blocks.add([len(group)], fhat[group], np.ones(len(group)), GE, 2.0, gst)
+                   fhat[node_cols[entries]], node_coefs[entries], 0.0, 0.0, gst)
+        blocks.add([len(group)], fhat[group], np.ones(len(group)), 2.0, math.inf, gst)
 
     # graph flow realizing each tree edge, then the per-terminal copies; a
     # cap row per graph edge holds that edge's flow over all tree edges.
     # Only live pairs are visited: every other row of a dead pair holds dead
     # columns only, or is a pair or cap row that the box implies.
     pairs = np.flatnonzero(live.useful)  # the live f columns, tree-edge major
-    by_edge = np.flatnonzero(live.useful.T)  # the same pairs, graph-edge major
-    cap_lengths = live.useful.sum(axis=0) + 1
-    cap_edge = np.repeat(np.arange(m), cap_lengths)  # the graph edge of each cap entry
-    is_x = np.zeros(len(pairs) + m, dtype=bool)
-    is_x[np.cumsum(cap_lengths) - 1] = True  # x_e closes edge e's cap row
-    cap = np.empty(len(is_x), dtype=np.int64)
-    cap_tree = np.zeros(len(is_x), dtype=np.int64)  # the tree edge of each flow entry
-    cap_tree[~is_x] = by_edge % te
-    cap[~is_x] = cap_tree[~is_x] * m + by_edge // te
-    cap[is_x] = np.arange(m)
+    by_edge = np.flatnonzero(live.useful.T)  # the same pairs as e * te + ehat
     conservation = _graph_conservation(g, ends, live.useful)
     own_value = conservation.cols >= te * m
 
@@ -522,15 +517,15 @@ def build_lp(
         entries = np.repeat(rows, conservation.lengths)
         cols = np.where(own_value, value0 + conservation.cols - te * m, flow0 + conservation.cols)
         blocks.add(conservation.lengths[rows], cols[entries], conservation.coefs[entries],
-                   EQ, 0.0, family)
-        # a cap row with no live flow term reads -coef * x_e <= 0: not built
-        term = ~is_x & carried[cap_tree]
-        capped = np.zeros(m, dtype=bool)
-        capped[cap_edge[term]] = True
-        take = term | (is_x & capped[cap_edge])
-        blocks.add(np.bincount(cap_edge[take], minlength=m)[capped],
-                   np.where(is_x, cap, flow0 + cap)[take], np.where(is_x, cap_coef, 1.0)[take],
-                   LE, 0.0, family)
+                   0.0, 0.0, family)
+        # one cap row per graph edge with a carried pair: its flow terms,
+        # then x_e; a cap row with no flow term reads -coef * x_e <= 0 and is
+        # not built
+        held = by_edge[carried[by_edge % te]]
+        edges, counts = np.unique(held // te, return_counts=True)
+        ends = np.cumsum(counts)
+        blocks.add(counts + 1, np.insert(flow0 + held % te * m + held // te, ends, edges),
+                   np.insert(np.ones(len(held)), ends, cap_coef), -math.inf, 0.0, family)
 
     realize(idx.f(0, 0), lambda own: own % m, idx.xhat(0), -float(beta), cong,
             np.ones(te, dtype=bool))
@@ -558,11 +553,13 @@ def replay_constraints(model: LpModel, values: np.ndarray) -> float:
         float(np.max(-values, initial=0.0)),
         float(np.max(values - 1.0, initial=0.0)),
     )
-    residual = model.matrix() @ values - model.rhs
-    violation = np.where(
-        model.sense == LE, residual, np.where(model.sense == GE, -residual, np.abs(residual))
-    )
+    violation = row_violations(model.matrix() @ values, model.row_lower, model.row_upper)
     return max(worst, float(np.max(violation, initial=0.0)))
+
+
+def row_violations(activity, lower, upper) -> np.ndarray:
+    """Each row activity's distance from its range [lower, upper]."""
+    return np.maximum(lower - activity, 0.0) + np.maximum(activity - upper, 0.0)
 
 
 def _format_terms(cols, coefs, name_of) -> str:
@@ -590,10 +587,9 @@ def export_lp(model: LpModel) -> str:
     for row in model.rows:
         k = counters.get(row.family, 0)
         counters[row.family] = k + 1
-        sense = row.sense if row.sense != EQ else "="
         lines.append(
             f" {row.family}_{k}: {_format_terms(row.cols, row.coefs, name_of)} "
-            f"{sense} {row.rhs!r}"
+            f"{row.sense} {row.rhs!r}"
         )
     lines.append("Bounds")
     for j in range(model.num_vars):

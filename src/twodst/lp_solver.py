@@ -13,41 +13,42 @@ point, which no replay sees; the tests catch it by comparing the model with
 a full reference model, and the benchmark by checking that the LP value
 stays at most OPT. Infeasible models get a certificate: the smallest total
 violation of the rows, over 0 <= x <= 1, that would make them consistent,
-reported per offending row. HiGHS computes it on the same model with its
-feasibility relaxation (`_Highs.feasibilityRelaxation`), which penalises
-each unit of row violation by 1 and never relaxes a bound; this is the
-elastic LP with one slack per row (an = row may flex both ways).
+reported per offending row. `solve` sets up one HiGHS object per model:
+`linprog` runs it, and for an infeasible model HiGHS computes the
+certificate on the same object with its feasibility relaxation
+(`_Highs.feasibilityRelaxation`), which penalises each unit of row violation
+by 1 and never relaxes a bound; this is the elastic LP with one slack per
+row (an = row may flex both ways).
 
-`linprog(c, rows, max_iterations)` calls HiGHS directly through scipy's
-bindings (`scipy.optimize._highspy._core`) on the model as `lp_model`
-built it: its CSR matrix row-wise, each row as a range [row_lower,
-row_upper] ((-inf, b] for a <= row, [b, inf) for a >= row, [b, b] for an
-= row), and the bounds 0 <= x <= 1; presolve on, dual simplex, no debug
-checks, no output, both feasibility tolerances at 1e-9, and the iteration
-limit on both the simplex and the IPM. The model's rows are already in the
-order `scipy.optimize.linprog(method="highs")` would give them (the
-inequality rows, then the = rows), so HiGHS gets the LP that scipy's
-wrapper would build, row for row. `_split_rows` only casts the
-CSR's starts and indices to the int32 HiGHS stores and derives the row
-bounds from `sense` and `rhs`, and `_highs_model` hands the arrays to the
-pointer overload of `_Highs.passModel`, so HiGHS reads them in place.
-That overload also takes an integrality array, which must hold one 0
+HiGHS is called directly through scipy's bindings
+(`scipy.optimize._highspy._core`) on the model as `lp_model` built it, which
+is already HiGHS's row-wise LP: its CSR matrix, each row as a range
+[row_lower, row_upper], and the bounds 0 <= x <= 1; presolve on, dual
+simplex, no debug checks, no output, both feasibility tolerances at 1e-9,
+and the iteration limit on both the simplex and the IPM. The model's rows
+are already in the order `scipy.optimize.linprog(method="highs")` would give
+them (the inequality rows, then the = rows), so HiGHS gets the LP that
+scipy's wrapper would build, row for row. `_split_rows` only casts the CSR's
+starts and indices to the int32 HiGHS stores, and `_highs_model` hands the
+arrays to the pointer overload of `_Highs.passModel`, so HiGHS reads them in
+place. That overload also takes an integrality array, which must hold one 0
 (continuous) per column: an empty one makes `passModel` reject the model.
-HiGHS cannot see the arrays' lengths through the pointers, so
-`_highs_model` checks that they fit together. Both a misfit and a model
-HiGHS rejects raise `SolverError`; they are faults in the handoff, not an
-infeasible LP. `linprog` reads back only the model status (mapped to
-`lp_model`'s statuses), the objective, the column values and the simplex
-iteration count, and skips what scipy's wrapper adds: input cleaning,
-option checks one option at a time, and duals. scipy's own post-check of
-the point at 1e-9 is replaced by the replay at `REPLAY_TOL`. The
-certificate's rows are the model's rows, in its order. The bindings
-are private API, so the module checks at import that every name and
-method it uses exists, and raises ImportError naming the missing one;
-`tests/test_lp_solver.py` pins the call against `scipy.optimize.linprog`
-itself, whose wrapper hands HiGHS the same rows column-wise with each >=
-row negated (x, objective and iterations bit for bit), and the
-certificate against an elastic LP solved by `scipy.optimize.linprog`.
+HiGHS cannot see the arrays' lengths through the pointers, so `_highs_model`
+checks that they fit together. Both a misfit and a model HiGHS rejects raise
+`SolverError`; they are faults in the handoff, not an infeasible LP.
+`linprog` reads back only the model status (mapped to `lp_model`'s
+statuses), the objective, the column values and the simplex iteration count,
+and skips what scipy's wrapper adds: input cleaning, option checks one
+option at a time, and duals. scipy's own post-check of the point at 1e-9 is
+replaced by the replay at `REPLAY_TOL`. The certificate's rows are the
+model's rows, in its order, and its amounts are the replay's row violations
+(`lp_model.row_violations`). The bindings are private API, so the module
+checks at import that every name and method it uses exists, and raises
+ImportError naming the missing one; `tests/test_lp_solver.py` pins the call
+against `scipy.optimize.linprog` itself, whose wrapper hands HiGHS the same
+rows column-wise with each >= row negated (x, objective and iterations bit
+for bit), and the certificate against an elastic LP solved by
+`scipy.optimize.linprog`.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ import numpy as np
 
 from .errors import SolverError
 from .lp_model import (
-    GE,
     INFEASIBLE,
-    LE,
     LIMIT,
     OPTIMAL,
     LpModel,
     LpSolution,
     replay_constraints,
+    row_violations,
 )
 
 
@@ -90,8 +90,7 @@ except ImportError as err:  # pragma: no cover - depends on the installed scipy
     ) from err
 
 _highs = _require(_core, (
-    "_Highs", "HighsOptions", "HighsStatus", "HighsModelStatus", "MatrixFormat",
-    "ObjSense", "kHighsInf",
+    "_Highs", "HighsOptions", "HighsStatus", "HighsModelStatus", "MatrixFormat", "ObjSense",
 ))
 _require(_highs._Highs, (
     "passOptions", "passModel", "run", "feasibilityRelaxation", "getModelStatus",
@@ -130,14 +129,11 @@ class InfeasibilityCertificate:
 
 
 def _split_rows(model: LpModel):
-    """The model's rows as HiGHS's row-wise arrays: its CSR as it is, with
-    int32 starts and indices, and each row as a range [row_lower,
-    row_upper], (-inf, b] for a <= row, [b, inf) for a >= row and [b, b]
-    for an = row. Returns (start, index, value, row_lower, row_upper)."""
-    inf = _highs.kHighsInf
+    """The model's rows as HiGHS's row-wise arrays: its CSR and row ranges
+    as they are, with int32 starts and indices. Returns (start, index,
+    value, row_lower, row_upper)."""
     return (model.indptr.astype(np.int32), model.indices.astype(np.int32), model.data,
-            np.where(model.sense == LE, -inf, model.rhs),
-            np.where(model.sense == GE, inf, model.rhs))
+            model.row_lower, model.row_upper)
 
 
 class HighsResult(NamedTuple):
@@ -192,10 +188,9 @@ def _highs_model(c, rows, max_iterations: Optional[int]):
     return highs
 
 
-def linprog(c, rows, max_iterations: Optional[int] = None) -> HighsResult:
-    """min c.x over row_lower <= A x <= row_upper and 0 <= x <= 1, by one
-    HiGHS run on `_highs_model(c, rows, max_iterations)`."""
-    highs = _highs_model(c, rows, max_iterations)
+def linprog(highs) -> HighsResult:
+    """One run of the HiGHS instance `_highs_model` set up, and what it
+    found."""
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -208,7 +203,8 @@ def linprog(c, rows, max_iterations: Optional[int] = None) -> HighsResult:
 
 
 def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
-    result = linprog(model.objective, _split_rows(model), max_iterations)
+    highs = _highs_model(model.objective, _split_rows(model), max_iterations)
+    result = linprog(highs)
     run = {"model": model, "status": result.status, "iterations": result.nit}
     if result.status == OPTIMAL:
         values = np.asarray(result.x, dtype=float)
@@ -223,28 +219,24 @@ def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
         raise SolverError(f"backend failure: {result.message}")
     certificate = None
     if result.status == INFEASIBLE:
-        certificate = _infeasibility_certificate(model, max_iterations)
+        certificate = _infeasibility_certificate(model, highs)
     return LpSolution(values=np.zeros(model.num_vars), objective=float("nan"),
                       certificate=certificate, **run)
 
 
-def _infeasibility_certificate(
-    model: LpModel, max_iterations: Optional[int]
-) -> InfeasibilityCertificate:
+def _infeasibility_certificate(model: LpModel, highs) -> InfeasibilityCertificate:
     """The least total row violation over 0 <= x <= 1, by HiGHS's
-    feasibility relaxation of the model: every row may be violated at a
-    cost of 1 per unit (an = row either way), and no bound may be. Each row's
-    amount is its activity's distance from [row_lower, row_upper] at the
-    relaxation's optimum; the rows with more than `REPLAY_TOL` form the
-    repair set, and relaxing each by its amount makes the model feasible."""
-    rows = _split_rows(model)
-    highs = _highs_model(model.objective, rows, max_iterations)
+    feasibility relaxation of the model on `highs`, the HiGHS instance that
+    found it infeasible: every row may be violated at a cost of 1 per unit
+    (an = row either way), and no bound may be. Each row's amount is its
+    violation (`row_violations`) at the relaxation's optimum; the rows with
+    more than `REPLAY_TOL` form the repair set, and relaxing each by its
+    amount makes the model feasible."""
     relaxed = highs.feasibilityRelaxation(-1, -1, 1)  # bounds fixed, rows at 1 per unit
     if relaxed != _highs.HighsStatus.kOk:
         raise SolverError(f"feasibility relaxation failed: HiGHS returned {relaxed.name}")
     activity = np.array(highs.getSolution().row_value)
-    _, _, _, row_lower, row_upper = rows
-    amounts = np.maximum(row_lower - activity, 0.0) + np.maximum(activity - row_upper, 0.0)
+    amounts = row_violations(activity, model.row_lower, model.row_upper)
     offenders = tuple(
         (pos, model.families[model.family[pos]], float(amounts[pos]))
         for pos in np.flatnonzero(amounts > REPLAY_TOL).tolist()

@@ -48,7 +48,10 @@ that of its depth-1 ancestor. Every non-root node's single incoming tree
 edge gets id (node id - 1), so tree edge ids are topologically sorted and
 the edge-to-child map is trivial. The edges of
 each depth form one contiguous id range (`edge_levels`), which lets
-top-down passes run one numpy step per level.
+top-down passes run one numpy step per level. The builder stops at the
+first empty level (a path of distinct labels ends by depth n - 1), so
+`edge_levels` lists the levels built, which may be fewer than D; `depth`
+stays D, which also sets the rounding's parameters.
 
 `max_nodes` caps the tree while it grows: the builder raises
 `SizeLimitError` once a parent's children take the node count past the
@@ -83,8 +86,9 @@ class ShallowTree:
         self.reach = reach  # every graph vertex's reachable set
         # parent tree edge of every tree edge, -1 at the root
         self.edge_parents = np.asarray(self.parents[1:], dtype=np.intp) - 1
-        # (first, end) tree-edge ids of each edge depth 1..D
-        starts = np.searchsorted(self.depths[1:], np.arange(1, depth + 2)).tolist()
+        # (first, end) tree-edge ids of each edge depth built, 1 up to the
+        # deepest node's (breadth-first, so the last node's)
+        starts = np.searchsorted(self.depths[1:], np.arange(1, self.depths[-1] + 2)).tolist()
         self.edge_levels = tuple(zip(starts[:-1], starts[1:]))
 
     @property
@@ -143,6 +147,8 @@ def build_shallow_tree(
 
     level = [0, 0]  # the root once per copy, copy 1 first
     for k in range(1, depth + 1):
+        if not level:
+            break
         below = []
         for parent in level:
             on_path = banned[parent]

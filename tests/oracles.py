@@ -54,7 +54,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_matrix, csr_matrix, hstack, vstack
 
 from twodst.graph import DirectedMultigraph, reachable_set, reachable_sets
-from twodst.lp_model import _SENSE_DTYPE, EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
+from twodst.lp_model import EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
 from twodst.rounding import IterationSampler, decompose_flow
 from twodst.shallow_tree import ShallowTree
 from twodst.solution import SolutionSubgraph
@@ -296,8 +296,8 @@ def model_from_rows(var_index, objective, rows, beta=None) -> LpModel:
         np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
         np.array([j for r in rows for j in r.cols], dtype=np.int64),
         np.array([c for r in rows for c in r.coefs], dtype=float),
-        np.array([r.sense for r in rows], dtype=_SENSE_DTYPE),
-        np.array([r.rhs for r in rows], dtype=float),
+        np.array([-math.inf if r.sense == LE else r.rhs for r in rows], dtype=float),
+        np.array([math.inf if r.sense == GE else r.rhs for r in rows], dtype=float),
         np.array([code[r.family] for r in rows], dtype=np.int32),
         families,
         beta,
@@ -628,11 +628,17 @@ def _reference_colwise(n, a_ub, b_ub, a_eq, b_eq):
     return (a.indptr.astype(np.int32), a.indices.astype(np.int32), a.data, lower, upper)
 
 
+def _reference_senses(model: LpModel):
+    """Each row's sense and rhs, read off its range."""
+    rows = list(model.rows)
+    return np.array([r.sense for r in rows]), np.array([r.rhs for r in rows], dtype=float)
+
+
 def _reference_signed_rows(model: LpModel, rows, sign):
     """The given rows of the model (repeats allowed), each times its sign."""
     sub = model.matrix()[rows]
     sub.data *= np.repeat(sign, np.diff(model.indptr)[rows])
-    return sub, sign * model.rhs[rows]
+    return sub, sign * _reference_senses(model)[1][rows]
 
 
 def reference_highs_rows(model: LpModel):
@@ -640,9 +646,10 @@ def reference_highs_rows(model: LpModel):
     `linprog` hands it to HiGHS column-wise: the <= rows (>= rows negated),
     then the = rows, stacked by scipy into one CSC matrix. A reference for
     the row-wise `lp_solver._split_rows`: the two are one LP."""
-    eq = model.sense == EQ
+    sense = _reference_senses(model)[0]
+    eq = sense == EQ
     ub = np.flatnonzero(~eq)
-    a_ub, b_ub = _reference_signed_rows(model, ub, np.where(model.sense[ub] == GE, -1.0, 1.0))
+    a_ub, b_ub = _reference_signed_rows(model, ub, np.where(sense[ub] == GE, -1.0, 1.0))
     a_eq, b_eq = _reference_signed_rows(model, np.flatnonzero(eq), np.ones(int(eq.sum())))
     return _reference_colwise(model.num_vars, a_ub if len(ub) else None, b_ub,
                               a_eq if len(b_eq) else None, b_eq)
@@ -654,11 +661,11 @@ def reference_elastic_rows(model: LpModel):
     times its own slack column after the model's columns, stacked by
     scipy."""
     k = model.num_rows
-    eq = model.sense == EQ
-    rows = np.repeat(np.arange(k), np.where(eq, 2, 1))
+    sense = _reference_senses(model)[0]
+    rows = np.repeat(np.arange(k), np.where(sense == EQ, 2, 1))
     second = np.zeros(len(rows), dtype=bool)
     second[1:] = rows[1:] == rows[:-1]
-    sign = np.where(second | (model.sense[rows] == GE), -1.0, 1.0)
+    sign = np.where(second | (sense[rows] == GE), -1.0, 1.0)
     signed, b_ub = _reference_signed_rows(model, rows, sign)
     slack = csr_matrix((-np.ones(len(rows)), (np.arange(len(rows)), rows)),
                        shape=(len(rows), k))
@@ -681,7 +688,7 @@ def reference_elastic_total(model: LpModel) -> float:
 
 
 def reference_linprog(c, rows, max_iterations=None):
-    """`scipy.optimize.linprog(method="highs")` on `lp_solver.linprog`'s
+    """`scipy.optimize.linprog(method="highs")` on `lp_solver._highs_model`'s
     arguments, the row-wise `rows` of `lp_solver._split_rows`, with the
     options `lp_solver` sets: a reference for its direct HiGHS call, which
     must give the same x, fun and nit bit for bit."""
@@ -731,8 +738,8 @@ def drop_family(model: LpModel, family: str) -> LpModel:
         indptr=np.concatenate(([0], np.cumsum(lengths))),
         indices=model.indices[entries],
         data=model.data[entries],
-        sense=model.sense[keep],
-        rhs=model.rhs[keep],
+        row_lower=model.row_lower[keep],
+        row_upper=model.row_upper[keep],
         family=model.family[keep],
     )
 

@@ -2,6 +2,7 @@
 model against the full one, and a solver that sees only the model's columns."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ from twodst import graph, lp_model, lp_solver, pipeline
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
 from twodst.lp_model import (
-    GE,
     INFEASIBLE,
-    LE,
     OPTIMAL,
     LiveColumns,
     VarIndex,
@@ -205,25 +204,25 @@ def test_heavy_tail_instance_solves():
 def _blocks(*rows):
     """`build_lp`'s row collector over full columns 2 (fh_t_0, dead) and 3
     (f_0_0, live, model column 2) of a one-edge, one-tree-edge,
-    one-terminal layout, with one row per (cols, sense, rhs)."""
+    one-terminal layout, with one row per (cols, lower, upper)."""
     live = LiveColumns(np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool))
     blocks = lp_model._RowBlocks(VarIndex(("t",), live), lp_model.DEFAULT_MAX_NONZEROS)
-    for cols, sense, rhs in rows:
-        blocks.add([len(cols)], cols, np.ones(len(cols)), sense, rhs, 0)
+    for cols, lower, upper in rows:
+        blocks.add([len(cols)], cols, np.ones(len(cols)), lower, upper, 0)
     return blocks
 
 
 def test_emitted_term_on_a_dead_column_raises():
     dead = r"1 term\(s\) on dead columns and 0 row\(s\)"
     with pytest.raises(ModelInconsistencyError, match=dead):
-        _blocks(([3], GE, 0.25), ([3, 2], LE, 0.0)).arrays()
+        _blocks(([3], 0.25, math.inf), ([3, 2], -math.inf, 0.0)).arrays()
 
 
 def test_emitted_row_with_no_term_raises():
     # a row with no term is never one of the model's, even where 0 satisfies it
     empty = r"0 term\(s\) on dead columns and 1 row\(s\) with no term"
     with pytest.raises(ModelInconsistencyError, match=empty):
-        _blocks(([3], GE, 0.25), ([], LE, 0.0)).arrays()
+        _blocks(([3], 0.25, math.inf), ([], -math.inf, 0.0)).arrays()
 
 
 def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypatch):
@@ -234,8 +233,8 @@ def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypat
         calls.append((c, rows))
         return real(c, rows, *args)
 
-    real = lp_solver.linprog
-    monkeypatch.setattr(lp_solver, "linprog", capture)
+    real = lp_solver._highs_model
+    monkeypatch.setattr(lp_solver, "_highs_model", capture)
     sol = solve(model)
     [(c, (start, index, *_))] = calls
     assert len(c) == model.num_vars and int(index.max()) == model.num_vars - 1

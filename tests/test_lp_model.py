@@ -21,7 +21,6 @@ from twodst import lp_model
 from twodst.errors import ModelInconsistencyError, SizeLimitError
 from twodst.exact import random_instance
 from twodst.lp_model import (
-    EQ,
     GE,
     LE,
     build_lp,
@@ -171,7 +170,8 @@ class TestBuildLp:
         nnz = model.nonzeros()
         assert tree.num_edges * inst.graph.num_edges < nnz  # the te * m cap passes
         same = build_lp(inst, tree, beta=4, max_nonzeros=nnz)
-        for name in ("indptr", "indices", "data", "sense", "rhs", "family", "objective"):
+        for name in ("indptr", "indices", "data", "row_lower", "row_upper", "family",
+                     "objective"):
             assert np.array_equal(getattr(same, name), getattr(model, name)), name
         with pytest.raises(SizeLimitError) as err:
             build_lp(inst, tree, beta=4, max_nonzeros=nnz - 1)
@@ -326,7 +326,7 @@ def _check_against_reference(inst, depth, beta, seed):
     assert _implied_rows(model) == []
 
     # same rows, same order (the = rows last), same terms in the same order
-    eq = model.sense == EQ
+    eq = model.row_lower == model.row_upper
     assert np.array_equal(np.sort(eq), eq)
     assert list(model.rows) == ref
     for r in model.rows:

@@ -176,6 +176,18 @@ class TestInfeasibility:
         )
         assert solve(relaxed).status == "optimal"
 
+    def test_certificate_names_the_one_row_to_relax(self):
+        # x0 + x1 <= 2 on the box, so row 0 must give 0.5; the other rows,
+        # on other columns, all hold at once, and row 3 is row 0's mirror
+        model = tiny_model([((0, 1), (1.0, 1.0), GE, 2.5), ((2,), (1.0,), GE, 0.5),
+                            ((3,), (1.0,), LE, 0.5), ((2, 3), (1.0, 1.0), EQ, 1.0)])
+        sol = solve(model)
+        assert sol.status == "infeasible"
+        [(pos, family, amount)] = sol.certificate.rows
+        assert (pos, family) == (0, "test")
+        assert amount == pytest.approx(0.5, abs=1e-9)
+        assert sol.certificate.total_relaxation == pytest.approx(0.5, abs=1e-9)
+
     def test_trivial_contradiction(self):
         model = tiny_model([((0,), (1.0,), GE, 0.8), ((0,), (1.0,), LE, 0.2)])
         sol = solve(model)
@@ -333,15 +345,20 @@ class TestDirectHighsCall:
                                          max_iterations, status):
         model = _solve_model(request, fixture, depth, beta)
         calls = []
-        real = lp_solver.linprog
+        real_setup, real_run = lp_solver._highs_model, lp_solver.linprog
 
-        def capture(*args):
-            calls.append((args, real(*args)))
-            return calls[-1][1]
+        def setup(*args):
+            calls.append(args)
+            return real_setup(*args)
 
-        monkeypatch.setattr(lp_solver, "linprog", capture)
+        def run(highs):
+            calls.append(real_run(highs))
+            return calls[-1]
+
+        monkeypatch.setattr(lp_solver, "_highs_model", setup)
+        monkeypatch.setattr(lp_solver, "linprog", run)
         assert solve(model, max_iterations=max_iterations).status == status
-        [(args, got)] = calls
+        [args, got] = calls
         _assert_same_answer(got, reference_linprog(*args))
 
     def test_missing_binding_fails_at_import_naming_it(self):
@@ -366,28 +383,38 @@ class TestHighsArrays:
     range [b, inf); it must be the LP of the column-wise arrays scipy's
     `linprog` builds (`reference_highs_rows`: >= rows negated, = rows last,
     stacked by scipy), and HiGHS must give the same x, fun and nit on both,
-    bit for bit."""
+    bit for bit. A solve gathers and passes the model once, also when it
+    certifies an infeasible one."""
 
     @pytest.mark.parametrize("fixture, depth, beta, max_iterations, status", SOLVES)
     def test_split_rows_matches_sparse_stacking(self, request, monkeypatch, fixture, depth,
                                                 beta, max_iterations, status):
         model = _solve_model(request, fixture, depth, beta)
         # the gst rows are >= rows, so their ranges are checked too
-        assert (model.sense == GE).any()
-        models = []
+        assert (model.row_upper == np.inf).any()
+        models, passed = [], []
         real = lp_solver._split_rows
 
         def capture(m):
             models.append(m)
             return real(m)
 
+        class Highs(lp_solver._highs._Highs):
+            def passModel(self, *args):
+                passed.append(args[:2])
+                return super().passModel(*args)
+
         monkeypatch.setattr(lp_solver, "_split_rows", capture)
+        monkeypatch.setattr(lp_solver._highs, "_Highs", Highs)
         assert solve(model, max_iterations=max_iterations).status == status
-        # the certificate hands HiGHS the same model's arrays once more
-        assert models == [model] * (2 if status == "infeasible" else 1)
+        # the certificate relaxes the HiGHS object that found the model infeasible
+        assert models == [model]
+        assert passed == [(model.num_vars, model.num_rows)]
+        monkeypatch.undo()
         rows, colwise = real(model), reference_highs_rows(model)
         _assert_same_arrays(_as_colwise(rows, model.num_vars), colwise)
-        _assert_same_answer(lp_solver.linprog(model.objective, rows, max_iterations),
+        _assert_same_answer(lp_solver.linprog(lp_solver._highs_model(model.objective, rows,
+                                                                     max_iterations)),
                             reference_colwise_linprog(model.objective, colwise, max_iterations))
 
     @given(st.data())
@@ -426,7 +453,7 @@ class TestRejectedModel:
     def test_rejection_raises_naming_it(self, model, break_rows):
         rows = break_rows(*lp_solver._split_rows(model))
         with pytest.raises(SolverError, match="HiGHS rejected the model"):
-            lp_solver.linprog(model.objective, rows)
+            lp_solver._highs_model(model.objective, rows, None)
 
     @pytest.mark.parametrize("break_rows", [
         lambda start, index, value, lower, upper: (start[:-1], index, value, lower, upper),
@@ -437,7 +464,7 @@ class TestRejectedModel:
         # HiGHS reads the arrays by pointer and would not notice a short one
         rows = break_rows(*lp_solver._split_rows(model))
         with pytest.raises(SolverError, match="malformed rows for HiGHS"):
-            lp_solver.linprog(model.objective, rows)
+            lp_solver._highs_model(model.objective, rows, None)
 
     def test_solve_raises_instead_of_certifying(self, model, monkeypatch):
         real = lp_solver._split_rows

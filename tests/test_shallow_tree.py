@@ -57,6 +57,16 @@ class TestFrozenSizes:
         assert (deeper.labels, deeper.depths, deeper.parents, deeper.groups) == (
             tree.labels, tree.depths, tree.parents, tree.groups)
 
+    def test_a_huge_depth_stops_at_the_last_level_built(self, diamond):
+        # no path of distinct labels in the diamond has three edges, so the
+        # builder stops after level 2 and lists only the levels it built
+        tree = build_shallow_tree(diamond, 3)
+        deep = build_shallow_tree(diamond, 10**6)
+        assert (deep.labels, deep.parents, deep.groups) == (tree.labels, tree.parents, tree.groups)
+        assert deep.depth == 10**6
+        assert len(deep.edge_levels) == max(deep.depths) == 2
+        assert deep.edge_levels == tree.edge_levels
+
 
 class TestStructure:
     @pytest.fixture
