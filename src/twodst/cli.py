@@ -9,6 +9,7 @@ Subcommands: solve, exact, verify, reduce, lp-export, bench. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -22,7 +23,8 @@ from .graph import DstInstance
 from .io import load_instance, save_instance
 from .lp_model import build_lp, congestion_parameter, export_lp
 from .pipeline import PipelineConfig, make_pipeline_solver, run_pipeline
-from .reductions import DssInstance, dss_via_dst, dss_vertex_via_dst, solve_vertex_2dst
+from .reductions import (DssInstance, dss_via_dst, dss_vertex_via_dst, rooted_pair,
+                         solve_vertex_2dst)
 from .shallow_tree import build_shallow_tree
 from .solution import SolutionSubgraph
 from .verify import feasibility_report
@@ -191,12 +193,10 @@ def cmd_reduce(args) -> int:
         raise ValueError(f"{args.mode} mode needs an unrooted pairwise instance")
 
     if args.mode == "dss":
-        terminals = instance.sorted_terminals()
-        root, others = terminals[0], frozenset(terminals[1:])
         side_out = out.parent / (out.stem + ".out_rooted.json")
         side_in = out.parent / (out.stem + ".in_rooted.json")
-        save_instance(DstInstance(instance.graph, root, others), side_out)
-        save_instance(DstInstance(instance.graph.reversed(), root, others), side_in)
+        for rooted, side in zip(rooted_pair(instance), (side_out, side_in)):
+            save_instance(rooted, side)
         sol = dss_via_dst(instance, solver)
         sol.save(out, graph=instance.graph)
         print(f"rooted instances written to {side_out} and {side_in}")
@@ -268,16 +268,13 @@ def cmd_bench(args) -> int:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
 
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"{len(rows)} rows written to {args.out}")
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS)
+    sink = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as fh:
+        writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
+    if args.out:
+        print(f"{len(rows)} rows written to {args.out}")
     return EXIT_OK
 
 
@@ -361,10 +358,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except TwoDstError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (TwoDstError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -98,8 +98,10 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
         stack.append((i + 1, included, cost_so_far))
 
     # drop the free edges the optimum does not need: on an optimum no edge
-    # costing more than COST_EPS can go, so reverse-delete only drops those
-    return ExactResult(True, best_cost, reverse_delete(instance, best_set))
+    # costing more than COST_EPS can go, so reverse-delete only drops those;
+    # the running sums only prune, and the cost reported is the edges' own
+    edges = reverse_delete(instance, best_set)
+    return ExactResult(True, g.total_cost(edges), edges)
 
 
 def random_instance(

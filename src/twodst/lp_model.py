@@ -54,12 +54,12 @@ The model is stored as HiGHS's row-wise LP: one CSR matrix (`indptr`,
 (-inf, b] for a <= row, [b, inf) for a >= row and [b, b] for an = row.
 `LpModel.rows` rebuilds Python row tuples, with their sense and rhs, from
 the arrays for export and inspection. `max_nonzeros` caps the model in two
-places: first te * m, the size of the dense te x m arrays that
-`live_columns` and `_graph_conservation` allocate, before any of them
-exists (no bound on the model: F2^5 at depth 2 has 41,819 nonzeros against
-te * m = 588,132); then the terms themselves, counted as the builder emits
-them, so the build stops at the first block that takes the count past the
-cap.
+places: first te * m, before any of the builder's dense arrays exists
+(`live_columns`' te x m masks and `_graph_conservation`'s te x 2m keep
+mask, all boolean; no bound on the model: F2^5 at depth 2 has 41,819
+nonzeros against te * m = 588,132); then the terms themselves, counted as
+the builder emits them, so the build stops at the first block that takes
+the count past the cap. Every other array holds kept entries only.
 
 Rows are in HiGHS's order: the builder emits them family by family in
 blocks of one range, and `_RowBlocks.arrays` puts the = blocks (lower ==
@@ -435,36 +435,31 @@ def _graph_conservation(g, ends: _Ends, useful: np.ndarray) -> _FlowRows:
     in(w) minus out(w) for every other w except v, by str(w), each over
     the useful edges in edge-list order; rows left with no term are not
     built. Columns are local: `ehat * m + e` for graph edge e, `te * m +
-    ehat` for the tree edge's value.
+    ehat` for the tree edge's value. Built from the kept entries only: one
+    `np.nonzero` of the keep mask gives the kept (tree edge, slot) pairs in
+    order, each keyed by its row; every tree edge's value entry follows
+    them, so one stable sort by row puts the value last in out(u).
     """
     te, m = useful.shape
     # one slot per (vertex, incident edge): in(w), then out(w), w in order
-    edge = np.array([e for w in ends.order for e in g.in_edges(w) + g.out_edges(w)],
-                    dtype=np.int64)
-    vertex = np.repeat(np.arange(len(ends.order)),
-                       [len(g.in_edges(w)) + len(g.out_edges(w)) for w in ends.order])
-    out = ends.tails[edge] == vertex
-    tree_edges = np.arange(te)[:, None]
-    u, v = ends.u[:, None], ends.v[:, None]
-    at_u = vertex == u
-    # per tree edge, one row per rank: out(u), then 1 + w's position (no
-    # edge into u is useful); the value is one more slot, last in out(u)
-    take = np.hstack([useful[:, edge] & (vertex != v), np.ones((te, 1), dtype=bool)])
-    rank = np.hstack([np.where(at_u, 0, vertex + 1), np.zeros((te, 1), dtype=int)])
-    coefs = np.hstack([np.where(out & ~at_u, -1.0, 1.0), np.full((te, 1), -1.0)])
-    cols = np.hstack([tree_edges * m + edge, te * m + tree_edges])
-    slots = take.shape[1]
-    order = np.argsort(rank * slots + np.arange(slots), axis=1)
-    take, rank, coefs, cols = (np.take_along_axis(a, order, axis=1)
-                               for a in (take, rank, coefs, cols))
-    row = (tree_edges * (len(ends.order) + 1) + rank)[take]
+    incident = [g.in_edges(w) + g.out_edges(w) for w in ends.order]
+    edge = np.array([e for edges in incident for e in edges], dtype=np.int64)
+    vertex = np.repeat(np.arange(len(ends.order)), [len(edges) for edges in incident])
+    ehat, slot = np.nonzero(useful[:, edge] & (vertex != ends.v[:, None]))
+    e, w = edge[slot], vertex[slot]
+    # per tree edge, row 0 is out(u) and row 1 + w's position is w's (no
+    # edge into u is useful)
+    rank = np.where(w == ends.u[ehat], 0, w + 1)
+    per_edge, tree_edges = len(ends.order) + 1, np.arange(te)
+    row = np.concatenate([ehat * per_edge + rank, tree_edges * per_edge])
+    cols = np.concatenate([ehat * m + e, te * m + tree_edges])
+    coefs = np.concatenate([np.where((ends.tails[e] == w) & (rank > 0), -1.0, 1.0),
+                            np.full(te, -1.0)])
+    order = np.argsort(row, kind="stable")
+    row = row[order]
     starts = np.flatnonzero(np.diff(row, prepend=-1))
-    return _FlowRows(
-        np.diff(np.append(starts, len(row))),
-        cols[take],
-        coefs[take],
-        row[starts] // (len(ends.order) + 1),
-    )
+    return _FlowRows(np.diff(np.append(starts, len(row))), cols[order], coefs[order],
+                     row[starts] // per_edge)
 
 
 def build_lp(
@@ -476,8 +471,8 @@ def build_lp(
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
-    # `live_columns` and `_graph_conservation` allocate dense te x m arrays,
-    # so te * m is capped before any of them exists; `blocks` caps the terms
+    # `live_columns` and `_graph_conservation` allocate te x m and te x 2m
+    # boolean masks, so te * m is capped first; `blocks` caps the terms
     if te * m > max_nonzeros:
         raise SizeLimitError("model would be too large", te * m, max_nonzeros)
     ends = _ends(g, tree)
@@ -541,20 +536,22 @@ def build_lp(
 
 
 def replay_constraints(model: LpModel, values: np.ndarray) -> float:
-    """Max violation of any row or bound at the given point.
+    """Max violation of any row or bound at the given point; infinite when
+    a coordinate is not finite.
 
-    Independent of the solver: multiplies the stored matrix by the point.
+    Independent of the solver: multiplies the stored matrix by the point,
+    and measures each column's bounds as the range [0, 1], as the rows are
+    measured (`row_violations`).
     """
     if len(values) != model.num_vars:
         raise ValueError(
             f"expected {model.num_vars} values, got {len(values)}"
         )
-    worst = max(
-        float(np.max(-values, initial=0.0)),
-        float(np.max(values - 1.0, initial=0.0)),
-    )
-    violation = row_violations(model.matrix() @ values, model.row_lower, model.row_upper)
-    return max(worst, float(np.max(violation, initial=0.0)))
+    if not np.isfinite(values).all():
+        return math.inf
+    bounds = row_violations(values, 0.0, 1.0)
+    rows = row_violations(model.matrix() @ values, model.row_lower, model.row_upper)
+    return float(max(np.max(bounds, initial=0.0), np.max(rows, initial=0.0)))
 
 
 def row_violations(activity, lower, upper) -> np.ndarray:

@@ -40,15 +40,17 @@ checks that they fit together. Both a misfit and a model HiGHS rejects raise
 statuses), the objective, the column values and the simplex iteration count,
 and skips what scipy's wrapper adds: input cleaning, option checks one
 option at a time, and duals. scipy's own post-check of the point at 1e-9 is
-replaced by the replay at `REPLAY_TOL`. The certificate's rows are the
-model's rows, in its order, and its amounts are the replay's row violations
-(`lp_model.row_violations`). The bindings are private API, so the module
-checks at import that every name and method it uses exists, and raises
-ImportError naming the missing one; `tests/test_lp_solver.py` pins the call
-against `scipy.optimize.linprog` itself, whose wrapper hands HiGHS the same
-rows column-wise with each >= row negated (x, objective and iterations bit
-for bit), and the certificate against an elastic LP solved by
-`scipy.optimize.linprog`.
+replaced by the replay at `REPLAY_TOL` (a non-finite coordinate is an
+infinite violation) and by a check that the objective HiGHS reports is c.x
+at the point, to `REPLAY_TOL` relative; either failing raises `SolverError`.
+The certificate's rows are the model's rows, in its order, and its amounts
+are the replay's row violations (`lp_model.row_violations`). The bindings
+are private API, so the module checks at import that every name and method
+it uses exists, and raises ImportError naming the missing one;
+`tests/test_lp_solver.py` pins the call against `scipy.optimize.linprog`
+itself, whose wrapper hands HiGHS the same rows column-wise with each >=
+row negated (x, objective and iterations bit for bit), and the certificate
+against an elastic LP solved by `scipy.optimize.linprog`.
 """
 
 from __future__ import annotations
@@ -209,12 +211,16 @@ def solve(model: LpModel, max_iterations: Optional[int] = None) -> LpSolution:
     if result.status == OPTIMAL:
         values = np.asarray(result.x, dtype=float)
         violation = replay_constraints(model, values)
-        if violation > REPLAY_TOL:
+        if not violation <= REPLAY_TOL:
             raise SolverError(
                 f"backend reported optimal but replay finds violation {violation:.3e}"
             )
-        return LpSolution(values=values, objective=float(result.fun), max_violation=violation,
-                          **run)
+        fun, recomputed = float(result.fun), float(model.objective @ values)
+        # scaled by c.x, which is finite, so a non-finite objective fails too
+        if not abs(fun - recomputed) <= REPLAY_TOL * (1.0 + abs(recomputed)):
+            raise SolverError(
+                f"backend reported objective {fun!r} but the point's is {recomputed!r}")
+        return LpSolution(values=values, objective=fun, max_violation=violation, **run)
     if result.status is None:
         raise SolverError(f"backend failure: {result.message}")
     certificate = None

@@ -75,20 +75,24 @@ def _short_pair(graph: DirectedMultigraph, pairs: Iterable, restrict_to=None) ->
     return None
 
 
+def rooted_pair(instance: DssInstance) -> tuple[DstInstance, DstInstance]:
+    """The out-rooted instance on G and the in-rooted one on the reversed
+    graph, both rooted at the smallest terminal."""
+    terminals = instance.sorted_terminals()
+    root, others = terminals[0], frozenset(terminals[1:])
+    return (DstInstance(instance.graph, root, others),
+            DstInstance(instance.graph.reversed(), root, others))
+
+
 def dss_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
     """Pairwise 2-edge-connectivity from two rooted solves.
 
-    Roots at the smallest terminal, solves the out-rooted problem on G and
-    the in-rooted one on the reversed graph, and returns the union. Edge
+    Solves the two instances of `rooted_pair` and returns the union. Edge
     ids survive reversal unchanged, so the union is a plain set union.
     """
     g = instance.graph
     terminals = instance.sorted_terminals()
-    root = terminals[0]
-    others = frozenset(terminals[1:])
-
-    out_sol = solver(DstInstance(g, root, others))
-    in_sol = solver(DstInstance(g.reversed(), root, others))
+    out_sol, in_sol = (solver(rooted) for rooted in rooted_pair(instance))
 
     union = out_sol.edges | in_sol.edges
     short = _short_pair(g, permutations(terminals, 2), union)
@@ -103,7 +107,7 @@ def dss_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
         meta={
             "out_rooted_cost": out_sol.cost,
             "in_rooted_cost": in_sol.cost,
-            "root": root,
+            "root": terminals[0],
         },
     )
 

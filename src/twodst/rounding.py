@@ -153,11 +153,11 @@ def decompose_flow(
     the tree-edge value; flow stuck on cycles is discarded.
     """
     source, target = tree.edge_endpoints_labels(tree_edge)
-    residual = [0.0] * graph.num_edges
-    for e in range(graph.num_edges):
-        if flow[e] < -1e-9:
-            raise ValueError(f"negative flow {flow[e]} on edge {e}")
-        residual[e] = max(0.0, flow[e])
+    flow = np.asarray(flow, dtype=float)
+    negative = np.flatnonzero(flow < -1e-9)
+    if len(negative):
+        raise ValueError(f"negative flow {flow[negative[0]]} on edge {negative[0]}")
+    residual = np.maximum(flow, 0.0).tolist()
 
     strips: list[tuple[tuple[int, ...], float]] = []
     while True:
@@ -253,8 +253,8 @@ class IterationSampler:
     two or more paths are a single lookup.
 
     Random stream: `width` uniforms per iteration, laid out as in the
-    module docstring; `draw_blocks` is the one draw, and `draw` and
-    `sample_draws` read its first row. `samples` defaults to
+    module docstring; `draw_blocks` is the one draw, and `sample_draws`
+    reads its first row. `samples` defaults to
     `default_samples` of the model's beta.
     """
 
@@ -281,7 +281,7 @@ class IterationSampler:
         markable = np.flatnonzero(self.clamped > 0.0)
         self.distributions: dict[int, PathDistribution] = {}
         for ehat in markable.tolist():
-            flow = lp.at(idx.f(ehat, edges)).tolist()
+            flow = lp.at(idx.f(ehat, edges))
             self.distributions[ehat] = decompose_flow(g, tree, ehat, flow, self.raw_xhat[ehat])
         dists = list(self.distributions.values())
         self.paths: list[EdgePath] = [p for d in dists for p in d.paths]  # global id -> path
@@ -323,19 +323,14 @@ class IterationSampler:
             paths[at] += _pick(self._cdf[table[at]], self._counts[table[at]], draws)
             yield Block(first, size, row, ehat, paths, multi)
 
-    def draw(self, rng) -> tuple[np.ndarray, np.ndarray]:
-        """One iteration: the marked tree edges, ascending, and the global
-        ids of the paths drawn for them, `samples` per edge in draw order."""
-        block = next(self.draw_blocks(rng, 1))
-        return block.ehat, block.paths.ravel()
-
     def sample_draws(self, rng) -> list[tuple[int, int, EdgePath]]:
-        """One iteration as (tree edge, sample index, path) triples in draw order."""
-        marked, path_ids = self.draw(rng)
-        ehats = marked.tolist()
+        """One iteration as (tree edge, sample index, path) triples in draw
+        order: the marked tree edges ascending, `samples` paths each."""
+        block = next(self.draw_blocks(rng, 1))
+        ehats = block.ehat.tolist()
         return [
             (ehats[i // self.samples], i % self.samples + 1, self.paths[p])
-            for i, p in enumerate(path_ids.tolist())
+            for i, p in enumerate(block.paths.ravel().tolist())
         ]
 
 

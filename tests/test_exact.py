@@ -146,6 +146,15 @@ def test_determinism(diamond):
     assert exact_2dst(diamond) == exact_2dst(diamond)
 
 
+def test_cost_is_the_cost_of_the_edges_returned():
+    # the search adds costs in descending order, which here sums to
+    # 45.9867250648239, one ulp off the edges' own total
+    inst = random_instance(7, 11, 3, seed=321219873)
+    result = exact_2dst(inst)
+    assert result.edges == frozenset({0, 1, 3, 6, 8, 9, 10})
+    assert result.cost == inst.graph.total_cost(result.edges) == 45.986725064823894
+
+
 def test_search_deeper_than_the_recursion_limit():
     # the search excludes the 1,200 costly edges one level at a time before
     # it reaches the two cheap ones

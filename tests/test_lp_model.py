@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import (
 from twodst import lp_model
 from twodst.errors import ModelInconsistencyError, SizeLimitError
 from twodst.exact import random_instance
+from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.lp_model import (
     GE,
     LE,
@@ -224,6 +226,22 @@ class TestBuildLp:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(lp, abs=1e-7)
 
+    def test_builder_memory_follows_the_model(self, f2_multicover):
+        # F2^5 at depth 2: 41,819 nonzeros (about 0.7 MB of CSR) against te
+        # * m = 588,132 pairs; the builder's peak must follow the model, so
+        # no array may be padded to every tree edge x slot (about 70 MB)
+        inst = f2_multicover(5)
+        tree = build_shallow_tree(inst, 2)
+        beta = congestion_parameter(2, inst.num_terminals)
+        tracemalloc.start()
+        try:
+            model = build_lp(inst, tree, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.nonzeros() == 41_819
+        assert peak <= 8_000_000
+
     def test_integral_embedding_is_feasible(self, diamond_embedding):
         _, _, model, values = diamond_embedding
         assert replay_constraints(model, values) <= 1e-9
@@ -236,6 +254,21 @@ class TestBuildLp:
     def test_zero_point_violates_group_rows(self, diamond_embedding):
         _, _, model, _ = diamond_embedding
         assert replay_constraints(model, np.zeros(model.num_vars)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_replay_reads_a_non_finite_coordinate_as_infinite(self, diamond_embedding, bad):
+        _, _, model, values = diamond_embedding
+        point = values.copy()
+        point[-1] = bad
+        assert replay_constraints(model, point) == math.inf
+
+    def test_replay_of_a_feasible_point_is_positive_zero(self, diamond_embedding):
+        # bounds and rows are measured alike (`row_violations`), which never
+        # gives -0.0, even at a point with 0.0 and -0.0 coordinates
+        _, _, model, values = diamond_embedding
+        point = np.where(values == 0.0, -0.0, values)
+        assert math.copysign(1.0, replay_constraints(model, point)) == 1.0
+        assert math.copysign(1.0, replay_constraints(model, values)) == 1.0
 
     def test_diamond_lp_bracketed_by_opt(self, diamond_embedding):
         _, _, model, _ = diamond_embedding
@@ -418,6 +451,18 @@ class TestAgainstReferenceBuilder:
     @pytest.mark.parametrize("fixture, depth, beta", [("parallel_pair", 1, 2), ("diamond", 2, 4)])
     def test_fixtures(self, request, fixture, depth, beta):
         _check_against_reference(request.getfixturevalue(fixture), depth, beta, seed=0)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_interleaved_in_and_out_edges_with_parallel_copies(self, depth):
+        # at a and b the in-edges and out-edges alternate by id, and each
+        # comes with a parallel copy, so a row's terms are in(w) then out(w)
+        # in edge-list order only if the builder does not sort by edge id
+        edges = [("r", "a", 1.0), ("a", "b", 2.0), ("r", "a", 3.0), ("a", "t", 1.0),
+                 ("b", "a", 1.0), ("a", "b", 2.0), ("r", "b", 1.0), ("a", "t", 4.0),
+                 ("b", "t", 1.0), ("r", "b", 2.0), ("b", "t", 3.0), ("t", "a", 1.0)]
+        inst = DstInstance(DirectedMultigraph(["r", "a", "b", "t"], edges), "r",
+                           frozenset(["t", "b"]))
+        _check_against_reference(inst, depth, congestion_parameter(depth, 2), seed=depth)
 
     @settings(max_examples=25)
     @given(

@@ -115,6 +115,33 @@ class TestBackendResultsThatAreRefused:
         with pytest.raises(SolverError, match="reported optimal but replay finds violation"):
             solve(diamond_model)
 
+    def test_optimal_point_with_a_nan_coordinate_raises(self, diamond_model, monkeypatch):
+        real = lp_solver.linprog
+
+        def with_nan(*args):
+            result = real(*args)
+            x = result.x.copy()
+            x[-1] = np.nan
+            return result._replace(x=x)
+
+        monkeypatch.setattr(lp_solver, "linprog", with_nan)
+        with pytest.raises(SolverError, match="replay finds violation inf"):
+            solve(diamond_model)
+
+    @pytest.mark.parametrize("objective", [lambda fun: fun + 1e-6, lambda fun: np.nan,
+                                           lambda fun: np.inf], ids=["off", "nan", "inf"])
+    def test_objective_that_is_not_the_points_raises(self, diamond_model, monkeypatch,
+                                                     objective):
+        real = lp_solver.linprog
+
+        def misreported(*args):
+            result = real(*args)
+            return result._replace(fun=objective(result.fun))
+
+        monkeypatch.setattr(lp_solver, "linprog", misreported)
+        with pytest.raises(SolverError, match="reported objective .* but the point's is"):
+            solve(diamond_model)
+
     def test_unknown_backend_status_raises(self, diamond_model, monkeypatch):
         def unbounded(*args):
             return lp_solver.HighsResult(None, None, None, 0, "Unbounded")
