@@ -55,11 +55,11 @@ The model is stored as HiGHS's row-wise LP: one CSR matrix (`indptr`,
 `LpModel.rows` rebuilds Python row tuples, with their sense and rhs, from
 the arrays for export and inspection. `max_nonzeros` caps the model in two
 places: first te * m, before any of the builder's dense arrays exists
-(`live_columns`' te x m masks and `_graph_conservation`'s te x 2m keep
-mask, all boolean; no bound on the model: F2^5 at depth 2 has 41,819
-nonzeros against te * m = 588,132); then the terms themselves, counted as
-the builder emits them, so the build stops at the first block that takes
-the count past the cap. Every other array holds kept entries only.
+(`live_columns`' te x m masks, all boolean; no bound on the model: F2^5
+at depth 2 has 41,819 nonzeros against te * m = 588,132); then the terms
+themselves, counted as the builder emits them, so the build stops at the
+first block that takes the count past the cap. Every other array holds
+kept entries only.
 
 Rows are in HiGHS's order: the builder emits them family by family in
 blocks of one range, and `_RowBlocks.arrays` puts the = blocks (lower ==
@@ -427,39 +427,39 @@ class _FlowRows(NamedTuple):
     row_edge: np.ndarray  # the tree edge of each row
 
 
-def _graph_conservation(g, ends: _Ends, useful: np.ndarray) -> _FlowRows:
+def _graph_conservation(ends: _Ends, pairs: np.ndarray) -> _FlowRows:
     """Rows realizing each tree edge as a unit u -> v graph flow over its
-    useful graph edges.
+    useful graph edges, given as the useful pairs `ehat * m + e`.
 
     Per tree edge in order: out(u) minus the tree edge's own value, then
     in(w) minus out(w) for every other w except v, by str(w), each over
-    the useful edges in edge-list order; rows left with no term are not
-    built. Columns are local: `ehat * m + e` for graph edge e, `te * m +
-    ehat` for the tree edge's value. Built from the kept entries only: one
-    `np.nonzero` of the keep mask gives the kept (tree edge, slot) pairs in
-    order, each keyed by its row; every tree edge's value entry follows
-    them, so one stable sort by row puts the value last in out(u).
+    the useful edges in edge-list order, those into w before those out of
+    w; rows left with no term are not built. Columns are local: `ehat * m
+    + e` for graph edge e, `te * m + ehat` for the tree edge's value.
+    Built from the useful pairs only: each pair is a term of its edge's
+    head row and of its tail row, less those in v's row. A term is keyed
+    by its row and its place in the row: e into w, m + e out of w, 2m for
+    the value. One sort of the keys puts the terms in order, and each
+    term's column and coefficient are read back off its key.
     """
-    te, m = useful.shape
-    # one slot per (vertex, incident edge): in(w), then out(w), w in order
-    incident = [g.in_edges(w) + g.out_edges(w) for w in ends.order]
-    edge = np.array([e for edges in incident for e in edges], dtype=np.int64)
-    vertex = np.repeat(np.arange(len(ends.order)), [len(edges) for edges in incident])
-    ehat, slot = np.nonzero(useful[:, edge] & (vertex != ends.v[:, None]))
-    e, w = edge[slot], vertex[slot]
+    te, m = len(ends.u), len(ends.tails)
+    ehat, e = np.divmod(pairs, m)
+    w = np.concatenate([ends.heads[e], ends.tails[e]])
+    ehat, place = np.tile(ehat, 2), np.concatenate([e, m + e])
     # per tree edge, row 0 is out(u) and row 1 + w's position is w's (no
     # edge into u is useful)
     rank = np.where(w == ends.u[ehat], 0, w + 1)
-    per_edge, tree_edges = len(ends.order) + 1, np.arange(te)
-    row = np.concatenate([ehat * per_edge + rank, tree_edges * per_edge])
-    cols = np.concatenate([ehat * m + e, te * m + tree_edges])
-    coefs = np.concatenate([np.where((ends.tails[e] == w) & (rank > 0), -1.0, 1.0),
-                            np.full(te, -1.0)])
-    order = np.argsort(row, kind="stable")
-    row = row[order]
+    per_edge, span = len(ends.order) + 1, 2 * m + 1
+    terms = ((ehat * per_edge + rank) * span + place)[w != ends.v[ehat]]
+    key = np.sort(np.concatenate([terms, np.arange(te) * per_edge * span + 2 * m]))
+    row, place = np.divmod(key, span)
+    ehat, rank = np.divmod(row, per_edge)
+    value = place == 2 * m
+    cols = np.where(value, te * m + ehat, ehat * m + place % m)
+    # +1 into w and out of u (row 0); -1 out of any other w, and the value
+    coefs = np.where((place < m) | ((rank == 0) & ~value), 1.0, -1.0)
     starts = np.flatnonzero(np.diff(row, prepend=-1))
-    return _FlowRows(np.diff(np.append(starts, len(row))), cols[order], coefs[order],
-                     row[starts] // per_edge)
+    return _FlowRows(np.diff(np.append(starts, len(row))), cols, coefs, ehat[starts])
 
 
 def build_lp(
@@ -471,8 +471,8 @@ def build_lp(
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
-    # `live_columns` and `_graph_conservation` allocate te x m and te x 2m
-    # boolean masks, so te * m is capped first; `blocks` caps the terms
+    # `live_columns` allocates te x m boolean masks, so te * m is capped
+    # first; `blocks` caps the terms
     if te * m > max_nonzeros:
         raise SizeLimitError("model would be too large", te * m, max_nonzeros)
     ends = _ends(g, tree)
@@ -502,11 +502,12 @@ def build_lp(
     # columns only, or is a pair or cap row that the box implies.
     pairs = np.flatnonzero(live.useful)  # the live f columns, tree-edge major
     by_edge = np.flatnonzero(live.useful.T)  # the same pairs as e * te + ehat
-    conservation = _graph_conservation(g, ends, live.useful)
+    pair_tree_edge, by_edge_tree_edge = pairs // m, by_edge % te
+    conservation = _graph_conservation(ends, pairs)
     own_value = conservation.cols >= te * m
 
     def realize(flow0, bound_by, value0, cap_coef, family, carried):
-        own = pairs[carried[pairs // m]]
+        own = pairs[carried[pair_tree_edge]]
         blocks.add_pairs(flow0 + own, bound_by(own), [1.0, -1.0], family)
         rows = carried[conservation.row_edge]
         entries = np.repeat(rows, conservation.lengths)
@@ -516,7 +517,7 @@ def build_lp(
         # one cap row per graph edge with a carried pair: its flow terms,
         # then x_e; a cap row with no flow term reads -coef * x_e <= 0 and is
         # not built
-        held = by_edge[carried[by_edge % te]]
+        held = by_edge[carried[by_edge_tree_edge]]
         edges, counts = np.unique(held // te, return_counts=True)
         ends = np.cumsum(counts)
         blocks.add(counts + 1, np.insert(flow0 + held % te * m + held // te, ends, edges),

@@ -22,16 +22,21 @@ ascending order, owns the L columns from `tree.num_edges` + k * L, and
 an unmarked edge leaves its columns unused. A path is the first one
 whose running weight sum exceeds its uniform, or the last path.
 Iteration j thus depends on neither J nor how the rows are grouped: the
-union of J iterations is a prefix of the union of J + 1.
+union of J iterations is a prefix of the union of J + 1. Once every path
+of every distribution has been drawn, `round_solution` draws no more rows:
+a later draw repeats a path, so it adds no edge, and it changes no
+provenance (the first draw that holds an edge), so the union of J rows is
+already final.
 
-The rows are drawn in blocks bounded in bytes (`BLOCK_BYTES`), not in J
-(`IterationSampler.draw_blocks`). A block is marked by one threshold
-compare and one AND per tree level over its rows. A marked (row, tree
-edge) pair whose distribution has one path takes that path L times
-without reading its uniforms; the L paths of every other marked pair are
-one lookup in a table of cumulative weights. Either way the stream is
-drawn in full, and generator output does not depend on how it is split
-into calls, so a seed fixes the solution byte for byte.
+The rows are drawn in blocks of 1, 2, 4, ... rows, capped by a bound in
+bytes (`BLOCK_BYTES`), not by J (`IterationSampler.draw_blocks`), so the
+stop lands within twice the rows it needs. A block is marked by one
+threshold compare and one AND per tree level over its rows. A marked
+(row, tree edge) pair whose distribution has one path takes that path L
+times without reading its uniforms; the L paths of every other marked
+pair are one lookup in a table of cumulative weights. Either way each
+drawn row is drawn in full, and generator output does not depend on how
+it is split into calls, so a seed fixes the solution byte for byte.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -123,7 +129,7 @@ class PathDistribution:
     paths: tuple[EdgePath, ...]
     weights: tuple[float, ...]
     discarded: float  # circulation mass left behind, in flow units
-    # running sums of the weights, added in order (np.cumsum is sequential)
+    # running sums of the weights, added in order
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,14 +137,15 @@ class PathDistribution:
             raise ValueError("a distribution needs at least one path")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {sum(self.weights)}, not 1")
+        cdf = list(accumulate(self.weights))
+        if abs(cdf[-1] - 1.0) > 1e-9:
+            raise ValueError(f"weights sum to {cdf[-1]}, not 1")
         src = self.paths[0].source
         dst = self.paths[0].target
         for p in self.paths:
             if p.source != src or p.target != dst:
                 raise ValueError("support paths must share endpoints")
-        object.__setattr__(self, "cdf", np.cumsum(self.weights))
+        object.__setattr__(self, "cdf", np.array(cdf))
 
 
 def decompose_flow(
@@ -154,14 +161,19 @@ def decompose_flow(
     """
     source, target = tree.edge_endpoints_labels(tree_edge)
     flow = np.asarray(flow, dtype=float)
-    negative = np.flatnonzero(flow < -1e-9)
-    if len(negative):
-        raise ValueError(f"negative flow {flow[negative[0]]} on edge {negative[0]}")
-    residual = np.maximum(flow, 0.0).tolist()
+    residual = flow.tolist()
+    # only a flow with an entry below 0 is checked and clamped (and one
+    # that starts with a NaN, which min cannot order)
+    if not min(residual, default=0.0) >= 0.0:
+        negative = np.flatnonzero(flow < -1e-9)
+        if len(negative):
+            raise ValueError(f"negative flow {flow[negative[0]]} on edge {negative[0]}")
+        residual = np.maximum(flow, 0.0).tolist()
 
+    out = graph.out_edges(source)
     strips: list[tuple[tuple[int, ...], float]] = []
     while True:
-        outflow = sum(residual[e] for e in graph.out_edges(source))
+        outflow = sum(residual[e] for e in out)
         if outflow < 1e-9:
             break
         path = _shortest_support_path(graph, residual, source, target)
@@ -190,16 +202,21 @@ def decompose_flow(
 
 
 def _shortest_support_path(graph, residual, source, target):
-    """Lexicographically-smallest shortest path in the positive support."""
+    """Lexicographically-smallest shortest path in the positive support.
+
+    The backward search stops after the level that reaches the source: the
+    walk from the source reads only the distances below its own."""
+    in_edges, tails, heads = graph.in_edges, graph.tails, graph.heads
     dist = {target: 0}
     frontier = [target]
-    while frontier:
+    while frontier and source not in dist:
         nxt = []
         for v in frontier:
-            for e in graph.in_edges(v):
-                u = graph.tails[e]
+            d = dist[v] + 1
+            for e in in_edges(v):
+                u = tails[e]
                 if residual[e] > STRIP_TOL and u not in dist:
-                    dist[u] = dist[v] + 1
+                    dist[u] = d
                     nxt.append(u)
         frontier = nxt
     if source not in dist:
@@ -207,13 +224,12 @@ def _shortest_support_path(graph, residual, source, target):
     path = []
     v = source
     while v != target:
-        step = None
-        for e in graph.out_edges(v):
-            if residual[e] > STRIP_TOL and dist.get(graph.heads[e]) == dist[v] - 1:
-                if step is None or e < step:
-                    step = e
+        # out_edges lists edge ids ascending, so the first step is the smallest
+        d = dist[v] - 1
+        step = next(e for e in graph.out_edges(v)
+                    if residual[e] > STRIP_TOL and dist.get(heads[e]) == d)
         path.append(step)
-        v = graph.heads[step]
+        v = heads[step]
     return tuple(path)
 
 
@@ -277,12 +293,12 @@ class IterationSampler:
             raise ValueError("samples not set and the model carries no beta")
 
         g = instance.graph
-        edges = np.arange(g.num_edges)
         markable = np.flatnonzero(self.clamped > 0.0)
-        self.distributions: dict[int, PathDistribution] = {}
-        for ehat in markable.tolist():
-            flow = lp.at(idx.f(ehat, edges))
-            self.distributions[ehat] = decompose_flow(g, tree, ehat, flow, self.raw_xhat[ehat])
+        flows = lp.at(idx.f(markable[:, None], np.arange(g.num_edges)))  # a row per markable edge
+        self.distributions: dict[int, PathDistribution] = {
+            ehat: decompose_flow(g, tree, ehat, flow, self.raw_xhat[ehat])
+            for ehat, flow in zip(markable.tolist(), flows)
+        }
         dists = list(self.distributions.values())
         self.paths: list[EdgePath] = [p for d in dists for p in d.paths]  # global id -> path
         self._row = np.full(tree.num_edges, -1)  # table row of each markable edge
@@ -298,21 +314,22 @@ class IterationSampler:
         self.width = tree.num_edges + self.samples * len(dists)
 
     def block_rows(self) -> int:
-        """Rows per block: `BLOCK_BYTES` over a bound on a row's transient
-        bytes. A row draws `width` uniforms and at most `width` path
-        samples; each sample passes through about seven 8-byte arrays
+        """Most rows in one block: `BLOCK_BYTES` over a bound on a row's
+        transient bytes. A row draws `width` uniforms and at most `width`
+        path samples; each sample passes through about seven 8-byte arrays
         (columns, draws, counts, picks, path ids, the union's sort) and
         the pick's compare, one byte per path of the widest distribution."""
         return max(1, BLOCK_BYTES // (self.width * (64 + self._cdf.shape[1])))
 
     def draw_blocks(self, rng, iterations: int) -> Iterator[Block]:
-        """`iterations` rows of the stream, drawn and evaluated a block of
-        `block_rows()` rows at a time."""
+        """`iterations` rows of the stream, drawn and evaluated in blocks
+        of 1, 2, 4, ... rows, capped at `block_rows()`: a caller that stops
+        early has drawn at most about twice the rows it read."""
         te = self.tree.num_edges
         ells = np.arange(self.samples)
-        step = self.block_rows()
-        for first in range(0, iterations, step):
-            size = min(step, iterations - first)
+        cap, first, size = self.block_rows(), 0, 1
+        while first < iterations:
+            size = min(size, cap, iterations - first)
             uniforms = rng.random((size, self.width))
             row, ehat = np.nonzero(_mark(self.tree, self._thresholds, uniforms[:, :te]))
             table = self._row[ehat]
@@ -322,6 +339,7 @@ class IterationSampler:
             draws = uniforms[row[at, None], self._col[ehat[at]][:, None] + ells]
             paths[at] += _pick(self._cdf[table[at]], self._counts[table[at]], draws)
             yield Block(first, size, row, ehat, paths, multi)
+            first, size = first + size, 2 * size
 
     def sample_draws(self, rng) -> list[tuple[int, int, EdgePath]]:
         """One iteration as (tree edge, sample index, path) triples in draw
@@ -353,6 +371,12 @@ def round_solution(
     are that path, so such a pair counts once, by its first draw (sample
     index 1); the other pairs count draw by draw. No path belongs to both
     kinds of distribution, so each kind finds its paths' first draws alone.
+
+    The loop stops once every path has been drawn (`seen.all()`), whatever
+    J is: a later draw repeats a path, so it adds no edge, and it cannot
+    change a provenance, which is the first draw that holds the edge. The
+    union and its provenance are therefore final, and `meta` still reports
+    J. With nothing markable there is no path and the first block ends it.
     """
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
@@ -361,12 +385,12 @@ def round_solution(
     edges: set[int] = set()
     provenance: dict[int, tuple] = {}
     seen = np.zeros(len(sampler.paths), dtype=bool)
-    drawn = 0
+    rows_drawn = 0
     last_new = 0
     samples = sampler.samples
     ells = np.arange(samples)
     for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
-        drawn += block.paths.size
+        rows_drawn += block.size
         single, multi = np.flatnonzero(~block.multi), np.flatnonzero(block.multi)
         # each candidate draw: its path and its index in the block's draw order
         path_ids = np.concatenate([block.paths[single, 0], block.paths[multi].ravel()])
@@ -384,10 +408,12 @@ def round_solution(
                     edges.add(e)
                     provenance[e] = (j, int(block.ehat[pair]), i % samples + 1)
                     last_new = j
+        if seen.all():  # every later draw repeats a path: the union is final
+            break
     log.info(
-        "rounding: %d iterations, %d paths drawn, %d distinct paths realised, "
+        "rounding: %d of %d iterations drawn, %d distinct paths realised, "
         "last new edge in iteration %d",
-        iterations, drawn, int(seen.sum()), last_new,
+        rows_drawn, iterations, int(seen.sum()), last_new,
     )
     meta = {
         "seed": seed,

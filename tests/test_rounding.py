@@ -522,6 +522,22 @@ def _rotated_candidates(g, candidates):
     return fake
 
 
+def _never_drawn_last_path(fake):
+    """`fake`, with the last path of each distribution that has two or more
+    at weight 1e-12: that path is never drawn, so a run never holds every
+    path and draws all J rows."""
+
+    def wrapped(graph, tree, ehat, flow, value):
+        dist = fake(graph, tree, ehat, flow, value)
+        if len(dist.paths) == 1:
+            return dist
+        head = np.array(dist.weights[:-1])
+        weights = tuple(head / head.sum() * (1.0 - 1e-12)) + (1e-12,)
+        return PathDistribution(ehat, dist.paths, weights, 0.0)
+
+    return wrapped
+
+
 @pytest.fixture
 def crossing():
     g = DirectedMultigraph(
@@ -626,10 +642,15 @@ def test_round_matches_reference_on_noisy_multicover(multicover, noise, depth, s
 
 @pytest.mark.parametrize("name", ["multicover", "crossing"])
 def test_one_row_blocks_match_the_default_blocks(request, monkeypatch, name):
-    # the run spans three default blocks, then J blocks of one row; the
-    # output must not depend on the block size
+    # the run spans several default blocks, then J blocks of one row; the
+    # output must not depend on the block size. A path that is never drawn
+    # keeps the run from stopping before its last row
     inst = request.getfixturevalue(name)
     tree, lp = _solved(inst, 2)
+    candidates = {"multicover": _multicover_paths, "crossing": _crossing_paths}[name]
+    fake = _never_drawn_last_path(_rotated_candidates(inst.graph, candidates))
+    monkeypatch.setattr(rounding, "decompose_flow", fake)
+    monkeypatch.setattr(oracles, "decompose_flow", fake)
     sampler = IterationSampler(inst, tree, lp)
     assert sampler.block_rows() > 1
     iterations = 2 * sampler.block_rows() + 1
@@ -642,16 +663,33 @@ def test_one_row_blocks_match_the_default_blocks(request, monkeypatch, name):
 
 
 def test_block_rows_are_bounded_in_bytes(multicover, monkeypatch):
+    # blocks grow 1, 2, 4, ... rows up to the cap in bytes, and the last
+    # block holds what is left
     tree, lp = _solved(multicover, 2)
     sampler = IterationSampler(multicover, tree, lp)
     row_bytes = sampler.width * (64 + sampler._cdf.shape[1])
-    monkeypatch.setattr(rounding, "BLOCK_BYTES", 3 * row_bytes + 1)
-    assert sampler.block_rows() == 3
-    blocks = list(sampler.draw_blocks(np.random.default_rng(2), 8))
-    assert [(b.first, b.size) for b in blocks] == [(0, 3), (3, 3), (6, 2)]
+    monkeypatch.setattr(rounding, "BLOCK_BYTES", 5 * row_bytes + 1)
+    assert sampler.block_rows() == 5
+    blocks = list(sampler.draw_blocks(np.random.default_rng(2), 20))
+    assert [(b.first, b.size) for b in blocks] == [(0, 1), (1, 2), (3, 4), (7, 5), (12, 5),
+                                                   (17, 3)]
     for b in blocks:
         assert np.all(np.diff(b.row) >= 0) and np.all(b.row < b.size)
         assert b.paths.shape == (len(b.ehat), sampler.samples)
+
+
+def _count_rows(monkeypatch) -> list:
+    """Sizes of the blocks `draw_blocks` yields from now on, as it yields them."""
+    sizes = []
+    real = IterationSampler.draw_blocks
+
+    def counting(self, rng, iterations):
+        for block in real(self, rng, iterations):
+            sizes.append(block.size)
+            yield block
+
+    monkeypatch.setattr(IterationSampler, "draw_blocks", counting)
+    return sizes
 
 
 def _round_peak(instance, tree, lp, iterations):
@@ -665,8 +703,14 @@ def _round_peak(instance, tree, lp, iterations):
 
 
 def test_transient_memory_is_capped_by_the_block_not_by_j(multicover, monkeypatch):
+    # a path that is never drawn keeps the run from stopping early, so
+    # every one of the J rows is drawn
     tree, lp = _solved(multicover, 2)
+    fake = _never_drawn_last_path(_rotated_candidates(multicover.graph, _multicover_paths))
+    monkeypatch.setattr(rounding, "decompose_flow", fake)
+    sizes = _count_rows(monkeypatch)
     assert _round_peak(multicover, tree, lp, 2000) <= rounding.BLOCK_BYTES
+    assert sum(sizes) == 2000
     monkeypatch.setattr(rounding, "BLOCK_BYTES", 1 << 16)
     short = _round_peak(multicover, tree, lp, 20)
     assert _round_peak(multicover, tree, lp, 2000) <= 1.5 * short
@@ -697,6 +741,50 @@ def test_shorter_run_is_a_prefix(request, name, iterations):
     long = round_solution(inst, tree, lp, 13, iterations + 5)
     assert short.provenance
     assert short.provenance == {e: p for e, p in long.provenance.items() if p[0] <= iterations}
+
+
+@pytest.mark.parametrize(
+    "name, depth, seed, samples",
+    [("multicover", 2, 1, None), ("noisy_multicover", 1, 6, 3), ("crossing", 2, 2, None)],
+)
+def test_long_run_matches_reference(request, name, depth, seed, samples):
+    # far more iterations than it takes to draw every path: the run that
+    # stops at the full union must still give the reference's bytes for J
+    noisy = name.startswith("noisy_")
+    inst = request.getfixturevalue(name.removeprefix("noisy_"))
+    if noisy:
+        inst = _noisy(inst, np.random.default_rng(3).uniform(0.0, 0.1, 35))
+    tree, lp = _solved(inst, depth)
+    if noisy:  # distributions with two paths: the path columns decide the draws
+        dists = IterationSampler(inst, tree, lp, samples).distributions.values()
+        assert max(len(d.paths) for d in dists) > 1
+    got = round_solution(inst, tree, lp, seed, 5_000, samples)
+    assert got.meta["iterations"] == 5_000
+    want = reference_round(inst, tree, lp, seed, 5_000, samples)
+    assert got.to_json(inst.graph) == want.to_json(inst.graph)
+
+
+def test_integral_lp_stops_after_the_first_rows(solved_diamond, monkeypatch):
+    # every markable edge of an integral point is marked in row 1, so
+    # every path is drawn there and the run stops within the first blocks
+    inst, tree, lp = solved_diamond
+    sizes = _count_rows(monkeypatch)
+    sol = round_solution(inst, tree, lp, 11, 10_000)
+    assert sum(sizes) <= 2
+    assert sol.meta["iterations"] == 10_000
+    assert sol.edges == frozenset(range(inst.graph.num_edges))
+
+
+def test_a_path_never_drawn_keeps_every_row(crossing, monkeypatch):
+    g = crossing.graph
+    tree, lp = _solved(crossing, 2)
+    fake = _never_drawn_last_path(_rotated_candidates(g, _crossing_paths))
+    monkeypatch.setattr(rounding, "decompose_flow", fake)
+    monkeypatch.setattr(oracles, "decompose_flow", fake)
+    sizes = _count_rows(monkeypatch)
+    got = round_solution(crossing, tree, lp, 4, 300)
+    assert sum(sizes) == 300
+    assert got.to_json(g) == reference_round(crossing, tree, lp, 4, 300).to_json(g)
 
 
 @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -805,5 +893,12 @@ def test_round_logs_summary(solved_diamond, caplog):
     rng = np.random.default_rng(7)
     draws = [sampler.sample_draws(rng) for _ in range(12)]  # one row per iteration
     distinct = {(ehat, p.edges) for batch in draws for ehat, _, p in batch}
+    assert len(distinct) == len(sampler.paths)
+    # the rows drawn end with the first block by whose end every path was drawn
+    full = min(j for j in range(1, 13)
+               if len({(e, p.edges) for batch in draws[:j] for e, _, p in batch}) == len(distinct))
+    ends = np.cumsum([b.size for b in sampler.draw_blocks(np.random.default_rng(7), 12)])
+    rows = int(ends[np.searchsorted(ends, full)])
     last_new = max(j for j, _, _ in sol.provenance.values())
-    assert numbers == [12, sum(map(len, draws)), len(distinct), last_new]
+    assert numbers == [rows, 12, len(distinct), last_new]
+    assert rows < 12
