@@ -53,13 +53,13 @@ The model is stored as HiGHS's row-wise LP: one CSR matrix (`indptr`,
 `row_upper` and family-code arrays. Each row is the range of its activity,
 (-inf, b] for a <= row, [b, inf) for a >= row and [b, b] for an = row.
 `LpModel.rows` rebuilds Python row tuples, with their sense and rhs, from
-the arrays for export and inspection. `max_nonzeros` caps the model in two
-places: first te * m, before any of the builder's dense arrays exists
-(`live_columns`' te x m masks, all boolean; no bound on the model: F2^5
-at depth 2 has 41,819 nonzeros against te * m = 588,132); then the terms
-themselves, counted as the builder emits them, so the build stops at the
-first block that takes the count past the cap. Every other array holds
-kept entries only.
+the arrays for export and inspection. `max_nonzeros` caps the model where
+its sizes are made: first tree edges x terminals, the span of the fh masks
+and of the per-terminal passes; then `live_columns` counts the live
+columns as it lists them, and `_RowBlocks` the terms as the builder emits
+them, so the build stops at the first label pair, or the first block of
+rows, that takes its count past the cap. No array of the builder is sized
+tree edges x graph edges or vertices x vertices.
 
 Rows are in HiGHS's order: the builder emits them family by family in
 blocks of one range, and `_RowBlocks.arrays` puts the = blocks (lower ==
@@ -105,7 +105,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import ModelInconsistencyError, SizeLimitError
 from .graph import DstInstance
-from .shallow_tree import ShallowTree
+from .shallow_tree import ShallowTree, usable_vertices
 
 DEFAULT_MAX_NONZEROS = 2_000_000
 
@@ -143,27 +143,25 @@ class VarIndex:
     (terminal-major), then f (tree-edge major), then ft (terminal-major,
     then tree-edge). Terminals are taken in sorted order, so numbers are
     stable for a fixed instance + tree. `columns` lists the live columns
-    as ascending full numbers, block by block; model column j is full
-    column `columns[j]`. The x and xh blocks are all live.
+    (`live_columns`) as ascending full numbers, block by block; model
+    column j is full column `columns[j]`. The x and xh blocks are all live.
     """
 
-    def __init__(self, terminals: Sequence, live: LiveColumns):
+    def __init__(self, terminals: Sequence, live_fh: np.ndarray, pairs: np.ndarray, m: int):
         self.terminals = tuple(sorted(terminals))
         self._tpos = {t: k for k, t in enumerate(self.terminals)}
-        te, m = live.useful.shape
-        h = len(self.terminals)
+        h, te = live_fh.shape
         self.num_edges = m
         self.num_tree_edges = te
         self._xhat0 = m
         self._fhat0 = m + te
         self._f0 = m + te + h * te
         self._ft0 = self._f0 + te * m
-        pairs = np.flatnonzero(live.useful)  # tree-edge major
         self.columns = np.concatenate([
             np.arange(m + te),
-            self._fhat0 + np.flatnonzero(live.fhat),
+            self._fhat0 + np.flatnonzero(live_fh),
             self._f0 + pairs,
-            *(self.ft(t, 0, 0) + pairs[live.fhat[k, pairs // m]]
+            *(self.ft(t, 0, 0) + pairs[live_fh[k, pairs // m]]
               for k, t in enumerate(self.terminals)),
         ])
 
@@ -367,21 +365,29 @@ def _tree_conservation(tree: ShallowTree):
 
 class _Ends(NamedTuple):
     """Positions, among the vertices sorted by str, of every graph edge's
-    tail and head and of every tree edge's endpoint labels (u, v)."""
+    tail and head and of every tree edge's endpoint labels (u, v); per
+    usable vertex, the usable vertices it reaches and that reach it."""
 
-    order: list
+    ahead: list
+    behind: list
     tails: np.ndarray
     heads: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
 
-def _ends(g, tree: ShallowTree) -> _Ends:
-    order = sorted(g.vertices, key=str)
-    pos = {w: k for k, w in enumerate(order)}
+def _ends(instance: DstInstance, tree: ShallowTree) -> _Ends:
+    g, usable = instance.graph, usable_vertices(instance, tree.reach)
+    pos = {w: k for k, w in enumerate(sorted(g.vertices, key=str))}
+    ahead = [[pos[x] for x in tree.reach[w] & usable] if w in usable else [] for w in pos]
+    behind = [[] for _ in pos]
+    for i, row in enumerate(ahead):
+        for j in row:
+            behind[j].append(i)
     labels = np.array([pos[w] for w in tree.labels], dtype=np.int64)
     return _Ends(
-        order,
+        ahead,
+        behind,
         np.array([pos[a] for a in g.tails], dtype=np.int64),
         np.array([pos[b] for b in g.heads], dtype=np.int64),
         labels[np.asarray(tree.parents[1:], dtype=np.int64)],
@@ -389,16 +395,17 @@ def _ends(g, tree: ShallowTree) -> _Ends:
     )
 
 
-class LiveColumns(NamedTuple):
-    """Live fh by rule (a), f by (c), ft by both; x and xh are all live."""
+def live_columns(tree: ShallowTree, ends: _Ends, max_nonzeros: int):
+    """The live fh of rule (a) as a (terminal, tree edge) mask, and the live
+    f of rule (c) as ascending pairs `ehat * m + e`; ft is live where both are.
 
-    fhat: np.ndarray  # (terminal, tree edge)
-    useful: np.ndarray  # (tree edge, graph edge): rule (c) keeps the pair
-
-
-def live_columns(tree: ShallowTree, ends: _Ends) -> LiveColumns:
-    """The columns rules (a) and (c) of the module docstring keep, from the
-    tree's reachable sets (`ShallowTree.reach`) and its ends in the graph."""
+    Rule (c) reads only a tree edge's label pair (u, v), so each label
+    pair's kept graph edges are listed once, then repeated for its tree
+    edges; a kept edge lies on a u -> v walk, so both its ends are usable.
+    Every live fh, f and ft column has its own two-term pair row (fh <= xh,
+    f <= x, ft <= f), so twice their number is at most the model's
+    nonzeros. That count grows as each list is made and raises
+    `SizeLimitError` past `max_nonzeros`, before any list is repeated."""
     terminals = sorted(tree.groups)
     # below[node, k]: a node labelled terminal k lies in the node's subtree
     below = np.zeros((tree.num_nodes, len(terminals)), dtype=bool)
@@ -407,17 +414,32 @@ def live_columns(tree: ShallowTree, ends: _Ends) -> LiveColumns:
     # tree edge ê runs from node edge_parents[ê] + 1 to node ê + 1
     for lo, hi in reversed(tree.edge_levels):
         np.logical_or.at(below, tree.edge_parents[lo:hi] + 1, below[lo + 1:hi + 1])
-    fhat = below[1:].T  # (terminal, tree edge)
+    live_fh = below[1:].T  # (terminal, tree edge)
 
-    # (c): reach[i, j] when vertex j is reachable from vertex i; column j
-    # holds the vertices that reach j
-    pos = {w: k for k, w in enumerate(ends.order)}
-    reach = np.zeros((len(pos), len(pos)), dtype=bool)
-    for w, seen in tree.reach.items():
-        reach[pos[w], [pos[x] for x in seen]] = True
-    u, v = ends.u[:, None], ends.v[:, None]
-    useful = reach[u, ends.tails] & reach[ends.heads, v] & (ends.heads != u)
-    return LiveColumns(fhat, useful)
+    n, m, te = len(ends.ahead), len(ends.tails), len(ends.u)
+    label_pairs = np.unique(ends.u * n + ends.v)
+    pair_of = np.searchsorted(label_pairs, ends.u * n + ends.v)
+    # a label pair's f and ft columns per kept edge: its tree edges and their live fh
+    weights = np.bincount(pair_of, 1 + np.count_nonzero(live_fh, axis=0)).astype(np.int64)
+    count, kept, last = 2 * int(np.count_nonzero(live_fh)), [], None
+    for u, v, weight in zip((label_pairs // n).tolist(), (label_pairs % n).tolist(),
+                            weights.tolist()):
+        if u != last:  # label pairs ascend, so each u's pairs are consecutive
+            into = np.zeros(n, dtype=bool)
+            into[ends.ahead[u]] = True
+            leaving = np.flatnonzero(into[ends.tails])
+            leaving_heads, last = ends.heads[leaving], u
+        into = np.zeros(n, dtype=bool)
+        into[ends.behind[v]] = True
+        into[u] = False  # no edge into u is kept
+        edges = leaving[into[leaving_heads]]
+        count += 2 * weight * len(edges)
+        if count > max_nonzeros:
+            raise SizeLimitError("model would be too large", count, max_nonzeros)
+        kept.append(edges)
+    lengths = np.array([len(edges) for edges in kept])[pair_of]
+    return live_fh, np.repeat(np.arange(te) * m, lengths) + np.concatenate(
+        [kept[p] for p in pair_of.tolist()])
 
 
 class _FlowRows(NamedTuple):
@@ -449,7 +471,7 @@ def _graph_conservation(ends: _Ends, pairs: np.ndarray) -> _FlowRows:
     # per tree edge, row 0 is out(u) and row 1 + w's position is w's (no
     # edge into u is useful)
     rank = np.where(w == ends.u[ehat], 0, w + 1)
-    per_edge, span = len(ends.order) + 1, 2 * m + 1
+    per_edge, span = len(ends.ahead) + 1, 2 * m + 1
     terms = ((ehat * per_edge + rank) * span + place)[w != ends.v[ehat]]
     key = np.sort(np.concatenate([terms, np.arange(te) * per_edge * span + 2 * m]))
     row, place = np.divmod(key, span)
@@ -471,14 +493,14 @@ def build_lp(
     g = instance.graph
     m = g.num_edges
     te = tree.num_edges
-    # `live_columns` allocates te x m boolean masks, so te * m is capped
-    # first; `blocks` caps the terms
-    if te * m > max_nonzeros:
-        raise SizeLimitError("model would be too large", te * m, max_nonzeros)
-    ends = _ends(g, tree)
-    live = live_columns(tree, ends)
+    # `live_columns`' fh masks and the per-terminal rows below span every
+    # tree edge once per terminal, so te * h is capped first (h <= m)
+    if te * instance.num_terminals > max_nonzeros:
+        raise SizeLimitError("model would be too large", te * instance.num_terminals, max_nonzeros)
+    ends = _ends(instance, tree)
+    live_fh, pairs = live_columns(tree, ends, max_nonzeros)
 
-    idx = VarIndex(instance.terminals, live)
+    idx = VarIndex(instance.terminals, live_fh, pairs, m)
     gst, cong, div = range(len(FAMILIES))
     blocks = _RowBlocks(idx, max_nonzeros)
     tree_edges = np.arange(te)
@@ -487,11 +509,11 @@ def build_lp(
     # tree flow per terminal
     node_row, node_cols, node_coefs = _tree_conservation(tree)
     for k, t in enumerate(idx.terminals):
-        fhat, live_fh, group = idx.fhat(t, 0) + tree_edges, live.fhat[k], tree.group_in_edges(t)
-        blocks.add_pairs(fhat[live_fh], xhat[live_fh], [1.0, -1.0], gst)
-        has_row = live_fh.copy()  # node rows where t lies below, outside t's group
+        fhat, live, group = idx.fhat(t, 0) + tree_edges, live_fh[k], tree.group_in_edges(t)
+        blocks.add_pairs(fhat[live], xhat[live], [1.0, -1.0], gst)
+        has_row = live.copy()  # node rows where t lies below, outside t's group
         has_row[group] = False
-        entries = has_row[node_row] & live_fh[node_cols]  # over the live fh only
+        entries = has_row[node_row] & live[node_cols]  # over the live fh only
         blocks.add(np.bincount(node_row[entries], minlength=te)[has_row],
                    fhat[node_cols[entries]], node_coefs[entries], 0.0, 0.0, gst)
         blocks.add([len(group)], fhat[group], np.ones(len(group)), 2.0, math.inf, gst)
@@ -500,8 +522,7 @@ def build_lp(
     # cap row per graph edge holds that edge's flow over all tree edges.
     # Only live pairs are visited: every other row of a dead pair holds dead
     # columns only, or is a pair or cap row that the box implies.
-    pairs = np.flatnonzero(live.useful)  # the live f columns, tree-edge major
-    by_edge = np.flatnonzero(live.useful.T)  # the same pairs as e * te + ehat
+    by_edge = np.sort(pairs % m * te + pairs // m)  # the live pairs as e * te + ehat
     pair_tree_edge, by_edge_tree_edge = pairs // m, by_edge % te
     conservation = _graph_conservation(ends, pairs)
     own_value = conservation.cols >= te * m
@@ -527,7 +548,7 @@ def build_lp(
             np.ones(te, dtype=bool))
     for k, t in enumerate(idx.terminals):
         realize(idx.ft(t, 0, 0), lambda own: idx.f(0, 0) + own, idx.fhat(t, 0), -1.0, div,
-                live.fhat[k])
+                live_fh[k])
 
     arrays = blocks.arrays()
     objective = np.zeros(len(idx.columns))

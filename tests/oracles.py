@@ -54,7 +54,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_matrix, csr_matrix, hstack, vstack
 
 from twodst.graph import DirectedMultigraph, reachable_set, reachable_sets
-from twodst.lp_model import EQ, GE, LE, LiveColumns, LpModel, LpRow, VarIndex
+from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 from twodst.rounding import IterationSampler, decompose_flow
 from twodst.shallow_tree import ShallowTree
 from twodst.solution import SolutionSubgraph
@@ -279,8 +279,7 @@ def full_index(instance, tree) -> VarIndex:
 def every_column(num_edges, num_tree_edges, terminals) -> VarIndex:
     """A `VarIndex` that lists every column of the layout."""
     h, te, m = len(terminals), num_tree_edges, num_edges
-    every = LiveColumns(np.ones((h, te), dtype=bool), np.ones((te, m), dtype=bool))
-    return VarIndex(terminals, every)
+    return VarIndex(terminals, np.ones((h, te), dtype=bool), np.arange(te * m), m)
 
 
 def model_from_rows(var_index, objective, rows, beta=None) -> LpModel:

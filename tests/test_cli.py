@@ -8,7 +8,6 @@ import math
 import pytest
 
 import twodst.cli as cli
-import twodst.lp_model as lp_model
 from twodst.cli import (
     BENCH_COLUMNS,
     EXIT_ERROR,
@@ -121,23 +120,18 @@ def test_solve_size_cap(tmp_path, capsys):
     assert "size cap" in capsys.readouterr().err
 
 
-def test_solve_size_cap_on_the_model(tmp_path, capsys, monkeypatch):
-    # depth 4 over 12 vertices gives 3,282 tree edges; times 920 graph edges
-    # that is over the default nonzero cap, which refuses the model before
-    # its live columns are computed
+def test_solve_size_cap_on_the_model(tmp_path, capsys):
+    # depth 4 over 12 vertices gives 3,282 tree edges; with the 810
+    # parallel r -> t edges the terms pass the default nonzero cap while
+    # the rows are emitted
     vertices, edges = _middles(10)
     edges += [("r", "t", 1.0)] * 810
     inst = DstInstance(DirectedMultigraph(vertices, edges), "r", frozenset(["t"]))
     path = tmp_path / "parallel.json"
     save_instance(inst, path)
-
-    def fail(*args):
-        raise AssertionError("live columns computed before the te * m cap")
-
-    monkeypatch.setattr(lp_model, "live_columns", fail)
     code = main(["solve", str(path), "--depth", "4"])
     assert code == EXIT_SIZE_CAP
-    assert "model would be too large (projected 3019440 > cap 2000000)" in capsys.readouterr().err
+    assert "model would be too large (projected 2487370 > cap 2000000)" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path, capsys):

@@ -23,7 +23,6 @@ from twodst.exact import random_instance
 from twodst.lp_model import (
     INFEASIBLE,
     OPTIMAL,
-    LiveColumns,
     VarIndex,
     build_lp,
     congestion_parameter,
@@ -44,7 +43,8 @@ def _check(inst, depth, beta=None):
     tree, model = _model(inst, depth, beta)
     assert np.array_equal(model.var_index.columns, np.flatnonzero(reference_live(inst, tree)))
     # the tree holds an edge only where a graph path realizes it
-    assert lp_model.live_columns(tree, lp_model._ends(inst.graph, tree)).useful.any(axis=1).all()
+    _, pairs = lp_model.live_columns(tree, lp_model._ends(inst, tree), math.inf)
+    assert np.array_equal(np.unique(pairs // inst.graph.num_edges), np.arange(tree.num_edges))
 
     reduced, full = solve(model), solve(reference_model(inst, tree, model.beta))
     assert reduced.status == full.status
@@ -205,8 +205,8 @@ def _blocks(*rows):
     """`build_lp`'s row collector over full columns 2 (fh_t_0, dead) and 3
     (f_0_0, live, model column 2) of a one-edge, one-tree-edge,
     one-terminal layout, with one row per (cols, lower, upper)."""
-    live = LiveColumns(np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool))
-    blocks = lp_model._RowBlocks(VarIndex(("t",), live), lp_model.DEFAULT_MAX_NONZEROS)
+    index = VarIndex(("t",), np.zeros((1, 1), dtype=bool), np.array([0]), 1)
+    blocks = lp_model._RowBlocks(index, lp_model.DEFAULT_MAX_NONZEROS)
     for cols, lower, upper in rows:
         blocks.add([len(cols)], cols, np.ones(len(cols)), lower, upper, 0)
     return blocks

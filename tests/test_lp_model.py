@@ -37,6 +37,17 @@ from twodst.shallow_tree import build_shallow_tree
 DATA = Path(__file__).parent / "data"
 
 
+def _out_tree(levels, leaves):
+    """The binary out-tree on 2^levels - 1 vertices, rooted at v1 (v_i's
+    children are v_2i and v_2i+1), with its first `leaves` leaves as
+    terminals."""
+    n = 2 ** levels - 1
+    names = [f"v{i}" for i in range(1, n + 1)]
+    graph = DirectedMultigraph(names, [(f"v{i // 2}", f"v{i}", 1.0) for i in range(2, n + 1)])
+    first = 2 ** (levels - 1)
+    return DstInstance(graph, "v1", frozenset(f"v{i}" for i in range(first, first + leaves)))
+
+
 class TestCongestionParameter:
     def test_depth_two_four_terminals(self):
         assert congestion_parameter(2, 4) == 8
@@ -129,18 +140,21 @@ class TestBuildLp:
         for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
             tree = build_shallow_tree(inst, depth)
             model = build_lp(inst, tree, beta=4)
-            live = live_columns(tree, lp_model._ends(inst.graph, tree))
+            live_fh, pairs = live_columns(tree, lp_model._ends(inst, tree), math.inf)
             full = reference_model(inst, tree, 4)
-            # each live f column sits in its f <= x row, with x
-            assert 2 * np.count_nonzero(live.useful) <= model.nonzeros() <= full.nonzeros()
+            # each live fh, f and ft column sits in its own two-term pair row,
+            # so `live_columns`' count never refuses a model that fits
+            ft = np.count_nonzero(live_fh[:, pairs // inst.graph.num_edges])
+            columns = np.count_nonzero(live_fh) + len(pairs) + ft
+            assert 2 * columns <= model.nonzeros() <= full.nonzeros()
 
     def test_row_that_zero_breaks_keeps_a_live_column(self, diamond, monkeypatch):
         tree = build_shallow_tree(diamond, 2)
         real = lp_model.live_columns
 
         def no_fhat(*args):
-            live = real(*args)
-            return live._replace(fhat=np.zeros_like(live.fhat))
+            live_fh, pairs = real(*args)
+            return np.zeros_like(live_fh), pairs
 
         # the >= 2 group row is emitted over the group's in-edges, whose fh
         # this rule calls dead
@@ -158,7 +172,7 @@ class TestBuildLp:
     def test_size_cap(self, diamond):
         tree = build_shallow_tree(diamond, 2)
         live = build_lp(diamond, tree, beta=4).nonzeros()
-        assert tree.num_edges * diamond.graph.num_edges <= 100 < live
+        assert 100 < live
         with pytest.raises(SizeLimitError) as err:
             build_lp(diamond, tree, beta=4, max_nonzeros=100)
         assert 100 < err.value.projected <= live
@@ -170,7 +184,6 @@ class TestBuildLp:
         tree = build_shallow_tree(inst, depth)
         model = build_lp(inst, tree, beta=4)
         nnz = model.nonzeros()
-        assert tree.num_edges * inst.graph.num_edges < nnz  # the te * m cap passes
         same = build_lp(inst, tree, beta=4, max_nonzeros=nnz)
         for name in ("indptr", "indices", "data", "row_lower", "row_upper", "family",
                      "objective"):
@@ -191,33 +204,84 @@ class TestBuildLp:
         with pytest.raises(SizeLimitError) as err:
             build_lp(inst, tree, beta=4, max_nonzeros=nnz - 1)
         assert err.value.projected == nnz
-        # a cap of te * m (1,200 of 10,446) stops at an early block
-        cap = tree.num_edges * inst.graph.num_edges
+        # a cap of 5,000 of 9,958, over the live columns' 4,196 pair-row
+        # terms, stops at an early block
+        cap = 5_000
         with pytest.raises(SizeLimitError) as err:
             build_lp(inst, tree, beta=4, max_nonzeros=cap)
         assert cap < err.value.projected < nnz
 
-    def test_size_cap_on_tree_edges_times_graph_edges_comes_first(self, diamond, monkeypatch):
-        tree = build_shallow_tree(diamond, 2)
+    def test_live_column_count_trips_before_the_lists_are_repeated(self, monkeypatch):
+        # the complete digraph K16 at depth 3: 1,178 tree edges over 225
+        # label pairs and 240 graph edges; counting the live columns per
+        # label pair refuses the model before any pair's list is repeated
+        # per tree edge (about 0.1 MB; counting after the lists are repeated
+        # peaks at 5.3 MB)
+        names = [f"v{i}" for i in range(16)]
+        graph = DirectedMultigraph(names, [(a, b, 1.0) for a in names for b in names if a != b])
+        inst = DstInstance(graph, names[0], frozenset(names[1:3]))
+        tree = build_shallow_tree(inst, 3)
 
         def fail(*args):
-            raise AssertionError("live columns computed before the te * m cap")
+            raise AssertionError("graph-flow rows built before the cap tripped")
 
-        monkeypatch.setattr(lp_model, "live_columns", fail)
-        cap = tree.num_edges * diamond.graph.num_edges - 1
-        with pytest.raises(SizeLimitError) as err:
-            build_lp(diamond, tree, beta=4, max_nonzeros=cap)
-        assert err.value.projected == cap + 1
+        monkeypatch.setattr(lp_model, "_graph_conservation", fail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError) as err:
+                build_lp(inst, tree, beta=4, max_nonzeros=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 100_000 < err.value.projected
+        assert peak < 1_000_000
+
+    def test_tree_edges_times_terminals_is_capped_first(self, monkeypatch):
+        # the binary out-tree on 4,095 vertices with its 2,048 leaves as
+        # terminals, at depth 1: 4,096 tree edges x 2,048 terminals is over
+        # the cap, and the build stops before any array exists (a vertex x
+        # vertex reach matrix would take 16.8 MB, the fh masks 8.4 MB)
+        inst = _out_tree(12, 2_048)
+        tree = build_shallow_tree(inst, 1)
+
+        def fail(*args):
+            raise AssertionError("graph ends computed before the te * h cap")
+
+        monkeypatch.setattr(lp_model, "_ends", fail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError) as err:
+                build_lp(inst, tree, beta=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.projected == tree.num_edges * 2_048 == 8_388_608
+        assert peak < 100_000
+
+    def test_a_large_sparse_graph_builds_without_vertex_square_arrays(self):
+        # the binary out-tree on 8,191 vertices with two leaves as terminals,
+        # at depth 2: rule (c) reads the reachable sets of the usable
+        # vertices only (a vertex x vertex reach matrix would take 67 MB)
+        inst = _out_tree(13, 2)
+        tree = build_shallow_tree(inst, 2)
+        tracemalloc.start()
+        try:
+            model = build_lp(inst, tree, beta=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tree.num_edges, model.nonzeros()) == (70, 5_457)
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("k, depth, nonzeros, lp",
-                             [(3, 3, 2_471, 3.5), (4, 2, 10_275, 3.75), (5, 2, 41_819, 3.875)])
+                             [(3, 3, 2_471, 3.5), (4, 2, 10_275, 3.75), (5, 2, 41_819, 3.875),
+                              (6, 2, 168_651, 3.9375)])
     def test_multicover_fits_the_default_cap(self, f2_multicover, k, depth, nonzeros, lp):
         # the full relaxations of the first two have 6.66M and 19.3M
-        # nonzeros, over the cap; F2^5 at depth 2 (1,116 tree edges times
-        # 527 graph edges) is under the te * m guard only because the tree
-        # holds no edge that no graph path realizes: with every label
-        # sequence that reaches a terminal it has 3,906 tree edges, and te *
-        # m = 2,058,462 is over the cap
+        # nonzeros, over the cap; the tree holds no edge that no graph path
+        # realizes (F2^5 at depth 2 has 1,116 tree edges, against 3,906 over
+        # every label sequence that reaches a terminal), and F2^6 at depth 2
+        # is 12x under the cap
         inst = f2_multicover(k)
         tree = build_shallow_tree(inst, depth)
         model = build_lp(inst, tree, beta=congestion_parameter(depth, inst.num_terminals))
@@ -227,20 +291,24 @@ class TestBuildLp:
         assert sol.objective == pytest.approx(lp, abs=1e-7)
 
     def test_builder_memory_follows_the_model(self, f2_multicover):
-        # F2^5 at depth 2: 41,819 nonzeros (about 0.7 MB of CSR) against te
-        # * m = 588,132 pairs; the builder's peak must follow the model, so
-        # no array may be padded to every tree edge x slot (about 70 MB)
-        inst = f2_multicover(5)
-        tree = build_shallow_tree(inst, 2)
-        beta = congestion_parameter(2, inst.num_terminals)
-        tracemalloc.start()
-        try:
-            model = build_lp(inst, tree, beta)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert model.nonzeros() == 41_819
-        assert peak <= 8_000_000
+        # at depth 2, F2^5 has 1,116 tree edges x 527 graph edges and F2^6
+        # 4,284 x 2,079; the builder's peak must follow the model, so no
+        # array may be padded to every tree edge x slot (F2^5: about 70 MB)
+        # and no mask may be sized tree edges x graph edges (F2^6: 44 MB)
+        for k, nonzeros in ((5, 41_819), (6, 168_651)):
+            inst = f2_multicover(k)
+            tree = build_shallow_tree(inst, 2)
+            beta = congestion_parameter(2, inst.num_terminals)
+            tracemalloc.start()
+            try:
+                model = build_lp(inst, tree, beta)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert model.nonzeros() == nonzeros
+            arrays = [getattr(model, name) for name in ("indptr", "indices", "data", "row_lower",
+                                                        "row_upper", "family", "objective")]
+            assert peak <= 2.5 * sum(a.nbytes for a in [*arrays, model.var_index.columns]), k
 
     def test_integral_embedding_is_feasible(self, diamond_embedding):
         _, _, model, values = diamond_embedding
