@@ -1,5 +1,5 @@
 """Directed multigraph with explicit edge identities, plus unit-capacity max
-flow and reachability (from one vertex, or from every vertex at once).
+flow and one graph search.
 
 Edge-disjointness is per edge instance, so edges are identified by dense
 integer ids (0..m-1) rather than by vertex pairs; parallel and antiparallel
@@ -7,6 +7,8 @@ edges are legal and distinct. Graphs are immutable after construction and
 safe to share across threads. `max_flow_unit` is the one flow routine: it
 answers the integral question the solver's guarantee rests on, how many
 edge-disjoint paths join two vertices, and gives a minimum cut with it.
+`search` is the one reachability routine: it costs the edges at the
+vertices it reaches, so the builders run it only where they need a set.
 """
 
 from __future__ import annotations
@@ -200,31 +202,25 @@ def max_flow_unit(
         value += 1
 
 
-def reachable_set(
-    graph: DirectedMultigraph,
-    source: Vertex,
-    restrict_to: Optional[Iterable[int]] = None,
-) -> frozenset:
-    """Vertices reachable from `source` along directed edges (the vertices
-    that reach it: `reachable_set(graph.reversed(), source)`)."""
-    _check_vertex(graph, source, "source")
-    allowed = None if restrict_to is None else set(restrict_to)
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for e in graph.out_edges(u):
-            if allowed is not None and e not in allowed:
-                continue
-            w = graph.heads[e]
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
-def reachable_sets(graph: DirectedMultigraph) -> dict:
-    """Every vertex's forward reachable set, the vertex itself included:
-    one search per vertex, shared by the tree builder and the live-column
-    rules."""
-    return {v: reachable_set(graph, v) for v in graph.vertices}
+def search(graph: DirectedMultigraph, start: Vertex, backward: bool = False,
+           inside: Optional[frozenset] = None) -> tuple[frozenset, list]:
+    """The vertices reached from `start` along directed edges (against them
+    when `backward`) without leaving the vertex set `inside` (no bound when
+    None), `start` included, and the ids of the edges scanned into `inside`
+    from a reached vertex, each once, in no set order. So the work is the
+    edges at the reached vertices, however large the graph."""
+    _check_vertex(graph, start, "start")
+    edges_at, ends = (graph._in, graph.tails) if backward else (graph._out, graph.heads)
+    inside = graph.vertices if inside is None else inside
+    seen = {start}
+    stack = [start]
+    scanned = []
+    while stack:
+        for e in edges_at[stack.pop()]:
+            w = ends[e]
+            if w in inside:
+                scanned.append(e)
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return frozenset(seen), scanned

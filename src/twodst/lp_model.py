@@ -59,7 +59,8 @@ and of the per-terminal passes; then `live_columns` counts the live
 columns as it lists them, and `_RowBlocks` the terms as the builder emits
 them, so the build stops at the first label pair, or the first block of
 rows, that takes its count past the cap. No array of the builder is sized
-tree edges x graph edges or vertices x vertices.
+tree edges x graph edges, and rule (c) searches each label pair's edges
+within the sets the tree keeps, so nothing is kept per graph vertex.
 
 Rows are in HiGHS's order: the builder emits them family by family in
 blocks of one range, and `_RowBlocks.arrays` puts the = blocks (lower ==
@@ -96,6 +97,7 @@ labels):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -104,8 +106,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ModelInconsistencyError, SizeLimitError
-from .graph import DstInstance
-from .shallow_tree import ShallowTree, usable_vertices
+from .graph import DirectedMultigraph, DstInstance, search
+from .shallow_tree import ShallowTree
 
 DEFAULT_MAX_NONZEROS = 2_000_000
 
@@ -364,12 +366,11 @@ def _tree_conservation(tree: ShallowTree):
 
 
 class _Ends(NamedTuple):
-    """Positions, among the vertices sorted by str, of every graph edge's
-    tail and head and of every tree edge's endpoint labels (u, v); per
-    usable vertex, the usable vertices it reaches and that reach it."""
+    """The graph's vertices sorted by str, and the positions among them of
+    every graph edge's tail and head and of every tree edge's endpoint
+    labels (u, v)."""
 
-    ahead: list
-    behind: list
+    vertices: list
     tails: np.ndarray
     heads: np.ndarray
     u: np.ndarray
@@ -377,17 +378,12 @@ class _Ends(NamedTuple):
 
 
 def _ends(instance: DstInstance, tree: ShallowTree) -> _Ends:
-    g, usable = instance.graph, usable_vertices(instance, tree.reach)
-    pos = {w: k for k, w in enumerate(sorted(g.vertices, key=str))}
-    ahead = [[pos[x] for x in tree.reach[w] & usable] if w in usable else [] for w in pos]
-    behind = [[] for _ in pos]
-    for i, row in enumerate(ahead):
-        for j in row:
-            behind[j].append(i)
+    g = instance.graph
+    vertices = sorted(g.vertices, key=str)
+    pos = {w: k for k, w in enumerate(vertices)}
     labels = np.array([pos[w] for w in tree.labels], dtype=np.int64)
     return _Ends(
-        ahead,
-        behind,
+        vertices,
         np.array([pos[a] for a in g.tails], dtype=np.int64),
         np.array([pos[b] for b in g.heads], dtype=np.int64),
         labels[np.asarray(tree.parents[1:], dtype=np.int64)],
@@ -395,13 +391,22 @@ def _ends(instance: DstInstance, tree: ShallowTree) -> _Ends:
     )
 
 
-def live_columns(tree: ShallowTree, ends: _Ends, max_nonzeros: int):
+def live_columns(graph: DirectedMultigraph, tree: ShallowTree, ends: _Ends, max_nonzeros: int):
     """The live fh of rule (a) as a (terminal, tree edge) mask, and the live
     f of rule (c) as ascending pairs `ehat * m + e`; ft is live where both are.
 
     Rule (c) reads only a tree edge's label pair (u, v), so each label
     pair's kept graph edges are listed once, then repeated for its tree
-    edges; a kept edge lies on a u -> v walk, so both its ends are usable.
+    edges. A kept edge (a, b) has a in R(u), b in R^-(v) (the vertices u
+    reaches, and that reach v) and b != u, so the kept edges are those with
+    both ends in I = R(u) & R^-(v), less those into u. I is what a search
+    from u reaches within R^-(v), as every vertex on a path from u to I
+    reaches v; likewise it is what a search back from v reaches within
+    R(u). Either search scans exactly the edges within I, so a pair costs
+    the edges it scans. The tree holds R^-(v) when v is a terminal, so the
+    pair searches from u; otherwise v lies above depth D and u above D - 1,
+    so the tree holds R(u), and the pair searches back from v.
+
     Every live fh, f and ft column has its own two-term pair row (fh <= xh,
     f <= x, ft <= f), so twice their number is at most the model's
     nonzeros. That count grows as each list is made and raises
@@ -416,30 +421,27 @@ def live_columns(tree: ShallowTree, ends: _Ends, max_nonzeros: int):
         np.logical_or.at(below, tree.edge_parents[lo:hi] + 1, below[lo + 1:hi + 1])
     live_fh = below[1:].T  # (terminal, tree edge)
 
-    n, m, te = len(ends.ahead), len(ends.tails), len(ends.u)
+    n, m, te = len(ends.vertices), len(ends.tails), len(ends.u)
     label_pairs = np.unique(ends.u * n + ends.v)
     pair_of = np.searchsorted(label_pairs, ends.u * n + ends.v)
     # a label pair's f and ft columns per kept edge: its tree edges and their live fh
     weights = np.bincount(pair_of, 1 + np.count_nonzero(live_fh, axis=0)).astype(np.int64)
-    count, kept, last = 2 * int(np.count_nonzero(live_fh)), [], None
+    count, kept, heads = 2 * int(np.count_nonzero(live_fh)), [], graph.heads
     for u, v, weight in zip((label_pairs // n).tolist(), (label_pairs % n).tolist(),
                             weights.tolist()):
-        if u != last:  # label pairs ascend, so each u's pairs are consecutive
-            into = np.zeros(n, dtype=bool)
-            into[ends.ahead[u]] = True
-            leaving = np.flatnonzero(into[ends.tails])
-            leaving_heads, last = ends.heads[leaving], u
-        into = np.zeros(n, dtype=bool)
-        into[ends.behind[v]] = True
-        into[u] = False  # no edge into u is kept
-        edges = leaving[into[leaving_heads]]
+        u, v = ends.vertices[u], ends.vertices[v]
+        if v in tree.behind:
+            _, scanned = search(graph, u, inside=tree.behind[v])
+        else:
+            _, scanned = search(graph, v, backward=True, inside=tree.ahead[u])
+        edges = sorted([e for e in scanned if heads[e] != u])
         count += 2 * weight * len(edges)
         if count > max_nonzeros:
             raise SizeLimitError("model would be too large", count, max_nonzeros)
         kept.append(edges)
     lengths = np.array([len(edges) for edges in kept])[pair_of]
-    return live_fh, np.repeat(np.arange(te) * m, lengths) + np.concatenate(
-        [kept[p] for p in pair_of.tolist()])
+    flat = itertools.chain.from_iterable(kept[p] for p in pair_of.tolist())
+    return live_fh, np.repeat(np.arange(te) * m, lengths) + np.fromiter(flat, np.int64)
 
 
 class _FlowRows(NamedTuple):
@@ -471,7 +473,7 @@ def _graph_conservation(ends: _Ends, pairs: np.ndarray) -> _FlowRows:
     # per tree edge, row 0 is out(u) and row 1 + w's position is w's (no
     # edge into u is useful)
     rank = np.where(w == ends.u[ehat], 0, w + 1)
-    per_edge, span = len(ends.ahead) + 1, 2 * m + 1
+    per_edge, span = len(ends.vertices) + 1, 2 * m + 1
     terms = ((ehat * per_edge + rank) * span + place)[w != ends.v[ehat]]
     key = np.sort(np.concatenate([terms, np.arange(te) * per_edge * span + 2 * m]))
     row, place = np.divmod(key, span)
@@ -498,7 +500,7 @@ def build_lp(
     if te * instance.num_terminals > max_nonzeros:
         raise SizeLimitError("model would be too large", te * instance.num_terminals, max_nonzeros)
     ends = _ends(instance, tree)
-    live_fh, pairs = live_columns(tree, ends, max_nonzeros)
+    live_fh, pairs = live_columns(g, tree, ends, max_nonzeros)
 
     idx = VarIndex(instance.terminals, live_fh, pairs, m)
     gst, cong, div = range(len(FAMILIES))

@@ -57,8 +57,12 @@ stays D, which also sets the rounding's parameters.
 `SizeLimitError` once a parent's children take the node count past the
 cap, so it holds at most the cap plus one parent's children.
 
-The tree keeps the reachable sets it is built from (`reach`), which
-`lp_model`'s rule (c) reads: a solve searches the graph once.
+The builder searches the graph (`graph.search`) forward from the root,
+and back from each terminal t within the root's set (R^-(t), `behind`),
+which gives the usable vertices and the terminals each reaches. Only a
+label with children above depth D (at depth D only terminals follow) needs
+the usable vertices it reaches: one search per distinct label (`ahead`),
+at D <= 2 the root alone. `lp_model`'s rule (c) reads the sets it keeps.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InfeasibleInstanceError, SizeLimitError
-from .graph import DstInstance, reachable_sets
+from .graph import DstInstance, search
 
 DEFAULT_MAX_NODES = 200_000
 
@@ -74,16 +78,17 @@ DEFAULT_MAX_NODES = 200_000
 class ShallowTree:
     """Immutable tree; see module docstring for the id conventions."""
 
-    __slots__ = ("depth", "labels", "depths", "parents", "groups", "reach", "edge_parents",
-                 "edge_levels")
+    __slots__ = ("depth", "labels", "depths", "parents", "groups", "behind", "ahead",
+                 "edge_parents", "edge_levels")
 
-    def __init__(self, depth, labels, depths, parents, groups, reach):
+    def __init__(self, depth, labels, depths, parents, groups, behind, ahead):
         self.depth = depth
         self.labels = tuple(labels)
         self.depths = tuple(depths)
         self.parents = tuple(parents)
         self.groups = {t: frozenset(g) for t, g in groups.items()}
-        self.reach = reach  # every graph vertex's reachable set
+        self.behind = behind  # terminal t -> the usable vertices that reach t
+        self.ahead = ahead  # label u -> the usable vertices u reaches, where searched
         # parent tree edge of every tree edge, -1 at the root
         self.edge_parents = np.asarray(self.parents[1:], dtype=np.intp) - 1
         # (first, end) tree-edge ids of each edge depth built, 1 up to the
@@ -112,51 +117,48 @@ class ShallowTree:
         return f"ShallowTree(depth={self.depth}, nodes={self.num_nodes})"
 
 
-def usable_vertices(instance: DstInstance, reach: dict) -> frozenset:
-    """Vertices lying on some root-to-terminal directed walk, from every
-    vertex's reachable set (`graph.reachable_sets`)."""
-    return frozenset(v for v in reach[instance.root] if reach[v] & instance.terminals)
-
-
 def build_shallow_tree(
     instance: DstInstance, depth: int, max_nodes: int = DEFAULT_MAX_NODES
 ) -> ShallowTree:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    reach = reachable_sets(instance.graph)
-    keep = usable_vertices(instance, reach)
-    if instance.root not in keep:
+    g, root, terminals = instance.graph, instance.root, instance.terminals
+    reached, _ = search(g, root)
+    if not reached & terminals:
         raise InfeasibleInstanceError("root cannot reach any terminal")
-    lost = instance.terminals - keep
+    lost = terminals - reached
     if lost:
         raise InfeasibleInstanceError(
             f"terminals unreachable from root: {sorted(lost, key=str)}"
         )
+    # R^-(t) of each terminal, within the root's set; together, the usable vertices
+    behind = {t: search(g, t, backward=True, inside=reached)[0] for t in terminals}
+    keep = frozenset().union(*behind.values())
+    ahead = {root: keep}  # R(u), within the usable vertices, of each label searched from
+    reaches = {v: {t for t, back in behind.items() if v in back} for v in keep}
 
-    terminals = instance.terminals
-    # the child labels a node labeled u may have, ascending: the usable
-    # vertices u reaches, and the terminals each of them reaches
-    follow = {u: sorted((reach[u] & keep) - {instance.root}) for u in keep}
-    ahead = {v: reach[v] & terminals for v in keep}
-    labels = [instance.root]
-    depths = [0]
-    parents = [-1]
+    labels, depths, parents = [root], [0], [-1]
     # ancestor label sets give a node's child labels without rewalking paths;
     # index-aligned with node ids
-    banned: list[frozenset] = [frozenset([instance.root])]
+    banned: list[frozenset] = [frozenset([root])]
+    follow: dict = {}  # (u, last level) -> the child labels u may have, ascending
 
     level = [0, 0]  # the root once per copy, copy 1 first
     for k in range(1, depth + 1):
         if not level:
             break
+        last = k == depth
         below = []
         for parent in level:
-            on_path = banned[parent]
-            for v in follow[labels[parent]]:
+            u, on_path = labels[parent], banned[parent]
+            if (u, last) not in follow:
+                if not last and u not in ahead:
+                    ahead[u] = search(g, u, inside=keep)[0]
+                follow[u, last] = sorted(reaches[u] if last else ahead[u] - {root})
+            for v in follow[u, last]:
                 # a non-terminal child needs a terminal it reaches that can
                 # still follow it
-                if v in on_path or (v not in terminals
-                                    and (k == depth or ahead[v] <= on_path)):
+                if v in on_path or (v not in terminals and reaches[v] <= on_path):
                     continue
                 below.append(len(labels))
                 labels.append(v)
@@ -169,4 +171,4 @@ def build_shallow_tree(
 
     groups = {t: {node for node, label in enumerate(labels) if label == t}
               for t in terminals}
-    return ShallowTree(depth, labels, depths, parents, groups, reach)
+    return ShallowTree(depth, labels, depths, parents, groups, behind, ahead)

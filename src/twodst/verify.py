@@ -3,11 +3,11 @@
 Feasibility of a candidate subgraph is an exact integral check: two
 edge-disjoint root-terminal paths exist iff the unit-capacity max flow
 (`graph.max_flow_unit`) is at least 2. A failing subgraph gets a witness:
-the terminal, the first edge (in ascending id order) whose loss cuts it off,
-and a minimum cut. `reverse_delete` prunes an edge set with the same
-max-flow test. The module reads graphs and edge sets only; the probes of
-the paper's lemmas on a fractional LP point live with the tests
-(`tests/oracles.py`).
+the first terminal (sorted) with a flow below 2, the first edge (by id)
+whose loss cuts it off when its flow is 1, and the minimum cut of its flow.
+`reverse_delete` prunes an edge set with the same max-flow test. The
+module reads graphs and edge sets only; the probes of the paper's lemmas
+on a fractional LP point live with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import DstInstance, max_flow_unit, reachable_set
+from .graph import DstInstance, max_flow_unit
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,14 @@ def feasibility_report(instance: DstInstance, edge_ids) -> FeasibilityReport:
         flows[t] = value
         if value >= 2 or witness is not None:
             continue
-        if value == 0:
-            witness = (None, t, cut)
-        else:
-            for e in sorted(edge_ids):
-                rest = edge_ids - {e}
-                if t not in reachable_set(g, instance.root, restrict_to=rest):
-                    _, cut_e = max_flow_unit(g, instance.root, t, restrict_to=rest)
-                    witness = (e, t, cut_e)
-                    break
+        # with a flow of 1 some edge cuts t off: the first one in id order
+        edge = None if value == 0 else next(
+            e for e in sorted(edge_ids)
+            if max_flow_unit(g, instance.root, t, restrict_to=edge_ids - {e}, limit=1)[0] == 0)
+        witness = (edge, t, cut)
     if witness is None:
-        return FeasibilityReport(all(v >= 2 for v in flows.values()), flows)
-    return FeasibilityReport(False, flows, witness[0], witness[1], witness[2])
+        return FeasibilityReport(True, flows)
+    return FeasibilityReport(False, flows, *witness)
 
 
 def reverse_delete(instance: DstInstance, edges) -> frozenset:

@@ -1,7 +1,9 @@
 """Slow, independent reference implementations used to check the fast code.
 
-The graph oracles are exhaustive enumeration: keep instances tiny (m <= 12
-or so) when calling them from tests. `reference_disjoint_pair_cost` tries
+`reachable_set` is a plain breadth-first search over an edge subset, as a
+reference for `graph.search` and for what a cut or a lost edge leaves
+reachable. The other graph oracles are exhaustive enumeration: keep
+instances tiny (m <= 12 or so) when calling them from tests. `reference_disjoint_pair_cost` tries
 every pair of simple paths, as a reference for the two shortest paths of
 `reductions._disjoint_pair_cost`. `unpruned_tree` builds the full prefix
 tree from `enumerate_label_sequences`, nodes with no terminal below
@@ -45,6 +47,7 @@ uses.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -53,7 +56,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix, csr_matrix, hstack, vstack
 
-from twodst.graph import DirectedMultigraph, reachable_set, reachable_sets
+from twodst.graph import DirectedMultigraph
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 from twodst.rounding import IterationSampler, decompose_flow
 from twodst.shallow_tree import ShallowTree
@@ -80,6 +83,25 @@ def enumerate_simple_paths(graph: DirectedMultigraph, source, target) -> list[tu
 
     extend(source, {source}, [])
     return paths
+
+
+def reachable_set(graph: DirectedMultigraph, source, restrict_to=None) -> frozenset:
+    """Vertices reachable from `source` along directed edges, over the
+    edge ids `restrict_to` only when given (the vertices that reach it:
+    `reachable_set(graph.reversed(), source)`)."""
+    allowed = None if restrict_to is None else set(restrict_to)
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for e in graph.out_edges(u):
+            if allowed is not None and e not in allowed:
+                continue
+            w = graph.heads[e]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
 
 
 def reference_disjoint_pair_cost(graph: DirectedMultigraph, source, target):
@@ -249,8 +271,9 @@ def unpruned_tree(instance, depth) -> ShallowTree:
     g = instance.graph
     forward = reachable_set(g, instance.root)
     back = g.reversed()
-    backward = set().union(*(reachable_set(back, t) for t in instance.terminals))
-    seqs = enumerate_label_sequences(forward & backward, instance.root, depth)[1:]
+    behind = {t: reachable_set(back, t) & forward for t in instance.terminals}
+    usable = frozenset().union(*behind.values())
+    seqs = enumerate_label_sequences(usable, instance.root, depth)[1:]
     order = sorted((len(s), copy, s) for s in seqs for copy in (1, 2))
     node_of = {(copy, (instance.root,)): 0 for copy in (1, 2)}
     labels, depths, parents = [instance.root], [0], [-1]
@@ -260,7 +283,10 @@ def unpruned_tree(instance, depth) -> ShallowTree:
         depths.append(length - 1)
         parents.append(node_of[(copy, seq[:-1])])
     groups = {t: {n for n, label in enumerate(labels) if label == t} for t in instance.terminals}
-    return ShallowTree(depth, labels, depths, parents, groups, reachable_sets(g))
+    # a label at depth D may have non-terminal children here, so every
+    # usable vertex gets its set
+    ahead = {u: reachable_set(g, u) & usable for u in usable}
+    return ShallowTree(depth, labels, depths, parents, groups, behind, ahead)
 
 
 def children(tree) -> list[list[int]]:

@@ -7,10 +7,10 @@ from twodst.graph import (
     DstInstance,
     EdgePath,
     max_flow_unit,
-    reachable_set,
+    search,
 )
 
-from oracles import has_two_disjoint_paths, min_cut_size, path_packing_number
+from oracles import has_two_disjoint_paths, min_cut_size, path_packing_number, reachable_set
 
 
 def small_digraphs(max_n=5, max_m=10):
@@ -222,15 +222,31 @@ class TestUnitFlow:
 
 class TestReachability:
     def test_forward(self, diamond):
-        assert reachable_set(diamond.graph, "r") == frozenset(["r", "a", "b", "t"])
-        assert reachable_set(diamond.graph, "a") == frozenset(["a", "t"])
+        assert search(diamond.graph, "r")[0] == frozenset(["r", "a", "b", "t"])
+        assert search(diamond.graph, "a") == (frozenset(["a", "t"]), [1])
 
     def test_backward(self, diamond):
-        back = diamond.graph.reversed()
-        assert reachable_set(back, "t") == frozenset(["r", "a", "b", "t"])
-        assert reachable_set(back, "a") == frozenset(["r", "a"])
+        assert search(diamond.graph, "t", backward=True)[0] == frozenset(["r", "a", "b", "t"])
+        assert search(diamond.graph, "a", backward=True) == (frozenset(["r", "a"]), [0])
 
     def test_restricted(self, diamond):
-        assert reachable_set(diamond.graph, "r", restrict_to=[0]) == frozenset(
-            ["r", "a"]
-        )
+        # within {r, a, t}: b is not entered, and the edges into it are not scanned
+        reached, scanned = search(diamond.graph, "r", inside=frozenset(["r", "a", "t"]))
+        assert reached == frozenset(["r", "a", "t"]) and sorted(scanned) == [0, 1]
+        assert search(diamond.graph, "t", backward=True, inside=frozenset(["t", "b"]))[0] == (
+            frozenset(["t", "b"]))
+
+    @given(small_digraphs(), st.booleans(), st.sets(st.integers(min_value=0, max_value=4)))
+    def test_matches_the_reference_search(self, gst, backward, inside):
+        # the vertices reached within `inside`, and each edge between a
+        # reached vertex and `inside`, scanned once
+        g, s, _ = gst
+        graph = g.reversed() if backward else g
+        inside = frozenset(inside) | {s}
+        edges = [e for e in range(g.num_edges)
+                 if graph.tails[e] in inside and graph.heads[e] in inside]
+        want = reachable_set(graph, s, restrict_to=edges)
+        reached, scanned = search(g, s, backward=backward, inside=inside)
+        assert reached == want
+        assert sorted(scanned) == [e for e in edges if graph.tails[e] in want]
+        assert search(g, s, backward=backward)[0] == reachable_set(graph, s)

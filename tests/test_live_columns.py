@@ -17,7 +17,7 @@ from oracles import (
     unpruned_tree,
     useless_pairs,
 )
-from twodst import graph, lp_model, lp_solver, pipeline
+from twodst import graph, lp_model, lp_solver, pipeline, shallow_tree
 from twodst.errors import ModelInconsistencyError
 from twodst.exact import random_instance
 from twodst.lp_model import (
@@ -43,7 +43,7 @@ def _check(inst, depth, beta=None):
     tree, model = _model(inst, depth, beta)
     assert np.array_equal(model.var_index.columns, np.flatnonzero(reference_live(inst, tree)))
     # the tree holds an edge only where a graph path realizes it
-    _, pairs = lp_model.live_columns(tree, lp_model._ends(inst, tree), math.inf)
+    _, pairs = lp_model.live_columns(inst.graph, tree, lp_model._ends(inst, tree), math.inf)
     assert np.array_equal(np.unique(pairs // inst.graph.num_edges), np.arange(tree.num_edges))
 
     reduced, full = solve(model), solve(reference_model(inst, tree, model.beta))
@@ -263,16 +263,43 @@ def test_pipeline_logs_solver_run(diamond, caplog):
     assert "HiGHS iterations" in solved[0] and "solved shape" in solved[0]
 
 
-def test_a_solve_searches_the_graph_once(multicover, monkeypatch):
-    # beta starts at 1 here and is doubled once: two models, and still one
-    # search per vertex for the whole solve, with one `_ends` per model
+def test_a_solve_searches_once_per_terminal_and_label_pair(multicover, monkeypatch):
+    # beta starts at 1 here and is doubled once: two models over one tree.
+    # At depth 1 the tree searches forward from the root and back from each
+    # of the 7 terminals, and each model once per label pair (root, t)
     searches, ends, models = [], [], []
-    for module, name, calls in ((graph, "reachable_set", searches), (lp_model, "_ends", ends),
+
+    def counted(real, calls):
+        return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+
+    for module, name, calls in ((shallow_tree, "search", searches),
+                                (lp_model, "search", searches), (lp_model, "_ends", ends),
                                 (pipeline, "build_lp", models)):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, real=real, calls=calls: calls.append(1) or real(*args))
+        monkeypatch.setattr(module, name, counted(getattr(module, name), calls))
     result = run_pipeline(multicover, PipelineConfig(depth=1, beta_multiplier=0.05))
     assert result.beta == 2 and len(models) == 2
-    assert len(searches) == multicover.graph.num_vertices
+    h = multicover.num_terminals
+    assert len(searches) == 1 + h + len(models) * h == 22
     assert len(ends) == len(models)
+
+
+def test_a_depth_one_label_reaches_less_than_the_root(monkeypatch):
+    # at depth 3 the pair (u, v) searches back from v within R(u) = {u, v,
+    # t}, which leaves out a -> v and r -> a; within the root's set it
+    # would keep them
+    g = graph.DirectedMultigraph(
+        ["r", "u", "a", "v", "t"],
+        [("r", "u", 1.0), ("r", "a", 1.0), ("u", "v", 1.0), ("a", "v", 1.0), ("v", "t", 1.0),
+         ("r", "t", 1.0)],
+    )
+    inst = graph.DstInstance(g, "r", frozenset(["t"]))
+    searches = []
+    real = shallow_tree.search
+    monkeypatch.setattr(shallow_tree, "search",
+                        lambda *args, **kwargs: searches.append(args[1]) or real(*args, **kwargs))
+    model, _ = _check(inst, 3)
+    assert len(model.var_index.columns) == 134
+    # the root, the terminal, then each depth-1 label once
+    assert sorted(searches) == ["a", "r", "t", "t", "u", "v"]
+    tree = build_shallow_tree(inst, 3)
+    assert tree.ahead["u"] == {"u", "v", "t"} < tree.ahead["r"]

@@ -140,7 +140,8 @@ class TestBuildLp:
         for inst, depth in ((parallel_pair, 1), (diamond, 2), (multicover, 2)):
             tree = build_shallow_tree(inst, depth)
             model = build_lp(inst, tree, beta=4)
-            live_fh, pairs = live_columns(tree, lp_model._ends(inst, tree), math.inf)
+            ends = lp_model._ends(inst, tree)
+            live_fh, pairs = live_columns(inst.graph, tree, ends, math.inf)
             full = reference_model(inst, tree, 4)
             # each live fh, f and ft column sits in its own two-term pair row,
             # so `live_columns`' count never refuses a model that fits
@@ -239,8 +240,8 @@ class TestBuildLp:
     def test_tree_edges_times_terminals_is_capped_first(self, monkeypatch):
         # the binary out-tree on 4,095 vertices with its 2,048 leaves as
         # terminals, at depth 1: 4,096 tree edges x 2,048 terminals is over
-        # the cap, and the build stops before any array exists (a vertex x
-        # vertex reach matrix would take 16.8 MB, the fh masks 8.4 MB)
+        # the cap, and the build stops before any array exists (the fh masks
+        # would take 8.4 MB)
         inst = _out_tree(12, 2_048)
         tree = build_shallow_tree(inst, 1)
 
@@ -260,8 +261,8 @@ class TestBuildLp:
 
     def test_a_large_sparse_graph_builds_without_vertex_square_arrays(self):
         # the binary out-tree on 8,191 vertices with two leaves as terminals,
-        # at depth 2: rule (c) reads the reachable sets of the usable
-        # vertices only (a vertex x vertex reach matrix would take 67 MB)
+        # at depth 2: rule (c) searches within the sets the tree keeps, so
+        # the build holds nothing per vertex but its position
         inst = _out_tree(13, 2)
         tree = build_shallow_tree(inst, 2)
         tracemalloc.start()
@@ -309,6 +310,27 @@ class TestBuildLp:
             arrays = [getattr(model, name) for name in ("indptr", "indices", "data", "row_lower",
                                                         "row_upper", "family", "objective")]
             assert peak <= 2.5 * sum(a.nbytes for a in [*arrays, model.var_index.columns]), k
+
+    def test_tree_and_model_memory_follow_the_model_on_a_long_cycle(self):
+        # the bidirected cycle on 2,000 vertices, terminals 666 and 1,333, at
+        # depth 1: the tree and the model search from the root and the
+        # terminals only, so nothing is kept per vertex (one reachable set
+        # per vertex peaks at about 40x the model's arrays)
+        n = 2_000
+        edges = [(i, (i + 1) % n, 1.0) for i in range(n)] + [((i + 1) % n, i, 1.0)
+                                                              for i in range(n)]
+        inst = DstInstance(DirectedMultigraph(range(n), edges), 0, frozenset([666, 1_333]))
+        tracemalloc.start()
+        try:
+            tree = build_shallow_tree(inst, 1)
+            model = build_lp(inst, tree, congestion_parameter(1, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.nonzeros() == 171_902
+        arrays = [getattr(model, name) for name in ("indptr", "indices", "data", "row_lower",
+                                                    "row_upper", "family", "objective")]
+        assert peak < 3 * sum(a.nbytes for a in [*arrays, model.var_index.columns])
 
     def test_integral_embedding_is_feasible(self, diamond_embedding):
         _, _, model, values = diamond_embedding

@@ -7,10 +7,23 @@ from hypothesis import strategies as st
 
 from twodst.errors import InfeasibleInstanceError, SizeLimitError
 from twodst.exact import random_instance
-from twodst.graph import DirectedMultigraph, DstInstance, reachable_set, reachable_sets
-from twodst.shallow_tree import build_shallow_tree, usable_vertices
+from twodst.graph import DirectedMultigraph, DstInstance
+from twodst.shallow_tree import build_shallow_tree
 
-from oracles import copy_of, enumerate_label_sequences, parent_edge, path_to_root, unpruned_tree
+from oracles import (
+    copy_of,
+    enumerate_label_sequences,
+    parent_edge,
+    path_to_root,
+    reachable_set,
+    unpruned_tree,
+)
+
+
+def usable(inst) -> frozenset:
+    """Vertices on some root-to-terminal walk."""
+    g = inst.graph
+    return frozenset(v for v in reachable_set(g, inst.root) if reachable_set(g, v) & inst.terminals)
 
 
 def complete_instance(n, terminals):
@@ -29,7 +42,7 @@ class TestFrozenSizes:
         assert {t: len(nodes) for t, nodes in tree.groups.items()} == {"t": 6}
 
     def test_pruning_is_a_noop_when_all_vertices_usable(self, diamond):
-        assert usable_vertices(diamond, reachable_sets(diamond.graph)) == diamond.graph.vertices
+        assert usable(diamond) == diamond.graph.vertices
         pruned = build_shallow_tree(diamond, 2)
         assert set(pruned.labels) == diamond.graph.vertices
 
@@ -180,6 +193,16 @@ def _terminal_below(tree, terminals, among=None) -> list[bool]:
     return below
 
 
+def _check_kept_sets(inst, tree):
+    """The tree keeps R^-(t) of each terminal and R(u) of the root and of
+    each label with a node above depth D - 1, within the usable vertices."""
+    g, keep = inst.graph, usable(inst)
+    back = g.reversed()
+    assert tree.behind == {t: reachable_set(back, t) & keep for t in inst.terminals}
+    above = {label for label, d in zip(tree.labels, tree.depths) if d < tree.depth - 1}
+    assert tree.ahead == {u: reachable_set(g, u) & keep for u in above | {inst.root}}
+
+
 class TestOnlyWhatReachesATerminal:
     @settings(max_examples=60)
     @given(
@@ -195,6 +218,7 @@ class TestOnlyWhatReachesATerminal:
         tree = build_shallow_tree(inst, depth)
         assert all(_terminal_below(tree, inst.terminals))
         assert all(_realizable(tree, inst.graph))
+        _check_kept_sets(inst, tree)
 
     @settings(max_examples=30)
     @given(
@@ -221,7 +245,7 @@ class TestOnlyWhatReachesATerminal:
 
         kept = [v for v in range(1, full.num_nodes) if below[v]]
         assert sequences(tree, range(1, tree.num_nodes)) == sequences(full, kept)
-        p = len(usable_vertices(inst, reachable_sets(inst.graph))) - 1
+        p = len(usable(inst)) - 1
         assert full.num_nodes == 1 + 2 * sum(math.perm(p, k) for k in range(1, depth + 1))
 
 
@@ -232,7 +256,7 @@ class TestPruning:
             [("r", "a", 1.0), ("a", "t", 1.0), ("r", "t", 1.0), ("r", "z", 1.0)],
         )
         inst = DstInstance(g, "r", frozenset(["t"]))
-        assert usable_vertices(inst, reachable_sets(g)) == frozenset(["r", "a", "t"])
+        assert usable(inst) == frozenset(["r", "a", "t"])
         tree = build_shallow_tree(inst, 2)
         assert "z" not in set(tree.labels)
 

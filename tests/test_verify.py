@@ -3,6 +3,7 @@ paper's lemmas on LP points (`oracles`), checked against `group_flow_lp`
 and `ReferenceSampler`."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from oracles import (
     flow_slack_violation,
     group_flow_lp,
     is_feasible_subset,
+    reachable_set,
     residual_group_flow,
     scan_failures,
     survival_estimate,
 )
 from twodst.exact import random_instance
-from twodst.graph import DirectedMultigraph, DstInstance, reachable_set
+from twodst.graph import DirectedMultigraph, DstInstance
 from twodst.lp_model import LpSolution, build_lp, congestion_parameter
 from twodst.lp_solver import solve
 from twodst.shallow_tree import build_shallow_tree
@@ -91,6 +93,8 @@ def test_diamond_missing_branch_edge(diamond):
     assert report.witness_edge == 2
     assert report.witness_terminal == "t"
     assert "t" not in reachable_set(diamond.graph, "r", restrict_to={0, 3})
+    # the minimum cut of the one unit of flow r -> b -> t, nearest the root
+    assert report.witness_cut == frozenset([2])
 
 
 def test_empty_set_witness(diamond):
@@ -99,6 +103,7 @@ def test_empty_set_witness(diamond):
     assert report.flows == {"t": 0}
     assert report.witness_edge is None
     assert report.witness_terminal == "t"
+    assert report.witness_cut == frozenset()
 
 
 def test_feasibility_report_rejects_unknown_edges(diamond):
@@ -186,7 +191,15 @@ def test_feasibility_matches_oracle(pair):
         inst.graph, subset, inst.root, inst.terminals
     )
     if not report.feasible:
-        assert report.witness_terminal in inst.terminals
+        t = report.witness_terminal
+        assert t in inst.terminals
+        # the first edge whose loss cuts t off, when one unit reaches t
+        failures = [e for e, u in scan_failures(inst, SimpleNamespace(edges=subset)) if u == t]
+        assert report.witness_edge == (failures[0] if report.flows[t] == 1 else None)
+        # a minimum cut of t's flow, inside the set, that leaves t unreachable
+        cut = report.witness_cut
+        assert len(cut) == report.flows[t] and cut <= subset
+        assert t not in reachable_set(inst.graph, inst.root, restrict_to=subset - cut)
 
 
 # -------------------------------------------------------------- group flow
