@@ -6,7 +6,7 @@ integer ids (0..m-1) rather than by vertex pairs; parallel and antiparallel
 edges are legal and distinct. Graphs are immutable after construction and
 safe to share across threads. `max_flow_unit` is the one flow routine: it
 answers the integral question the solver's guarantee rests on, how many
-edge-disjoint paths join two vertices, and gives a minimum cut with it.
+edge-disjoint paths join two vertices, and certifies it: a cut or a flow.
 `search` is the one reachability routine: it costs the edges at the
 vertices it reaches, so the builders run it only where they need a set.
 """
@@ -151,17 +151,17 @@ def max_flow_unit(
     sink: Vertex,
     restrict_to: Optional[Iterable[int]] = None,
     limit: Optional[int] = None,
-) -> tuple[int, Optional[frozenset]]:
-    """Maximum number of edge-disjoint source-sink paths, with a min cut.
+) -> tuple[int, frozenset]:
+    """Maximum number of edge-disjoint source-sink paths, with a certificate.
 
     Every edge has unit capacity. `restrict_to` limits the search to a
     subset of edge ids (useful for checking candidate solutions without
     re-indexing edges). Augmenting paths are found by BFS with edges scanned
-    in ascending id order, so the result is deterministic. With `limit`
-    the search stops once the flow reaches it, for callers that only ask
-    "at least `limit`?": the value is then `limit` and the cut is None
-    (neither the last search nor the cut is run). A value below `limit`
-    is exact and comes with its cut.
+    in ascending id order, so the result is deterministic. A value below
+    `limit` is exact and comes with the minimum cut nearest the source.
+    With `limit` the search stops once the flow reaches it, for callers
+    that only ask "at least `limit`?"; the certificate is then the edges
+    the flow uses, which carry exactly `limit` edge-disjoint paths.
     """
     _check_vertex(graph, source, "source")
     _check_vertex(graph, sink, "sink")
@@ -169,22 +169,22 @@ def max_flow_unit(
         raise ValueError("source and sink must differ")
     allowed = set(range(graph.num_edges)) if restrict_to is None else set(restrict_to)
 
-    flow = [0] * graph.num_edges
+    used: set = set()  # the edges carrying a unit of flow
     value = 0
     while True:
         if value == limit:
-            return value, None
-        parent: dict = {source: None}  # vertex -> (edge id, direction)
+            return value, frozenset(used)
+        parent: dict = {source: None}  # vertex -> (edge id, previous vertex)
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
             for e in graph.out_edges(u):
-                if e in allowed and flow[e] == 0 and graph.heads[e] not in parent:
-                    parent[graph.heads[e]] = (e, +1)
+                if e in allowed and e not in used and graph.heads[e] not in parent:
+                    parent[graph.heads[e]] = (e, u)
                     queue.append(graph.heads[e])
             for e in graph.in_edges(u):
-                if e in allowed and flow[e] == 1 and graph.tails[e] not in parent:
-                    parent[graph.tails[e]] = (e, -1)
+                if e in used and graph.tails[e] not in parent:
+                    parent[graph.tails[e]] = (e, u)
                     queue.append(graph.tails[e])
         if sink not in parent:
             reachable = frozenset(parent)
@@ -196,9 +196,8 @@ def max_flow_unit(
             return value, cut
         v = sink
         while v != source:
-            e, direction = parent[v]
-            flow[e] = 1 if direction > 0 else 0
-            v = graph.tails[e] if direction > 0 else graph.heads[e]
+            e, v = parent[v]
+            used ^= {e}  # a forward step adds e, a backward step frees it
         value += 1
 
 

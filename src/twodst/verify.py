@@ -3,11 +3,12 @@
 Feasibility of a candidate subgraph is an exact integral check: two
 edge-disjoint root-terminal paths exist iff the unit-capacity max flow
 (`graph.max_flow_unit`) is at least 2. A failing subgraph gets a witness:
-the first terminal (sorted) with a flow below 2, the first edge (by id)
-whose loss cuts it off when its flow is 1, and the minimum cut of its flow.
-`reverse_delete` prunes an edge set with the same max-flow test. The
-module reads graphs and edge sets only; the probes of the paper's lemmas
-on a fractional LP point live with the tests (`tests/oracles.py`).
+the first terminal (sorted) with a flow below 2, its flow's minimum cut
+nearest the root, and that cut's one edge when the flow is 1. Pruning
+(`reverse_delete`) keeps each terminal's flow and re-runs only the flows
+that hold the edge it tries. The module reads graphs and edge sets only;
+the probes of the paper's lemmas on a fractional LP point live with the
+tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class FeasibilityReport:
 
 
 def feasibility_report(instance: DstInstance, edge_ids) -> FeasibilityReport:
-    """Integral verdict for an edge set: flow >= 2 to every terminal."""
+    """Integral verdict for an edge set, one flow per terminal: flow >= 2 to
+    each. A witness edge is its flow's one-edge cut, nearest the root."""
     g = instance.graph
     edge_ids = frozenset(edge_ids)
     bad = [e for e in edge_ids if not (0 <= e < g.num_edges)]
@@ -53,13 +55,9 @@ def feasibility_report(instance: DstInstance, edge_ids) -> FeasibilityReport:
     for t in sorted(instance.terminals):
         value, cut = max_flow_unit(g, instance.root, t, restrict_to=edge_ids)
         flows[t] = value
-        if value >= 2 or witness is not None:
-            continue
-        # with a flow of 1 some edge cuts t off: the first one in id order
-        edge = None if value == 0 else next(
-            e for e in sorted(edge_ids)
-            if max_flow_unit(g, instance.root, t, restrict_to=edge_ids - {e}, limit=1)[0] == 0)
-        witness = (edge, t, cut)
+        if value < 2 and witness is None:
+            # a minimum cut has as many edges as the flow: one, or none
+            witness = (min(cut, default=None), t, cut)
     if witness is None:
         return FeasibilityReport(True, flows)
     return FeasibilityReport(False, flows, *witness)
@@ -68,16 +66,29 @@ def feasibility_report(instance: DstInstance, edge_ids) -> FeasibilityReport:
 def reverse_delete(instance: DstInstance, edges) -> frozenset:
     """Drop the costliest edges whose removal keeps every terminal
     2-connected from the root; one descending pass is enough because an
-    edge that is needed never becomes droppable as the graph shrinks."""
+    edge that is needed never becomes droppable as the graph shrinks.
+
+    Each terminal keeps the edges of a flow of two in the kept set. A set
+    that carries two edge-disjoint paths still carries them after losing an
+    edge not on them, so a deletion re-runs only the terminals whose paths
+    hold the edge, and decides as a check of every terminal would. An input
+    short for some terminal comes back whole, as every subset is short too."""
     g = instance.graph
-    terminals = instance.sorted_terminals()
     kept = set(edges)
-    order = sorted(kept, key=lambda e: (-g.costs[e], -e))
-    for e in order:
-        trial = kept - {e}
-        if all(
-            max_flow_unit(g, instance.root, t, restrict_to=trial, limit=2)[0] >= 2
-            for t in terminals
-        ):
-            kept = trial
+    paths: dict = {}  # terminal, in sorted order -> the edges of a flow of two
+    for t in instance.sorted_terminals():
+        value, paths[t] = max_flow_unit(g, instance.root, t, restrict_to=kept, limit=2)
+        if value < 2:
+            return frozenset(kept)
+    for e in sorted(kept, key=lambda e: (-g.costs[e], -e)):
+        kept.discard(e)
+        rerun: dict = {}
+        for t, held in paths.items():
+            if e in held:
+                value, rerun[t] = max_flow_unit(g, instance.root, t, restrict_to=kept, limit=2)
+                if value < 2:
+                    kept.add(e)
+                    break
+        else:
+            paths.update(rerun)
     return frozenset(kept)

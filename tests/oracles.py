@@ -2,7 +2,9 @@
 
 `reachable_set` is a plain breadth-first search over an edge subset, as a
 reference for `graph.search` and for what a cut or a lost edge leaves
-reachable. The other graph oracles are exhaustive enumeration: keep
+reachable. `reference_reverse_delete` re-runs every terminal's flow for
+every edge it tries, as a reference for `verify.reverse_delete`. The other
+graph oracles are exhaustive enumeration: keep
 instances tiny (m <= 12 or so) when calling them from tests. `reference_disjoint_pair_cost` tries
 every pair of simple paths, as a reference for the two shortest paths of
 `reductions._disjoint_pair_cost`. `unpruned_tree` builds the full prefix
@@ -56,7 +58,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix, csr_matrix, hstack, vstack
 
-from twodst.graph import DirectedMultigraph
+from twodst.graph import DirectedMultigraph, max_flow_unit
 from twodst.lp_model import EQ, GE, LE, LpModel, LpRow, VarIndex
 from twodst.rounding import IterationSampler, decompose_flow
 from twodst.shallow_tree import ShallowTree
@@ -124,8 +126,9 @@ def reference_disjoint_pair_cost(graph: DirectedMultigraph, source, target):
     return best_cost, best_set
 
 
-def path_packing_number(graph: DirectedMultigraph, source, target) -> int:
-    """Max number of pairwise edge-disjoint source -> target paths.
+def path_packing_number(graph: DirectedMultigraph, source, target, allowed=None) -> int:
+    """Max number of pairwise edge-disjoint source -> target paths, over the
+    edge ids `allowed` only when given.
 
     Any family of edge-disjoint walks shortcuts to the same number of
     edge-disjoint simple paths, so enumerating simple paths is enough.
@@ -133,7 +136,8 @@ def path_packing_number(graph: DirectedMultigraph, source, target) -> int:
     """
     if source == target:
         raise ValueError("source and sink must differ")
-    paths = enumerate_simple_paths(graph, source, target)
+    paths = [p for p in enumerate_simple_paths(graph, source, target)
+             if allowed is None or set(p) <= set(allowed)]
     masks = [sum(1 << e for e in p) for p in paths]
     best = 0
     cache: set[tuple[int, int]] = set()
@@ -238,6 +242,22 @@ def brute_force_2dst(graph: DirectedMultigraph, root, terminals):
             best_cost = cost
             best_set = subset
     return best_cost, best_set
+
+
+def reference_reverse_delete(instance, edges) -> frozenset:
+    """Reverse-delete from scratch: try the edges by descending (cost, id)
+    and drop each one whose loss leaves a flow of two to every terminal,
+    checked by one `max_flow_unit` per terminal per trial. A reference for
+    `verify.reverse_delete`, which re-runs only the terminals whose kept
+    paths hold the edge."""
+    g = instance.graph
+    kept = set(edges)
+    for e in sorted(kept, key=lambda e: (-g.costs[e], -e)):
+        trial = kept - {e}
+        if all(max_flow_unit(g, instance.root, t, restrict_to=trial, limit=2)[0] >= 2
+               for t in instance.sorted_terminals()):
+            kept = trial
+    return frozenset(kept)
 
 
 def enumerate_label_sequences(vertices, root, depth) -> list[tuple]:

@@ -193,20 +193,23 @@ class TestUnitFlow:
         value, _ = max_flow_unit(g, s, t)
         assert (value >= 2) == has_two_disjoint_paths(g, s, t)
 
-    def test_limit_stops_without_a_cut(self, parallel_pair):
-        assert max_flow_unit(parallel_pair.graph, "r", "t", limit=2) == (2, None)
-        assert max_flow_unit(parallel_pair.graph, "r", "t", limit=1) == (1, None)
+    def test_limit_stops_with_the_flow_edges(self, parallel_pair):
+        assert max_flow_unit(parallel_pair.graph, "r", "t", limit=2) == (2, frozenset([0, 1]))
+        assert max_flow_unit(parallel_pair.graph, "r", "t", limit=1) == (1, frozenset([0]))
 
-    @given(small_digraphs(), st.integers(min_value=1, max_value=3))
-    def test_limit_caps_the_value_and_keeps_short_flows_exact(self, gst, limit):
+    @given(small_digraphs(), st.integers(min_value=1, max_value=3), st.data())
+    def test_limit_caps_the_value_and_keeps_short_flows_exact(self, gst, limit, data):
         g, s, t = gst
-        full = max_flow_unit(g, s, t)
-        value, cut = max_flow_unit(g, s, t, limit=limit)
+        keep = frozenset(e for e in range(g.num_edges) if data.draw(st.booleans()))
+        full = max_flow_unit(g, s, t, restrict_to=keep)
+        value, certificate = max_flow_unit(g, s, t, restrict_to=keep, limit=limit)
         assert value == min(full[0], limit)
         if full[0] < limit:
-            assert cut == full[1]
+            assert certificate == full[1]
         else:
-            assert cut is None
+            # the edges the flow uses, inside the set, carry exactly `limit` paths
+            assert certificate <= keep
+            assert path_packing_number(g, s, t, allowed=certificate) == limit
 
     @given(small_digraphs())
     def test_removing_an_edge_never_helps(self, gst):

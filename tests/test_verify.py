@@ -20,6 +20,7 @@ from oracles import (
     group_flow_lp,
     is_feasible_subset,
     reachable_set,
+    reference_reverse_delete,
     residual_group_flow,
     scan_failures,
     survival_estimate,
@@ -89,12 +90,39 @@ def test_diamond_missing_branch_edge(diamond):
     report = feasibility_report(diamond, {0, 2, 3})
     assert not report.feasible
     assert report.flows == {"t": 1}
-    # ascending scan: dropping edge 2 is the first removal that cuts t off
+    # the minimum cut of the one unit of flow r -> b -> t, nearest the root,
+    # and its one edge: losing edge 2 cuts t off
     assert report.witness_edge == 2
     assert report.witness_terminal == "t"
     assert "t" not in reachable_set(diamond.graph, "r", restrict_to={0, 3})
-    # the minimum cut of the one unit of flow r -> b -> t, nearest the root
     assert report.witness_cut == frozenset([2])
+
+
+def test_witness_edge_is_the_cut_nearest_the_root():
+    # losing either edge of the path r -> a -> t cuts t off; the witness is
+    # r -> a, edge 1, the cut nearest the root, though edge 0 has the lower id
+    inst = _instance(["r", "a", "t"], [("a", "t", 1.0), ("r", "a", 1.0)], "r", ["t"])
+    report = feasibility_report(inst, {0, 1})
+    assert (report.witness_edge, report.witness_cut) == (1, frozenset([1]))
+
+
+def test_a_failing_report_runs_one_flow_per_terminal(f2_multicover, monkeypatch):
+    # one set of F_2^3 and its four points: the first terminal has a flow of
+    # one and the others at most one, and the witness comes from the cut
+    inst = f2_multicover(3)
+    g = inst.graph
+    first_set = {e for e in range(g.num_edges) if "s0" in (g.tails[e], g.heads[e])}
+    calls = []
+    real = verify.max_flow_unit
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "max_flow_unit", counting)
+    report = feasibility_report(inst, first_set)
+    assert not report.feasible and report.flows[report.witness_terminal] == 1
+    assert calls == inst.sorted_terminals()
 
 
 def test_empty_set_witness(diamond):
@@ -133,30 +161,54 @@ def test_verify_matches_report(diamond):
 def test_reverse_delete_checks_terminals_in_sorted_order(monkeypatch):
     # int hashes are fixed, so this frozenset iterates out of sorted order
     terminals = (33, 2, 65, 4, 97, 6)
-    edges = []
+    # root 0 reaches hub 1 by three parallel edges, the first the dearest;
+    # each terminal hangs off the hub by two free edges and a dear one, and
+    # off the root by a dearer one that its first path takes
+    edges = [(0, 1, 2.0), (0, 1, 1.0), (0, 1, 1.0)]
     for t in terminals:
-        edges += [(0, t, 1.0), (0, t, 1.0), (0, t, 3.0)]
-    inst = _instance([0, *terminals], edges, 0, terminals)
+        edges += [(1, t, 0.0), (1, t, 0.0), (0, t, 5.0), (1, t, 4.0)]
+    inst = _instance([0, 1, *terminals], edges, 0, terminals)
     assert list(inst.terminals) != inst.sorted_terminals()
 
-    seen = []  # (trial edge set, terminal) per max-flow call
+    seen = []  # (edge set, terminal, value, certificate) per max-flow call
     real = verify.max_flow_unit
 
     def recording(graph, source, sink, restrict_to=None, limit=None):
         assert limit == 2  # reverse-delete only asks "at least two paths?"
-        seen.append((frozenset(restrict_to), sink))
-        return real(graph, source, sink, restrict_to=restrict_to, limit=limit)
+        value, certificate = real(graph, source, sink, restrict_to=restrict_to, limit=limit)
+        seen.append((frozenset(restrict_to), sink, value, certificate))
+        return value, certificate
 
     monkeypatch.setattr(verify, "max_flow_unit", recording)
-    kept = reverse_delete(inst, range(len(edges)))
-    assert inst.graph.total_cost(kept) == 2.0 * len(terminals)
+    everything = frozenset(range(len(edges)))
+    kept = reverse_delete(inst, everything)
+    assert kept == frozenset([1, 2]) | {e for e in everything if edges[e][2] == 0.0}
 
-    trials: dict = {}
-    for trial, t in seen:
-        trials.setdefault(trial, []).append(t)
-    assert len(trials) == len(edges)
-    for order in trials.values():
-        assert order == inst.sorted_terminals()[: len(order)]
+    # the first pass: every terminal over the input, in sorted order
+    h = len(terminals)
+    assert [(s, t) for s, t, _, _ in seen[:h]] == [(everything, t) for t in inst.sorted_terminals()]
+    paths = {t: certificate for _, t, _, certificate in seen[:h]}
+    # then each trial re-checks, in sorted order, the terminals whose paths
+    # hold the edge, up to the first one left short
+    calls = iter(seen[h:])
+    current, trials = set(everything), []
+    for e in sorted(everything, key=lambda e: (-edges[e][2], -e)):
+        current.discard(e)
+        rerun = {}
+        for t in [t for t in inst.sorted_terminals() if e in paths[t]]:
+            trial, sink, value, certificate = next(calls)
+            assert (trial, sink) == (current, t)
+            if value < 2:
+                current.add(e)
+                trials.append((len(rerun) + 1, False))
+                break
+            rerun[t] = certificate
+        else:
+            paths.update(rerun)
+            trials.append((len(rerun), True))
+    assert next(calls, None) is None and current == kept
+    # trials with no re-check, one, every terminal's, and one rejected
+    assert {(0, True), (1, True), (h, True), (1, False)} <= set(trials)
 
 
 def test_scan_failures(diamond):
@@ -180,26 +232,87 @@ def instance_and_subset(draw):
         edges.append((vertices[tail], vertices[head], 1.0))
     g = DirectedMultigraph(vertices, edges)
     subset = frozenset(e for e in range(m) if draw(st.booleans()))
-    return DstInstance(g, "v0", frozenset(["v1"])), subset
+    terminals = ["v1", "v2"][: draw(st.integers(1, 2))]
+    return DstInstance(g, "v0", frozenset(terminals)), subset
 
 
 @given(instance_and_subset())
 def test_feasibility_matches_oracle(pair):
     inst, subset = pair
+    g = inst.graph
     report = feasibility_report(inst, subset)
-    assert report.feasible == is_feasible_subset(
-        inst.graph, subset, inst.root, inst.terminals
-    )
+    assert report.feasible == is_feasible_subset(g, subset, inst.root, inst.terminals)
     if not report.feasible:
         t = report.witness_terminal
-        assert t in inst.terminals
-        # the first edge whose loss cuts t off, when one unit reaches t
-        failures = [e for e, u in scan_failures(inst, SimpleNamespace(edges=subset)) if u == t]
-        assert report.witness_edge == (failures[0] if report.flows[t] == 1 else None)
+        assert t == next(u for u in inst.sorted_terminals() if report.flows[u] < 2)
         # a minimum cut of t's flow, inside the set, that leaves t unreachable
         cut = report.witness_cut
         assert len(cut) == report.flows[t] and cut <= subset
-        assert t not in reachable_set(inst.graph, inst.root, restrict_to=subset - cut)
+        assert t not in reachable_set(g, inst.root, restrict_to=subset - cut)
+        if report.flows[t] == 0:
+            assert report.witness_edge is None and cut == frozenset()
+            return
+        # with one unit, the cut's one edge cuts t off, and it is the one
+        # nearest the root: losing it leaves no more reachable than losing
+        # any other such edge
+        edge = report.witness_edge
+        assert cut == {edge}
+        failures = [e for e, u in scan_failures(inst, SimpleNamespace(edges=subset)) if u == t]
+        assert edge in failures
+        left = reachable_set(g, inst.root, restrict_to=subset - {edge})
+        assert all(left <= reachable_set(g, inst.root, restrict_to=subset - {e}) for e in failures)
+
+
+@st.composite
+def pruning_instance(draw):
+    """A rooted instance on 2-5 vertices with one to three terminals and
+    costs 0-3 (zero-cost edges and ties), parallel edges likely, and an edge
+    set to prune, which need not be feasible: two disjoint root paths are
+    planted per terminal half the time, then edges are drawn at random."""
+    n = draw(st.integers(2, 5))
+    terminals = list(range(1, n))[: draw(st.integers(1, min(3, n - 1)))]
+    cost = st.integers(0, 3).map(float)
+    edges = []
+    if draw(st.booleans()):
+        for t in terminals:
+            edges += [(0, t, draw(cost)), (0, t, draw(cost))]
+    for _ in range(draw(st.integers(0, 10))):
+        tail, head = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges.append((tail, head if head != tail else (head + 1) % n, draw(cost)))
+    inst = _instance(range(n), edges, 0, terminals)
+    return inst, frozenset(e for e in range(len(edges)) if draw(st.booleans()) or draw(st.booleans()))
+
+
+@given(pruning_instance())
+def test_reverse_delete_keeps_the_from_scratch_set(pair):
+    inst, edges = pair
+    assert reverse_delete(inst, edges) == reference_reverse_delete(inst, edges)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_reverse_delete_keeps_the_from_scratch_set_on_f2(f2_multicover, k):
+    inst = f2_multicover(k)
+    everything = range(inst.graph.num_edges)
+    kept = reverse_delete(inst, everything)
+    assert kept == reference_reverse_delete(inst, everything)
+    assert feasibility_report(inst, kept).feasible
+
+
+def test_reverse_delete_reruns_only_the_flows_holding_the_edge(f2_multicover, monkeypatch):
+    # F_2^6: 2,079 edges, 63 terminals; re-running every terminal for every
+    # edge tried (`reference_reverse_delete`) takes 126,683 flows
+    inst = f2_multicover(6)
+    calls = []
+    real = verify.max_flow_unit
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "max_flow_unit", counting)
+    kept = reverse_delete(inst, range(inst.graph.num_edges))
+    assert (inst.graph.total_cost(kept), len(kept)) == (10.0, 136)
+    assert len(calls) < 1000
 
 
 # -------------------------------------------------------------- group flow
