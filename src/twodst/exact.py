@@ -71,7 +71,8 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
 
     # depth-first over (next position, included edges, their cost), with an
     # explicit stack so the depth is not bounded by Python's recursion limit;
-    # the exclude branch is pushed last, so it is searched first
+    # the exclude branch is searched first. A stacked node's pool (included
+    # plus undecided edges) is its parent's, known to carry every terminal
     stack = [(0, frozenset(), 0.0)]
     nodes = 0
     while stack:
@@ -89,13 +90,13 @@ def exact_2dst(instance: DstInstance, config: ExactConfig = ExactConfig()) -> Ex
             best_cost = cost_so_far
             best_set = current
             continue  # supersets only cost more
-        # the undecided edges are built only here, so memory stays linear
-        # in the edge count
-        if i == len(order) or not feasible(current.union(order[i:])):
-            continue
-        e = order[i]
-        stack.append((i + 1, included | {e}, cost_so_far + g.costs[e]))
-        stack.append((i + 1, included, cost_so_far))
+        # each exclude child keeps this set, known short: it tests only its pool, built
+        # just for the check (memory stays linear), and stacks its include child
+        for k in range(i, len(order)):
+            e = order[k]
+            stack.append((k + 1, included | {e}, cost_so_far + g.costs[e]))
+            if k + 1 == len(order) or not feasible(current.union(order[k + 1:])):
+                break
 
     # drop the free edges the optimum does not need: on an optimum no edge
     # costing more than COST_EPS can go, so reverse-delete only drops those;

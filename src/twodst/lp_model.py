@@ -77,9 +77,8 @@ live, since the tree holds only edges with a terminal below them (see
 `shallow_tree`). Every tree edge also has at least one live f column: the
 tree holds an edge from u to v only where v is reachable from u, and the
 first edge of a u -> v path is kept by rule (c) below. Another column is
-dead by one of two rules (write "below
-ê" for the subtree under ê's child node, and (u, v) for ê's endpoint
-labels):
+dead by one of two rules (write "below ê" for the subtree under ê's child
+node, and (u, v) for ê's endpoint labels):
 
 (a) fh_(t,ê) and ft_(t,ê,·) when no node labelled t lies below ê. Every
     node below ê then has a gst conservation row, so fh_(t,ê) = 0 in every
@@ -300,6 +299,12 @@ class LpSolution:
         """Values at full column numbers (see `VarIndex`); 0.0 for a dead one."""
         pos = self.model.var_index.positions(keys)
         return np.where(pos >= 0, self.values[pos], 0.0)
+
+    def graph_flow(self, tree_edge: int) -> dict[int, float]:
+        """{e: f_(ê,e)} over ê's live f columns, ascending: one run of columns."""
+        idx, first = self.model.var_index, self.model.var_index.f(tree_edge, 0)
+        lo, hi = np.searchsorted(idx.columns, [first, first + idx.num_edges])
+        return dict(zip((idx.columns[lo:hi] - first).tolist(), self.values[lo:hi].tolist()))
 
 
 class _RowBlocks:

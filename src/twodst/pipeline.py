@@ -27,6 +27,16 @@ below h, which first happens at h = 17 (h = 18 at depth 2, never at
 depth 1). Below h, feasibility rests on the height reduction (Zelikovsky,
 Algorithmica 18, 1997), and the retry doubles beta toward h.
 
+The support {e : x_e > 0} of a feasible LP point is a feasible edge set.
+Padded with zeros on the dead columns, the point satisfies the full
+relaxation; for a terminal t, fh_t sends at least 2 from the root into
+t's group, is conserved elsewhere and leaves no t-node (rule (a)), and
+each ft_(t,ê,·) carries fh_(t,ê) from ê's upper label to its lower one,
+so their sum over ê is a root -> t flow of value >= 2, at most x_e <= 1 on
+e (div cap) and 0 off the support. Its paths via edges with x_e <= 1e-9
+carry under one unit and max flow is integral, so {e : x_e > 1e-9} has
+two edge-disjoint paths too; every rounding union lies in it (f <= x).
+
 Rounding only samples (`rounding.round_solution`). With `prune` the
 pipeline reverse-deletes the union and keeps the provenance of the kept
 edges; it then runs the solve's one max-flow verification and records

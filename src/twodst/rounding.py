@@ -10,7 +10,9 @@ to the caller (`pipeline.run_pipeline`).
 Marking uses monotonically clamped tree values so parent ratios stay in
 [0,1]; decompositions use the raw LP values. A tree edge can be marked
 exactly when its clamped value is positive, so `IterationSampler`
-decomposes those edges, and only those, once when it is built.
+decomposes those edges, and only those, once when it is built, each from
+its live f columns (`LpSolution.graph_flow`), where its flow lives: no
+array of rounding is sized tree edges x graph edges.
 
 Random stream: a run with seed s draws from one `default_rng(s)`. The
 run is a J x W matrix of uniforms, W = `tree.num_edges` + M * L, where M
@@ -31,12 +33,11 @@ already final.
 The rows are drawn in blocks of 1, 2, 4, ... rows, capped by a bound in
 bytes (`BLOCK_BYTES`), not by J (`IterationSampler.draw_blocks`), so the
 stop lands within twice the rows it needs. A block is marked by one
-threshold compare and one AND per tree level over its rows. A marked
-(row, tree edge) pair whose distribution has one path takes that path L
-times without reading its uniforms; the L paths of every other marked
-pair are one lookup in a table of cumulative weights. Either way each
-drawn row is drawn in full, and generator output does not depend on how
-it is split into calls, so a seed fixes the solution byte for byte.
+threshold compare and one AND per tree level over its rows, and the L
+paths of every marked (row, tree edge) pair are one lookup in a table of
+cumulative weights. Each drawn row is drawn in full, and generator output
+does not depend on how it is split into calls, so a seed fixes the
+solution byte for byte.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ class PathDistribution:
 def decompose_flow(
     graph, tree: ShallowTree, tree_edge: int, flow, xhat_value: float
 ) -> PathDistribution:
-    """Greedy shortest-path stripping of a source-target flow.
+    """Greedy shortest-path stripping of a source-target flow, given as
+    {graph edge: value} (`LpSolution.graph_flow`; a missing edge carries 0).
 
     Repeatedly takes the BFS-shortest source-target path in the positive
     support (ties broken toward smaller edge ids), subtracts its
@@ -160,20 +162,19 @@ def decompose_flow(
     the tree-edge value; flow stuck on cycles is discarded.
     """
     source, target = tree.edge_endpoints_labels(tree_edge)
-    flow = np.asarray(flow, dtype=float)
-    residual = flow.tolist()
+    residual = dict(flow)
     # only a flow with an entry below 0 is checked and clamped (and one
     # that starts with a NaN, which min cannot order)
-    if not min(residual, default=0.0) >= 0.0:
-        negative = np.flatnonzero(flow < -1e-9)
-        if len(negative):
-            raise ValueError(f"negative flow {flow[negative[0]]} on edge {negative[0]}")
-        residual = np.maximum(flow, 0.0).tolist()
+    if not min(residual.values(), default=0.0) >= 0.0:
+        for e, v in residual.items():
+            if v < -1e-9:
+                raise ValueError(f"negative flow {v} on edge {e}")
+            residual[e] = max(v, 0.0)
 
     out = graph.out_edges(source)
     strips: list[tuple[tuple[int, ...], float]] = []
     while True:
-        outflow = sum(residual[e] for e in out)
+        outflow = sum(residual.get(e, 0.0) for e in out)
         if outflow < 1e-9:
             break
         path = _shortest_support_path(graph, residual, source, target)
@@ -192,7 +193,7 @@ def decompose_flow(
         raise ModelInconsistencyError(
             f"tree edge {tree_edge}: stripped {total:.9f} but value is {xhat_value:.9f}"
         )
-    discarded = sum(residual)
+    discarded = sum(residual.values())
     return PathDistribution(
         tree_edge,
         tuple(EdgePath(graph, p) for p, _ in strips),
@@ -215,7 +216,7 @@ def _shortest_support_path(graph, residual, source, target):
             d = dist[v] + 1
             for e in in_edges(v):
                 u = tails[e]
-                if residual[e] > STRIP_TOL and u not in dist:
+                if residual.get(e, 0.0) > STRIP_TOL and u not in dist:
                     dist[u] = d
                     nxt.append(u)
         frontier = nxt
@@ -227,7 +228,7 @@ def _shortest_support_path(graph, residual, source, target):
         # out_edges lists edge ids ascending, so the first step is the smallest
         d = dist[v] - 1
         step = next(e for e in graph.out_edges(v)
-                    if residual[e] > STRIP_TOL and dist.get(heads[e]) == d)
+                    if residual.get(e, 0.0) > STRIP_TOL and dist.get(heads[e]) == d)
         path.append(step)
         v = heads[step]
     return tuple(path)
@@ -254,7 +255,6 @@ class Block(NamedTuple):
     row: np.ndarray  # row of each pair within the block, ascending
     ehat: np.ndarray  # marked tree edge of each pair
     paths: np.ndarray  # (pairs, samples): global ids of the paths drawn
-    multi: np.ndarray  # whether each pair's distribution has two or more paths
 
 
 class IterationSampler:
@@ -262,11 +262,11 @@ class IterationSampler:
 
     Holds the marking thresholds of the clamped tree values and the path
     distribution of every markable tree edge (`distributions`, decomposed
-    once here, in ascending edge order), so repeated iterations (rounding,
-    Monte Carlo probes) never re-decompose a flow. The paths of all
-    distributions get global ids (`paths`), and their cumulative weights
-    one row each of a padded table, so the draws of a block's pairs with
-    two or more paths are a single lookup.
+    once here from the edge's live f columns, in ascending edge order), so
+    repeated iterations (rounding, Monte Carlo probes) never re-decompose a
+    flow. The paths of all distributions get global ids (`paths`), and
+    their cumulative weights one row each of a padded table, so the draws
+    of a block's pairs are a single lookup.
 
     Random stream: `width` uniforms per iteration, laid out as in the
     module docstring; `draw_blocks` is the one draw, and `sample_draws`
@@ -279,8 +279,7 @@ class IterationSampler:
         samples: Optional[int] = None,
     ):
         self.tree = tree
-        idx = lp.model.var_index
-        self.raw_xhat = lp.at(idx.xhat(np.arange(tree.num_edges)))
+        self.raw_xhat = lp.at(lp.model.var_index.xhat(np.arange(tree.num_edges)))
         self.clamped = monotone_clamp(tree, self.raw_xhat)
         self.clamped[self.clamped <= SUPPORT_TOL] = 0.0
         self._thresholds = _marking_thresholds(tree, self.clamped)
@@ -292,12 +291,11 @@ class IterationSampler:
         else:
             raise ValueError("samples not set and the model carries no beta")
 
-        g = instance.graph
         markable = np.flatnonzero(self.clamped > 0.0)
-        flows = lp.at(idx.f(markable[:, None], np.arange(g.num_edges)))  # a row per markable edge
         self.distributions: dict[int, PathDistribution] = {
-            ehat: decompose_flow(g, tree, ehat, flow, self.raw_xhat[ehat])
-            for ehat, flow in zip(markable.tolist(), flows)
+            ehat: decompose_flow(instance.graph, tree, ehat, lp.graph_flow(ehat),
+                                 self.raw_xhat[ehat])
+            for ehat in markable.tolist()
         }
         dists = list(self.distributions.values())
         self.paths: list[EdgePath] = [p for d in dists for p in d.paths]  # global id -> path
@@ -308,9 +306,6 @@ class IterationSampler:
         self._cdf = np.full((len(dists), self._counts.max(initial=0)), np.inf)
         for row, dist in enumerate(dists):
             self._cdf[row, : len(dist.paths)] = dist.cdf
-        # first uniform column of each markable edge's samples
-        self._col = np.full(tree.num_edges, -1)
-        self._col[markable] = tree.num_edges + self.samples * np.arange(len(dists))
         self.width = tree.num_edges + self.samples * len(dists)
 
     def block_rows(self) -> int:
@@ -333,12 +328,9 @@ class IterationSampler:
             uniforms = rng.random((size, self.width))
             row, ehat = np.nonzero(_mark(self.tree, self._thresholds, uniforms[:, :te]))
             table = self._row[ehat]
-            multi = self._counts[table] > 1
-            paths = np.repeat(self._starts[table][:, None], self.samples, axis=1)
-            at = np.flatnonzero(multi)
-            draws = uniforms[row[at, None], self._col[ehat[at]][:, None] + ells]
-            paths[at] += _pick(self._cdf[table[at]], self._counts[table[at]], draws)
-            yield Block(first, size, row, ehat, paths, multi)
+            draws = uniforms[row[:, None], te + self.samples * table[:, None] + ells]
+            paths = self._starts[table][:, None] + _pick(self._cdf[table], self._counts[table], draws)
+            yield Block(first, size, row, ehat, paths)
             first, size = first + size, 2 * size
 
     def sample_draws(self, rng) -> list[tuple[int, int, EdgePath]]:
@@ -367,16 +359,11 @@ def round_solution(
     An edge's provenance is the (iteration, tree edge, sample index) of the
     first draw whose path contains it. Within a block only the first draw
     of each path not seen before can add edges, so the union walks those
-    in draw order. All L draws of a pair whose distribution has one path
-    are that path, so such a pair counts once, by its first draw (sample
-    index 1); the other pairs count draw by draw. No path belongs to both
-    kinds of distribution, so each kind finds its paths' first draws alone.
+    in draw order.
 
     The loop stops once every path has been drawn (`seen.all()`), whatever
-    J is: a later draw repeats a path, so it adds no edge, and it cannot
-    change a provenance, which is the first draw that holds the edge. The
-    union and its provenance are therefore final, and `meta` still reports
-    J. With nothing markable there is no path and the first block ends it.
+    J is, as the module docstring argues; `meta` still reports J. With
+    nothing markable there is no path and the first block ends it.
     """
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
@@ -388,17 +375,13 @@ def round_solution(
     rows_drawn = 0
     last_new = 0
     samples = sampler.samples
-    ells = np.arange(samples)
     for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
         rows_drawn += block.size
-        single, multi = np.flatnonzero(~block.multi), np.flatnonzero(block.multi)
-        # each candidate draw: its path and its index in the block's draw order
-        path_ids = np.concatenate([block.paths[single, 0], block.paths[multi].ravel()])
-        draw_at = np.concatenate([single * samples, (multi[:, None] * samples + ells).ravel()])
-        ids, first = np.unique(path_ids, return_index=True)
+        # each path's first draw, as its index in the block's draw order
+        ids, first = np.unique(block.paths, return_index=True)
         new = ~seen[ids]
         seen[ids] = True
-        ids, first = ids[new], draw_at[first[new]]
+        ids, first = ids[new], first[new]
         order = np.argsort(first)
         for p, i in zip(ids[order].tolist(), first[order].tolist()):
             pair = i // samples

@@ -949,7 +949,8 @@ class ReferenceSampler:
     def distribution(self, ehat):
         if ehat not in self._distributions:
             idx, m = self.lp.model.var_index, self.instance.graph.num_edges
-            flow = [float(self.lp.at(idx.f(ehat, e))) for e in range(m)]
+            flow = {e: float(self.lp.at(idx.f(ehat, e))) for e in range(m)}
+            flow = {e: v for e, v in flow.items() if v != 0.0}  # the support
             self._distributions[ehat] = decompose_flow(
                 self.instance.graph, self.tree, ehat, flow, self.raw_xhat[ehat]
             )

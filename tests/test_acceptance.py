@@ -206,15 +206,14 @@ def test_path_marginals(marking_stats):
             if xh < 0.05:
                 continue
             # decomposed directly: edges whose clamped value is 0 count too
-            flow = lp.at(lp.model.var_index.f(ehat, np.arange(m)))
-            dist = decompose_flow(inst.graph, tree, ehat, flow.tolist(), xh)
+            dist = decompose_flow(inst.graph, tree, ehat, lp.graph_flow(ehat), xh)
             rng = np.random.default_rng((905, i, ehat))
             counts = np.zeros(m)
             for _ in range(PATH_SAMPLES):
                 for e in reference_sample_path(dist, rng).edges:
                     counts[e] += 1
             freq = counts / PATH_SAMPLES
-            target = flow / xh
+            target = lp.at(lp.model.var_index.f(ehat, np.arange(m))) / xh
             worst_over = max(worst_over, float(np.max(freq - target)))
             if dist.discarded <= 1e-7:  # no circulation left behind
                 worst_two_sided = max(worst_two_sided, float(np.max(np.abs(freq - target))))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_2dst
+
+import twodst.exact as exact
 from twodst.errors import ExactTimeoutError, SizeLimitError
 from twodst.exact import ExactConfig, ExactResult, exact_2dst, random_instance
 from twodst.graph import DirectedMultigraph, DstInstance, max_flow_unit
@@ -177,6 +179,24 @@ def test_memory_is_linear_in_the_edge_count():
         tracemalloc.stop()
     assert result == ExactResult(True, 2.0, frozenset({600, 601}))
     assert peak < 2_000_000
+
+
+def test_each_set_is_tested_once(monkeypatch):
+    # a node's included plus undecided edges are its parent's, and an
+    # exclude child's included set is its parent's, so neither is tested
+    # again; testing both sets at every node took 3,313 flows here
+    calls = 0
+    real = exact.max_flow_unit
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "max_flow_unit", counting)
+    for seed in range(12):
+        exact_2dst(random_instance(7, 12, 2, seed=seed))
+    assert calls == 1_705
 
 
 @pytest.mark.parametrize("seed, edges", [(6, {2, 3, 4, 10}), (7, {0, 2, 6, 12})])

@@ -253,6 +253,14 @@ def test_dead_keys_read_zero_and_highs_gets_the_model_columns(diamond, monkeypat
     assert idx.positions(idx.f(ehat, e)) < 0 and idx.positions(idx.ft("t", ehat, e)) < 0
     assert sol.at(np.array([idx.f(ehat, e), idx.ft("t", ehat, e)])).tolist() == [0.0, 0.0]
     assert sol.at(idx.x(np.arange(4))).tolist() == sol.values[:4].tolist()
+    # a tree edge's graph flow is its live f columns, ascending, with the
+    # values `at` reads; every other f key is dead
+    m = diamond.graph.num_edges
+    for ehat in range(tree.num_edges):
+        flow = sol.graph_flow(ehat)
+        live = np.flatnonzero(idx.positions(idx.f(ehat, np.arange(m))) >= 0).tolist()
+        assert list(flow) == live
+        assert list(flow.values()) == sol.at(idx.f(ehat, np.array(live, dtype=int))).tolist()
 
 
 def test_pipeline_logs_solver_run(diamond, caplog):

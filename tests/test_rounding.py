@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,7 @@ def test_clamp_keeps_group_flow_bound(solved_diamond):
 
 def test_decompose_parallel_split(pair_tree):
     g = DirectedMultigraph(["r", "t"], [("r", "t", 1.0), ("r", "t", 1.0)])
-    dist = decompose_flow(g, pair_tree, 0, [0.3, 0.7], 1.0)
+    dist = decompose_flow(g, pair_tree, 0, {0: 0.3, 1: 0.7}, 1.0)
     assert [p.edges for p in dist.paths] == [(0,), (1,)]
     assert dist.weights == pytest.approx((0.3, 0.7))
     assert dist.discarded == 0.0
@@ -198,7 +199,7 @@ def test_decompose_discards_disjoint_cycle():
     )
     inst = DstInstance(g, "r", frozenset(["t"]))
     tree = build_shallow_tree(inst, 1)
-    dist = decompose_flow(g, tree, 0, [0.5, 0.2, 0.2], 0.5)
+    dist = decompose_flow(g, tree, 0, {0: 0.5, 1: 0.2, 2: 0.2}, 0.5)
     assert [p.edges for p in dist.paths] == [(0,)]
     assert dist.weights == (1.0,)
     assert dist.discarded == pytest.approx(0.4)
@@ -206,7 +207,7 @@ def test_decompose_discards_disjoint_cycle():
 
 def test_decompose_flow_stuck_raises(solved_diamond):
     inst, tree, _ = solved_diamond
-    flow = [0.5, 0.0, 0.0, 0.0]  # leaves r but never reaches t
+    flow = {0: 0.5}  # leaves r but never reaches t
     with pytest.raises(ModelInconsistencyError):
         decompose_flow(inst.graph, tree, 2, flow, 0.5)
 
@@ -214,13 +215,13 @@ def test_decompose_flow_stuck_raises(solved_diamond):
 def test_decompose_total_mismatch_raises(pair_tree):
     g = DirectedMultigraph(["r", "t"], [("r", "t", 1.0), ("r", "t", 1.0)])
     with pytest.raises(ModelInconsistencyError):
-        decompose_flow(g, pair_tree, 0, [0.3, 0.0], 0.5)
+        decompose_flow(g, pair_tree, 0, {0: 0.3}, 0.5)
 
 
 def test_decompose_negative_flow_rejected(pair_tree):
     g = DirectedMultigraph(["r", "t"], [("r", "t", 1.0), ("r", "t", 1.0)])
     with pytest.raises(ValueError):
-        decompose_flow(g, pair_tree, 0, [-0.2, 0.2], 0.0)
+        decompose_flow(g, pair_tree, 0, {0: -0.2, 1: 0.2}, 0.0)
 
 
 def test_decompose_solved_lp_matches_values(solved_diamond):
@@ -230,7 +231,7 @@ def test_decompose_solved_lp_matches_values(solved_diamond):
         value = float(lp.at(idx.xhat(ehat)))
         if value <= 1e-9:
             continue
-        flow = lp.at(idx.f(ehat, np.arange(inst.graph.num_edges))).tolist()
+        flow = lp.graph_flow(ehat)
         dist = decompose_flow(inst.graph, tree, ehat, flow, value)
         src, dst = tree.edge_endpoints_labels(ehat)
         assert dist.paths[0].source == src
@@ -238,7 +239,24 @@ def test_decompose_solved_lp_matches_values(solved_diamond):
         assert sum(dist.weights) == pytest.approx(1.0)
         for e in range(inst.graph.num_edges):
             # marginals never exceed the flow share of the edge
-            assert oracles.edge_marginal(dist, e) <= flow[e] / value + 1e-6
+            assert oracles.edge_marginal(dist, e) <= flow.get(e, 0.0) / value + 1e-6
+
+
+def test_decompose_reads_only_the_support():
+    # two parallel r -> t edges carry the flow among 3,000 edges that carry
+    # none: the mapping of the two gives the dense flow's decomposition,
+    # and a tiny negative off the support is clamped to 0
+    far = [(f"a{i}", f"b{i}", 1.0) for i in range(1_500)] + [(f"b{i}", f"a{i}", 1.0)
+                                                            for i in range(1_500)]
+    g = DirectedMultigraph(["r", "t"] + [f"{c}{i}" for i in range(1_500) for c in "ab"],
+                           [("r", "t", 1.0), ("r", "t", 1.0)] + far)
+    tree = build_shallow_tree(DstInstance(g, "r", frozenset(["t"])), 1)
+    dense = dict.fromkeys(range(g.num_edges), 0.0) | {0: 0.3, 1: 0.7, 2: -1e-12}
+    for flow in ({0: 0.3, 1: 0.7}, {0: 0.3, 1: 0.7, 2: -1e-12}, dense):
+        dist = decompose_flow(g, tree, 0, flow, 1.0)
+        assert [p.edges for p in dist.paths] == [(0,), (1,)]
+        assert dist.weights == pytest.approx((0.3, 0.7))
+        assert dist.discarded == 0.0
 
 
 def test_distribution_validation(pair_tree):
@@ -260,7 +278,7 @@ def test_distribution_validation(pair_tree):
 
 def test_sample_path_frequencies(pair_tree):
     g = DirectedMultigraph(["r", "t"], [("r", "t", 1.0), ("r", "t", 1.0)])
-    dist = decompose_flow(g, pair_tree, 0, [0.3, 0.7], 1.0)
+    dist = decompose_flow(g, pair_tree, 0, {0: 0.3, 1: 0.7}, 1.0)
     rng = np.random.default_rng(3)
     trials = 20_000
     first = sum(1 for _ in range(trials) if reference_sample_path(dist, rng).edges == (0,))
@@ -572,26 +590,39 @@ def test_round_matches_reference_on_overlapping_paths(request, monkeypatch, name
 )
 def test_draw_blocks_paths_are_pick_over_every_pair(request, monkeypatch, name, candidates,
                                                     block_bytes):
-    # draw_blocks looks up only the pairs with two or more paths; every pair
-    # must still get what _pick over its own uniforms gives
+    # every marked pair, one path or several, draws its L paths from its
+    # own uniforms: the k-th markable edge reads columns te + L*k ... of
+    # its row, and each sample is the first path whose running weight sum
+    # exceeds its uniform, or the last path
     inst = request.getfixturevalue(name)
     tree, lp = _solved(inst, 2)
     monkeypatch.setattr(rounding, "decompose_flow", _rotated_candidates(inst.graph, candidates))
     monkeypatch.setattr(rounding, "BLOCK_BYTES", block_bytes)
     sampler = IterationSampler(inst, tree, lp)
-    counts = sorted({len(d.paths) for d in sampler.distributions.values()})
+    dists = sampler.distributions
+    counts = sorted({len(d.paths) for d in dists.values()})
     assert counts[0] == 1 and counts[-1] > 1
+    te, samples = tree.num_edges, sampler.samples
+    rank = {ehat: k for k, ehat in enumerate(dists)}
+    first_id = dict(zip(dists, accumulate([len(d.paths) for d in dists.values()], initial=0)))
+
+    def walk(weights, u):
+        total = 0.0
+        for i, w in enumerate(weights):
+            total += w
+            if u < total:
+                return i
+        return len(weights) - 1
+
     seed, iterations = 4, 30
     uniforms = np.random.default_rng(seed).random((iterations, sampler.width))
-    ells = np.arange(sampler.samples)
     pairs = 0
     for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
-        table = sampler._row[block.ehat]
-        draws = uniforms[block.first + block.row[:, None], sampler._col[block.ehat][:, None] + ells]
-        picks = rounding._pick(sampler._cdf[table], sampler._counts[table], draws)
-        assert np.array_equal(block.paths, sampler._starts[table][:, None] + picks)
-        assert np.array_equal(block.multi, sampler._counts[table] > 1)
-        pairs += len(block.row)
+        for row, ehat, got in zip(block.row.tolist(), block.ehat.tolist(), block.paths.tolist()):
+            col = te + samples * rank[ehat]
+            draws = uniforms[block.first + row, col : col + samples]
+            assert got == [first_id[ehat] + walk(dists[ehat].weights, u) for u in draws]
+            pairs += 1
     assert pairs > 0
 
 
@@ -714,6 +745,20 @@ def test_transient_memory_is_capped_by_the_block_not_by_j(multicover, monkeypatc
     monkeypatch.setattr(rounding, "BLOCK_BYTES", 1 << 16)
     short = _round_peak(multicover, tree, lp, 20)
     assert _round_peak(multicover, tree, lp, 2000) <= 1.5 * short
+
+
+def test_round_memory_follows_the_model(f2_multicover):
+    # F2^5 at depth 2: the flows of the 1,054 markable tree edges live on
+    # 1,054 f columns; rounding reads only those, so its peak follows the
+    # model's arrays (gathering a row of all 527 graph edges per markable
+    # tree edge peaked at 14x)
+    inst = f2_multicover(5)
+    tree, lp = _solved(inst, 2)
+    model = lp.model
+    arrays = [getattr(model, name) for name in ("indptr", "indices", "data", "row_lower",
+                                                "row_upper", "family", "objective")]
+    peak = _round_peak(inst, tree, lp, default_iterations(2, inst.graph.num_vertices))
+    assert peak <= 3 * sum(a.nbytes for a in [*arrays, model.var_index.columns])
 
 
 def test_nothing_markable_gives_an_empty_union(multicover):

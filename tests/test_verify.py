@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -209,6 +209,43 @@ def test_reverse_delete_checks_terminals_in_sorted_order(monkeypatch):
     assert next(calls, None) is None and current == kept
     # trials with no re-check, one, every terminal's, and one rejected
     assert {(0, True), (1, True), (h, True), (1, False)} <= set(trials)
+
+
+def _check_support(inst, depth, beta) -> bool:
+    """Whether the LP at `beta` is optimal; if it is, its support
+    {e : x_e > 1e-9} must hold two edge-disjoint paths per terminal."""
+    tree = build_shallow_tree(inst, depth)
+    lp = solve(build_lp(inst, tree, beta))
+    if lp.status != "optimal":
+        return False
+    x = lp.at(lp.model.var_index.x(np.arange(inst.graph.num_edges)))
+    support = frozenset(np.flatnonzero(x > 1e-9).tolist())
+    assert feasibility_report(inst, support).feasible, (depth, beta, sorted(support))
+    return True
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(min_value=4, max_value=8),
+    extra=st.integers(min_value=0, max_value=6),
+    h=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_lp_support_is_a_feasible_edge_set(n, extra, h, depth, seed):
+    # the argument is in the `pipeline` docstring: the ft copies compose a
+    # root -> t flow of value 2 under x; it holds at every feasible point,
+    # so at beta = 1 too whenever that LP is feasible
+    inst = random_instance(n, 2 * h + extra, h, seed=seed)
+    assert _check_support(inst, depth, congestion_parameter(depth, h))
+    _check_support(inst, depth, 1)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_lp_support_is_a_feasible_edge_set_on_f2(multicover, depth):
+    # every set at 1/2: the support is all of F2^3's edges
+    assert _check_support(multicover, depth, congestion_parameter(depth, 7))
+    _check_support(multicover, depth, 1)
 
 
 def test_scan_failures(diamond):
