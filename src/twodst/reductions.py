@@ -1,7 +1,8 @@
 """Reductions between problem variants.
 
 * pairwise 2-edge-connectivity on a terminal set via two rooted solves
-  (out-rooted plus in-rooted on the reversed graph), union of results;
+  (out-rooted plus in-rooted on the reversed graph), union of results,
+  checked through the root;
 * vertex connectivity via vertex splitting (each v becomes (v, "in") ->
   (v, "out") with a zero-cost internal edge), which turns
   internally-vertex-disjoint paths into edge-disjoint ones; the split graph
@@ -89,13 +90,19 @@ def dss_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
 
     Solves the two instances of `rooted_pair` and returns the union. Edge
     ids survive reversal unchanged, so the union is a plain set union.
+
+    The union is checked through the root r, both ways to each other
+    terminal: fewer than two edges that cut terminal s off from t cut
+    r off from t if r is on s's side, and s off from r if it is not, so
+    the 2(h - 1) flows decide what the h(h - 1) ordered pairs would.
     """
     g = instance.graph
     terminals = instance.sorted_terminals()
     out_sol, in_sol = (solver(rooted) for rooted in rooted_pair(instance))
 
     union = out_sol.edges | in_sol.edges
-    short = _short_pair(g, permutations(terminals, 2), union)
+    root = terminals[0]
+    short = _short_pair(g, [p for t in terminals[1:] for p in ((root, t), (t, root))], union)
     if short:
         s, t, value = short
         raise ModelInconsistencyError(
@@ -107,7 +114,7 @@ def dss_via_dst(instance: DssInstance, solver: Solver) -> SolutionSubgraph:
         meta={
             "out_rooted_cost": out_sol.cost,
             "in_rooted_cost": in_sol.cost,
-            "root": terminals[0],
+            "root": root,
         },
     )
 

@@ -14,8 +14,8 @@ decomposes those edges, and only those, once when it is built, each from
 its live f columns (`LpSolution.graph_flow`), where its flow lives: no
 array of rounding is sized tree edges x graph edges.
 
-Random stream: a run with seed s draws from one `default_rng(s)`. The
-run is a J x W matrix of uniforms, W = `tree.num_edges` + M * L, where M
+Random stream: a run with seed s draws from one `default_rng(s)`, one
+row of W uniforms per iteration, W = `tree.num_edges` + M * L, where M
 is the number of markable tree edges and L the samples per marked edge
 (the tree holds only edges with a terminal below them, so W counts those).
 Row j (counting from 1, as provenance does) is iteration j. Column
@@ -23,21 +23,17 @@ e < `tree.num_edges` marks tree edge e; the k-th markable edge, in
 ascending order, owns the L columns from `tree.num_edges` + k * L, and
 an unmarked edge leaves its columns unused. A path is the first one
 whose running weight sum exceeds its uniform, or the last path.
-Iteration j thus depends on neither J nor how the rows are grouped: the
-union of J iterations is a prefix of the union of J + 1. Once every path
-of every distribution has been drawn, `round_solution` draws no more rows:
+Iteration j thus depends on neither J nor the rows after it: the union
+of J iterations is a prefix of the union of J + 1. Once every path of
+every distribution has been drawn, `round_solution` draws no more rows:
 a later draw repeats a path, so it adds no edge, and it changes no
 provenance (the first draw that holds an edge), so the union of J rows is
 already final.
 
-The rows are drawn in blocks of 1, 2, 4, ... rows, capped by a bound in
-bytes (`BLOCK_BYTES`), not by J (`IterationSampler.draw_blocks`), so the
-stop lands within twice the rows it needs. A block is marked by one
-threshold compare and one AND per tree level over its rows, and the L
-paths of every marked (row, tree edge) pair are one lookup in a table of
-cumulative weights. Each drawn row is drawn in full, and generator output
-does not depend on how it is split into calls, so a seed fixes the
-solution byte for byte.
+A row is marked by one threshold compare and one AND per tree level, and
+the L paths of every marked tree edge are one lookup in a table of
+cumulative weights (`IterationSampler.draw_rows`). Each drawn row is drawn
+in full, so a seed fixes the solution byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -60,8 +56,6 @@ log = logging.getLogger(__name__)
 
 SUPPORT_TOL = 1e-9
 STRIP_TOL = 1e-12
-# transient bytes of one block of iterations; a block holds at least one row
-BLOCK_BYTES = 1 << 21
 
 
 def default_iterations(depth: int, num_vertices: int) -> int:
@@ -104,13 +98,13 @@ def _marking_thresholds(tree: ShallowTree, xhat) -> np.ndarray:
 
 
 def _mark(tree: ShallowTree, thresholds: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Per row of `draws` (rows, tree edges), which tree edges are marked: an
-    edge is marked when its draw falls below its threshold and its parent
-    edge is marked, level by level."""
+    """Which tree edges one row of `draws` marks: an edge is marked when its
+    draw falls below its threshold and its parent edge is marked, level by
+    level."""
     marked = draws < thresholds
     parents = tree.edge_parents
     for lo, hi in tree.edge_levels[1:]:
-        marked[:, lo:hi] &= marked[:, parents[lo:hi]]
+        marked[lo:hi] &= marked[parents[lo:hi]]
     return marked
 
 
@@ -118,7 +112,7 @@ def gkr_round(tree: ShallowTree, xhat, rng) -> frozenset:
     """Sample a marked subtree: root edges keep their own probability,
     deeper edges survive with probability xhat / parent's xhat given the
     parent was marked. Returns the marked tree-edge ids."""
-    draws = rng.random((1, tree.num_edges))
+    draws = rng.random(tree.num_edges)
     return frozenset(np.flatnonzero(_mark(tree, _marking_thresholds(tree, xhat), draws)).tolist())
 
 
@@ -156,7 +150,8 @@ def decompose_flow(
     {graph edge: value} (`LpSolution.graph_flow`; a missing edge carries 0).
 
     Repeatedly takes the BFS-shortest source-target path in the positive
-    support (ties broken toward smaller edge ids), subtracts its
+    support, searched over the support's own edges only (ties broken
+    toward smaller edge ids), subtracts its
     bottleneck, and stops when the remaining source outflow is below
     1e-9. Weights are normalized by the stripped total, which must match
     the tree-edge value; flow stuck on cycles is discarded.
@@ -171,13 +166,22 @@ def decompose_flow(
                 raise ValueError(f"negative flow {v} on edge {e}")
             residual[e] = max(v, 0.0)
 
-    out = graph.out_edges(source)
+    # the support's out- and in-edges of each vertex, edge ids ascending:
+    # every entry is now >= 0 (or NaN), and strips only lower values, so an
+    # edge at 0 never carries a path
+    tails, heads = graph.tails, graph.heads
+    support_out: dict = {}
+    support_in: dict = {}
+    for e in sorted(e for e, v in residual.items() if v != 0.0):
+        support_out.setdefault(tails[e], []).append(e)
+        support_in.setdefault(heads[e], []).append(e)
+    out = support_out.get(source, ())
     strips: list[tuple[tuple[int, ...], float]] = []
     while True:
-        outflow = sum(residual.get(e, 0.0) for e in out)
+        outflow = sum(residual[e] for e in out)
         if outflow < 1e-9:
             break
-        path = _shortest_support_path(graph, residual, source, target)
+        path = _shortest_support_path(graph, residual, support_out, support_in, source, target)
         if path is None:
             raise ModelInconsistencyError(
                 f"tree edge {tree_edge}: {outflow:.3e} outflow at {source!r} "
@@ -202,21 +206,22 @@ def decompose_flow(
     )
 
 
-def _shortest_support_path(graph, residual, source, target):
-    """Lexicographically-smallest shortest path in the positive support.
+def _shortest_support_path(graph, residual, support_out, support_in, source, target):
+    """Lexicographically-smallest shortest path in the positive support,
+    given each vertex's support out- and in-edges in ascending id.
 
     The backward search stops after the level that reaches the source: the
     walk from the source reads only the distances below its own."""
-    in_edges, tails, heads = graph.in_edges, graph.tails, graph.heads
+    tails, heads = graph.tails, graph.heads
     dist = {target: 0}
     frontier = [target]
     while frontier and source not in dist:
         nxt = []
         for v in frontier:
             d = dist[v] + 1
-            for e in in_edges(v):
+            for e in support_in.get(v, ()):
                 u = tails[e]
-                if residual.get(e, 0.0) > STRIP_TOL and u not in dist:
+                if residual[e] > STRIP_TOL and u not in dist:
                     dist[u] = d
                     nxt.append(u)
         frontier = nxt
@@ -225,10 +230,10 @@ def _shortest_support_path(graph, residual, source, target):
     path = []
     v = source
     while v != target:
-        # out_edges lists edge ids ascending, so the first step is the smallest
+        # the support lists edge ids ascending, so the first step is the smallest
         d = dist[v] - 1
-        step = next(e for e in graph.out_edges(v)
-                    if residual.get(e, 0.0) > STRIP_TOL and dist.get(heads[e]) == d)
+        step = next(e for e in support_out[v]
+                    if residual[e] > STRIP_TOL and dist.get(heads[e]) == d)
         path.append(step)
         v = heads[step]
     return tuple(path)
@@ -246,17 +251,6 @@ def _pick(cdf: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(above, counts[:, None] - 1)
 
 
-class Block(NamedTuple):
-    """Consecutive iterations drawn together. One entry per marked
-    (iteration, tree edge) pair, in draw order: by row, then by tree edge."""
-
-    first: int  # iteration index of the block's first row, from 0
-    size: int  # rows (iterations) in the block
-    row: np.ndarray  # row of each pair within the block, ascending
-    ehat: np.ndarray  # marked tree edge of each pair
-    paths: np.ndarray  # (pairs, samples): global ids of the paths drawn
-
-
 class IterationSampler:
     """Shared machinery for rounding iterations.
 
@@ -266,10 +260,10 @@ class IterationSampler:
     repeated iterations (rounding, Monte Carlo probes) never re-decompose a
     flow. The paths of all distributions get global ids (`paths`), and
     their cumulative weights one row each of a padded table, so the draws
-    of a block's pairs are a single lookup.
+    of an iteration's marked edges are a single lookup.
 
     Random stream: `width` uniforms per iteration, laid out as in the
-    module docstring; `draw_blocks` is the one draw, and `sample_draws`
+    module docstring; `draw_rows` is the one draw, and `sample_draws`
     reads its first row. `samples` defaults to
     `default_samples` of the model's beta.
     """
@@ -308,39 +302,28 @@ class IterationSampler:
             self._cdf[row, : len(dist.paths)] = dist.cdf
         self.width = tree.num_edges + self.samples * len(dists)
 
-    def block_rows(self) -> int:
-        """Most rows in one block: `BLOCK_BYTES` over a bound on a row's
-        transient bytes. A row draws `width` uniforms and at most `width`
-        path samples; each sample passes through about seven 8-byte arrays
-        (columns, draws, counts, picks, path ids, the union's sort) and
-        the pick's compare, one byte per path of the widest distribution."""
-        return max(1, BLOCK_BYTES // (self.width * (64 + self._cdf.shape[1])))
-
-    def draw_blocks(self, rng, iterations: int) -> Iterator[Block]:
-        """`iterations` rows of the stream, drawn and evaluated in blocks
-        of 1, 2, 4, ... rows, capped at `block_rows()`: a caller that stops
-        early has drawn at most about twice the rows it read."""
+    def draw_rows(self, rng, iterations: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """`iterations` rows of the stream, one per iteration, drawn as they
+        are read: each row's marked tree edges, ascending, and the
+        (marked, samples) global ids of the paths drawn for them."""
         te = self.tree.num_edges
         ells = np.arange(self.samples)
-        cap, first, size = self.block_rows(), 0, 1
-        while first < iterations:
-            size = min(size, cap, iterations - first)
-            uniforms = rng.random((size, self.width))
-            row, ehat = np.nonzero(_mark(self.tree, self._thresholds, uniforms[:, :te]))
+        for _ in range(iterations):
+            uniforms = rng.random(self.width)
+            ehat = np.flatnonzero(_mark(self.tree, self._thresholds, uniforms[:te]))
             table = self._row[ehat]
-            draws = uniforms[row[:, None], te + self.samples * table[:, None] + ells]
-            paths = self._starts[table][:, None] + _pick(self._cdf[table], self._counts[table], draws)
-            yield Block(first, size, row, ehat, paths)
-            first, size = first + size, 2 * size
+            draws = uniforms[te + self.samples * table[:, None] + ells]
+            yield ehat, self._starts[table][:, None] + _pick(
+                self._cdf[table], self._counts[table], draws)
 
     def sample_draws(self, rng) -> list[tuple[int, int, EdgePath]]:
         """One iteration as (tree edge, sample index, path) triples in draw
         order: the marked tree edges ascending, `samples` paths each."""
-        block = next(self.draw_blocks(rng, 1))
-        ehats = block.ehat.tolist()
+        ehat, paths = next(self.draw_rows(rng, 1))
+        ehats = ehat.tolist()
         return [
             (ehats[i // self.samples], i % self.samples + 1, self.paths[p])
-            for i, p in enumerate(block.paths.ravel().tolist())
+            for i, p in enumerate(paths.ravel().tolist())
         ]
 
 
@@ -357,13 +340,13 @@ def round_solution(
     on to `IterationSampler`. The union is neither pruned nor verified.
 
     An edge's provenance is the (iteration, tree edge, sample index) of the
-    first draw whose path contains it. Within a block only the first draw
+    first draw whose path contains it. Within a row only the first draw
     of each path not seen before can add edges, so the union walks those
     in draw order.
 
-    The loop stops once every path has been drawn (`seen.all()`), whatever
-    J is, as the module docstring argues; `meta` still reports J. With
-    nothing markable there is no path and the first block ends it.
+    The loop stops at the row that completes the union (`seen.all()`),
+    whatever J is, as the module docstring argues; `meta` still reports J.
+    With nothing markable there is no path and the first row ends it.
     """
     if lp.status != OPTIMAL:
         raise ValueError(f"need an optimal LP solution, got status {lp.status!r}")
@@ -375,21 +358,20 @@ def round_solution(
     rows_drawn = 0
     last_new = 0
     samples = sampler.samples
-    for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
-        rows_drawn += block.size
-        # each path's first draw, as its index in the block's draw order
-        ids, first = np.unique(block.paths, return_index=True)
+    rows = sampler.draw_rows(np.random.default_rng(seed), iterations)
+    for j, (ehat, paths) in enumerate(rows, 1):
+        rows_drawn = j
+        # each path's first draw, as its index in the row's draw order
+        ids, first = np.unique(paths, return_index=True)
         new = ~seen[ids]
         seen[ids] = True
         ids, first = ids[new], first[new]
         order = np.argsort(first)
         for p, i in zip(ids[order].tolist(), first[order].tolist()):
-            pair = i // samples
-            j = block.first + int(block.row[pair]) + 1
             for e in sampler.paths[p].edges:
                 if e not in edges:
                     edges.add(e)
-                    provenance[e] = (j, int(block.ehat[pair]), i % samples + 1)
+                    provenance[e] = (j, int(ehat[i // samples]), i % samples + 1)
                     last_new = j
         if seen.all():  # every later draw repeats a path: the union is final
             break

@@ -135,7 +135,10 @@ def build_shallow_tree(
     behind = {t: search(g, t, backward=True, inside=reached)[0] for t in terminals}
     keep = frozenset().union(*behind.values())
     ahead = {root: keep}  # R(u), within the usable vertices, of each label searched from
-    reaches = {v: {t for t, back in behind.items() if v in back} for v in keep}
+    reaches: dict = {v: set() for v in keep}  # the terminals each usable vertex reaches
+    for t, back in behind.items():
+        for v in back:
+            reaches[v].add(t)
 
     labels, depths, parents = [root], [0], [-1]
     # ancestor label sets give a node's child labels without rewalking paths;
@@ -169,6 +172,8 @@ def build_shallow_tree(
                 raise SizeLimitError("tree would be too large", len(labels), max_nodes)
         level = below
 
-    groups = {t: {node for node, label in enumerate(labels) if label == t}
-              for t in terminals}
+    groups: dict = {t: set() for t in terminals}
+    for node, label in enumerate(labels):
+        if label in groups:
+            groups[label].add(node)
     return ShallowTree(depth, labels, depths, parents, groups, behind, ahead)

@@ -650,12 +650,10 @@ def survival_estimate(instance, tree, lp, seed: int, e: int, t, trials: int,
     sampler = IterationSampler(instance, tree, lp, samples)
     g = instance.graph
     successes = 0
-    for block in sampler.draw_blocks(np.random.default_rng(seed), trials):
-        ends = np.searchsorted(block.row, np.arange(block.size), side="right")
-        for path_ids in np.split(block.paths, ends[:-1]):
-            edges = {edge for p in np.unique(path_ids).tolist() for edge in sampler.paths[p].edges}
-            if t in reachable_set(g, instance.root, restrict_to=edges - {e}):
-                successes += 1
+    for _, path_ids in sampler.draw_rows(np.random.default_rng(seed), trials):
+        edges = {edge for p in np.unique(path_ids).tolist() for edge in sampler.paths[p].edges}
+        if t in reachable_set(g, instance.root, restrict_to=edges - {e}):
+            successes += 1
     p = successes / trials
     radius = 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
     return SurvivalEstimate(p, radius, successes, trials)

@@ -267,6 +267,57 @@ def test_dss_union_short_of_two_paths_raises():
         dss_via_dst(inst, short_solver())
 
 
+def test_dss_union_check_runs_through_the_root(monkeypatch):
+    # the bidirected 5-ring with every vertex a terminal: the union is
+    # checked root -> t and t -> root for the 4 other terminals, 8 flows
+    # against the 20 ordered terminal pairs
+    vertices = [f"u{i}" for i in range(5)]
+    g = _bidirected(vertices, [(vertices[i], vertices[(i + 1) % 5]) for i in range(5)])
+    calls = []
+    real = reductions.max_flow_unit
+
+    def counting(graph, s, t, **kwargs):
+        calls.append((s, t))
+        return real(graph, s, t, **kwargs)
+
+    monkeypatch.setattr(reductions, "max_flow_unit", counting)
+    sol = dss_via_dst(DssInstance(g, frozenset(vertices)), exact_solver())
+    assert sol.edges == frozenset(range(10))
+    assert calls == [p for t in vertices[1:] for p in (("u0", t), (t, "u0"))]
+
+
+@st.composite
+def dss_union_case(draw):
+    # bidirected arcs with repeats, three in four kept, so that about a
+    # quarter of the unions carry two paths between every terminal pair
+    n = draw(st.integers(2, 5))
+    vertices = [f"v{i}" for i in range(n)]
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                         min_size=1, max_size=12))
+    g = _bidirected(vertices, [(vertices[a], vertices[(a + d) % n]) for a, d in arcs])
+    union = frozenset(e for e in range(g.num_edges) if draw(st.integers(0, 3)))
+    terminals = draw(st.sets(st.sampled_from(vertices), min_size=2))
+    return g, frozenset(terminals), union
+
+
+@settings(max_examples=200)
+@given(dss_union_case())
+def test_dss_root_check_agrees_with_every_pair(case):
+    # a rooted solver that returns a random edge set: the union is that
+    # set, and the check through the root must reject it exactly when some
+    # ordered terminal pair has fewer than two edge-disjoint paths in it
+    g, terminals, union = case
+    pairwise = all(max_flow_unit(g, s, t, restrict_to=union, limit=2)[0] >= 2
+                   for s in terminals for t in terminals if s != t)
+    inst = DssInstance(g, terminals)
+    try:
+        sol = dss_via_dst(inst, lambda rooted: SolutionSubgraph.from_edges(rooted.graph, union))
+    except ModelInconsistencyError:
+        assert not pairwise
+    else:
+        assert pairwise and sol.edges == union
+
+
 def test_dss_infeasible_propagates():
     g = DirectedMultigraph(["a", "b"], [("a", "b", 1.0)])
     inst = DssInstance(g, frozenset(["a", "b"]))

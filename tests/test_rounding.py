@@ -431,8 +431,7 @@ def _solved(instance, depth):
 
 class FixedDraws:
     """Stands in for a Generator: hands out preset uniforms in order, each
-    batch broadcast to the requested size, so one row of per-column values
-    fills every row of a 2-D block."""
+    batch broadcast to the requested size."""
 
     def __init__(self, *batches):
         self.batches = list(batches)
@@ -584,12 +583,10 @@ def test_round_matches_reference_on_overlapping_paths(request, monkeypatch, name
         assert got == reference_round(inst, tree, lp, seed, iterations).to_json(g)
 
 
-@pytest.mark.parametrize("block_bytes", [rounding.BLOCK_BYTES, 1])
 @pytest.mark.parametrize(
     "name, candidates", [("multicover", _multicover_paths), ("crossing", _crossing_paths)]
 )
-def test_draw_blocks_paths_are_pick_over_every_pair(request, monkeypatch, name, candidates,
-                                                    block_bytes):
+def test_draw_rows_paths_are_pick_over_every_pair(request, monkeypatch, name, candidates):
     # every marked pair, one path or several, draws its L paths from its
     # own uniforms: the k-th markable edge reads columns te + L*k ... of
     # its row, and each sample is the first path whose running weight sum
@@ -597,7 +594,6 @@ def test_draw_blocks_paths_are_pick_over_every_pair(request, monkeypatch, name, 
     inst = request.getfixturevalue(name)
     tree, lp = _solved(inst, 2)
     monkeypatch.setattr(rounding, "decompose_flow", _rotated_candidates(inst.graph, candidates))
-    monkeypatch.setattr(rounding, "BLOCK_BYTES", block_bytes)
     sampler = IterationSampler(inst, tree, lp)
     dists = sampler.distributions
     counts = sorted({len(d.paths) for d in dists.values()})
@@ -617,13 +613,14 @@ def test_draw_blocks_paths_are_pick_over_every_pair(request, monkeypatch, name, 
     seed, iterations = 4, 30
     uniforms = np.random.default_rng(seed).random((iterations, sampler.width))
     pairs = 0
-    for block in sampler.draw_blocks(np.random.default_rng(seed), iterations):
-        for row, ehat, got in zip(block.row.tolist(), block.ehat.tolist(), block.paths.tolist()):
+    for j, (ehats, paths) in enumerate(sampler.draw_rows(np.random.default_rng(seed), iterations)):
+        assert np.all(np.diff(ehats) > 0) and paths.shape == (len(ehats), samples)
+        for ehat, got in zip(ehats.tolist(), paths.tolist()):
             col = te + samples * rank[ehat]
-            draws = uniforms[block.first + row, col : col + samples]
+            draws = uniforms[j, col : col + samples]
             assert got == [first_id[ehat] + walk(dists[ehat].weights, u) for u in draws]
             pairs += 1
-    assert pairs > 0
+    assert j == iterations - 1 and pairs > 0
 
 
 @settings(max_examples=30)
@@ -666,61 +663,20 @@ def test_round_matches_reference_on_noisy_multicover(multicover, noise, depth, s
     assume(lp.status == OPTIMAL)
     want = reference_round(inst, tree, lp, seed, iterations, 3).to_json(inst.graph)
     assert round_solution(inst, tree, lp, seed, iterations, 3).to_json(inst.graph) == want
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rounding, "BLOCK_BYTES", 1)
-        assert round_solution(inst, tree, lp, seed, iterations, 3).to_json(inst.graph) == want
-
-
-@pytest.mark.parametrize("name", ["multicover", "crossing"])
-def test_one_row_blocks_match_the_default_blocks(request, monkeypatch, name):
-    # the run spans several default blocks, then J blocks of one row; the
-    # output must not depend on the block size. A path that is never drawn
-    # keeps the run from stopping before its last row
-    inst = request.getfixturevalue(name)
-    tree, lp = _solved(inst, 2)
-    candidates = {"multicover": _multicover_paths, "crossing": _crossing_paths}[name]
-    fake = _never_drawn_last_path(_rotated_candidates(inst.graph, candidates))
-    monkeypatch.setattr(rounding, "decompose_flow", fake)
-    monkeypatch.setattr(oracles, "decompose_flow", fake)
-    sampler = IterationSampler(inst, tree, lp)
-    assert sampler.block_rows() > 1
-    iterations = 2 * sampler.block_rows() + 1
-    default = round_solution(inst, tree, lp, 5, iterations).to_json(inst.graph)
-    monkeypatch.setattr(rounding, "BLOCK_BYTES", 1)
-    assert sampler.block_rows() == 1
-    assert [b.size for b in sampler.draw_blocks(np.random.default_rng(5), 3)] == [1, 1, 1]
-    assert round_solution(inst, tree, lp, 5, iterations).to_json(inst.graph) == default
-    assert default == reference_round(inst, tree, lp, 5, iterations).to_json(inst.graph)
-
-
-def test_block_rows_are_bounded_in_bytes(multicover, monkeypatch):
-    # blocks grow 1, 2, 4, ... rows up to the cap in bytes, and the last
-    # block holds what is left
-    tree, lp = _solved(multicover, 2)
-    sampler = IterationSampler(multicover, tree, lp)
-    row_bytes = sampler.width * (64 + sampler._cdf.shape[1])
-    monkeypatch.setattr(rounding, "BLOCK_BYTES", 5 * row_bytes + 1)
-    assert sampler.block_rows() == 5
-    blocks = list(sampler.draw_blocks(np.random.default_rng(2), 20))
-    assert [(b.first, b.size) for b in blocks] == [(0, 1), (1, 2), (3, 4), (7, 5), (12, 5),
-                                                   (17, 3)]
-    for b in blocks:
-        assert np.all(np.diff(b.row) >= 0) and np.all(b.row < b.size)
-        assert b.paths.shape == (len(b.ehat), sampler.samples)
 
 
 def _count_rows(monkeypatch) -> list:
-    """Sizes of the blocks `draw_blocks` yields from now on, as it yields them."""
-    sizes = []
-    real = IterationSampler.draw_blocks
+    """The rows `draw_rows` yields from now on, as it yields them."""
+    rows = []
+    real = IterationSampler.draw_rows
 
     def counting(self, rng, iterations):
-        for block in real(self, rng, iterations):
-            sizes.append(block.size)
-            yield block
+        for row in real(self, rng, iterations):
+            rows.append(row)
+            yield row
 
-    monkeypatch.setattr(IterationSampler, "draw_blocks", counting)
-    return sizes
+    monkeypatch.setattr(IterationSampler, "draw_rows", counting)
+    return rows
 
 
 def _round_peak(instance, tree, lp, iterations):
@@ -733,18 +689,16 @@ def _round_peak(instance, tree, lp, iterations):
         tracemalloc.stop()
 
 
-def test_transient_memory_is_capped_by_the_block_not_by_j(multicover, monkeypatch):
+def test_transient_memory_does_not_grow_with_j(multicover, monkeypatch):
     # a path that is never drawn keeps the run from stopping early, so
-    # every one of the J rows is drawn
+    # every one of the J rows is drawn, one at a time
     tree, lp = _solved(multicover, 2)
     fake = _never_drawn_last_path(_rotated_candidates(multicover.graph, _multicover_paths))
     monkeypatch.setattr(rounding, "decompose_flow", fake)
-    sizes = _count_rows(monkeypatch)
-    assert _round_peak(multicover, tree, lp, 2000) <= rounding.BLOCK_BYTES
-    assert sum(sizes) == 2000
-    monkeypatch.setattr(rounding, "BLOCK_BYTES", 1 << 16)
-    short = _round_peak(multicover, tree, lp, 20)
-    assert _round_peak(multicover, tree, lp, 2000) <= 1.5 * short
+    assert _round_peak(multicover, tree, lp, 2000) <= 1.5 * _round_peak(multicover, tree, lp, 20)
+    rows = _count_rows(monkeypatch)
+    round_solution(multicover, tree, lp, 1, 2000)
+    assert len(rows) == 2000
 
 
 def test_round_memory_follows_the_model(f2_multicover):
@@ -811,13 +765,34 @@ def test_long_run_matches_reference(request, name, depth, seed, samples):
 
 def test_integral_lp_stops_after_the_first_rows(solved_diamond, monkeypatch):
     # every markable edge of an integral point is marked in row 1, so
-    # every path is drawn there and the run stops within the first blocks
+    # every path is drawn there and the run stops after that row
     inst, tree, lp = solved_diamond
-    sizes = _count_rows(monkeypatch)
+    rows = _count_rows(monkeypatch)
     sol = round_solution(inst, tree, lp, 11, 10_000)
-    assert sum(sizes) <= 2
+    assert len(rows) == 1
     assert sol.meta["iterations"] == 10_000
     assert sol.edges == frozenset(range(inst.graph.num_edges))
+
+
+@pytest.mark.parametrize("iterations", [3, 1000])
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_drawn_end_at_the_row_that_completes_the_union(multicover, monkeypatch, seed,
+                                                            iterations):
+    # noisy F_2^3 at depth 1: each point's flow splits over two sets, so
+    # every path is drawn only after a few rows (4 to 7 at these seeds);
+    # the run draws those rows and no more, or J if that is fewer
+    inst = _noisy(multicover, np.random.default_rng(3).uniform(0.0, 0.1, 35))
+    tree, lp = _solved(inst, 1)
+    reference = ReferenceSampler(inst, tree, lp)
+    total = len(IterationSampler(inst, tree, lp).paths)
+    rng, seen, full = np.random.default_rng(seed), set(), 0
+    while len(seen) < total:
+        seen |= {(ehat, p.edges) for ehat, _, p in reference.sample_draws(rng)}
+        full += 1
+    assert full > 1
+    rows = _count_rows(monkeypatch)
+    round_solution(inst, tree, lp, seed, iterations)
+    assert len(rows) == min(iterations, full)
 
 
 def test_a_path_never_drawn_keeps_every_row(crossing, monkeypatch):
@@ -826,9 +801,9 @@ def test_a_path_never_drawn_keeps_every_row(crossing, monkeypatch):
     fake = _never_drawn_last_path(_rotated_candidates(g, _crossing_paths))
     monkeypatch.setattr(rounding, "decompose_flow", fake)
     monkeypatch.setattr(oracles, "decompose_flow", fake)
-    sizes = _count_rows(monkeypatch)
+    rows = _count_rows(monkeypatch)
     got = round_solution(crossing, tree, lp, 4, 300)
-    assert sum(sizes) == 300
+    assert len(rows) == 300
     assert got.to_json(g) == reference_round(crossing, tree, lp, 4, 300).to_json(g)
 
 
@@ -939,11 +914,9 @@ def test_round_logs_summary(solved_diamond, caplog):
     draws = [sampler.sample_draws(rng) for _ in range(12)]  # one row per iteration
     distinct = {(ehat, p.edges) for batch in draws for ehat, _, p in batch}
     assert len(distinct) == len(sampler.paths)
-    # the rows drawn end with the first block by whose end every path was drawn
-    full = min(j for j in range(1, 13)
+    # the rows drawn are the first row by which every path was drawn
+    rows = min(j for j in range(1, 13)
                if len({(e, p.edges) for batch in draws[:j] for e, _, p in batch}) == len(distinct))
-    ends = np.cumsum([b.size for b in sampler.draw_blocks(np.random.default_rng(7), 12)])
-    rows = int(ends[np.searchsorted(ends, full)])
     last_new = max(j for j, _, _ in sol.provenance.values())
     assert numbers == [rows, 12, len(distinct), last_new]
     assert rows < 12

@@ -31,7 +31,7 @@ from twodst.lp_model import LpSolution, build_lp, congestion_parameter
 from twodst.lp_solver import solve
 from twodst.shallow_tree import build_shallow_tree
 from twodst.solution import SolutionSubgraph
-from twodst import rounding, verify
+from twodst import verify
 from twodst.verify import feasibility_report, reverse_delete
 
 
@@ -483,12 +483,10 @@ def test_survival_diamond(diamond_solved):
     assert est.radius > 0.0
 
 
-@pytest.mark.parametrize("block_bytes", [1, rounding.BLOCK_BYTES])
-def test_survival_trial_is_rounding_iteration(multicover, monkeypatch, block_bytes):
+def test_survival_trial_is_rounding_iteration(multicover):
     # trial j reads row j of the seed's one stream, as rounding iteration j
-    # does, whatever the block size
+    # does
     tree, _, lp = _solve_depth2(multicover)
-    monkeypatch.setattr(rounding, "BLOCK_BYTES", block_bytes)
     reference = ReferenceSampler(multicover, tree, lp)
     rng = np.random.default_rng(4)
     want = 0
