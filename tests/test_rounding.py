@@ -583,14 +583,16 @@ def test_round_matches_reference_on_overlapping_paths(request, monkeypatch, name
         assert got == reference_round(inst, tree, lp, seed, iterations).to_json(g)
 
 
+@pytest.mark.parametrize("seed", [2**21, 1])
 @pytest.mark.parametrize(
     "name, candidates", [("multicover", _multicover_paths), ("crossing", _crossing_paths)]
 )
-def test_draw_rows_paths_are_pick_over_every_pair(request, monkeypatch, name, candidates):
+def test_draw_blocks_paths_are_pick_over_every_pair(request, monkeypatch, name, candidates, seed):
     # every marked pair, one path or several, draws its L paths from its
     # own uniforms: the k-th markable edge reads columns te + L*k ... of
-    # its row, and each sample is the first path whose running weight sum
-    # exceeds its uniform, or the last path
+    # the row draw_rows draws for its iteration, and each sample is the
+    # first path whose running weight sum exceeds its uniform, or the last
+    # path
     inst = request.getfixturevalue(name)
     tree, lp = _solved(inst, 2)
     monkeypatch.setattr(rounding, "decompose_flow", _rotated_candidates(inst.graph, candidates))
@@ -610,7 +612,7 @@ def test_draw_rows_paths_are_pick_over_every_pair(request, monkeypatch, name, ca
                 return i
         return len(weights) - 1
 
-    seed, iterations = 4, 30
+    iterations = 30
     uniforms = np.random.default_rng(seed).random((iterations, sampler.width))
     pairs = 0
     for j, (ehats, paths) in enumerate(sampler.draw_rows(np.random.default_rng(seed), iterations)):

@@ -483,17 +483,18 @@ def test_survival_diamond(diamond_solved):
     assert est.radius > 0.0
 
 
-def test_survival_trial_is_rounding_iteration(multicover):
+@pytest.mark.parametrize("seed", [1, 2**21])
+def test_survival_trial_is_rounding_iteration(multicover, seed):
     # trial j reads row j of the seed's one stream, as rounding iteration j
     # does
     tree, _, lp = _solve_depth2(multicover)
     reference = ReferenceSampler(multicover, tree, lp)
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(seed)
     want = 0
     for _ in range(40):
         edges = {e for _, _, p in reference.sample_draws(rng) for e in p.edges} - {0}
         want += "p0" in reachable_set(multicover.graph, "r", restrict_to=edges)
-    est = survival_estimate(multicover, tree, lp, 4, 0, "p0", 40)
+    est = survival_estimate(multicover, tree, lp, seed, 0, "p0", 40)
     assert 0 < est.successes < 40
     assert est.successes == want
 
